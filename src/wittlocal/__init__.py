@@ -25,7 +25,6 @@ from .derivations import (
     ad,
     derivation_space_basis,
     extend_from_generators,
-    inner_image_formula_check,
     leibniz_check,
     recover_inner_witt,
     recover_inner_wplus,
@@ -43,17 +42,13 @@ from .errors import (
     WittlocalError,
 )
 from .linalg import (
-    Inconsistent,
-    ParametricSolution,
     Rational,
     SparseVector,
     Subspace,
-    UniqueSolution,
     Window,
     format_rational,
     kernel_basis,
     parse_rational,
-    solve_linear_system,
     subspace_intersection,
 )
 from .twolocal import (

@@ -183,21 +183,6 @@ def _generated_algebra(algebra: Algebra) -> None:
         raise ValueError(f"{algebra} is not handled by generator extension")
 
 
-def _extend_images(
-    algebra: Algebra, img_e1: Element, img_e2: Element, truncation: int
-) -> dict[int, Element]:
-    """Images of e_1..e_N forced by the recursion e_{k} = [e_1, e_{k-1}]
-    (rescaled by the structure constant for wplus)."""
-    e1 = Element.basis(algebra, 1)
-    images = {1: img_e1, 2: img_e2}
-    for k in range(3, truncation + 1):
-        forced = bracket(images[1], Element.basis(algebra, k - 1)) + bracket(e1, images[k - 1])
-        if algebra is Algebra.WPLUS:
-            forced = forced.scale(Fraction(1, k - 2))
-        images[k] = forced
-    return images
-
-
 def _cross_relations(algebra: Algebra, truncation: int):
     """Bracket relations not used by the defining recursion, in lexicographic
     order.  For wplus every [e_i,e_j] with i >= 2 and i+j inside the
@@ -209,16 +194,37 @@ def _cross_relations(algebra: Algebra, truncation: int):
             yield (i, j)
 
 
-def _relation_residual(
-    algebra: Algebra, images: dict[int, Element], i: int, j: int
-) -> Element:
-    lhs = Element.zero(algebra)
-    for k, c in algebra.basis_rule(i, j):
-        lhs = lhs + images[k].scale(c)
-    rhs = bracket(images[i], Element.basis(algebra, j)) + bracket(
-        Element.basis(algebra, i), images[j]
-    )
-    return lhs - rhs
+# A derivation splits into homogeneous parts e_k -> c_k e_{k+s}, one per
+# shift s, and no bracket relation mixes two shifts.  Each part is a scalar
+# sequence c_1..c_N, so extension and solving run one shift at a time.
+
+
+def _constant(algebra: Algebra, i: int, j: int) -> int:
+    """Structure constant K(i, j) of [e_i, e_j] = K(i, j) e_{i+j}."""
+    return sum(c for _, c in algebra.basis_rule(i, j))
+
+
+def _shift_sequence(
+    algebra: Algebra, s: int, a: Rational, b: Rational, truncation: int
+) -> list[Fraction]:
+    """c_0..c_N (c_0 unused) of the shift-s part with D(e_1) = a e_{1+s} and
+    D(e_2) = b e_{2+s}; D(e_k) is forced by e_k = [e_1, e_{k-1}] / K(1, k-1):
+
+        c_k = (a K(1+s, k-1) + c_{k-1} K(1, k-1+s)) / K(1, k-1).
+    """
+    a = Fraction(a)
+    c = [Fraction(0), a, Fraction(b)]
+    for k in range(3, truncation + 1):
+        forced = a * _constant(algebra, 1 + s, k - 1)
+        forced += c[k - 1] * _constant(algebra, 1, k - 1 + s)
+        c.append(forced / _constant(algebra, 1, k - 1))
+    return c
+
+
+def _shift_residual(algebra: Algebra, s: int, c: list[Fraction], i: int, j: int) -> Fraction:
+    """The grade i+j+s coefficient of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]."""
+    lhs = sum(coef * c[h] for h, coef in algebra.basis_rule(i, j))
+    return lhs - c[i] * _constant(algebra, i + s, j) - c[j] * _constant(algebra, i, j + s)
 
 
 def extend_from_generators(
@@ -228,36 +234,30 @@ def extend_from_generators(
 
     Images of e_3..e_N are forced by the bracket recursion from e_1; every
     alternative relation within reach is then re-derived and has to agree
-    exactly.  A disagreement is a semantic outcome, not an error.
+    exactly.  A disagreement is a semantic outcome, not an error: the first
+    failing relation is reported with its residual summed over all shifts.
     """
     _generated_algebra(algebra)
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
     if img_e1.algebra is not algebra or img_e2.algebra is not algebra:
         raise MixedAlgebras("generator images must live in the target algebra")
-    images = _extend_images(algebra, img_e1, img_e2, truncation)
+    shifts = {i - 1 for i in img_e1.support()} | {i - 2 for i in img_e2.support()}
+    parts = {
+        s: _shift_sequence(
+            algebra, s, img_e1.coefficient(s + 1), img_e2.coefficient(s + 2), truncation
+        )
+        for s in shifts
+    }
     for i, j in _cross_relations(algebra, truncation):
-        residual = _relation_residual(algebra, images, i, j)
-        if not residual.is_zero():
-            return InconsistentExtension((i, j), residual)
+        residual = {i + j + s: _shift_residual(algebra, s, c, i, j) for s, c in parts.items()}
+        if any(residual.values()):
+            return InconsistentExtension((i, j), Element(algebra, residual))
+    images = {
+        k: Element(algebra, {k + s: c[k] for s, c in parts.items()})
+        for k in range(1, truncation + 1)
+    }
     return LinearMapTable(algebra, Window(1, truncation), images)
-
-
-# Coordinate labels for the generator-image pair, in reporting order.
-def _coordinate_layout(algebra: Algebra, n: int) -> tuple[list[tuple[int, int]], list[str]]:
-    """Unknown coordinates as (generator, index) pairs plus display names.
-
-    alpha_i is the e_i coefficient of the e_1 image (i = 1..n).  beta_i is
-    the e_i coefficient of the e_2 image; for thin it runs to n, for wplus
-    to n+1 because the e_2 image of an inner derivation with witness
-    supported in 0..n-1 reaches grade n+1.
-    """
-    beta_hi = n if algebra is Algebra.THIN else n + 1
-    coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in range(1, beta_hi + 1)]
-    names = [f"alpha_{i}" for i in range(1, n + 1)] + [
-        f"beta_{i}" for i in range(1, beta_hi + 1)
-    ]
-    return coords, names
 
 
 @dataclass(frozen=True)
@@ -294,56 +294,47 @@ def derivation_space_basis(
 ) -> DerivationSpace:
     """Solve for all generator-image pairs that extend to a derivation.
 
-    The pair (e_1 image, e_2 image) ranges over the coordinate space of
-    `_coordinate_layout`; every cross relation up to the consistency depth
-    (default 2n+3, the smallest bound that forces all coefficient
-    exclusions for support bound n) is imposed as a linear constraint.
-    The residual of each relation is linear in the pair, so constraint rows
-    are assembled by evaluating the extension on each unit input.
+    alpha_i is the e_i coefficient of the e_1 image (i = 1..n) and beta_i
+    the e_i coefficient of the e_2 image; beta runs to n for thin and to
+    n+1 for wplus, because the e_2 image of an inner derivation with witness
+    supported in 0..n-1 reaches grade n+1.  Every cross relation up to the
+    consistency depth (default 2n+3, the smallest bound that forces all
+    coefficient exclusions for support bound n) is imposed.
 
-    For thin, the e_1 coefficient of the e_2 image is solved for and comes
-    out identically zero; it is dropped from the reported coordinates.
+    Shift s couples only alpha_{s+1} and beta_{s+2}, so each shift is an
+    independent block of at most two unknowns; the canonical basis is the
+    reduced echelon form of all block solutions.  For thin, beta_1 is solved
+    for as well and must come out zero; it is not a reported coordinate.
     """
     _generated_algebra(algebra)
     if support_bound < 1:
         raise ValueError("support bound must be at least 1")
-    min_depth = 2 * support_bound + 3
+    n = support_bound
+    min_depth = 2 * n + 3
     depth = consistency_depth if consistency_depth is not None else min_depth
     if depth < min_depth:
         raise ValueError(f"consistency depth {depth} below required {min_depth}")
-    coords, names = _coordinate_layout(algebra, support_bound)
+    top = {1: n, 2: n if algebra is Algebra.THIN else n + 1}
+    beta_lo = 2 if algebra is Algebra.THIN else 1
+    coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in range(beta_lo, top[2] + 1)]
+    names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
+    position = {coord: p for p, coord in enumerate(coords)}
     relations = list(_cross_relations(algebra, depth))
-    # residual grades of relation r under unit input t
-    columns: list[list[Element]] = []
-    for gen, idx in coords:
-        img = {1: Element.zero(algebra), 2: Element.zero(algebra)}
-        img[gen] = Element.basis(algebra, idx)
-        images = _extend_images(algebra, img[1], img[2], depth)
-        columns.append([_relation_residual(algebra, images, i, j) for i, j in relations])
-    rows: list[SparseVector] = []
-    for r in range(len(relations)):
-        grades = sorted({g for col in columns for g in col[r].support()})
-        for g in grades:
-            rows.append(SparseVector({t: columns[t][r].coefficient(g) for t in range(len(coords))}))
-    window = Window(0, len(coords) - 1)
-    solved = kernel_basis(rows, window)
-    if algebra is Algebra.THIN:
-        solved, coords, names = _drop_thin_beta1(solved, coords, names)
-    return DerivationSpace(algebra, support_bound, depth, names, solved, coords)
-
-
-def _drop_thin_beta1(space: Subspace, coords, names):
-    """Remove the beta_1 coordinate after checking it vanishes on the space."""
-    pos = coords.index((2, 1))
-    for v in space.basis:
-        if v.get(pos) != 0:
-            raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")
-    remap = lambda p: p if p < pos else p - 1
-    vectors = [SparseVector({remap(i): c for i, c in v.items()}) for v in space.basis]
-    coords = coords[:pos] + coords[pos + 1 :]
-    names = names[:pos] + names[pos + 1 :]
-    reduced = Subspace(vectors, Window(0, len(coords) - 1))
-    return reduced, coords, names
+    unit = {1: (1, 0), 2: (0, 1)}
+    solutions: list[SparseVector] = []
+    for s in range(-1, n):
+        unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
+        parts = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
+        rows = [
+            SparseVector({t: _shift_residual(algebra, s, c, i, j) for t, c in enumerate(parts)})
+            for i, j in relations
+        ]
+        for vec in kernel_basis(rows, Window(0, len(unknowns) - 1)).basis:
+            if any(unknowns[t] not in position for t in vec.support()):
+                raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")
+            solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
+    space = Subspace(solutions, Window(0, len(coords) - 1))
+    return DerivationSpace(algebra, support_bound, depth, names, space, coords)
 
 
 def recover_inner_wplus(table: LinearMapTable) -> Element:
@@ -469,17 +460,6 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
                 entries[i + j - 2] = entries.get(i + j - 2, Fraction(0)) + c
         images[j] = Element(Algebra.THIN, entries)
     return LinearMapTable(Algebra.THIN, Window(1, truncation), images)
-
-
-def inner_image_formula_check(a: Element, j: int) -> Element:
-    """[a, e_j] straight from the structure constants, for a wplus_ext
-    witness acting on a wplus basis vector.  The single source of truth for
-    what an inner derivation does to e_j."""
-    if j < 1:
-        raise IndexOutOfDomain(f"basis index {j} below 1")
-    if a.algebra is not Algebra.WPLUS_EXT:
-        a = a.in_algebra(Algebra.WPLUS_EXT)
-    return bracket(a, Element.basis(Algebra.WPLUS_EXT, j))
 
 
 # -- JSON wire format for map tables -----------------------------------------

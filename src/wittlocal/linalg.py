@@ -173,42 +173,35 @@ class Window:
         return f"{self.lo}:{self.hi}"
 
 
-def _rref(vectors: Iterable[SparseVector], window: Window) -> list[SparseVector]:
-    """Reduced row echelon form: monic pivots at strictly increasing leading
-    indices, pivot positions eliminated from every other row."""
-    pending = [dict(v.items()) for v in vectors if not v.is_zero()]
-    basis: list[tuple[int, dict[int, Fraction]]] = []  # (pivot index, row)
-    for col in window.indices():
-        hit = None
-        for row in pending:
-            if row.get(col):
-                hit = row
-                break
-        if hit is None:
+def _reduce(vectors: Iterable[SparseVector]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the span: pivot index -> row with a monic
+    entry there, every pivot index cleared from every other row."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for v in vectors:
+        row = dict(v._entries)
+        for col in [c for c in row if c in pivots]:
+            _add_multiple(row, -row[col], pivots[col])
+        if not row:
             continue
-        pending.remove(hit)
-        inv = 1 / hit[col]
-        hit = {i: inv * v for i, v in hit.items()}
-        for _, row in basis:
-            f = row.get(col)
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {i: inv * x for i, x in row.items()}
+        for prow in pivots.values():
+            f = prow.get(lead)
             if f:
-                for i, v in hit.items():
-                    row[i] = row.get(i, Fraction(0)) - f * v
-                    if row[i] == 0:
-                        del row[i]
-        nxt = []
-        for row in pending:
-            f = row.get(col)
-            if f:
-                for i, v in hit.items():
-                    row[i] = row.get(i, Fraction(0)) - f * v
-                    if row[i] == 0:
-                        del row[i]
-            if row:
-                nxt.append(row)
-        pending = nxt
-        basis.append((col, hit))
-    return [SparseVector(row) for _, row in basis]
+                _add_multiple(prow, -f, row)
+        pivots[lead] = row
+    return pivots
+
+
+def _add_multiple(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row += f * other in place, dropping entries that cancel."""
+    for i, x in other.items():
+        value = row.get(i, 0) + f * x
+        if value:
+            row[i] = value
+        else:
+            del row[i]
 
 
 class Subspace:
@@ -222,7 +215,7 @@ class Subspace:
         for v in vectors:
             if not window.contains_vector(v):
                 raise ValueError(f"vector support {v.support()} escapes window {window}")
-        self.basis = _rref(vectors, window)
+        self.basis = [SparseVector(row) for _, row in sorted(_reduce(vectors).items())]
         self.window = window
 
     @classmethod
@@ -258,108 +251,23 @@ class Subspace:
         return f"Subspace(dim={self.dim}, window={self.window})"
 
 
-@dataclass(frozen=True)
-class UniqueSolution:
-    solution: SparseVector
-
-
-@dataclass(frozen=True)
-class ParametricSolution:
-    particular: SparseVector
-    kernel: Subspace
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    pass
-
-
-def _eliminate(rows: list[SparseVector], rhs: list[Rational], window: Window):
-    """Forward/back elimination of the augmented system.
-
-    Returns (pivot column -> reduced row, pivot column -> rhs value) with
-    monic pivots and pivot columns cleared everywhere else, or Inconsistent.
-    """
-    work = [(dict(r.items()), Fraction(b)) for r, b in zip(rows, rhs)]
-    pivots: dict[int, dict[int, Fraction]] = {}
-    values: dict[int, Fraction] = {}
-    for row, b in work:
-        for col in sorted(pivots):
-            f = row.get(col)
-            if f:
-                for i, v in pivots[col].items():
-                    row[i] = row.get(i, Fraction(0)) - f * v
-                    if row[i] == 0:
-                        del row[i]
-                b -= f * values[col]
-        if not row:
-            if b != 0:
-                return None
-            continue
-        lead = min(row)
-        inv = 1 / row[lead]
-        row = {i: inv * v for i, v in row.items()}
-        b *= inv
-        for col, prow in pivots.items():
-            f = prow.get(lead)
-            if f:
-                for i, v in row.items():
-                    prow[i] = prow.get(i, Fraction(0)) - f * v
-                    if prow[i] == 0:
-                        del prow[i]
-                values[col] -= f * b
-        pivots[lead] = row
-        values[lead] = b
-    return pivots, values
-
-
-def solve_linear_system(
-    rows: list[SparseVector], rhs: list[Rational], window: Window
-) -> UniqueSolution | ParametricSolution | Inconsistent:
-    """Solve <row, x> = rhs entry for each row, for x supported in window.
-
-    The full affine solution set is returned: a unique vector, a particular
-    solution plus kernel, or Inconsistent when no solution exists (a result,
-    not an error).
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rows and rhs lengths differ")
-    for r in rows:
-        if not window.contains_vector(r):
-            raise ValueError(f"row support {r.support()} escapes window {window}")
-    outcome = _eliminate(rows, rhs, window)
-    if outcome is None:
-        return Inconsistent()
-    pivots, values = outcome
-    particular = SparseVector({col: values[col] for col in pivots})
-    kern = _kernel_from_pivots(pivots, window)
-    if kern.dim == 0:
-        return UniqueSolution(particular)
-    return ParametricSolution(particular, kern)
-
-
-def _kernel_from_pivots(pivots: dict[int, dict[int, Fraction]], window: Window) -> Subspace:
-    free = [i for i in window.indices() if i not in pivots]
-    vectors = []
-    for f in free:
-        entries = {f: Fraction(1)}
-        for col, row in pivots.items():
-            c = row.get(f)
-            if c:
-                entries[col] = -c
-        vectors.append(SparseVector(entries))
-    return Subspace(vectors, window)
-
-
 def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
     """Canonical basis of {v supported in window : <row, v> = 0 for all rows}."""
     for r in rows:
         if not window.contains_vector(r):
             raise ValueError(f"row support {r.support()} escapes window {window}")
-    outcome = _eliminate(rows, [Fraction(0)] * len(rows), window)
-    assert outcome is not None  # homogeneous systems are consistent
-    pivots, _ = outcome
-    return _kernel_from_pivots(pivots, window)
+    pivots = _reduce(rows)
+    vectors = []
+    for free in window.indices():
+        if free in pivots:
+            continue
+        entries = {free: Fraction(1)}
+        for col, row in pivots.items():
+            c = row.get(free)
+            if c:
+                entries[col] = -c
+        vectors.append(SparseVector(entries))
+    return Subspace(vectors, window)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

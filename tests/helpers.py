@@ -3,7 +3,7 @@
 from fractions import Fraction
 from random import Random
 
-from wittlocal import Algebra, Element, SparseVector
+from wittlocal import Algebra, Element, SparseVector, bracket
 
 
 def rand_rational(rng: Random, max_num=3, max_den=3, allow_zero=True) -> Fraction:
@@ -84,3 +84,32 @@ def raw_thin_leibniz_rows(n: int, depth: int) -> tuple[list[SparseVector], int]:
                 if not vec.is_zero():
                     rows.append(vec)
     return rows, len(ids)
+
+
+def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, truncation: int):
+    """Generator extension on whole elements, independent of the per-shift
+    solver: images of e_3..e_N from e_k = [e_1, e_{k-1}] (rescaled by
+    1/(k-2) for wplus), then every cross relation in lexicographic order.
+    Returns (images, None) or (images, ((i, j), residual)) for the first
+    relation whose residual is nonzero."""
+    e1 = Element.basis(algebra, 1)
+    images = {1: img_e1, 2: img_e2}
+    for k in range(3, truncation + 1):
+        forced = bracket(images[1], Element.basis(algebra, k - 1)) + bracket(e1, images[k - 1])
+        if algebra is Algebra.WPLUS:
+            forced = forced.scale(Fraction(1, k - 2))
+        images[k] = forced
+    for i in range(2, truncation + 1):
+        for j in range(i + 1, truncation + 1):
+            if algebra is Algebra.WPLUS and i + j > truncation:
+                continue
+            lhs = Element.zero(algebra)
+            for h, c in algebra.basis_rule(i, j):
+                lhs = lhs + images[h].scale(c)
+            rhs = bracket(images[i], Element.basis(algebra, j)) + bracket(
+                Element.basis(algebra, i), images[j]
+            )
+            residual = lhs - rhs
+            if not residual.is_zero():
+                return images, ((i, j), residual)
+    return images, None

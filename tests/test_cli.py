@@ -175,28 +175,6 @@ def test_rigidity_text_golden():
     )
 
 
-def test_rigidity_with_baseline(tmp_path):
-    table = ad(Element(Algebra.WITT, {0: 1}), Window(-6, 6))
-    path = tmp_path / "base.json"
-    path.write_text(json.dumps(table_to_json(table)))
-    code, out, _ = run(
-        [
-            "rigidity",
-            "--algebra",
-            "witt",
-            "--element",
-            "e_2",
-            "--baseline",
-            str(path),
-            "--window",
-            "-12:12",
-        ]
-    )
-    assert code == 0
-    assert "baseline: leibniz pass" in out
-    assert out.endswith("rigid = true\n")
-
-
 def test_twolocal_verify_cli(tmp_path):
     pairs = {
         "algebra": "thin",
@@ -239,3 +217,12 @@ def test_exit_codes(tmp_path):
     bad.write_text("{not json")
     code, _, err = run(["leibniz", "--algebra", "witt", "--map", str(bad), "--depth", "3"])
     assert code == 2
+
+
+def test_twolocal_verify_rejects_non_string_pair(tmp_path):
+    path = tmp_path / "pairs.json"
+    for pair in ([1, "e_2"], ["e_1", None], ["e_1", ["e_2"]]):
+        path.write_text(json.dumps({"algebra": "thin", "pairs": [pair]}))
+        code, out, err = run(["two-local", "verify", "--pairs", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: pair 1 is not a list of two element strings\n"

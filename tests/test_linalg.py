@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittlocal import (
-    Inconsistent,
-    ParametricSolution,
     ParseError,
     SparseVector,
     Subspace,
-    UniqueSolution,
     Window,
     format_rational,
     kernel_basis,
     parse_rational,
-    solve_linear_system,
     subspace_intersection,
 )
 
@@ -72,37 +68,14 @@ def test_window():
 
 def test_solve_single_equation_window_dependence():
     rows = [SparseVector({0: 1})]
-    tight = solve_linear_system(rows, [Fraction(0)], Window(0, 0))
-    assert isinstance(tight, UniqueSolution)
-    assert tight.solution.is_zero()
-    wide = solve_linear_system(rows, [Fraction(0)], Window(0, 1))
-    assert isinstance(wide, ParametricSolution)
-    assert wide.kernel.dim == 1
-    assert wide.kernel.basis == [SparseVector({1: 1})]
+    assert kernel_basis(rows, Window(0, 0)).dim == 0
+    wide = kernel_basis(rows, Window(0, 1))
+    assert wide.dim == 1
+    assert wide.basis == [SparseVector({1: 1})]
 
 
 def test_solve_empty_system_is_full_kernel():
-    out = solve_linear_system([], [], Window(0, 3))
-    assert isinstance(out, ParametricSolution)
-    assert out.particular.is_zero()
-    assert out.kernel.dim == 4
-
-
-def test_solve_inconsistent():
-    rows = [SparseVector({0: 1, 1: 1}), SparseVector({0: 2, 2: 2})]
-    out = solve_linear_system(rows, [Fraction(1), Fraction(3)], Window(0, 2))
-    assert isinstance(out, ParametricSolution)
-    bad = solve_linear_system(
-        [SparseVector({0: 1}), SparseVector({0: 1})], [Fraction(1), Fraction(2)], Window(0, 0)
-    )
-    assert isinstance(bad, Inconsistent)
-
-
-def test_solve_unique_value():
-    rows = [SparseVector({0: 1, 1: 1}), SparseVector({0: 1, 1: -1})]
-    out = solve_linear_system(rows, [Fraction(3), Fraction(1)], Window(0, 1))
-    assert isinstance(out, UniqueSolution)
-    assert out.solution == SparseVector({0: 2, 1: 1})
+    assert kernel_basis([], Window(0, 3)) == Subspace.full(Window(0, 3))
 
 
 def test_kernel_trivial_cases():
@@ -206,17 +179,12 @@ def test_solutions_satisfy_their_systems():
             )
             for _ in range(rng.randint(1, 8))
         ]
-        rhs = [Fraction(rng.randint(-3, 3)) for _ in rows]
-        out = solve_linear_system(rows, rhs, win)
-        if isinstance(out, Inconsistent):
-            continue
-        sol = out.solution if isinstance(out, UniqueSolution) else out.particular
-        assert all(r.dot(sol) == b for r, b in zip(rows, rhs))
-        if isinstance(out, ParametricSolution):
-            shift = sol
-            for v in out.kernel.basis:
-                shift = shift + v
-            assert all(r.dot(shift) == b for r, b in zip(rows, rhs))
+        ker = kernel_basis(rows, win)
+        combination = SparseVector()
+        for n, v in enumerate(ker.basis, start=1):
+            assert all(r.dot(v) == 0 for r in rows)
+            combination = combination + v.scale(n)
+        assert all(r.dot(combination) == 0 for r in rows)
 
 
 def test_solve_thin_leibniz_system():
@@ -225,10 +193,33 @@ def test_solve_thin_leibniz_system():
     from helpers import raw_thin_leibniz_rows
 
     rows, unknowns = raw_thin_leibniz_rows(3, 9)
-    out = solve_linear_system(rows, [Fraction(0)] * len(rows), Window(0, unknowns - 1))
-    assert isinstance(out, ParametricSolution)
-    assert out.particular.is_zero()
-    assert out.kernel.dim == 5
+    assert kernel_basis(rows, Window(0, unknowns - 1)).dim == 5
+
+
+def test_kernel_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(53)
+    for _ in range(40):
+        lo = rng.randint(-3, 2)
+        win = Window(lo, lo + rng.randint(0, 7))
+        rows = [
+            SparseVector(
+                {
+                    rng.randint(win.lo, win.hi): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 3))
+                }
+            )
+            for _ in range(rng.randint(0, 9))
+        ]
+        cols = list(win.indices())
+        matrix = sympy.Matrix(len(rows), len(cols), lambda r, c: rows[r].get(cols[c]))
+        null = matrix.nullspace()
+        rref = sympy.Matrix.hstack(*null).T.rref()[0] if null else sympy.zeros(0, len(cols))
+        expected = [
+            SparseVector({col: Fraction(int(x.p), int(x.q)) for col, x in zip(cols, rref.row(r))})
+            for r in range(rref.rows)
+        ]
+        assert kernel_basis(rows, win).basis == expected
 
 
 def test_window_mismatch_rejected():
