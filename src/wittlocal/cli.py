@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import Counter
 from typing import Sequence
 
 from . import derivations, twolocal
 from .algebras import Algebra, Element, bracket, format_element, jacobi_check, parse_element
 from .errors import ParseError, WittlocalError
 from .linalg import SparseVector, Subspace, Window, format_rational
+
+
+# Widest window `jacobi` accepts: W^3 ordered triples, of which about W^3/6
+# (1.3 M at W = 200) are evaluated.  Wider windows are refused up front.
+JACOBI_MAX_WINDOW = 200
 
 
 class _UsageError(Exception):
@@ -57,10 +64,18 @@ def _emit(args, text: str, payload: dict) -> int:
     return 0
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object hook: a repeated key is an error, not a silent last-wins."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ParseError(f"duplicate JSON keys {repeated}")
+    return dict(pairs)
+
+
 def _load_map(path: str) -> derivations.LinearMapTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read map file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -88,6 +103,10 @@ def _cmd_bracket(args) -> int:
 def _cmd_jacobi(args) -> int:
     algebra = Algebra.from_name(args.algebra)
     window = Window.parse(args.window)
+    if len(window) > JACOBI_MAX_WINDOW:
+        raise ValueError(
+            f"window {window} has {len(window)} indices; jacobi checks at most {JACOBI_MAX_WINDOW}"
+        )
     result = jacobi_check(algebra, window)
     count = len(window) ** 3
     payload = {
@@ -409,7 +428,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_join_dash_values(argv))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  As the Python docs advise for
+        # SIGPIPE, point stdout at devnull so the final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ Tables are immutable; every function is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -132,36 +133,27 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     |i|, |j| <= degree_bound (the (j, i) case is the negation of (i, j)).
     The first violation is reported with its residual
     D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)].  An empty pair set means
-    the truncation cannot support the requested depth.
+    the truncation cannot support the requested depth.  Each shift is
+    checked on its own, on its sequence scaled to integers.
     """
-    win = table.window
-    alg = table.algebra
-    rule = alg.basis_rule
-    checked = 0
-    failure: tuple[tuple[int, int], Element] | None = None
-    for i in win.indices():
-        if abs(i) > degree_bound:
-            continue
-        ei = Element.basis(alg, i)
-        for j in win.indices():
-            if j < i or abs(j) > degree_bound or (i + j) not in win:
-                continue
-            checked += 1
-            if failure is not None:
-                continue
-            lhs = Element.zero(alg)
-            for k, c in rule(i, j):
-                lhs = lhs + table.image(k).scale(c)
-            rhs = bracket(table.image(i), Element.basis(alg, j)) + bracket(ei, table.image(j))
-            residual = lhs - rhs
-            if not residual.is_zero():
-                failure = ((i, j), residual)
-    if checked == 0:
+    win, alg = table.window, table.algebra
+    lo, hi = max(win.lo, -degree_bound), min(win.hi, degree_bound)
+    rows = [(i, range(max(i, win.lo - i), min(hi, win.hi - i) + 1)) for i in range(lo, hi + 1)]
+    checked = sum(len(js) for _, js in rows)
+    if not checked:
         raise TruncationTooSmall(
             f"no checkable pairs: truncation {win} cannot support depth {degree_bound}"
         )
-    if failure is not None:
-        return LeibnizResult(False, checked, failure[0], failure[1])
+    scaled = {}
+    for s, c in _shift_parts(table.images, win).items():
+        den = math.lcm(*(x.denominator for x in c))
+        scaled[s] = (den, [x.numerator * den // x.denominator for x in c])
+    for i, js in rows:
+        for j in js:
+            residual = {s: _shift_residual(alg, s, c, i, j) for s, (_, c) in scaled.items()}
+            if any(residual.values()):
+                terms = {i + j + s: Fraction(r, scaled[s][0]) for s, r in residual.items()}
+                return LeibnizResult(False, checked, (i, j), Element(alg, terms))
     return LeibnizResult(True, checked)
 
 
@@ -196,7 +188,8 @@ def _cross_relations(algebra: Algebra, truncation: int):
 
 # A derivation splits into homogeneous parts e_k -> c_k e_{k+s}, one per
 # shift s, and no bracket relation mixes two shifts.  Each part is a scalar
-# sequence c_1..c_N, so extension and solving run one shift at a time.
+# sequence c_1..c_N, so extension, solving, the Leibniz check and inner
+# recovery run one shift at a time.
 
 
 def _constant(algebra: Algebra, i: int, j: int) -> int:
@@ -221,10 +214,33 @@ def _shift_sequence(
     return c
 
 
-def _shift_residual(algebra: Algebra, s: int, c: list[Fraction], i: int, j: int) -> Fraction:
+def _shift_residual(algebra: Algebra, s: int, c: list[Rational], i: int, j: int) -> Rational:
     """The grade i+j+s coefficient of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]."""
     lhs = sum(coef * c[h] for h, coef in algebra.basis_rule(i, j))
     return lhs - c[i] * _constant(algebra, i + s, j) - c[j] * _constant(algebra, i, j + s)
+
+
+def _shift_parts(images: Mapping[int, Element], window: Window) -> dict[int, list[Rational]]:
+    """Homogeneous parts of a map tabulated on the window: c_s[k] is the
+    e_{k+s} coefficient of D(e_k).  Each part is a list read at every k in
+    the window; a negative k indexes from its end, past the slots of 0..hi."""
+    size = max(window.hi + 1, 0) + max(-window.lo, 0)
+    parts: dict[int, list[Rational]] = {}
+    for k, image in images.items():
+        for g, c in image.coeffs.items():
+            parts.setdefault(g - k, [0] * size)[k] = c
+    return parts
+
+
+def _verified_inner(table: LinearMapTable, a: Element) -> Element:
+    """a, once every image is [a, e_k]: per shift m, the e_{k+m} coefficient
+    must be a_m K(m, k).  Otherwise NotADerivation names the first bad e_k."""
+    parts, coeffs = _shift_parts(table.images, table.window), dict(a.coeffs.items())
+    for k in table.window.indices():
+        for m in parts.keys() | coeffs.keys():
+            if (parts[m][k] if m in parts else 0) != coeffs.get(m, 0) * _constant(a.algebra, m, k):
+                raise NotADerivation(f"table is not inner: mismatch at e_{k}")
+    return a
 
 
 def extend_from_generators(
@@ -242,12 +258,9 @@ def extend_from_generators(
         raise ValueError("truncation must be at least 3")
     if img_e1.algebra is not algebra or img_e2.algebra is not algebra:
         raise MixedAlgebras("generator images must live in the target algebra")
-    shifts = {i - 1 for i in img_e1.support()} | {i - 2 for i in img_e2.support()}
     parts = {
-        s: _shift_sequence(
-            algebra, s, img_e1.coefficient(s + 1), img_e2.coefficient(s + 2), truncation
-        )
-        for s in shifts
+        s: _shift_sequence(algebra, s, c[1], c[2], truncation)
+        for s, c in _shift_parts({1: img_e1, 2: img_e2}, Window(1, 2)).items()
     }
     for i, j in _cross_relations(algebra, truncation):
         residual = {i + j + s: _shift_residual(algebra, s, c, i, j) for s, c in parts.items()}
@@ -360,12 +373,7 @@ def recover_inner_wplus(table: LinearMapTable) -> Element:
     for i in d1.support():
         if i >= 3:
             entries[i - 1] = -d1.coefficient(i) / (i - 2)
-    a = Element(Algebra.WPLUS_EXT, entries)
-    for k in table.window.indices():
-        expected = bracket(a, Element.basis(Algebra.WPLUS_EXT, k))
-        if expected != table.image(k).in_algebra(Algebra.WPLUS_EXT):
-            raise NotADerivation(f"table is not inner: mismatch at e_{k}")
-    return a
+    return _verified_inner(table, Element(Algebra.WPLUS_EXT, entries))
 
 
 def recover_inner_witt(table: LinearMapTable) -> Element:
@@ -386,11 +394,7 @@ def recover_inner_witt(table: LinearMapTable) -> Element:
         raise NotADerivation("D(e_0) has an e_0 component, which no [a, e_0] produces")
     entries = {j: -d0.coefficient(j) / j for j in d0.support()}
     entries[0] = table.image(1).coefficient(1)
-    a = Element(Algebra.WITT, entries)
-    for k in win.indices():
-        if bracket(a, Element.basis(Algebra.WITT, k)) != table.image(k):
-            raise NotADerivation(f"table is not inner: mismatch at e_{k}")
-    return a
+    return _verified_inner(table, Element(Algebra.WITT, entries))
 
 
 class ThinDerivationParams:
@@ -481,15 +485,26 @@ def table_to_json(table: LinearMapTable) -> dict:
     }
 
 
+def _is_integer(value: object) -> bool:
+    """A JSON integer: true and false are bools, which subclass int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def table_from_json(data: object) -> LinearMapTable:
     if not isinstance(data, dict):
         raise ParseError("map JSON must be an object")
     try:
         algebra = _ALGEBRA_NAMES[data["algebra"]]
         trunc = data["truncation"]
-        window = Window(int(trunc["min"]), int(trunc["max"]))
+        bounds = trunc["min"], trunc["max"]
         raw_images = data["images"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed map JSON: {exc}") from exc
+    if not all(_is_integer(b) for b in bounds):
+        raise ParseError(f"truncation bounds {list(bounds)} are not integers")
+    try:
+        window = Window(*bounds)
+    except ValueError as exc:
         raise ParseError(f"malformed map JSON: {exc}") from exc
     if not isinstance(raw_images, dict):
         raise ParseError("map JSON images must be an object")
@@ -499,6 +514,8 @@ def table_from_json(data: object) -> LinearMapTable:
             k = int(key)
         except ValueError:
             raise ParseError(f"non-integer image key {key!r}") from None
+        if str(k) != key:  # "01" or "1_0" would alias or misread another key
+            raise ParseError(f"non-canonical image key {key!r} (expected {str(k)!r})")
         if not isinstance(terms, list):
             raise ParseError(f"image of e_{k} must be a list of [index, rational] pairs")
         entries: dict[int, Fraction] = {}
@@ -506,7 +523,7 @@ def table_from_json(data: object) -> LinearMapTable:
             if not isinstance(term, (list, tuple)) or len(term) != 2:
                 raise ParseError(f"image term {term!r} is not an [index, rational] pair")
             idx, coeff = term
-            if not isinstance(idx, int):
+            if not _is_integer(idx):
                 raise ParseError(f"image term index {idx!r} is not an integer")
             entries[idx] = entries.get(idx, Fraction(0)) + parse_rational(str(coeff))
         try:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from random import Random
 
-from wittlocal import Algebra, Element, SparseVector, bracket
+from wittlocal import Algebra, Element, NotADerivation, SparseVector, bracket
 
 
 def rand_rational(rng: Random, max_num=3, max_den=3, allow_zero=True) -> Fraction:
@@ -113,3 +113,75 @@ def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, trun
             if not residual.is_zero():
                 return images, ((i, j), residual)
     return images, None
+
+
+def reference_jacobi(algebra: Algebra, window, rule=None):
+    """The ordered-triple Jacobi scan: every (i, j, k) in the window, in
+    lexicographic order, with no use of antisymmetry.  Returns
+    (passed, first failing triple, residual)."""
+    rule = rule or algebra.basis_rule
+    idx = window.indices()
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                residual: dict[int, int] = {}
+                for a, inner, b in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c1 in rule(inner, b):
+                        for h, c2 in rule(a, m):
+                            residual[h] = residual.get(h, 0) + c1 * c2
+                if any(residual.values()):
+                    return False, (i, j, k), SparseVector(residual)
+    return True, None, None
+
+
+def reference_leibniz(table, degree_bound: int):
+    """The Leibniz check on whole elements with `bracket`, pair by pair.
+    Returns (passed, pairs_checked, first failing pair, residual); raises
+    ValueError when no pair is checkable."""
+    win, alg = table.window, table.algebra
+    checked, failure = 0, None
+    for i in win.indices():
+        for j in win.indices():
+            if j < i or abs(i) > degree_bound or abs(j) > degree_bound or (i + j) not in win:
+                continue
+            checked += 1
+            if failure is not None:
+                continue
+            lhs = Element.zero(alg)
+            for k, c in alg.basis_rule(i, j):
+                lhs = lhs + table.image(k).scale(c)
+            rhs = bracket(table.image(i), Element.basis(alg, j)) + bracket(
+                Element.basis(alg, i), table.image(j)
+            )
+            if lhs != rhs:
+                failure = ((i, j), lhs - rhs)
+    if checked == 0:
+        raise ValueError("no checkable pairs")
+    if failure is None:
+        return True, checked, None, None
+    return False, checked, failure[0], failure[1]
+
+
+def reference_recover_inner(table) -> Element:
+    """Inner recovery with the candidate checked by `bracket` index by index:
+    the closed forms of `recover_inner_wplus` (table in wplus, witness in
+    wplus_ext) and `recover_inner_witt`, raising NotADerivation with the same
+    messages.  Call it only on tables that pass the truncation guards."""
+    if table.algebra is Algebra.WPLUS:
+        d1, d2 = table.image(1), table.image(2)
+        entries = {0: d1.coefficient(1), 1: d2.coefficient(3)}
+        for i in d1.support():
+            if i >= 3:
+                entries[i - 1] = -d1.coefficient(i) / (i - 2)
+        a = Element(Algebra.WPLUS_EXT, entries)
+    else:
+        d0 = table.image(0)
+        if d0.coefficient(0) != 0:
+            raise NotADerivation("D(e_0) has an e_0 component, which no [a, e_0] produces")
+        entries = {j: -d0.coefficient(j) / j for j in d0.support()}
+        entries[0] = table.image(1).coefficient(1)
+        a = Element(Algebra.WITT, entries)
+    for k in table.window.indices():
+        if bracket(a, Element.basis(a.algebra, k)) != table.image(k).in_algebra(a.algebra):
+            raise NotADerivation(f"table is not inner: mismatch at e_{k}")
+    return a

@@ -20,7 +20,7 @@ from wittlocal import (
     parse_element,
 )
 
-from helpers import rand_element
+from helpers import rand_element, reference_jacobi
 
 
 def E(text, algebra=Algebra.WITT):
@@ -143,6 +143,67 @@ def test_jacobi_detects_corrupted_rule():
     assert not result.passed
     assert result.counterexample == (1, 1, 2)
     assert result.residual == SparseVector({5: -1, 6: 1})
+
+
+def _perturbed_witt(p, q, w):
+    """The witt rule plus w e_{p+q+1} in [e_p, e_q] and -w e_{p+q+1} in
+    [e_q, e_p]: still antisymmetric, no longer a Lie bracket.  The diagonal
+    returns a term with coefficient 0."""
+
+    def rule(i, j):
+        if i == j:
+            return [(2 * i, 0)]
+        extra = {(p, q): [(p + q + 1, w)], (q, p): [(p + q + 1, -w)]}.get((i, j), [])
+        return Algebra.WITT.basis_rule(i, j) + extra
+
+    return rule
+
+
+def _witt_inside(bound):
+    """The witt rule on pairs with |i|, |j| <= bound and a symmetric,
+    non-antisymmetric rule outside: the Jacobi sum only brackets window
+    pairs first, so the sorted scan still applies on windows within bound."""
+
+    def rule(i, j):
+        if max(abs(i), abs(j)) <= bound:
+            return Algebra.WITT.basis_rule(i, j)
+        return [(i + j, 1)]
+
+    return rule
+
+
+def _diagonal_defect(i, j):
+    return [(2 * i, 1)] if i == j == 3 else Algebra.WITT.basis_rule(i, j)
+
+
+def _asymmetric_pair(i, j):
+    return [(i + j, j - i + 1)] if (i, j) == (2, 5) else Algebra.WITT.basis_rule(i, j)
+
+
+def test_jacobi_matches_ordered_reference():
+    cases = [
+        (Algebra.WITT, Window(-6, 6), None),
+        (Algebra.WPLUS, Window(1, 14), None),
+        (Algebra.WPLUS_EXT, Window(0, 14), None),
+        (Algebra.THIN, Window(1, 16), None),
+        (Algebra.WITT, Window(-5, 5), _witt_inside(5)),
+        (Algebra.WITT, Window(-5, 6), _witt_inside(5)),
+        (Algebra.WPLUS, Window(1, 8), _diagonal_defect),
+        (Algebra.WITT, Window(-3, 7), _asymmetric_pair),
+    ]
+    rng = Random(61)
+    for _ in range(15):
+        lo = rng.randint(-6, 3)
+        p, q = sorted(rng.sample(range(lo, lo + 9), 2))
+        cases.append((Algebra.WITT, Window(lo, lo + 8), _perturbed_witt(p, q, rng.randint(1, 3))))
+    sorted_failures = 0
+    for algebra, window, rule in cases:
+        result = jacobi_check(algebra, window, rule=rule)
+        expected = reference_jacobi(algebra, window, rule)
+        assert (result.passed, result.counterexample, result.residual) == expected
+        if rule not in (None, _diagonal_defect, _asymmetric_pair) and not result.passed:
+            sorted_failures += 1
+    assert sorted_failures >= 10
 
 
 def test_parse_format_round_trip():

@@ -1,9 +1,12 @@
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from wittlocal import Algebra, Element, Window, ad, table_to_json
-from wittlocal.cli import main
+from wittlocal.cli import JACOBI_MAX_WINDOW, main
 
 
 def run(argv):
@@ -226,3 +229,44 @@ def test_twolocal_verify_rejects_non_string_pair(tmp_path):
         code, out, err = run(["two-local", "verify", "--pairs", str(path)])
         assert (code, out) == (2, "")
         assert err == "error: pair 1 is not a list of two element strings\n"
+
+
+_MAP = '{"algebra": "wplus", "truncation": {"min": 1, "max": 2}, "images": {%s}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _MAP % '"1": [[2, "1"]], "2": [], "01": []',  # "01" aliases "1"
+        _MAP % '"1": [[2, "1"]], "2": [], "2": [[3, "1"]]',  # literal duplicate
+        _MAP.replace('"min": 1', '"min": true') % '"1": [], "2": []',
+        _MAP % '"1": [[true, "1"]], "2": []',
+        _MAP.replace('"max": 2', '"max": 2.9') % '"1": [], "2": []',
+    ],
+    ids=["aliased-key", "duplicate-key", "bool-bound", "bool-index", "float-bound"],
+)
+def test_malformed_map_exits_2(tmp_path, text):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, out, err = run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_jacobi_refuses_wide_window():
+    for window in (f"1:{JACOBI_MAX_WINDOW + 1}", "1:100000", "-100000:100000"):
+        code, out, err = run(["jacobi", "--algebra", "witt", "--window", window])
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and f"at most {JACOBI_MAX_WINDOW}" in err
+
+
+def test_broken_pipe_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    err = io.StringIO()
+    with open(write_end, "w") as closed_pipe:
+        with redirect_stdout(closed_pipe), redirect_stderr(err):
+            code = main(["bracket", "--algebra", "witt", "e_1", "e_2"])
+        # stdout now points at devnull, so the flush on close succeeds
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert (code, err.getvalue()) == (1, "")

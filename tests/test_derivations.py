@@ -28,7 +28,13 @@ from wittlocal import (
     thin_derivation,
 )
 
-from helpers import rand_element, reference_extension
+from helpers import (
+    rand_element,
+    rand_rational,
+    reference_extension,
+    reference_leibniz,
+    reference_recover_inner,
+)
 
 
 def wplus(text):
@@ -98,6 +104,60 @@ def test_leibniz_depth_beyond_truncation():
     table = ad(Element.basis(Algebra.WPLUS, 1), Window(1, 5)).in_algebra(Algebra.WPLUS)
     with pytest.raises(TruncationTooSmall):
         leibniz_check(table, 0)
+
+
+def _perturbed(rng, table, domain):
+    """The table with fractional terms at one to three shifts added to a few
+    images, some of them supported outside the table's window."""
+    images = dict(table.images)
+    for k in rng.sample(list(table.window.indices()), rng.randint(1, 3)):
+        grades = [k + s for s in rng.sample(range(-3, 8), rng.randint(1, 3))]
+        terms = {g: rand_rational(rng, 5, 7, allow_zero=False) for g in grades if g in domain}
+        images[k] = images[k] + Element(table.algebra, terms)
+    return LinearMapTable(table.algebra, table.window, images)
+
+
+def _leibniz_cases(rng):
+    inner = [
+        (Algebra.WITT, Window(-7, 7), range(-3, 4), range(-40, 40)),
+        (Algebra.WITT, Window(-2, 9), range(-3, 4), range(-40, 40)),
+        (Algebra.WITT, Window(-12, -1), range(-3, 4), range(-40, 40)),
+        (Algebra.WPLUS, Window(1, 14), range(1, 5), range(1, 40)),
+        (Algebra.WPLUS_EXT, Window(0, 14), range(0, 5), range(0, 40)),
+        (Algebra.THIN, Window(1, 14), range(1, 5), range(1, 40)),
+    ]
+    for algebra, win, support, domain in inner:
+        for _ in range(8):
+            table = ad(rand_element(rng, algebra, support, max_den=5), win)
+            yield table
+            yield _perturbed(rng, table, domain)
+    for _ in range(6):
+        alpha = {i: rand_rational(rng, 4, 5) for i in range(1, 5)}
+        beta = {i: rand_rational(rng, 4, 5) for i in range(2, 6)}
+        table = thin_derivation(ThinDerivationParams(alpha, beta), 12)
+        yield table
+        yield _perturbed(rng, table, range(1, 40))
+    identity = {i: Element.basis(Algebra.WITT, i) for i in range(1, 6)}
+    yield LinearMapTable(Algebra.WITT, Window(1, 5), identity)
+
+
+def test_leibniz_matches_element_reference():
+    rng = Random(67)
+    failures = multi_shift = 0
+    for table in _leibniz_cases(rng):
+        for depth in (-1, 0, 1, 3, 6, 20):
+            try:
+                expected = reference_leibniz(table, depth)
+            except ValueError:
+                with pytest.raises(TruncationTooSmall):
+                    leibniz_check(table, depth)
+                continue
+            result = leibniz_check(table, depth)
+            assert (result.passed, result.pairs_checked, result.pair, result.residual) == expected
+            if not result.passed:
+                failures += 1
+                multi_shift += len(result.residual.support()) > 1
+    assert failures > 100 and multi_shift > 20
 
 
 # -- generator extension ------------------------------------------------------
@@ -295,6 +355,37 @@ def test_recover_witt_guards():
         recover_inner_witt(LinearMapTable(Algebra.WITT, Window(-3, 3), images))
 
 
+def _recovery_outcome(recover, table):
+    try:
+        return recover(table)
+    except NotADerivation as exc:
+        return f"NotADerivation: {exc}"
+
+
+def test_recover_inner_matches_bracket_reference():
+    rng = Random(71)
+    compared = mismatches = 0
+    cases = [
+        (recover_inner_wplus, Algebra.WPLUS, Window(1, 25), range(0, 6), range(1, 40)),
+        (recover_inner_witt, Algebra.WITT, Window(-12, 12), range(-5, 6), range(-40, 40)),
+    ]
+    for recover, algebra, win, support, domain in cases:
+        home = Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
+        for _ in range(40):
+            a = rand_element(rng, home, support, max_num=9, max_den=9)
+            table = ad(a, win).in_algebra(algebra)
+            if rng.random() < 0.7:
+                table = _perturbed(rng, table, domain)
+            try:
+                got = _recovery_outcome(recover, table)
+            except TruncationTooSmall:
+                continue
+            assert got == _recovery_outcome(reference_recover_inner, table)
+            compared += 1
+            mismatches += isinstance(got, str) and "mismatch at" in got
+    assert compared > 70 and mismatches > 30
+
+
 # -- the thin family ----------------------------------------------------------
 
 
@@ -394,3 +485,44 @@ def test_table_json_errors():
         table_from_json({**doc, "algebra": "virasoro"})
     with pytest.raises(ParseError):
         table_from_json([1, 2, 3])
+
+
+def _wplus_doc():
+    return table_to_json(ad(Element.basis(Algebra.WPLUS, 1), Window(1, 4)))
+
+
+def test_table_json_rejects_non_canonical_keys():
+    doc = _wplus_doc()
+    images = doc["images"]
+    aliased = {**doc, "images": {**images, "01": images["1"]}}
+    with pytest.raises(ParseError, match="non-canonical image key '01'"):
+        table_from_json(aliased)
+    # "1_0" is int("1_0") == 10
+    long_doc = table_to_json(ad(Element.basis(Algebra.WPLUS, 1), Window(1, 10)))
+    underscored = dict(long_doc["images"])
+    underscored["1_0"] = underscored.pop("10")
+    with pytest.raises(ParseError, match="non-canonical image key '1_0'"):
+        table_from_json({**long_doc, "images": underscored})
+    for key in (" 2", "+2", "2 "):
+        renamed = {(key if k == "2" else k): v for k, v in images.items()}
+        with pytest.raises(ParseError, match="non-canonical"):
+            table_from_json({**doc, "images": renamed})
+
+
+def test_table_json_rejects_bool_index_and_bound():
+    doc = _wplus_doc()
+    with pytest.raises(ParseError, match="index True is not an integer"):
+        table_from_json({**doc, "images": {**doc["images"], "1": [[True, "1"]]}})
+    with pytest.raises(ParseError, match="not integers"):
+        table_from_json({**doc, "truncation": {"min": True, "max": 4}})
+    with pytest.raises(ParseError, match="not integers"):
+        table_from_json({**doc, "truncation": {"min": 1, "max": False}})
+
+
+def test_table_json_rejects_non_integer_bounds():
+    doc = _wplus_doc()
+    for bounds in ({"min": 1, "max": 4.0}, {"min": 1.9, "max": 4}, {"min": "1", "max": 4}):
+        with pytest.raises(ParseError, match="not integers"):
+            table_from_json({**doc, "truncation": bounds})
+    with pytest.raises(ParseError, match="empty window"):
+        table_from_json({**doc, "truncation": {"min": 4, "max": 1}})
