@@ -26,6 +26,12 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 # (1.3 M at W = 200) are evaluated.  Wider windows are refused up front.
 JACOBI_MAX_WINDOW = 200
 
+# Largest `der-basis` support bound and consistency depth.  The solve grows
+# like support * depth^2 and takes about 2 s at support 64 with its default
+# depth 2*64+3, the depth cap.  Larger values are refused up front.
+DER_BASIS_MAX_SUPPORT = 64
+DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
+
 
 class _UsageError(Exception):
     pass
@@ -173,6 +179,10 @@ def _cmd_extend(args) -> int:
 
 def _cmd_der_basis(args) -> int:
     algebra = Algebra.from_name(args.algebra)
+    if args.support > DER_BASIS_MAX_SUPPORT:
+        raise ValueError(f"support {args.support} is above the limit {DER_BASIS_MAX_SUPPORT}")
+    if args.depth is not None and args.depth > DER_BASIS_MAX_DEPTH:
+        raise ValueError(f"depth {args.depth} is above the limit {DER_BASIS_MAX_DEPTH}")
     space = derivations.derivation_space_basis(algebra, args.support, args.depth)
     lines = [f"dim={space.dim}", "coordinates: " + ", ".join(space.coordinates)]
     basis_json = []
@@ -259,7 +269,7 @@ def _cmd_rigidity(args) -> int:
 def _cmd_twolocal_verify(args) -> int:
     try:
         with open(args.pairs, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read pairs file {args.pairs}: {exc}") from exc
     except json.JSONDecodeError as exc:

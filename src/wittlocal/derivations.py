@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .algebras import Algebra, Element, bracket, format_element
 from .errors import (
@@ -144,17 +144,9 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
         raise TruncationTooSmall(
             f"no checkable pairs: truncation {win} cannot support depth {degree_bound}"
         )
-    scaled = {}
-    for s, c in _shift_parts(table.images, win).items():
-        den = math.lcm(*(x.denominator for x in c))
-        scaled[s] = (den, [x.numerator * den // x.denominator for x in c])
-    for i, js in rows:
-        for j in js:
-            residual = {s: _shift_residual(alg, s, c, i, j) for s, (_, c) in scaled.items()}
-            if any(residual.values()):
-                terms = {i + j + s: Fraction(r, scaled[s][0]) for s, r in residual.items()}
-                return LeibnizResult(False, checked, (i, j), Element(alg, terms))
-    return LeibnizResult(True, checked)
+    pairs = ((i, j) for i, js in rows for j in js)
+    failure = _first_violation(alg, _shift_parts(table.images, win), pairs)
+    return LeibnizResult(failure is None, checked, *(failure or ()))
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,8 @@ def _cross_relations(algebra: Algebra, truncation: int):
 
 def _constant(algebra: Algebra, i: int, j: int) -> int:
     """Structure constant K(i, j) of [e_i, e_j] = K(i, j) e_{i+j}."""
-    return sum(c for _, c in algebra.basis_rule(i, j))
+    term = algebra.basis_rule(i, j)
+    return term[0][1] if term else 0
 
 
 def _shift_sequence(
@@ -214,10 +207,31 @@ def _shift_sequence(
     return c
 
 
-def _shift_residual(algebra: Algebra, s: int, c: list[Rational], i: int, j: int) -> Rational:
-    """The grade i+j+s coefficient of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]."""
-    lhs = sum(coef * c[h] for h, coef in algebra.basis_rule(i, j))
-    return lhs - c[i] * _constant(algebra, i + s, j) - c[j] * _constant(algebra, i, j + s)
+def _shift_residuals(algebra: Algebra, s: int, parts: list, i: int, j: int) -> list[int]:
+    """Per shift-s part c, the grade i+j+s coefficient of D([e_i,e_j]) -
+    [D(e_i),e_j] - [e_i,D(e_j)]; c[i+j] is read only if K(i, j) != 0."""
+    kij = _constant(algebra, i, j)
+    ki, kj = _constant(algebra, i + s, j), _constant(algebra, i, j + s)
+    return [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for c in parts]
+
+
+def _integer_parts(seqs: list[list[Rational]]) -> tuple[int, list[list[int]]]:
+    """One common denominator of the sequences, and the sequences times it."""
+    den = math.lcm(*(x.denominator for c in seqs for x in c))
+    return den, [[x.numerator * den // x.denominator for x in c] for c in seqs]
+
+
+def _first_violation(algebra: Algebra, parts: dict, pairs: Iterable) -> tuple | None:
+    """The first (i, j) of pairs with a nonzero residual at some shift, and that
+    residual summed over the shifts; None if there is none.  Each shift's part
+    is checked scaled to integers and only the failing residual divided back."""
+    scaled = {s: _integer_parts([c]) for s, c in parts.items()}
+    for i, j in pairs:
+        residual = {s: _shift_residuals(algebra, s, c, i, j)[0] for s, (_, c) in scaled.items()}
+        if any(residual.values()):
+            terms = {i + j + s: Fraction(r, scaled[s][0]) for s, r in residual.items()}
+            return (i, j), Element(algebra, terms)
+    return None
 
 
 def _shift_parts(images: Mapping[int, Element], window: Window) -> dict[int, list[Rational]]:
@@ -262,10 +276,8 @@ def extend_from_generators(
         s: _shift_sequence(algebra, s, c[1], c[2], truncation)
         for s, c in _shift_parts({1: img_e1, 2: img_e2}, Window(1, 2)).items()
     }
-    for i, j in _cross_relations(algebra, truncation):
-        residual = {i + j + s: _shift_residual(algebra, s, c, i, j) for s, c in parts.items()}
-        if any(residual.values()):
-            return InconsistentExtension((i, j), Element(algebra, residual))
+    if failure := _first_violation(algebra, parts, _cross_relations(algebra, truncation)):
+        return InconsistentExtension(*failure)
     images = {
         k: Element(algebra, {k + s: c[k] for s, c in parts.items()})
         for k in range(1, truncation + 1)
@@ -316,8 +328,11 @@ def derivation_space_basis(
 
     Shift s couples only alpha_{s+1} and beta_{s+2}, so each shift is an
     independent block of at most two unknowns; the canonical basis is the
-    reduced echelon form of all block solutions.  For thin, beta_1 is solved
-    for as well and must come out zero; it is not a reported coordinate.
+    reduced echelon form of all block solutions.  A block is assembled in
+    integers (its unit sequences scaled by one common denominator) and only
+    its distinct primitive rows reach `kernel_basis`: the kernel is the same.
+    For thin, beta_1 is solved for as well and must come out zero; it is not
+    a reported coordinate.
     """
     _generated_algebra(algebra)
     if support_bound < 1:
@@ -337,12 +352,16 @@ def derivation_space_basis(
     solutions: list[SparseVector] = []
     for s in range(-1, n):
         unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
-        parts = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
-        rows = [
-            SparseVector({t: _shift_residual(algebra, s, c, i, j) for t, c in enumerate(parts)})
-            for i, j in relations
-        ]
-        for vec in kernel_basis(rows, Window(0, len(unknowns) - 1)).basis:
+        seqs = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
+        _, parts = _integer_parts(seqs)
+        rows = set()
+        for i, j in relations:
+            row = _shift_residuals(algebra, s, parts, i, j)
+            if any(row):  # primitive, with a positive first nonzero entry
+                g = math.gcd(*row) if next(filter(None, row)) > 0 else -math.gcd(*row)
+                rows.add(tuple(x // g for x in row))
+        block = [SparseVector(dict(enumerate(row))) for row in sorted(rows)]
+        for vec in kernel_basis(block, Window(0, len(unknowns) - 1)).basis:
             if any(unknowns[t] not in position for t in vec.support()):
                 raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")
             solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))

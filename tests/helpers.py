@@ -3,7 +3,16 @@
 from fractions import Fraction
 from random import Random
 
-from wittlocal import Algebra, Element, NotADerivation, SparseVector, bracket
+from wittlocal import (
+    Algebra,
+    Element,
+    NotADerivation,
+    SparseVector,
+    Subspace,
+    Window,
+    bracket,
+    kernel_basis,
+)
 
 
 def rand_rational(rng: Random, max_num=3, max_den=3, allow_zero=True) -> Fraction:
@@ -185,3 +194,49 @@ def reference_recover_inner(table) -> Element:
         if bracket(a, Element.basis(a.algebra, k)) != table.image(k).in_algebra(a.algebra):
             raise NotADerivation(f"table is not inner: mismatch at e_{k}")
     return a
+
+
+def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = None):
+    """The derivation-space solve with every cross-relation residual built
+    in Fractions and passed to `kernel_basis` unreduced, one row per relation
+    and shift block.  Returns (coordinate names, canonical Subspace)."""
+
+    def constant(i, j):
+        return sum(c for _, c in algebra.basis_rule(i, j))
+
+    def sequence(s, a, b):
+        c = [Fraction(0), Fraction(a), Fraction(b)]
+        for k in range(3, depth + 1):
+            forced = a * constant(1 + s, k - 1) + c[k - 1] * constant(1, k - 1 + s)
+            c.append(forced / constant(1, k - 1))
+        return c
+
+    def residual(s, c, i, j):
+        lhs = sum(coef * c[h] for h, coef in algebra.basis_rule(i, j))
+        return lhs - c[i] * constant(i + s, j) - c[j] * constant(i, j + s)
+
+    depth = 2 * n + 3 if depth is None else depth
+    top = {1: n, 2: n if algebra is Algebra.THIN else n + 1}
+    beta_lo = 2 if algebra is Algebra.THIN else 1
+    coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in range(beta_lo, top[2] + 1)]
+    position = {coord: p for p, coord in enumerate(coords)}
+    relations = [
+        (i, j)
+        for i in range(2, depth + 1)
+        for j in range(i + 1, depth + 1)
+        if algebra is Algebra.THIN or i + j <= depth
+    ]
+    unit = {1: (1, 0), 2: (0, 1)}
+    solutions = []
+    for s in range(-1, n):
+        unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
+        parts = [sequence(s, *unit[gen]) for gen, _ in unknowns]
+        rows = [
+            SparseVector({t: residual(s, c, i, j) for t, c in enumerate(parts)})
+            for i, j in relations
+        ]
+        for vec in kernel_basis(rows, Window(0, len(unknowns) - 1)).basis:
+            assert all(unknowns[t] in position for t in vec.support()), "thin beta_1 != 0"
+            solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
+    names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
+    return names, Subspace(solutions, Window(0, len(coords) - 1))

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from wittlocal import Algebra, Element, Window, ad, table_to_json
-from wittlocal.cli import JACOBI_MAX_WINDOW, main
+from wittlocal.cli import DER_BASIS_MAX_DEPTH, DER_BASIS_MAX_SUPPORT, JACOBI_MAX_WINDOW, main
 
 
 def run(argv):
@@ -258,6 +258,31 @@ def test_jacobi_refuses_wide_window():
         code, out, err = run(["jacobi", "--algebra", "witt", "--window", window])
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and f"at most {JACOBI_MAX_WINDOW}" in err
+
+
+def test_der_basis_refuses_large_support():
+    for support in (DER_BASIS_MAX_SUPPORT + 1, 400, 10**9):
+        code, out, err = run(["der-basis", "--algebra", "wplus", "--support", str(support)])
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and f"limit {DER_BASIS_MAX_SUPPORT}" in err
+
+
+def test_der_basis_refuses_deep_depth():
+    for depth in (DER_BASIS_MAX_DEPTH + 1, 10**9):
+        argv = ["der-basis", "--algebra", "thin", "--support", "2", "--depth", str(depth)]
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and f"limit {DER_BASIS_MAX_DEPTH}" in err
+    code, out, _ = run(["der-basis", "--algebra", "thin", "--support", "2", "--depth", "7"])
+    assert code == 0 and out.startswith("dim=3\n")
+
+
+def test_twolocal_verify_rejects_duplicate_keys(tmp_path):
+    path = tmp_path / "pairs.json"
+    path.write_text('{"algebra": "thin", "pairs": [["e_1", "e_2"]], "pairs": [["e_1", "e_3"]]}')
+    code, out, err = run(["two-local", "verify", "--pairs", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "duplicate JSON keys ['pairs']" in err
 
 
 def test_broken_pipe_exits_1_without_traceback():

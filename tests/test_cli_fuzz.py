@@ -1,0 +1,197 @@
+"""Fuzz the command line with generated argv for every subcommand and with
+generated map and pairs JSON files, well-formed and malformed.
+
+Whatever the input, `main` must return an exit code in {0, 1, 2, 3} and
+leave no traceback.  Windows, supports, depths and truncations stay far
+below the `jacobi` and `der-basis` work bounds, so every example is fast.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wittlocal import Algebra, Element, Window, ad, table_to_json
+from wittlocal.cli import main
+
+JUNK = st.text(alphabet="e_0123456789+-*/: ,x", max_size=8)
+
+
+def mostly(valid, invalid):
+    """Draw from valid in most examples, so that most get past argument
+    parsing, and from invalid otherwise.  (Hypothesis favours drawing 0, the
+    simplest value, so 0 selects the valid branch.)"""
+    return st.integers(0, 9).flatmap(lambda n: invalid if n == 9 else valid)
+
+
+ALGEBRAS = mostly(st.sampled_from(["witt", "wplus", "wplus_ext", "thin"]), st.just("nosuch"))
+FORMATS = mostly(st.sampled_from(["text", "json"]), st.just("yaml"))
+INDEX = st.integers(-6, 12)
+
+
+def elements(indices):
+    """Signed "p/q*e_k" sums, some with a zero denominator, a missing sign or
+    an index outside the algebra, or malformed text."""
+    coeff = st.builds("{}/{}*".format, st.integers(0, 5), st.sampled_from([1, 2, 3] * 3 + [0]))
+    term = st.builds("{}e_{}".format, st.one_of(st.just(""), coeff), indices)
+    signed = st.builds("{}{}".format, st.sampled_from(["+ ", "- "] * 4 + [""]), term)
+    return mostly(
+        st.lists(signed, min_size=1, max_size=3).map(" ".join),
+        st.one_of(st.sampled_from(["0", "e_1 +", "e_"]), JUNK),
+    )
+
+
+ELEMENT = elements(INDEX)
+WINDOW = mostly(
+    st.builds("{0}:{1}".format, st.integers(-8, 4), st.integers(-2, 30)),
+    st.one_of(st.sampled_from(["3:1", "1:", "1:2:3"]), JUNK),
+)
+COUNT = mostly(st.integers(1, 14).map(str), st.sampled_from(["0", "-2", "", "x", "1.5", "07"]))
+
+
+def _options(draw, options):
+    """argv for (name, value) options: each one usually kept, the kept ones in
+    any order, sometimes followed by a stray token."""
+    kept = [opt for opt in options if draw(st.integers(0, 19)) < 19]
+    argv = [tok for opt in draw(st.permutations(kept)) for tok in opt]
+    if draw(st.integers(0, 7)) == 7:
+        argv.append(draw(st.one_of(JUNK, st.sampled_from(["--format", "--bogus", "-"]))))
+    return argv
+
+
+@st.composite
+def command_argv(draw):
+    fmt = ("--format", draw(FORMATS))
+    alg = ("--algebra", draw(ALGEBRAS))
+    command = draw(st.sampled_from([
+        "bracket", "jacobi", "extend", "der-basis", "centralizer", "rigidity",
+        "two-local additivity", "two-local", "bogus",
+    ]))
+    if command == "bracket":
+        return ["bracket", *_options(draw, [alg, fmt]), draw(ELEMENT), draw(ELEMENT)]
+    if command == "jacobi":
+        return ["jacobi", *_options(draw, [alg, ("--window", draw(WINDOW)), fmt])]
+    if command == "extend":
+        opts = [alg, ("--e1", draw(ELEMENT)), ("--e2", draw(ELEMENT)),
+                ("--truncation", draw(COUNT)), fmt]
+        return ["extend", *_options(draw, opts)]
+    if command == "der-basis":
+        opts = [alg, ("--support", draw(COUNT)), fmt]
+        if draw(st.integers(0, 2)) == 2:
+            opts.append(("--depth", draw(mostly(st.integers(3, 40).map(str), COUNT))))
+        return ["der-basis", *_options(draw, opts)]
+    if command in ("centralizer", "rigidity"):
+        opts = [alg, ("--element", draw(ELEMENT)), ("--window", draw(WINDOW)), fmt]
+        return [command, *_options(draw, opts)]
+    return [*command.split(), *_options(draw, [fmt])]
+
+
+JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 15), st.floats(-3, 3), JUNK),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(JUNK, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def map_text(draw):
+    """(algebra, text) of a map table file: an inner derivation, a table of
+    random images on a small window, the latter with one field replaced by an
+    arbitrary JSON value, or arbitrary text."""
+    if draw(st.booleans()):
+        hi = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            algebra, home, window, support = Algebra.WITT, Algebra.WITT, Window(-hi, hi), (-3, 3)
+        else:  # a wplus derivation is inner with its witness in wplus_ext
+            algebra, home, window = Algebra.WPLUS, Algebra.WPLUS_EXT, Window(1, hi)
+            support = (0, 3)
+        terms = draw(st.dictionaries(st.integers(*support), st.integers(-3, 3), max_size=3))
+        table = ad(Element(home, terms), window).in_algebra(algebra)
+        return algebra.value, json.dumps(table_to_json(table))
+    lo = draw(st.integers(-4, 4))
+    hi = lo + draw(st.integers(0, 8))
+    term = st.tuples(INDEX, st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)))
+    images = {str(k): draw(st.lists(term, max_size=3)) for k in range(lo, hi + 1)}
+    algebra = draw(ALGEBRAS)
+    table = {"algebra": algebra, "truncation": {"min": lo, "max": hi}, "images": images}
+    shape = draw(st.integers(0, 3))
+    if shape == 1:
+        key = draw(st.sampled_from(["algebra", "truncation", "images"]))
+        table[key] = draw(JSON_VALUE)
+    elif shape == 2:
+        images[draw(st.sampled_from(sorted(images)))] = draw(JSON_VALUE)
+    elif shape == 3:
+        return algebra, draw(st.one_of(JUNK, JSON_VALUE.map(json.dumps)))
+    return algebra, json.dumps(table)
+
+
+@st.composite
+def pairs_text(draw):
+    """A pairs file: a well-formed pairs list, one with a non-string or
+    malformed member, a repeated key, or arbitrary JSON or text."""
+    thin = elements(st.integers(1, 8))
+    pair = mostly(st.lists(thin, min_size=2, max_size=2), st.lists(JSON_VALUE, max_size=3))
+    pairs = draw(st.lists(pair, max_size=4))
+    algebra = draw(st.sampled_from(["thin", "thin", "witt", None]))
+    shape = draw(st.integers(0, 4))
+    if shape == 3:
+        return '{"algebra": "thin", "pairs": %s, "pairs": []}' % json.dumps(pairs)
+    if shape == 4:
+        return draw(st.one_of(JUNK, JSON_VALUE.map(json.dumps)))
+    return json.dumps({"algebra": algebra, "pairs": pairs})
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help exits by itself
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean(argv):
+    code, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(command_argv())
+def test_fuzz_argv(argv):
+    assert_clean(argv)
+
+
+@settings(max_examples=150)
+@given(
+    file=map_text(),
+    command=st.sampled_from(["leibniz", "recover-inner"]),
+    other_algebra=st.one_of(st.none(), st.none(), ALGEBRAS),
+    depth=COUNT,
+    fmt=FORMATS,
+)
+def test_fuzz_map_files(workdir, file, command, other_algebra, depth, fmt):
+    algebra, text = file
+    path = workdir / "map.json"
+    path.write_text(text)
+    argv = [command, "--algebra", other_algebra or algebra, "--map", str(path), "--format", fmt]
+    if command == "leibniz":
+        argv += ["--depth", depth]
+    assert_clean(argv)
+
+
+@settings(max_examples=150)
+@given(text=pairs_text(), fmt=FORMATS)
+def test_fuzz_pairs_files(workdir, text, fmt):
+    path = workdir / "pairs.json"
+    path.write_text(text)
+    assert_clean(["two-local", "verify", "--pairs", str(path), "--format", fmt])

@@ -31,6 +31,7 @@ from wittlocal import (
 from helpers import (
     rand_element,
     rand_rational,
+    reference_derivation_space,
     reference_extension,
     reference_leibniz,
     reference_recover_inner,
@@ -281,6 +282,16 @@ def test_space_invariant_under_deeper_consistency(algebra):
         assert default.depth == 2 * n + 3
         assert deeper.coordinates == default.coordinates
         assert deeper.space == default.space
+
+
+@pytest.mark.parametrize("algebra", [Algebra.WPLUS, Algebra.THIN])
+def test_space_matches_fraction_reference(algebra):
+    for n in range(1, 11):
+        for depth in (None, 2 * n + 4, 2 * n + 9):
+            space = derivation_space_basis(algebra, n, depth)
+            names, reference = reference_derivation_space(algebra, n, depth)
+            assert space.coordinates == names
+            assert space.space.basis == reference.basis
 
 
 def test_space_depth_validation():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittlocal import (
     Algebra,
@@ -258,3 +260,69 @@ def test_rigidity_window_guard():
         rigidity_check(Algebra.WITT, x, Window(-5, 5))
     with pytest.raises(ValueError):
         rigidity_check(Algebra.WITT, Element.zero(Algebra.WITT), Window(-5, 5))
+
+
+# -- window enlargement -------------------------------------------------------------
+# Once a window holds the support that matters (the target's grade hull for a
+# centralizer, the probes for forced spaces and rigidity), enlarging it must
+# not change the result.  Only witt and wplus(_ext): a thin centralizer grows
+# with its window, since [e_i, e_j] = 0 for i, j >= 2.
+
+COEFF = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
+MARGINS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+def elements(algebra, lo, hi):
+    terms = st.dictionaries(st.integers(lo, hi), COEFF, min_size=1, max_size=3)
+    return terms.map(lambda t: Element(algebra, t))
+
+
+def enlarged(algebra, window, margins):
+    lo = window.lo - margins[0]
+    if algebra.min_index is not None:
+        lo = max(lo, algebra.min_index)
+    return Window(lo, window.hi + margins[1])
+
+
+def witness_algebra(algebra):
+    return Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([Algebra.WITT, Algebra.WPLUS, Algebra.WPLUS_EXT]), MARGINS, MARGINS,
+       st.data())
+def test_centralizer_invariant_under_window_enlargement(algebra, m1, m2, data):
+    lo = -5 if algebra.min_index is None else algebra.min_index
+    t = data.draw(elements(algebra, lo, lo + 8))
+    small = enlarged(algebra, Window(min(t.support()), max(t.support())), m1)
+    big = enlarged(algebra, small, m2)
+    cent = centralizer(algebra, t, small)
+    assert cent.contains(t.coeffs)
+    assert cent.rewindow(big) == centralizer(algebra, t, big)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([Algebra.WITT, Algebra.WPLUS]), MARGINS, MARGINS, st.data())
+def test_forced_space_invariant_under_window_enlargement(algebra, m1, m2, data):
+    lo = -5 if algebra is Algebra.WITT else 1
+    x = data.draw(elements(algebra, lo, lo + 8))
+    probe = data.draw(st.integers(lo, lo + 8))
+    small = enlarged(witness_algebra(algebra), Window(probe, probe), m1)
+    big = enlarged(witness_algebra(algebra), small, m2)
+    before = forced_image_space(algebra, probe, x, small)
+    after = forced_image_space(algebra, probe, x, big)
+    assert (before.window, before.basis) == (after.window, after.basis)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([Algebra.WITT, Algebra.WPLUS]), MARGINS, MARGINS, st.data())
+def test_rigidity_invariant_under_window_enlargement(algebra, m1, m2, data):
+    lo = -4 if algebra is Algebra.WITT else 1
+    x = data.draw(elements(algebra, lo, lo + 6))
+    probes = Window(0 if algebra is Algebra.WITT else 1, 2 * x.support_bound() + 1)
+    small = enlarged(witness_algebra(algebra), probes, m1)
+    big = enlarged(witness_algebra(algebra), small, m2)
+    before, after = rigidity_check(algebra, x, small), rigidity_check(algebra, x, big)
+    assert before.rigid == after.rigid
+    assert (before.probes, before.forced) == (after.probes, after.forced)
+    assert before.intersection == after.intersection
