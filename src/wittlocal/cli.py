@@ -10,6 +10,7 @@ violations (3) use nonzero exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,11 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 # Widest window `jacobi` accepts: W^3 ordered triples, of which about W^3/6
 # (1.3 M at W = 200) are evaluated.  Wider windows are refused up front.
 JACOBI_MAX_WINDOW = 200
+
+# Widest window `centralizer` and `rigidity` accept.  Elimination on a W-index
+# window costs O(W^2) dictionary lookups even for one-term rows: -3000:3000
+# takes about 1.3 s (centralizer) and 2.6 s (rigidity).
+CENTRALIZER_MAX_WINDOW = 6001
 
 # Largest `der-basis` support bound and consistency depth.  The solve grows
 # like support * depth^2 and takes about 2 s at support 64 with its default
@@ -106,13 +112,19 @@ def _cmd_bracket(args) -> int:
     )
 
 
+def _bounded_window(args, limit: int) -> Window:
+    """The --window option, refused before any work when wider than limit."""
+    window = Window.parse(args.window)
+    if len(window) > limit:
+        raise ValueError(
+            f"window {window} has {len(window)} indices; {args.command} checks at most {limit}"
+        )
+    return window
+
+
 def _cmd_jacobi(args) -> int:
     algebra = Algebra.from_name(args.algebra)
-    window = Window.parse(args.window)
-    if len(window) > JACOBI_MAX_WINDOW:
-        raise ValueError(
-            f"window {window} has {len(window)} indices; jacobi checks at most {JACOBI_MAX_WINDOW}"
-        )
+    window = _bounded_window(args, JACOBI_MAX_WINDOW)
     result = jacobi_check(algebra, window)
     count = len(window) ** 3
     payload = {
@@ -229,7 +241,7 @@ def _cmd_recover_inner(args) -> int:
 
 def _cmd_centralizer(args) -> int:
     algebra = Algebra.from_name(args.algebra)
-    window = Window.parse(args.window)
+    window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
     t = parse_element(args.element, algebra)
     space = twolocal.centralizer(algebra, t, window)
     payload = {
@@ -243,7 +255,7 @@ def _cmd_centralizer(args) -> int:
 
 def _cmd_rigidity(args) -> int:
     algebra = Algebra.from_name(args.algebra)
-    window = Window.parse(args.window)
+    window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
     x = parse_element(args.element, algebra)
     trace = twolocal.rigidity_check(algebra, x, window)
     lines = [f"target = {format_element(x)}"]
@@ -339,7 +351,10 @@ def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    `main` call in the process; callers must not mutate it."""
     parser = _Parser(prog="wittlocal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,6 +20,7 @@ Tables are immutable; every function is pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,10 +88,14 @@ class LinearMapTable:
         """Extend the table by linearity to x."""
         if x.algebra is not self.algebra:
             raise MixedAlgebras(f"applying a {self.algebra} table to a {x.algebra} element")
-        out = Element.zero(self.algebra)
+        out: dict[int, Fraction] = {}
         for k, c in x.coeffs.items():
-            out = out + self.image(k).scale(c)
-        return out
+            for i, v in self.image(k).coeffs.items():
+                if i in out:
+                    out[i] += c * v
+                else:
+                    out[i] = c * v
+        return Element(self.algebra, SparseVector._trusted({i: v for i, v in out.items() if v}))
 
     def in_algebra(self, target: Algebra) -> LinearMapTable:
         return LinearMapTable(
@@ -549,9 +554,14 @@ def table_from_json(data: object) -> LinearMapTable:
             images[k] = Element(algebra, entries)
         except IndexOutOfDomain as exc:
             raise ParseError(str(exc)) from exc
-    missing = [k for k in window.indices() if k not in images]
+    missing = len(window) - sum(1 for k in images if k in window)
     if missing:
-        raise ParseError(f"missing image keys inside the truncation: {missing}")
+        # at most len(images) + 5 indices are scanned, whatever the bounds
+        first = list(itertools.islice((k for k in window.indices() if k not in images), 5))
+        raise ParseError(
+            f"{missing} of {len(window)} image keys missing inside the truncation {window}, "
+            f"first {first}"
+        )
     extra = [k for k in images if k not in window]
     if extra:
         raise ParseError(f"image keys outside the truncation: {extra}")

@@ -60,6 +60,15 @@ class SparseVector:
         self._entries = cleaned
 
     @classmethod
+    def _trusted(cls, entries: dict[int, Fraction]) -> SparseVector:
+        """Wrap a dict whose keys are ints and whose values are already
+        nonzero Fractions, without copying or re-normalising it.  The dict
+        must not be mutated afterwards."""
+        vec = cls.__new__(cls)
+        vec._entries = entries
+        return vec
+
+    @classmethod
     def unit(cls, index: int) -> SparseVector:
         return cls({index: Fraction(1)})
 
@@ -91,20 +100,26 @@ class SparseVector:
     def __add__(self, other: SparseVector) -> SparseVector:
         out = dict(self._entries)
         for idx, val in other._entries.items():
-            out[idx] = out.get(idx, Fraction(0)) + val
-        return SparseVector(out)
+            if idx in out:
+                val += out[idx]
+                if not val:
+                    del out[idx]
+                    continue
+            out[idx] = val
+        return SparseVector._trusted(out)
 
     def __sub__(self, other: SparseVector) -> SparseVector:
         return self + (-other)
 
     def __neg__(self) -> SparseVector:
-        return SparseVector({i: -v for i, v in self._entries.items()})
+        return SparseVector._trusted({i: -v for i, v in self._entries.items()})
 
     def scale(self, c: Rational | int) -> SparseVector:
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 0:
             return SparseVector()
-        return SparseVector({i: c * v for i, v in self._entries.items()})
+        return SparseVector._trusted({i: c * v for i, v in self._entries.items()})
 
     __rmul__ = scale
 
@@ -215,7 +230,7 @@ class Subspace:
         for v in vectors:
             if not window.contains_vector(v):
                 raise ValueError(f"vector support {v.support()} escapes window {window}")
-        self.basis = [SparseVector(row) for _, row in sorted(_reduce(vectors).items())]
+        self.basis = [SparseVector._trusted(row) for _, row in sorted(_reduce(vectors).items())]
         self.window = window
 
     @classmethod
@@ -266,7 +281,7 @@ def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
             c = row.get(free)
             if c:
                 entries[col] = -c
-        vectors.append(SparseVector(entries))
+        vectors.append(SparseVector._trusted(entries))
     return Subspace(vectors, window)
 
 

@@ -240,3 +240,12 @@ def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = Non
             solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     return names, Subspace(solutions, Window(0, len(coords) - 1))
+
+
+def reference_apply(table, x: Element) -> Element:
+    """`LinearMapTable.apply` as a fold over whole elements: one scaled
+    image added at a time."""
+    out = Element.zero(table.algebra)
+    for k, c in x.coeffs.items():
+        out = out + table.image(k).scale(c)
+    return out

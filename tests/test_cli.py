@@ -1,12 +1,22 @@
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from wittlocal import Algebra, Element, Window, ad, table_to_json
-from wittlocal.cli import DER_BASIS_MAX_DEPTH, DER_BASIS_MAX_SUPPORT, JACOBI_MAX_WINDOW, main
+import wittlocal
+from wittlocal import Algebra, Element, Window, ad, cli, table_to_json
+from wittlocal.cli import (
+    CENTRALIZER_MAX_WINDOW,
+    DER_BASIS_MAX_DEPTH,
+    DER_BASIS_MAX_SUPPORT,
+    JACOBI_MAX_WINDOW,
+    main,
+)
 
 
 def run(argv):
@@ -260,6 +270,15 @@ def test_jacobi_refuses_wide_window():
         assert err.count("\n") == 1 and f"at most {JACOBI_MAX_WINDOW}" in err
 
 
+@pytest.mark.parametrize("command", ["centralizer", "rigidity"])
+def test_centralizer_and_rigidity_refuse_wide_window(command):
+    for window in (f"0:{CENTRALIZER_MAX_WINDOW}", "-12000:12000", "1:1000000000"):
+        argv = [command, "--algebra", "witt", "--element", "e_1", "--window", window]
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and f"at most {CENTRALIZER_MAX_WINDOW}" in err
+
+
 def test_der_basis_refuses_large_support():
     for support in (DER_BASIS_MAX_SUPPORT + 1, 400, 10**9):
         code, out, err = run(["der-basis", "--algebra", "wplus", "--support", str(support)])
@@ -295,3 +314,74 @@ def test_broken_pipe_exits_1_without_traceback():
         # stdout now points at devnull, so the flush on close succeeds
         assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
     assert (code, err.getvalue()) == (1, "")
+
+
+def test_missing_keys_message_is_bounded(tmp_path):
+    """A huge truncation with one image is refused in one short line.  Run in
+    a child with a 1 GiB address-space cap, so listing every missing key
+    fails fast instead of exhausting memory."""
+    path = tmp_path / "map.json"
+    path.write_text(
+        '{"algebra": "wplus", "truncation": {"min": 1, "max": 1000000000}, '
+        '"images": {"1": [[1, "1"]]}}'
+    )
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittlocal", "leibniz", "--algebra", "wplus",
+         "--map", str(path), "--depth", "3"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wittlocal.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
+    assert proc.stderr == (
+        "error: 999999999 of 1000000000 image keys missing inside the truncation 1:1000000000, "
+        "first [2, 3, 4, 5, 6]\n"
+    )
+
+
+def _mixed_requests(tmp_path):
+    """Every subcommand in text and JSON, interleaved with a usage error
+    (exit 1), a parse error (exit 2) and refusals (exit 3)."""
+    table = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12)).in_algebra(Algebra.WPLUS)
+    map_path = tmp_path / "d.json"
+    map_path.write_text(json.dumps(table_to_json(table)))
+    pairs_path = tmp_path / "pairs.json"
+    pairs_path.write_text(json.dumps({"algebra": "thin", "pairs": [["e_2", "e_1 + 3*e_2"]]}))
+    commands = [
+        ["bracket", "--algebra", "witt", "e_2", "e_3"],
+        ["jacobi", "--algebra", "thin", "--window", "1:12"],
+        ["leibniz", "--algebra", "wplus", "--map", str(map_path), "--depth", "5"],
+        ["extend", "--algebra", "wplus", "--e1", "e_1", "--e2", "2*e_2", "--truncation", "6"],
+        ["der-basis", "--algebra", "thin", "--support", "3"],
+        ["recover-inner", "--algebra", "wplus", "--map", str(map_path)],
+        ["centralizer", "--algebra", "witt", "--element", "-e_1 + e_2", "--window", "-8:8"],
+        ["rigidity", "--algebra", "wplus", "--element", "e_2", "--window", "1:12"],
+        ["two-local", "verify", "--pairs", str(pairs_path)],
+        ["two-local", "additivity"],
+    ]
+    failures = [
+        ["bracket", "--algebra", "witt", "e_1"],  # missing operand: exit 1
+        ["bracket", "--algebra", "witt", "e_x", "e_1"],  # exit 2
+        ["jacobi", "--algebra", "witt", "--window", "1:1000"],  # exit 3
+        ["two-local"],  # missing subcommand: exit 1
+        ["centralizer", "--algebra", "witt", "--element", "e_1", "--window", "-9000:9000",
+         "--format", "json"],  # exit 3
+    ]
+    requests = []
+    for n, argv in enumerate(commands):
+        requests += [argv, argv + ["--format", "json"]] + failures[n : n + 1]
+    return requests
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    requests = _mixed_requests(tmp_path)
+    first = [run(argv) for argv in requests]
+    second = [run(argv) for argv in requests]
+    assert first == second
+    assert sorted({code for code, _, _ in first}) == [0, 1, 2, 3]
+    assert sum(code == 0 for code, _, _ in first) == 20
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(argv) for argv in requests] == first

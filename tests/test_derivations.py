@@ -34,6 +34,7 @@ from helpers import (
     reference_derivation_space,
     reference_extension,
     reference_leibniz,
+    reference_apply,
     reference_recover_inner,
 )
 
@@ -73,6 +74,37 @@ def test_table_apply_is_linear():
         ).scale(d)
     with pytest.raises(TruncationTooSmall):
         table.apply(Element.basis(Algebra.WPLUS_EXT, 13))
+
+
+def _apply_cases(rng):
+    """ad tables on every algebra (images of neighbouring indices overlap, so
+    sums cancel) and thin derivations with random parameters."""
+    inner = [
+        (Algebra.WITT, Window(-8, 8), range(-3, 4)),
+        (Algebra.WPLUS, Window(1, 12), range(1, 5)),
+        (Algebra.WPLUS_EXT, Window(0, 12), range(0, 5)),
+        (Algebra.THIN, Window(1, 12), range(1, 5)),
+    ]
+    for algebra, win, support in inner:
+        for _ in range(6):
+            yield ad(rand_element(rng, algebra, support, max_den=5), win)
+    for _ in range(12):
+        alpha = {i: rand_rational(rng, 4, 5) for i in range(1, 5)}
+        beta = {i: rand_rational(rng, 4, 5) for i in range(2, 6)}
+        yield thin_derivation(ThinDerivationParams(alpha, beta), rng.randint(3, 12))
+
+
+def test_apply_matches_fold_reference():
+    rng = Random(71)
+    zero_results = 0
+    for table in _apply_cases(rng):
+        for _ in range(12):
+            x = rand_element(rng, table.algebra, table.window.indices(), max_terms=6)
+            got = table.apply(x)
+            assert got == reference_apply(table, x)
+            assert all(type(c) is Fraction and c != 0 for _, c in got.coeffs.items())
+            zero_results += got.is_zero() and not x.is_zero()
+    assert zero_results > 5
 
 
 # -- Leibniz law --------------------------------------------------------------
@@ -500,6 +532,19 @@ def test_table_json_errors():
 
 def _wplus_doc():
     return table_to_json(ad(Element.basis(Algebra.WPLUS, 1), Window(1, 4)))
+
+
+def test_table_json_missing_keys_are_counted():
+    doc = table_to_json(ad(Element.basis(Algebra.WPLUS, 1), Window(1, 20)))
+    prefix = "image keys missing inside the truncation 1:20, first"
+    for kept, message in [
+        (("1", "3"), f"18 of 20 {prefix} [2, 4, 5, 6, 7]"),
+        (set(doc["images"]) - {"20"}, f"1 of 20 {prefix} [20]"),
+    ]:
+        images = {k: v for k, v in doc["images"].items() if k in kept}
+        with pytest.raises(ParseError) as info:
+            table_from_json({**doc, "images": images})
+        assert str(info.value) == message
 
 
 def test_table_json_rejects_non_canonical_keys():

@@ -55,6 +55,48 @@ def test_sparse_vector_basics():
     assert SparseVector({1: 1, 2: 1}) == SparseVector({2: 1, 1: 1})
 
 
+# Results of the arithmetic and elimination paths skip re-normalisation, so
+# check they store what the public constructor would.
+_WIN = Window(-6, 6)
+coefficients = st.one_of(rationals, st.integers(-5, 5))
+sparse_vectors = st.dictionaries(
+    st.integers(_WIN.lo, _WIN.hi), coefficients, max_size=6
+).map(SparseVector)
+
+
+def assert_normalised(v):
+    """v stores only nonzero Fractions and equals its re-normalised copy."""
+    entries = dict(v.items())
+    assert all(type(k) is int and type(c) is Fraction and c != 0 for k, c in entries.items())
+    assert v == SparseVector(entries) and hash(v) == hash(SparseVector(entries))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) where b holds the negatives of a drawn subset of a's entries."""
+    a, b = draw(sparse_vectors), draw(sparse_vectors)
+    cancelled = draw(st.sets(st.sampled_from(a.support()))) if a.support() else set()
+    return a, SparseVector({**dict(b.items()), **{k: -a[k] for k in cancelled}})
+
+
+@settings(derandomize=True, max_examples=150)
+@given(cancelling_pairs(), coefficients)
+def test_arithmetic_results_are_normalised(pair, c):
+    a, b = pair
+    for v in (a, b, a + b, b + a, a - (-b), a - b, -a, a.scale(c), c * a, a - a):
+        assert_normalised(v)
+    assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.lists(sparse_vectors, max_size=8), st.integers(0, 8))
+def test_echelon_results_are_normalised(rows, cut):
+    left, right = Subspace(rows[:cut], _WIN), Subspace(rows[cut:], _WIN)
+    kernel = kernel_basis(rows, _WIN)
+    for v in left.basis + right.basis + kernel.basis + subspace_intersection(left, right).basis:
+        assert_normalised(v)
+
+
 def test_window():
     w = Window.parse("-3:4")
     assert (w.lo, w.hi) == (-3, 4)
