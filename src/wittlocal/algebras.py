@@ -56,11 +56,16 @@ class Algebra(enum.Enum):
     @property
     def min_index(self) -> int | None:
         """Smallest legal basis index; None when unbounded below."""
-        return {"witt": None, "wplus": 1, "wplus_ext": 0, "thin": 1}[self.value]
+        return _MIN_INDEX[self]
 
     def contains_index(self, i: int) -> bool:
-        lo = self.min_index
+        lo = _MIN_INDEX[self]
         return lo is None or i >= lo
+
+    def require_window(self, window: Window) -> None:
+        """Raise IndexOutOfDomain unless every index of the window is legal."""
+        if not self.contains_index(window.lo):
+            raise IndexOutOfDomain(f"window {window} leaves the {self} index domain")
 
     @property
     def basis_rule(self) -> BasisRule:
@@ -78,6 +83,9 @@ class Algebra(enum.Enum):
         return self.value
 
 
+_MIN_INDEX = {Algebra.WITT: None, Algebra.WPLUS: 1, Algebra.WPLUS_EXT: 0, Algebra.THIN: 1}
+
+
 class Element:
     """Finitely-supported member of one algebra."""
 
@@ -86,15 +94,15 @@ class Element:
     def __init__(self, algebra: Algebra, coeffs: SparseVector | Mapping[int, Rational | int]):
         if not isinstance(coeffs, SparseVector):
             coeffs = SparseVector(coeffs)
-        for i in coeffs.support():
-            if not algebra.contains_index(i):
-                raise IndexOutOfDomain(f"index {i} not in the {algebra} index domain")
+        # the domains are bounded below only, so the smallest index decides
+        if coeffs and not algebra.contains_index(i := coeffs.leading_index()):
+            raise IndexOutOfDomain(f"index {i} not in the {algebra} index domain")
         self.algebra = algebra
         self.coeffs = coeffs
 
     @classmethod
     def zero(cls, algebra: Algebra) -> Element:
-        return cls(algebra, SparseVector.zero())
+        return cls(algebra, SparseVector())
 
     @classmethod
     def basis(cls, algebra: Algebra, index: int) -> Element:
@@ -185,8 +193,7 @@ def jacobi_check(algebra: Algebra, window: Window, rule: BasisRule | None = None
     antisymmetric term by term on the window makes the sum alternating, so
     only i < j < k is then evaluated.
     """
-    if not algebra.contains_index(window.lo):
-        raise IndexOutOfDomain(f"window {window} leaves the {algebra} index domain")
+    algebra.require_window(window)
     rule = rule or algebra.basis_rule
     idx = window.indices()
     pairs = itertools.combinations_with_replacement(idx, 2)

@@ -38,6 +38,14 @@ CENTRALIZER_MAX_WINDOW = 6001
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
+# Largest `extend` truncation.  Checking every cross relation is quadratic:
+# thin takes about 1.8 s at 1000 and 16 s at 3000.
+EXTEND_MAX_TRUNCATION = 1000
+
+# Largest basis index in a `two-local verify` pair.  The witness tabulates
+# every index up to it: 6001 takes about 0.3 s and prints 131 KB of JSON.
+VERIFY_MAX_INDEX = 6001
+
 
 class _UsageError(Exception):
     pass
@@ -84,15 +92,22 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
-def _load_map(path: str) -> derivations.LinearMapTable:
+def _load_json(path: str, kind: str) -> object:
+    """The contents of a JSON input file; `kind` names it in error messages."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ParseError(f"cannot read map file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"map file {path} is not valid JSON: {exc}") from exc
-    return derivations.table_from_json(data)
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
+    table = derivations.table_from_json(_load_json(path, "map"))
+    if table.algebra is not algebra:
+        raise ParseError(f"map file algebra {table.algebra} does not match --algebra {algebra}")
+    return table
 
 
 def _cmd_bracket(args) -> int:
@@ -110,6 +125,12 @@ def _cmd_bracket(args) -> int:
             "result": format_element(result),
         },
     )
+
+
+def _refuse_above(what: str, value: int, limit: int) -> None:
+    """Refuse an input value above its limit, before any work."""
+    if value > limit:
+        raise ValueError(f"{what} {value} is above the limit {limit}")
 
 
 def _bounded_window(args, limit: int) -> Window:
@@ -146,9 +167,7 @@ def _cmd_jacobi(args) -> int:
 
 def _cmd_leibniz(args) -> int:
     algebra = Algebra.from_name(args.algebra)
-    table = _load_map(args.map)
-    if table.algebra is not algebra:
-        raise ParseError(f"map file algebra {table.algebra} does not match --algebra {algebra}")
+    table = _load_map(args.map, algebra)
     result = derivations.leibniz_check(table, args.depth)
     payload = {
         "algebra": algebra.value,
@@ -169,6 +188,7 @@ def _cmd_leibniz(args) -> int:
 
 def _cmd_extend(args) -> int:
     algebra = Algebra.from_name(args.algebra)
+    _refuse_above("truncation", args.truncation, EXTEND_MAX_TRUNCATION)
     img_e1 = parse_element(args.e1, algebra)
     img_e2 = parse_element(args.e2, algebra)
     outcome = derivations.extend_from_generators(algebra, img_e1, img_e2, args.truncation)
@@ -191,10 +211,9 @@ def _cmd_extend(args) -> int:
 
 def _cmd_der_basis(args) -> int:
     algebra = Algebra.from_name(args.algebra)
-    if args.support > DER_BASIS_MAX_SUPPORT:
-        raise ValueError(f"support {args.support} is above the limit {DER_BASIS_MAX_SUPPORT}")
-    if args.depth is not None and args.depth > DER_BASIS_MAX_DEPTH:
-        raise ValueError(f"depth {args.depth} is above the limit {DER_BASIS_MAX_DEPTH}")
+    _refuse_above("support", args.support, DER_BASIS_MAX_SUPPORT)
+    if args.depth is not None:
+        _refuse_above("depth", args.depth, DER_BASIS_MAX_DEPTH)
     space = derivations.derivation_space_basis(algebra, args.support, args.depth)
     lines = [f"dim={space.dim}", "coordinates: " + ", ".join(space.coordinates)]
     basis_json = []
@@ -223,9 +242,7 @@ def _cmd_der_basis(args) -> int:
 
 def _cmd_recover_inner(args) -> int:
     algebra = Algebra.from_name(args.algebra)
-    table = _load_map(args.map)
-    if table.algebra is not algebra:
-        raise ParseError(f"map file algebra {table.algebra} does not match --algebra {algebra}")
+    table = _load_map(args.map, algebra)
     if algebra is Algebra.WPLUS:
         a = derivations.recover_inner_wplus(table)
     elif algebra is Algebra.WITT:
@@ -279,13 +296,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_twolocal_verify(args) -> int:
-    try:
-        with open(args.pairs, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ParseError(f"cannot read pairs file {args.pairs}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"pairs file is not valid JSON: {exc}") from exc
+    data = _load_json(args.pairs, "pairs")
     if not isinstance(data, dict) or data.get("algebra") != "thin":
         raise ParseError('pairs file must be {"algebra": "thin", "pairs": [...]}')
     raw_pairs = data.get("pairs")
@@ -301,6 +312,8 @@ def _cmd_twolocal_verify(args) -> int:
             raise ParseError(f"pair {n} is not a list of two element strings")
         x = parse_element(entry[0], Algebra.THIN)
         y = parse_element(entry[1], Algebra.THIN)
+        top = max(x.support_bound(), y.support_bound())
+        _refuse_above(f"pair {n} index", top, VERIFY_MAX_INDEX)
         cert = twolocal.thin_witness(x, y)
         verdict = twolocal.verify_pair(twolocal.thin_delta, cert)
         all_pass = all_pass and verdict.passed

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -56,9 +56,7 @@ class LinearMapTable:
     __slots__ = ("algebra", "window", "images")
 
     def __init__(self, algebra: Algebra, window: Window, images: Mapping[int, Element]):
-        lo = algebra.min_index
-        if lo is not None and window.lo < lo:
-            raise IndexOutOfDomain(f"window {window} leaves the {algebra} index domain")
+        algebra.require_window(window)
         table: dict[int, Element] = {}
         for k in window.indices():
             if k not in images:
@@ -73,11 +71,6 @@ class LinearMapTable:
         self.algebra = algebra
         self.window = window
         self.images = table
-
-    @classmethod
-    def zero(cls, algebra: Algebra, window: Window) -> LinearMapTable:
-        z = Element.zero(algebra)
-        return cls(algebra, window, {k: z for k in window.indices()})
 
     def image(self, k: int) -> Element:
         if k not in self.window:
@@ -117,8 +110,7 @@ class LinearMapTable:
 
 def ad(a: Element, window: Window) -> LinearMapTable:
     """The inner map x -> [a, x], tabulated on the window's basis indices."""
-    if a.algebra.min_index is not None and window.lo < a.algebra.min_index:
-        raise IndexOutOfDomain(f"window {window} leaves the {a.algebra} index domain")
+    a.algebra.require_window(window)
     images = {k: bracket(a, Element.basis(a.algebra, k)) for k in window.indices()}
     return LinearMapTable(a.algebra, window, images)
 
@@ -421,20 +413,18 @@ def recover_inner_witt(table: LinearMapTable) -> Element:
     return _verified_inner(table, Element(Algebra.WITT, entries))
 
 
+@dataclass(slots=True)
 class ThinDerivationParams:
-    """Parameters of a thin-algebra derivation: the e_1 image coefficients
-    (alpha, indices >= 1) and the e_2 image coefficients (beta, indices
-    >= 2; an e_1 component is impossible and structurally excluded)."""
+    """Parameters of a thin-algebra derivation, as nonzero Fractions: the e_1
+    image coefficients (alpha, indices >= 1) and the e_2 image coefficients
+    (beta, indices >= 2; an e_1 component is impossible and excluded)."""
 
-    __slots__ = ("alpha", "beta")
+    alpha: Mapping[int, Rational | int] = field(default_factory=dict)
+    beta: Mapping[int, Rational | int] = field(default_factory=dict)
 
-    def __init__(
-        self,
-        alpha: Mapping[int, Rational | int] | None = None,
-        beta: Mapping[int, Rational | int] | None = None,
-    ):
-        self.alpha = {int(i): Fraction(c) for i, c in (alpha or {}).items() if c != 0}
-        self.beta = {int(i): Fraction(c) for i, c in (beta or {}).items() if c != 0}
+    def __post_init__(self):
+        self.alpha = {int(i): Fraction(c) for i, c in self.alpha.items() if c != 0}
+        self.beta = {int(i): Fraction(c) for i, c in self.beta.items() if c != 0}
         for i in self.alpha:
             if i < 1:
                 raise ValueError(f"alpha index {i} below 1")
@@ -449,18 +439,6 @@ class ThinDerivationParams:
         if img_e2.coefficient(1) != 0:
             raise NotADerivation("the e_2 image of a thin derivation has no e_1 component")
         return cls(dict(img_e1.coeffs.items()), dict(img_e2.coeffs.items()))
-
-    @property
-    def max_index(self) -> int:
-        return max([1, *self.alpha, *self.beta])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ThinDerivationParams):
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __repr__(self) -> str:
-        return f"ThinDerivationParams(alpha={self.alpha}, beta={self.beta})"
 
 
 def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapTable:
@@ -492,9 +470,6 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
 
 # -- JSON wire format for map tables -----------------------------------------
 
-_ALGEBRA_NAMES = {a.value: a for a in Algebra}
-
-
 def table_to_json(table: LinearMapTable) -> dict:
     """Schema: {"algebra": name, "truncation": {"min": lo, "max": hi},
     "images": {"k": [[index, "p/q"], ...], ...}} with every index in the
@@ -518,7 +493,7 @@ def table_from_json(data: object) -> LinearMapTable:
     if not isinstance(data, dict):
         raise ParseError("map JSON must be an object")
     try:
-        algebra = _ALGEBRA_NAMES[data["algebra"]]
+        algebra = Algebra.from_name(data["algebra"])
         trunc = data["truncation"]
         bounds = trunc["min"], trunc["max"]
         raw_images = data["images"]

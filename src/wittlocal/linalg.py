@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParseError
 
@@ -72,10 +72,6 @@ class SparseVector:
     def unit(cls, index: int) -> SparseVector:
         return cls({index: Fraction(1)})
 
-    @classmethod
-    def zero(cls) -> SparseVector:
-        return cls()
-
     def get(self, index: int) -> Fraction:
         return self._entries.get(index, Fraction(0))
 
@@ -94,8 +90,7 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._entries))
+    __iter__ = None  # not iterable: iter() would call __getitem__(0), (1), ... forever
 
     def __add__(self, other: SparseVector) -> SparseVector:
         out = dict(self._entries)
@@ -122,14 +117,6 @@ class SparseVector:
         return SparseVector._trusted({i: c * v for i, v in self._entries.items()})
 
     __rmul__ = scale
-
-    def dot(self, other: SparseVector) -> Fraction:
-        if len(other._entries) < len(self._entries):
-            self, other = other, self
-        total = Fraction(0)
-        for idx, val in self._entries.items():
-            total += val * other._entries.get(idx, Fraction(0))
-        return total
 
     def leading_index(self) -> int:
         """Smallest index carrying a nonzero entry."""
@@ -233,25 +220,9 @@ class Subspace:
         self.basis = [SparseVector._trusted(row) for _, row in sorted(_reduce(vectors).items())]
         self.window = window
 
-    @classmethod
-    def zero(cls, window: Window) -> Subspace:
-        return cls([], window)
-
-    @classmethod
-    def full(cls, window: Window) -> Subspace:
-        return cls([SparseVector.unit(i) for i in window.indices()], window)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: SparseVector) -> bool:
-        rem = v
-        for b in self.basis:
-            c = rem.get(b.leading_index())
-            if c != 0:
-                rem = rem - b.scale(c)
-        return rem.is_zero()
 
     def rewindow(self, window: Window) -> Subspace:
         """Same span, declared over a (usually larger) window."""

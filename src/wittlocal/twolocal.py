@@ -117,7 +117,7 @@ def additivity_violation(delta: DeltaMap, x: Element, y: Element) -> AdditivityR
 def centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
     """All elements a supported in the window with [a, t] = 0, as a
     canonical subspace over the window's coordinates."""
-    if algebra.min_index is not None and window.lo < algebra.min_index:
+    if not algebra.contains_index(window.lo):
         raise WindowTooSmall(f"window {window} leaves the {algebra} index domain")
     t = t.in_algebra(algebra)
     rule = algebra.basis_rule
@@ -157,7 +157,7 @@ def forced_image_space(
 def _span_over_hull(vectors: list[SparseVector]) -> Subspace:
     support = sorted({i for v in vectors for i in v.support()})
     if not support:
-        return Subspace.zero(Window(0, 0))
+        return Subspace([], Window(0, 0))
     return Subspace(vectors, Window(support[0], support[-1]))
 
 

@@ -6,6 +6,7 @@ from random import Random
 from wittlocal import (
     Algebra,
     Element,
+    LinearMapTable,
     NotADerivation,
     SparseVector,
     Subspace,
@@ -13,6 +14,33 @@ from wittlocal import (
     bracket,
     kernel_basis,
 )
+
+
+def dot(u: SparseVector, v: SparseVector) -> Fraction:
+    """Sum of u_i v_i over the shared support."""
+    return sum((c * v.get(i) for i, c in u.items()), Fraction(0))
+
+
+def in_span(space: Subspace, v: SparseVector) -> bool:
+    """Whether v lies in the span: reduce it by the monic echelon basis and
+    test for zero."""
+    rem = v
+    for b in space.basis:
+        c = rem.get(b.leading_index())
+        if c != 0:
+            rem = rem - b.scale(c)
+    return rem.is_zero()
+
+
+def full_subspace(window: Window) -> Subspace:
+    """Every vector supported in the window."""
+    return Subspace([SparseVector.unit(i) for i in window.indices()], window)
+
+
+def zero_table(algebra: Algebra, window: Window) -> LinearMapTable:
+    """The zero map tabulated on the window."""
+    z = Element.zero(algebra)
+    return LinearMapTable(algebra, window, {k: z for k in window.indices()})
 
 
 def rand_rational(rng: Random, max_num=3, max_den=3, allow_zero=True) -> Fraction:

@@ -90,6 +90,8 @@ def test_index_domains():
         Element(Algebra.WPLUS, {0: 1})
     with pytest.raises(IndexOutOfDomain):
         Element(Algebra.THIN, {-2: 1})
+    with pytest.raises(IndexOutOfDomain, match=r"^index -3 not in the wplus index domain$"):
+        Element(Algebra.WPLUS, {-3: 1, 0: 2, 5: 1})
     Element(Algebra.WPLUS_EXT, {0: 1})  # fine
     Element(Algebra.WITT, {-100: 1})  # fine
 

@@ -14,7 +14,9 @@ from wittlocal.cli import (
     CENTRALIZER_MAX_WINDOW,
     DER_BASIS_MAX_DEPTH,
     DER_BASIS_MAX_SUPPORT,
+    EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_WINDOW,
+    VERIFY_MAX_INDEX,
     main,
 )
 
@@ -294,6 +296,50 @@ def test_der_basis_refuses_deep_depth():
         assert err.count("\n") == 1 and f"limit {DER_BASIS_MAX_DEPTH}" in err
     code, out, _ = run(["der-basis", "--algebra", "thin", "--support", "2", "--depth", "7"])
     assert code == 0 and out.startswith("dim=3\n")
+
+
+def test_extend_refuses_long_truncation():
+    truncation = EXTEND_MAX_TRUNCATION + 1
+    argv = ["extend", "--algebra", "thin", "--e1", "e_1", "--e2", "e_2"]
+    assert run(argv + ["--truncation", str(truncation)]) == (
+        3,
+        "",
+        f"error: truncation {truncation} is above the limit {EXTEND_MAX_TRUNCATION}\n",
+    )
+
+
+def test_twolocal_verify_refuses_large_index(tmp_path):
+    top = VERIFY_MAX_INDEX + 1
+    path = tmp_path / "pairs.json"
+    pairs = [["e_2", "e_3"], ["e_1", f"e_{top}"]]
+    path.write_text(json.dumps({"algebra": "thin", "pairs": pairs}))
+    assert run(["two-local", "verify", "--pairs", str(path)]) == (
+        3,
+        "",
+        f"error: pair 2 index {top} is above the limit {VERIFY_MAX_INDEX}\n",
+    )
+
+
+_BROKEN_JSON = {"invalid-json": b"{not json", "too-deep": b"[" * 10**5, "not-utf8": b"\xff{}"}
+
+
+@pytest.mark.parametrize("broken", ["missing-file", *_BROKEN_JSON])
+@pytest.mark.parametrize("kind", ["map", "pairs"])
+def test_unreadable_input_file_exits_2(tmp_path, kind, broken):
+    path = tmp_path / f"{kind}.json"
+    if broken in _BROKEN_JSON:
+        path.write_bytes(_BROKEN_JSON[broken])
+    if kind == "map":
+        argv = ["leibniz", "--algebra", "witt", "--map", str(path), "--depth", "3"]
+    else:
+        argv = ["two-local", "verify", "--pairs", str(path)]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(path) in err
+    if broken == "missing-file":
+        assert err.startswith(f"error: cannot read {kind} file {path}: ")
+    else:
+        assert err.startswith(f"error: {kind} file {path} is not valid JSON: ")
 
 
 def test_twolocal_verify_rejects_duplicate_keys(tmp_path):

@@ -36,6 +36,7 @@ from helpers import (
     reference_leibniz,
     reference_apply,
     reference_recover_inner,
+    zero_table,
 )
 
 
@@ -337,7 +338,7 @@ def test_space_depth_validation():
 def test_recover_wplus_examples():
     d = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 20)).in_algebra(Algebra.WPLUS)
     assert recover_inner_wplus(d) == Element.basis(Algebra.WPLUS_EXT, 0)
-    zero = LinearMapTable.zero(Algebra.WPLUS, Window(1, 10))
+    zero = zero_table(Algebra.WPLUS, Window(1, 10))
     assert recover_inner_wplus(zero).is_zero()
     a = Element(Algebra.WPLUS_EXT, {2: -1})
     d = ad(a, Window(1, 11)).in_algebra(Algebra.WPLUS)
@@ -382,7 +383,7 @@ def test_recover_witt_round_trip():
 def test_recover_witt_examples():
     a = parse_element("e_2 + e_-1", Algebra.WITT)
     assert recover_inner_witt(ad(a, Window(-15, 15))) == a
-    zero = LinearMapTable.zero(Algebra.WITT, Window(-3, 3))
+    zero = zero_table(Algebra.WITT, Window(-3, 3))
     assert recover_inner_witt(zero).is_zero()
     scaled = ad(parse_element("5*e_0", Algebra.WITT), Window(-6, 6))
     assert scaled.image(1) == parse_element("5*e_1", Algebra.WITT)
@@ -391,7 +392,7 @@ def test_recover_witt_examples():
 
 def test_recover_witt_guards():
     with pytest.raises(TruncationTooSmall):
-        recover_inner_witt(LinearMapTable.zero(Algebra.WITT, Window(-3, 4)))
+        recover_inner_witt(zero_table(Algebra.WITT, Window(-3, 4)))
     images = {i: Element.zero(Algebra.WITT) for i in range(-3, 4)}
     images[0] = parse_element("e_0", Algebra.WITT)
     with pytest.raises(NotADerivation):
@@ -470,6 +471,16 @@ def test_thin_params_validation():
         ThinDerivationParams(beta={1: 1})
     with pytest.raises(NotADerivation):
         ThinDerivationParams.from_generator_images(thin("e_1"), thin("e_1"))
+
+
+def test_thin_params_drop_zeros_and_repr():
+    params = ThinDerivationParams({1: 2, 3: 0}, {2: Fraction(1, 2), 4: 0})
+    assert params == ThinDerivationParams({1: Fraction(2)}, {2: Fraction(1, 2)})
+    assert params != ThinDerivationParams({1: 2})
+    assert ThinDerivationParams({5: 0}, {6: 0}) == ThinDerivationParams()
+    assert repr(params) == (
+        "ThinDerivationParams(alpha={1: Fraction(2, 1)}, beta={2: Fraction(1, 2)})"
+    )
 
 
 # -- inner image directly from structure constants ----------------------------

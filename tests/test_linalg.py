@@ -16,6 +16,8 @@ from wittlocal import (
     subspace_intersection,
 )
 
+from helpers import dot, full_subspace, in_span
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
 
@@ -51,8 +53,10 @@ def test_sparse_vector_basics():
     assert v.get(7) == 0
     assert (v - v).is_zero()
     assert v + v == v.scale(2)
-    assert v.dot(SparseVector({2: 2, 5: 1})) == 0
+    assert dot(v, SparseVector({2: 2, 5: 1})) == 0
     assert SparseVector({1: 1, 2: 1}) == SparseVector({2: 1, 1: 1})
+    with pytest.raises(TypeError):  # not __getitem__(0), (1), ... forever
+        iter(v)
 
 
 # Results of the arithmetic and elimination paths skip re-normalisation, so
@@ -117,7 +121,7 @@ def test_solve_single_equation_window_dependence():
 
 
 def test_solve_empty_system_is_full_kernel():
-    assert kernel_basis([], Window(0, 3)) == Subspace.full(Window(0, 3))
+    assert kernel_basis([], Window(0, 3)) == full_subspace(Window(0, 3))
 
 
 def test_kernel_trivial_cases():
@@ -148,7 +152,7 @@ def test_kernel_vectors_annihilate_rows():
         ]
         ker = kernel_basis(rows, win)
         for v in ker.basis:
-            assert all(r.dot(v) == 0 for r in rows)
+            assert all(dot(r, v) == 0 for r in rows)
 
 
 def test_rank_nullity():
@@ -175,8 +179,8 @@ def test_subspace_canonical_form():
     assert leads == sorted(leads)
     # pivot columns cleared in the other rows
     assert s.basis[0].get(s.basis[1].leading_index()) == 0
-    assert s.contains(SparseVector({0: 3, 1: 3, 2: 9}))
-    assert not s.contains(SparseVector({3: 1}))
+    assert in_span(s, SparseVector({0: 3, 1: 3, 2: 9}))
+    assert not in_span(s, SparseVector({3: 1}))
 
 
 def test_intersection_examples():
@@ -207,7 +211,7 @@ def test_intersection_properties():
         a, b = Subspace(vecs(), win), Subspace(vecs(), win)
         meet = subspace_intersection(a, b)
         for v in meet.basis:
-            assert a.contains(v) and b.contains(v)
+            assert in_span(a, v) and in_span(b, v)
         assert meet.dim >= a.dim + b.dim - len(win)
 
 
@@ -224,9 +228,9 @@ def test_solutions_satisfy_their_systems():
         ker = kernel_basis(rows, win)
         combination = SparseVector()
         for n, v in enumerate(ker.basis, start=1):
-            assert all(r.dot(v) == 0 for r in rows)
+            assert all(dot(r, v) == 0 for r in rows)
             combination = combination + v.scale(n)
-        assert all(r.dot(combination) == 0 for r in rows)
+        assert all(dot(r, combination) == 0 for r in rows)
 
 
 def test_solve_thin_leibniz_system():
