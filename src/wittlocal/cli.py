@@ -46,6 +46,12 @@ EXTEND_MAX_TRUNCATION = 1000
 # every index up to it: 6001 takes about 0.3 s and prints 131 KB of JSON.
 VERIFY_MAX_INDEX = 6001
 
+# Largest sum over a `two-local verify` file of the witness sizes
+# max(3, largest index), checked once every pair is parsed and before any
+# witness is built.  At the limit, 5 pairs near 6000 take about 0.4 s and
+# 10000 pairs of two-term elements about 3 s (each pair has a fixed cost).
+VERIFY_MAX_TOTAL = 30000
+
 
 class _UsageError(Exception):
     pass
@@ -111,15 +117,14 @@ def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
 
 
 def _cmd_bracket(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
-    x = parse_element(args.x, algebra)
-    y = parse_element(args.y, algebra)
+    x = parse_element(args.x, args.algebra)
+    y = parse_element(args.y, args.algebra)
     result = bracket(x, y)
     return _emit(
         args,
         format_element(result),
         {
-            "algebra": algebra.value,
+            "algebra": args.algebra.value,
             "x": format_element(x),
             "y": format_element(y),
             "result": format_element(result),
@@ -144,12 +149,11 @@ def _bounded_window(args, limit: int) -> Window:
 
 
 def _cmd_jacobi(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
     window = _bounded_window(args, JACOBI_MAX_WINDOW)
-    result = jacobi_check(algebra, window)
+    result = jacobi_check(args.algebra, window)
     count = len(window) ** 3
     payload = {
-        "algebra": algebra.value,
+        "algebra": args.algebra.value,
         "window": _window_json(window),
         "pass": result.passed,
         "triples_checked": count,
@@ -166,11 +170,10 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_leibniz(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
-    table = _load_map(args.map, algebra)
+    table = _load_map(args.map, args.algebra)
     result = derivations.leibniz_check(table, args.depth)
     payload = {
-        "algebra": algebra.value,
+        "algebra": args.algebra.value,
         "depth": args.depth,
         "pass": result.passed,
         "pairs_checked": result.pairs_checked,
@@ -187,11 +190,10 @@ def _cmd_leibniz(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
     _refuse_above("truncation", args.truncation, EXTEND_MAX_TRUNCATION)
-    img_e1 = parse_element(args.e1, algebra)
-    img_e2 = parse_element(args.e2, algebra)
-    outcome = derivations.extend_from_generators(algebra, img_e1, img_e2, args.truncation)
+    img_e1 = parse_element(args.e1, args.algebra)
+    img_e2 = parse_element(args.e2, args.algebra)
+    outcome = derivations.extend_from_generators(args.algebra, img_e1, img_e2, args.truncation)
     if isinstance(outcome, derivations.InconsistentExtension):
         i, j = outcome.relation
         return _emit(
@@ -210,11 +212,10 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_der_basis(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
     _refuse_above("support", args.support, DER_BASIS_MAX_SUPPORT)
     if args.depth is not None:
         _refuse_above("depth", args.depth, DER_BASIS_MAX_DEPTH)
-    space = derivations.derivation_space_basis(algebra, args.support, args.depth)
+    space = derivations.derivation_space_basis(args.algebra, args.support, args.depth)
     lines = [f"dim={space.dim}", "coordinates: " + ", ".join(space.coordinates)]
     basis_json = []
     for n, vec in enumerate(space.space.basis, start=1):
@@ -230,7 +231,7 @@ def _cmd_der_basis(args) -> int:
             }
         )
     payload = {
-        "algebra": algebra.value,
+        "algebra": args.algebra.value,
         "support_bound": space.support_bound,
         "depth": space.depth,
         "dim": space.dim,
@@ -241,14 +242,13 @@ def _cmd_der_basis(args) -> int:
 
 
 def _cmd_recover_inner(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
-    table = _load_map(args.map, algebra)
-    if algebra is Algebra.WPLUS:
+    table = _load_map(args.map, args.algebra)
+    if args.algebra is Algebra.WPLUS:
         a = derivations.recover_inner_wplus(table)
-    elif algebra is Algebra.WITT:
+    elif args.algebra is Algebra.WITT:
         a = derivations.recover_inner_witt(table)
     else:
-        raise _UsageError(f"recover-inner handles witt and wplus, not {algebra}")
+        raise _UsageError(f"recover-inner handles witt and wplus, not {args.algebra}")
     return _emit(
         args,
         f"a = {format_element(a)}",
@@ -257,12 +257,11 @@ def _cmd_recover_inner(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
     window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
-    t = parse_element(args.element, algebra)
-    space = twolocal.centralizer(algebra, t, window)
+    t = parse_element(args.element, args.algebra)
+    space = twolocal.centralizer(args.algebra, t, window)
     payload = {
-        "algebra": algebra.value,
+        "algebra": args.algebra.value,
         "element": format_element(t),
         "window": _window_json(window),
         **_subspace_json(space),
@@ -271,10 +270,9 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
-    algebra = Algebra.from_name(args.algebra)
     window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
-    x = parse_element(args.element, algebra)
-    trace = twolocal.rigidity_check(algebra, x, window)
+    x = parse_element(args.element, args.algebra)
+    trace = twolocal.rigidity_check(args.algebra, x, window)
     lines = [f"target = {format_element(x)}"]
     lines.append("probes: " + ", ".join(f"e_{p}" for p in trace.probes))
     for p, space in zip(trace.probes, trace.forced):
@@ -282,7 +280,7 @@ def _cmd_rigidity(args) -> int:
     lines.append(f"intersection: {_subspace_text(trace.intersection)}")
     lines.append(f"rigid = {str(trace.rigid).lower()}")
     payload = {
-        "algebra": algebra.value,
+        "algebra": args.algebra.value,
         "target": format_element(x),
         "window": _window_json(window),
         "probes": trace.probes,
@@ -302,9 +300,8 @@ def _cmd_twolocal_verify(args) -> int:
     raw_pairs = data.get("pairs")
     if not isinstance(raw_pairs, list):
         raise ParseError("pairs file must carry a list under \"pairs\"")
-    lines = []
-    results = []
-    all_pass = True
+    pairs = []
+    total = 0
     for n, entry in enumerate(raw_pairs, start=1):
         if not isinstance(entry, list) or len(entry) != 2 or not all(
             isinstance(member, str) for member in entry
@@ -314,6 +311,13 @@ def _cmd_twolocal_verify(args) -> int:
         y = parse_element(entry[1], Algebra.THIN)
         top = max(x.support_bound(), y.support_bound())
         _refuse_above(f"pair {n} index", top, VERIFY_MAX_INDEX)
+        pairs.append((x, y))
+        total += max(3, top)  # the witness tabulates 1..max(3, top)
+    _refuse_above("total witness size", total, VERIFY_MAX_TOTAL)
+    lines = []
+    results = []
+    all_pass = True
+    for n, (x, y) in enumerate(pairs, start=1):
         cert = twolocal.thin_witness(x, y)
         verdict = twolocal.verify_pair(twolocal.thin_delta, cert)
         all_pass = all_pass and verdict.passed
@@ -360,8 +364,15 @@ def _cmd_twolocal_additivity(args) -> int:
     return _emit(args, "\n".join(lines), payload)
 
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+def _subcommand(sub, name: str, handler, help: str, algebra: bool = True):
+    """Register a subcommand with its --format option and, unless algebra is
+    False, the required --algebra that `main` resolves to an Algebra."""
+    p = sub.add_parser(name, help=help)
+    if algebra:
+        p.add_argument("--algebra", required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=handler)
+    return p
 
 
 @functools.cache
@@ -371,70 +382,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wittlocal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", help="Lie bracket of two elements")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "bracket", _cmd_bracket, "Lie bracket of two elements")
     p.add_argument("x")
     p.add_argument("y")
-    _add_format(p)
-    p.set_defaults(func=_cmd_bracket)
 
-    p = sub.add_parser("jacobi", help="exhaustive Jacobi identity check on a window")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "jacobi", _cmd_jacobi, "exhaustive Jacobi identity check on a window")
     p.add_argument("--window", required=True, help="inclusive index range a:b")
-    _add_format(p)
-    p.set_defaults(func=_cmd_jacobi)
 
-    p = sub.add_parser("leibniz", help="Leibniz-law check of a map table")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "leibniz", _cmd_leibniz, "Leibniz-law check of a map table")
     p.add_argument("--map", required=True, help="map table JSON file")
     p.add_argument("--depth", required=True, type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_leibniz)
 
-    p = sub.add_parser("extend", help="extend generator images to a derivation table")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "extend", _cmd_extend, "extend generator images to a derivation table")
     p.add_argument("--e1", required=True, help="image of e_1")
     p.add_argument("--e2", required=True, help="image of e_2")
     p.add_argument("--truncation", required=True, type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("der-basis", help="basis of the derivation space")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "der-basis", _cmd_der_basis, "basis of the derivation space")
     p.add_argument("--support", required=True, type=int)
     p.add_argument("--depth", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_der_basis)
 
-    p = sub.add_parser("recover-inner", help="inner element behind a derivation table")
-    p.add_argument("--algebra", required=True)
+    about = "inner element behind a derivation table"
+    p = _subcommand(sub, "recover-inner", _cmd_recover_inner, about)
     p.add_argument("--map", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_recover_inner)
 
-    p = sub.add_parser("centralizer", help="elements commuting with a given one")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "centralizer", _cmd_centralizer, "elements commuting with a given one")
     p.add_argument("--element", required=True)
     p.add_argument("--window", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_centralizer)
 
-    p = sub.add_parser("rigidity", help="forced-image rigidity trace for a target")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "rigidity", _cmd_rigidity, "forced-image rigidity trace for a target")
     p.add_argument("--element", required=True)
     p.add_argument("--window", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_rigidity)
 
     p = sub.add_parser("two-local", help="2-local derivation tools")
     tsub = p.add_subparsers(dest="subcommand", required=True)
-    v = tsub.add_parser("verify", help="batch-verify witness certificates for a pairs file")
+    about = "batch-verify witness certificates for a pairs file"
+    v = _subcommand(tsub, "verify", _cmd_twolocal_verify, about, algebra=False)
     v.add_argument("--pairs", required=True, help="pairs JSON file")
-    _add_format(v)
-    v.set_defaults(func=_cmd_twolocal_verify)
-    a = tsub.add_parser("additivity", help="the additivity counterexample computation")
-    _add_format(a)
-    a.set_defaults(func=_cmd_twolocal_additivity)
+    about = "the additivity counterexample computation"
+    _subcommand(tsub, "additivity", _cmd_twolocal_additivity, about, algebra=False)
 
     return parser
 
@@ -466,6 +452,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_join_dash_values(argv))
+        if "algebra" in args:
+            args.algebra = Algebra.from_name(args.algebra)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code

@@ -4,12 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import wittlocal
-from wittlocal import Algebra, Element, Window, ad, cli, table_to_json
+from wittlocal import Algebra, Element, JacobiResult, SparseVector, Window, ad, cli, table_to_json
 from wittlocal.cli import (
     CENTRALIZER_MAX_WINDOW,
     DER_BASIS_MAX_DEPTH,
@@ -17,6 +19,7 @@ from wittlocal.cli import (
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_WINDOW,
     VERIFY_MAX_INDEX,
+    VERIFY_MAX_TOTAL,
     main,
 )
 
@@ -103,6 +106,44 @@ def test_jacobi_text():
     code, out, _ = run(["jacobi", "--algebra", "thin", "--window", "1:12"])
     assert code == 0
     assert out == "pass (1728 triples checked)\n"
+
+
+def test_jacobi_fail_golden(monkeypatch):
+    """The built-in rules always pass, so a failing result is injected."""
+    failing = JacobiResult(False, (1, 2, 3), SparseVector({6: Fraction(-5, 2)}))
+    monkeypatch.setattr(cli, "jacobi_check", lambda algebra, window: failing)
+    argv = ["jacobi", "--algebra", "witt", "--window", "1:3"]
+    assert run(argv) == (0, "fail at (1, 2, 3): residual = -5/2*e_6\n", "")
+    code, out, err = run(argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "algebra": "witt",
+        "window": {"min": 1, "max": 3},
+        "pass": False,
+        "triples_checked": 27,
+        "counterexample": [1, 2, 3],
+        "residual": "-5/2*e_6",
+    }
+
+
+def test_leibniz_fail_golden(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(
+        '{"algebra": "wplus", "truncation": {"min": 1, "max": 4}, '
+        '"images": {"1": [[1, "1"]], "2": [], "3": [], "4": []}}'
+    )
+    argv = ["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "4"]
+    assert run(argv) == (0, "fail at (1, 2): residual = -e_3\n", "")
+    code, out, err = run(argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "algebra": "wplus",
+        "depth": 4,
+        "pass": False,
+        "pairs_checked": 4,
+        "pair": [1, 2],
+        "residual": "-e_3",
+    }
 
 
 def test_extend_inconsistent_golden():
@@ -234,6 +275,48 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+# Valid arguments after `--algebra A` for each subcommand that takes it; the
+# last required argument comes last.  MAP is replaced by a wplus map file.
+_ALGEBRA_COMMANDS = {
+    "bracket": ["e_1", "e_2"],
+    "jacobi": ["--window", "1:3"],
+    "leibniz": ["--depth", "3", "--map", "MAP"],
+    "extend": ["--e1", "e_1", "--e2", "e_2", "--truncation", "5"],
+    "der-basis": ["--support", "2"],
+    "recover-inner": ["--map", "MAP"],
+    "centralizer": ["--element", "e_1", "--window", "1:3"],
+    "rigidity": ["--element", "e_1", "--window", "1:3"],
+}
+
+
+@pytest.mark.parametrize("command", _ALGEBRA_COMMANDS)
+def test_unknown_algebra_exits_2_after_usage_errors(tmp_path, command):
+    table = ad(Element.basis(Algebra.WPLUS, 1), Window(1, 6))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(table_to_json(table)))
+    rest = [str(path) if arg == "MAP" else arg for arg in _ALGEBRA_COMMANDS[command]]
+    argv = [command, "--algebra", "nosuch", *rest]
+    assert run(argv) == (
+        2,
+        "",
+        "error: unknown algebra 'nosuch' (expected one of: witt, wplus, wplus_ext, thin)\n",
+    )
+    code, out, err = run(argv[:-1] if command == "bracket" else argv[:-2])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"wittlocal {command}: the following arguments are required: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "algebra, window", [(Algebra.THIN, Window(1, 12)), (Algebra.WPLUS_EXT, Window(0, 12))]
+)
+def test_recover_inner_refuses_other_algebras(tmp_path, algebra, window):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(table_to_json(ad(Element.basis(algebra, 1), window))))
+    argv = ["recover-inner", "--algebra", algebra.value, "--map", str(path)]
+    assert run(argv) == (1, "", f"recover-inner handles witt and wplus, not {algebra}\n")
+
+
 def test_twolocal_verify_rejects_non_string_pair(tmp_path):
     path = tmp_path / "pairs.json"
     for pair in ([1, "e_2"], ["e_1", None], ["e_1", ["e_2"]]):
@@ -318,6 +401,36 @@ def test_twolocal_verify_refuses_large_index(tmp_path):
         "",
         f"error: pair 2 index {top} is above the limit {VERIFY_MAX_INDEX}\n",
     )
+
+
+def test_twolocal_verify_bounds_total_witness_size(tmp_path):
+    path = tmp_path / "pairs.json"
+
+    def verify(pairs):
+        path.write_text(json.dumps({"algebra": "thin", "pairs": pairs}))
+        return run(["two-local", "verify", "--pairs", str(path)])
+
+    def refusal(total):
+        return 3, "", f"error: total witness size {total} is above the limit {VERIFY_MAX_TOTAL}\n"
+
+    full, rest = divmod(VERIFY_MAX_TOTAL, VERIFY_MAX_INDEX)
+    assert rest >= 3  # so the last pair's witness size is its index
+    at_limit = [["e_1", f"e_{VERIFY_MAX_INDEX}"]] * full + [["e_1", f"e_{rest}"]]
+    code, out, err = verify(at_limit)
+    assert (code, err) == (0, "") and out.endswith("all pass: true\n")
+    at_limit[-1] = ["e_1", f"e_{rest + 1}"]
+    assert verify(at_limit) == refusal(VERIFY_MAX_TOTAL + 1)
+    # every pair is checked before any witness is built: no seconds of work
+    # ahead of a refusal or of a malformed last pair
+    heavy = [["e_1", f"e_{VERIFY_MAX_INDEX}"]] * 50
+    start = time.perf_counter()
+    assert verify(heavy) == refusal(50 * VERIFY_MAX_INDEX)
+    assert verify(heavy + [["e_1"]]) == (
+        2,
+        "",
+        "error: pair 51 is not a list of two element strings\n",
+    )
+    assert time.perf_counter() - start < 0.5
 
 
 _BROKEN_JSON = {"invalid-json": b"{not json", "too-deep": b"[" * 10**5, "not-utf8": b"\xff{}"}
