@@ -231,6 +231,119 @@ def test_rigidity_text_golden():
     )
 
 
+_DEGREE_MAP = {  # D(e_k) = k e_k, a derivation of wplus
+    "algebra": "wplus",
+    "truncation": {"min": 1, "max": 4},
+    "images": {str(k): [[k, str(k)]] for k in range(1, 5)},
+}
+_BROKEN_MAP = {**_DEGREE_MAP, "images": {"1": [[1, "1"]], "2": [], "3": [], "4": []}}
+_INNER = Element.basis(Algebra.WPLUS_EXT, 0) + Element.basis(Algebra.WPLUS_EXT, 2).scale(
+    Fraction(1, 2)
+)
+
+# (argv, map file contents or None, text stdout, JSON payload).  The JSON
+# payload is a dict literal, so its key order is part of the expected bytes.
+_BYTE_GOLDENS = {
+    "jacobi-pass": (
+        ["jacobi", "--algebra", "wplus", "--window", "1:6"],
+        None,
+        "pass (216 triples checked)\n",
+        {"algebra": "wplus", "window": {"min": 1, "max": 6}, "pass": True, "triples_checked": 216},
+    ),
+    "leibniz-pass": (
+        ["leibniz", "--algebra", "wplus", "--map", "MAP", "--depth", "4"],
+        _DEGREE_MAP,
+        "pass (4 pairs checked)\n",
+        {"algebra": "wplus", "depth": 4, "pass": True, "pairs_checked": 4},
+    ),
+    "leibniz-fail": (
+        ["leibniz", "--algebra", "wplus", "--map", "MAP", "--depth", "4"],
+        _BROKEN_MAP,
+        "fail at (1, 2): residual = -e_3\n",
+        {"algebra": "wplus", "depth": 4, "pass": False, "pairs_checked": 4, "pair": [1, 2],
+         "residual": "-e_3"},
+    ),
+    "der-basis": (
+        ["der-basis", "--algebra", "wplus", "--support", "2"],
+        None,
+        "dim=2\n"
+        "coordinates: alpha_1, alpha_2, beta_1, beta_2, beta_3\n"
+        "[1] e1 = e_1; e2 = 2*e_2\n"
+        "[2] e1 = 0; e2 = e_3\n",
+        {
+            "algebra": "wplus",
+            "support_bound": 2,
+            "depth": 7,
+            "dim": 2,
+            "coordinates": ["alpha_1", "alpha_2", "beta_1", "beta_2", "beta_3"],
+            "basis": [
+                {"coords": [["alpha_1", "1"], ["beta_2", "2"]], "e1": "e_1", "e2": "2*e_2"},
+                {"coords": [["beta_3", "1"]], "e1": "0", "e2": "e_3"},
+            ],
+        },
+    ),
+    "recover-inner": (
+        ["recover-inner", "--algebra", "wplus", "--map", "MAP"],
+        table_to_json(ad(_INNER, Window(1, 11)).in_algebra(Algebra.WPLUS)),
+        "a = e_0 + 1/2*e_2\n",
+        {"algebra": "wplus_ext", "element": "e_0 + 1/2*e_2"},
+    ),
+    "rigidity": (
+        ["rigidity", "--algebra", "witt", "--element", "e_1 - 1/2*e_2", "--window", "-6:6"],
+        None,
+        "target = e_1 - 1/2*e_2\n"
+        "probes: e_0, e_5\n"
+        "probe e_0: dim=1; basis: e_1 - e_2\n"
+        "probe e_5: dim=1; basis: e_6 - 3/8*e_7\n"
+        "intersection: dim=0; basis: -\n"
+        "rigid = true\n",
+        {
+            "algebra": "witt",
+            "target": "e_1 - 1/2*e_2",
+            "window": {"min": -6, "max": 6},
+            "probes": [0, 5],
+            "forced": [
+                {"probe": 0, "dim": 1, "basis": ["e_1 - e_2"]},
+                {"probe": 5, "dim": 1, "basis": ["e_6 - 3/8*e_7"]},
+            ],
+            "intersection": {"dim": 0, "basis": []},
+            "rigid": True,
+        },
+    ),
+    "centralizer": (
+        ["centralizer", "--algebra", "witt", "--element", "-e_1 + e_2", "--window", "-3:3"],
+        None,
+        "dim=1; basis: e_1 - e_2\n",
+        {"algebra": "witt", "element": "-e_1 + e_2", "window": {"min": -3, "max": 3}, "dim": 1,
+         "basis": ["e_1 - e_2"]},
+    ),
+    "additivity": (
+        ["two-local", "additivity"],
+        None,
+        "x = e_1 + e_2\n"
+        "y = -e_1 + e_2\n"
+        "delta(x + y) = 0\n"
+        "delta(x) + delta(y) = 2*e_2\n"
+        "violated = true\n",
+        {"x": "e_1 + e_2", "y": "-e_1 + e_2", "delta_of_sum": "0", "sum_of_deltas": "2*e_2",
+         "residual": "-2*e_2", "violated": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _BYTE_GOLDENS)
+def test_output_bytes_golden(tmp_path, name):
+    """Exact stdout bytes, text and JSON; the JSON comparison is on the
+    printed text, so key order and layout are pinned too."""
+    argv, table, text, payload = _BYTE_GOLDENS[name]
+    path = tmp_path / "map.json"
+    if table is not None:
+        path.write_text(json.dumps(table))
+    argv = [str(path) if arg == "MAP" else arg for arg in argv]
+    assert run(argv) == (0, text, "")
+    assert run(argv + ["--format", "json"]) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
 def test_twolocal_verify_cli(tmp_path):
     pairs = {
         "algebra": "thin",
