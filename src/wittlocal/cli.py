@@ -67,15 +67,13 @@ def _format_terms(vector: SparseVector) -> str:
     return format_element(Element(Algebra.WITT, vector))
 
 
-def _subspace_text(space: Subspace) -> str:
-    if space.dim == 0:
-        return "dim=0; basis: -"
-    body = ", ".join(_format_terms(v) for v in space.basis)
-    return f"dim={space.dim}; basis: {body}"
-
-
 def _subspace_json(space: Subspace) -> dict:
     return {"dim": space.dim, "basis": [_format_terms(v) for v in space.basis]}
+
+
+def _subspace_text(span: dict) -> str:
+    """The text form of a `_subspace_json` dict."""
+    return f"dim={span['dim']}; basis: {', '.join(span['basis']) or '-'}"
 
 
 def _window_json(window: Window) -> dict:
@@ -83,11 +81,25 @@ def _window_json(window: Window) -> dict:
 
 
 def _emit(args, text: str, payload: dict) -> int:
+    """Print the JSON payload or the text, which is built from the payload's
+    own formatted strings."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(text)
     return 0
+
+
+def _emit_verdict(args, payload: dict, noun: str, count: int, where_key: str, where, residual,
+                  fmt) -> int:
+    """Emit a check verdict: `pass (N <noun> checked)` when `where` is None,
+    else `fail at (i, j, ...): residual = R` with R = fmt(residual).  The
+    payload gains the same facts after its own keys."""
+    payload.update({"pass": where is None, f"{noun}_checked": count})
+    if where is None:
+        return _emit(args, f"pass ({count} {noun} checked)", payload)
+    payload.update({where_key: list(where), "residual": fmt(residual)})
+    return _emit(args, f"fail at {tuple(where)}: residual = {payload['residual']}", payload)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -119,17 +131,13 @@ def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
 def _cmd_bracket(args) -> int:
     x = parse_element(args.x, args.algebra)
     y = parse_element(args.y, args.algebra)
-    result = bracket(x, y)
-    return _emit(
-        args,
-        format_element(result),
-        {
-            "algebra": args.algebra.value,
-            "x": format_element(x),
-            "y": format_element(y),
-            "result": format_element(result),
-        },
-    )
+    payload = {
+        "algebra": args.algebra.value,
+        "x": format_element(x),
+        "y": format_element(y),
+        "result": format_element(bracket(x, y)),
+    }
+    return _emit(args, payload["result"], payload)
 
 
 def _refuse_above(what: str, value: int, limit: int) -> None:
@@ -151,42 +159,17 @@ def _bounded_window(args, limit: int) -> Window:
 def _cmd_jacobi(args) -> int:
     window = _bounded_window(args, JACOBI_MAX_WINDOW)
     result = jacobi_check(args.algebra, window)
-    count = len(window) ** 3
-    payload = {
-        "algebra": args.algebra.value,
-        "window": _window_json(window),
-        "pass": result.passed,
-        "triples_checked": count,
-    }
-    if result.passed:
-        text = f"pass ({count} triples checked)"
-    else:
-        i, j, k = result.counterexample
-        res = _format_terms(result.residual)
-        text = f"fail at ({i}, {j}, {k}): residual = {res}"
-        payload["counterexample"] = [i, j, k]
-        payload["residual"] = res
-    return _emit(args, text, payload)
+    payload = {"algebra": args.algebra.value, "window": _window_json(window)}
+    return _emit_verdict(args, payload, "triples", len(window) ** 3, "counterexample",
+                         result.counterexample, result.residual, _format_terms)
 
 
 def _cmd_leibniz(args) -> int:
     table = _load_map(args.map, args.algebra)
     result = derivations.leibniz_check(table, args.depth)
-    payload = {
-        "algebra": args.algebra.value,
-        "depth": args.depth,
-        "pass": result.passed,
-        "pairs_checked": result.pairs_checked,
-    }
-    if result.passed:
-        text = f"pass ({result.pairs_checked} pairs checked)"
-    else:
-        i, j = result.pair
-        res = format_element(result.residual)
-        text = f"fail at ({i}, {j}): residual = {res}"
-        payload["pair"] = [i, j]
-        payload["residual"] = res
-    return _emit(args, text, payload)
+    payload = {"algebra": args.algebra.value, "depth": args.depth}
+    return _emit_verdict(args, payload, "pairs", result.pairs_checked, "pair", result.pair,
+                         result.residual, format_element)
 
 
 def _cmd_extend(args) -> int:
@@ -216,28 +199,21 @@ def _cmd_der_basis(args) -> int:
     if args.depth is not None:
         _refuse_above("depth", args.depth, DER_BASIS_MAX_DEPTH)
     space = derivations.derivation_space_basis(args.algebra, args.support, args.depth)
-    lines = [f"dim={space.dim}", "coordinates: " + ", ".join(space.coordinates)]
-    basis_json = []
-    for n, vec in enumerate(space.space.basis, start=1):
+    basis = []
+    for vec in space.space.basis:
         e1, e2 = space.generator_images(vec)
-        lines.append(f"[{n}] e1 = {format_element(e1)}; e2 = {format_element(e2)}")
-        basis_json.append(
-            {
-                "coords": [
-                    [space.coordinates[pos], format_rational(c)] for pos, c in vec.items()
-                ],
-                "e1": format_element(e1),
-                "e2": format_element(e2),
-            }
-        )
+        coords = [[space.coordinates[pos], format_rational(c)] for pos, c in vec.items()]
+        basis.append({"coords": coords, "e1": format_element(e1), "e2": format_element(e2)})
     payload = {
         "algebra": args.algebra.value,
         "support_bound": space.support_bound,
         "depth": space.depth,
         "dim": space.dim,
         "coordinates": space.coordinates,
-        "basis": basis_json,
+        "basis": basis,
     }
+    lines = [f"dim={space.dim}", "coordinates: " + ", ".join(space.coordinates)]
+    lines += [f"[{n}] e1 = {b['e1']}; e2 = {b['e2']}" for n, b in enumerate(basis, start=1)]
     return _emit(args, "\n".join(lines), payload)
 
 
@@ -249,11 +225,8 @@ def _cmd_recover_inner(args) -> int:
         a = derivations.recover_inner_witt(table)
     else:
         raise _UsageError(f"recover-inner handles witt and wplus, not {args.algebra}")
-    return _emit(
-        args,
-        f"a = {format_element(a)}",
-        {"algebra": a.algebra.value, "element": format_element(a)},
-    )
+    payload = {"algebra": a.algebra.value, "element": format_element(a)}
+    return _emit(args, f"a = {payload['element']}", payload)
 
 
 def _cmd_centralizer(args) -> int:
@@ -266,19 +239,13 @@ def _cmd_centralizer(args) -> int:
         "window": _window_json(window),
         **_subspace_json(space),
     }
-    return _emit(args, _subspace_text(space), payload)
+    return _emit(args, _subspace_text(payload), payload)
 
 
 def _cmd_rigidity(args) -> int:
     window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
     x = parse_element(args.element, args.algebra)
     trace = twolocal.rigidity_check(args.algebra, x, window)
-    lines = [f"target = {format_element(x)}"]
-    lines.append("probes: " + ", ".join(f"e_{p}" for p in trace.probes))
-    for p, space in zip(trace.probes, trace.forced):
-        lines.append(f"probe e_{p}: {_subspace_text(space)}")
-    lines.append(f"intersection: {_subspace_text(trace.intersection)}")
-    lines.append(f"rigid = {str(trace.rigid).lower()}")
     payload = {
         "algebra": args.algebra.value,
         "target": format_element(x),
@@ -290,6 +257,11 @@ def _cmd_rigidity(args) -> int:
         "intersection": _subspace_json(trace.intersection),
         "rigid": trace.rigid,
     }
+    lines = [f"target = {payload['target']}"]
+    lines.append("probes: " + ", ".join(f"e_{p}" for p in trace.probes))
+    lines += [f"probe e_{f['probe']}: {_subspace_text(f)}" for f in payload["forced"]]
+    lines.append(f"intersection: {_subspace_text(payload['intersection'])}")
+    lines.append(f"rigid = {str(trace.rigid).lower()}")
     return _emit(args, "\n".join(lines), payload)
 
 
@@ -344,23 +316,21 @@ def _cmd_twolocal_additivity(args) -> int:
     x = parse_element("e_1 + e_2", Algebra.THIN)
     y = parse_element("-e_1 + e_2", Algebra.THIN)
     outcome = twolocal.additivity_violation(twolocal.thin_delta, x, y)
-    delta_of_sum = twolocal.thin_delta(x + y)
-    sum_of_deltas = twolocal.thin_delta(x) + twolocal.thin_delta(y)
-    lines = [
-        f"x = {format_element(x)}",
-        f"y = {format_element(y)}",
-        f"delta(x + y) = {format_element(delta_of_sum)}",
-        f"delta(x) + delta(y) = {format_element(sum_of_deltas)}",
-        f"violated = {str(outcome.violated).lower()}",
-    ]
     payload = {
         "x": format_element(x),
         "y": format_element(y),
-        "delta_of_sum": format_element(delta_of_sum),
-        "sum_of_deltas": format_element(sum_of_deltas),
+        "delta_of_sum": format_element(outcome.delta_of_sum),
+        "sum_of_deltas": format_element(outcome.sum_of_deltas),
         "residual": format_element(outcome.residual),
         "violated": outcome.violated,
     }
+    lines = [
+        f"x = {payload['x']}",
+        f"y = {payload['y']}",
+        f"delta(x + y) = {payload['delta_of_sum']}",
+        f"delta(x) + delta(y) = {payload['sum_of_deltas']}",
+        f"violated = {str(outcome.violated).lower()}",
+    ]
     return _emit(args, "\n".join(lines), payload)
 
 

@@ -105,13 +105,16 @@ def verify_pair(delta: DeltaMap, cert: WitnessCertificate) -> PairVerification:
 class AdditivityResult:
     violated: bool
     residual: Element
+    delta_of_sum: Element
+    sum_of_deltas: Element
 
 
 def additivity_violation(delta: DeltaMap, x: Element, y: Element) -> AdditivityResult:
     """Residual delta(x+y) - delta(x) - delta(y); nonzero residual means
     delta is not additive (hence not a derivation)."""
-    residual = delta(x + y) - delta(x) - delta(y)
-    return AdditivityResult(not residual.is_zero(), residual)
+    delta_of_sum, sum_of_deltas = delta(x + y), delta(x) + delta(y)
+    residual = delta_of_sum - sum_of_deltas
+    return AdditivityResult(not residual.is_zero(), residual, delta_of_sum, sum_of_deltas)
 
 
 def centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
