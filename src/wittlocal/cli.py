@@ -39,8 +39,16 @@ DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
 # Largest `extend` truncation.  Checking every cross relation is quadratic:
-# thin takes about 1.8 s at 1000 and 16 s at 3000.
+# thin takes about 1.8 s at 1000 and 16 s at 3000.  Each shift s of the
+# generator images (D(e_k) = c e_{k+s}) repeats that work, so shifts *
+# truncation^2 above EXTEND_MAX_TRUNCATION^2 is refused too.
 EXTEND_MAX_TRUNCATION = 1000
+
+# Most term products one `bracket` multiplies (terms of x times terms of y),
+# about 9 us each.  `centralizer` and `rigidity` bracket the element with
+# every window index, so their bound is on terms * window: at 16 terms on
+# -3000:3000 (96016 products) they take about 2.9 s and 2.2 s.
+BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  The witness tabulates
 # every index up to it: 6001 takes about 0.3 s and prints 131 KB of JSON.
@@ -81,8 +89,7 @@ def _window_json(window: Window) -> dict:
 
 
 def _emit(args, text: str, payload: dict) -> int:
-    """Print the JSON payload or the text, which is built from the payload's
-    own formatted strings."""
+    """Print the JSON payload, or the text made from the payload's strings."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -131,6 +138,7 @@ def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
 def _cmd_bracket(args) -> int:
     x = parse_element(args.x, args.algebra)
     y = parse_element(args.y, args.algebra)
+    _refuse_above("term products", len(x.coeffs) * len(y.coeffs), BRACKET_MAX_PRODUCTS)
     payload = {
         "algebra": args.algebra.value,
         "x": format_element(x),
@@ -176,6 +184,9 @@ def _cmd_extend(args) -> int:
     _refuse_above("truncation", args.truncation, EXTEND_MAX_TRUNCATION)
     img_e1 = parse_element(args.e1, args.algebra)
     img_e2 = parse_element(args.e2, args.algebra)
+    derivations.require_generated(args.algebra)
+    shifts = max(1, len({i - 1 for i in img_e1.support()} | {i - 2 for i in img_e2.support()}))
+    _refuse_above("shifts * truncation^2", shifts * args.truncation**2, EXTEND_MAX_TRUNCATION**2)
     outcome = derivations.extend_from_generators(args.algebra, img_e1, img_e2, args.truncation)
     if isinstance(outcome, derivations.InconsistentExtension):
         i, j = outcome.relation
@@ -232,6 +243,8 @@ def _cmd_recover_inner(args) -> int:
 def _cmd_centralizer(args) -> int:
     window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
     t = parse_element(args.element, args.algebra)
+    args.algebra.require_window(window)
+    _refuse_above("term products", len(t.coeffs) * len(window), BRACKET_MAX_PRODUCTS)
     space = twolocal.centralizer(args.algebra, t, window)
     payload = {
         "algebra": args.algebra.value,
@@ -245,6 +258,8 @@ def _cmd_centralizer(args) -> int:
 def _cmd_rigidity(args) -> int:
     window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
     x = parse_element(args.element, args.algebra)
+    twolocal.rigidity_probes(args.algebra, x, window)
+    _refuse_above("term products", len(x.coeffs) * len(window), BRACKET_MAX_PRODUCTS)
     trace = twolocal.rigidity_check(args.algebra, x, window)
     payload = {
         "algebra": args.algebra.value,

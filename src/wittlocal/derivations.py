@@ -159,7 +159,8 @@ class InconsistentExtension:
         return f"inconsistent at ({i}, {j}): residual = {format_element(self.residual)}"
 
 
-def _generated_algebra(algebra: Algebra) -> None:
+def require_generated(algebra: Algebra) -> None:
+    """Raise unless generator extension handles the algebra (wplus, thin)."""
     if algebra not in (Algebra.WPLUS, Algebra.THIN):
         raise ValueError(f"{algebra} is not handled by generator extension")
 
@@ -264,7 +265,7 @@ def extend_from_generators(
     exactly.  A disagreement is a semantic outcome, not an error: the first
     failing relation is reported with its residual summed over all shifts.
     """
-    _generated_algebra(algebra)
+    require_generated(algebra)
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
     if img_e1.algebra is not algebra or img_e2.algebra is not algebra:
@@ -331,7 +332,7 @@ def derivation_space_basis(
     For thin, beta_1 is solved for as well and must come out zero; it is not
     a reported coordinate.
     """
-    _generated_algebra(algebra)
+    require_generated(algebra)
     if support_bound < 1:
         raise ValueError("support bound must be at least 1")
     n = support_bound

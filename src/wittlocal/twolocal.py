@@ -181,12 +181,17 @@ class RigidityTrace:
         return self.intersection.dim == 0
 
 
-def _rigidity_from_probes(
-    algebra: Algebra, x: Element, probes: list[int], window: Window
-) -> RigidityTrace:
+def _require_probes(algebra: Algebra, probes: list[int], window: Window) -> list[int]:
     for p in probes:
         if p not in window:
             raise WindowTooSmall(f"witness window {window} misses probe index {p}")
+    _witness_algebra(algebra).require_window(window)  # as `centralizer` would, up front
+    return probes
+
+
+def _rigidity_from_probes(
+    algebra: Algebra, x: Element, probes: list[int], window: Window
+) -> RigidityTrace:
     spaces = [forced_image_space(algebra, p, x, window) for p in probes]
     hull_indices = [i for s in spaces for i in (s.window.lo, s.window.hi)]
     hull = Window(min(hull_indices), max(hull_indices))
@@ -197,8 +202,8 @@ def _rigidity_from_probes(
     return RigidityTrace(x, probes, spaces, meet)
 
 
-def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrace:
-    """Rigidity for an arbitrary nonzero target.
+def rigidity_probes(algebra: Algebra, x: Element, window: Window) -> list[int]:
+    """The probes of `rigidity_check`, once its inputs pass its checks.
 
     Probes are the lowest generator index (0 for witt, 1 for wplus) plus
     one index beyond twice the target's support bound, so the two forced
@@ -211,8 +216,12 @@ def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrac
     if x.is_zero():
         raise ValueError("rigidity target must be nonzero")
     far = 2 * x.support_bound() + 1
-    probes = [0, far] if algebra is Algebra.WITT else [1, far]
-    return _rigidity_from_probes(algebra, x, probes, window)
+    return _require_probes(algebra, [0, far] if algebra is Algebra.WITT else [1, far], window)
+
+
+def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrace:
+    """Rigidity for an arbitrary nonzero target, at its `rigidity_probes`."""
+    return _rigidity_from_probes(algebra, x, rigidity_probes(algebra, x, window), window)
 
 
 def basis_rigidity_check(algebra: Algebra, i: int, window: Window) -> RigidityTrace:
@@ -222,11 +231,11 @@ def basis_rigidity_check(algebra: Algebra, i: int, window: Window) -> RigidityTr
     if algebra is Algebra.WITT:
         if i in (0, 1):
             raise ValueError("witt basis rigidity applies to indices other than 0 and 1")
-        probes = [0, 1]
+        probes = _require_probes(algebra, [0, 1], window)
     elif algebra is Algebra.WPLUS:
         if i < 3:
             raise ValueError("wplus basis rigidity applies to indices 3 and up")
-        probes = [1, 2]
+        probes = _require_probes(algebra, [1, 2], window)
     else:
         raise ValueError(f"rigidity is implemented for witt and wplus, not {algebra}")
     return _rigidity_from_probes(algebra, Element.basis(algebra, i), probes, window)

@@ -13,6 +13,7 @@ import pytest
 import wittlocal
 from wittlocal import Algebra, Element, JacobiResult, SparseVector, Window, ad, cli, table_to_json
 from wittlocal.cli import (
+    BRACKET_MAX_PRODUCTS,
     CENTRALIZER_MAX_WINDOW,
     DER_BASIS_MAX_DEPTH,
     DER_BASIS_MAX_SUPPORT,
@@ -437,28 +438,53 @@ def test_twolocal_verify_rejects_non_string_pair(tmp_path):
         code, out, err = run(["two-local", "verify", "--pairs", str(path)])
         assert (code, out) == (2, "")
         assert err == "error: pair 1 is not a list of two element strings\n"
+    path.write_text(json.dumps({"algebra": "thin", "pairs": {}}))
+    assert run(["two-local", "verify", "--pairs", str(path)]) == (
+        2,
+        "",
+        'error: pairs file must carry a list under "pairs"\n',
+    )
 
 
 _MAP = '{"algebra": "wplus", "truncation": {"min": 1, "max": 2}, "images": {%s}}'
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, line",
     [
-        _MAP % '"1": [[2, "1"]], "2": [], "01": []',  # "01" aliases "1"
-        _MAP % '"1": [[2, "1"]], "2": [], "2": [[3, "1"]]',  # literal duplicate
-        _MAP.replace('"min": 1', '"min": true') % '"1": [], "2": []',
-        _MAP % '"1": [[true, "1"]], "2": []',
-        _MAP.replace('"max": 2', '"max": 2.9') % '"1": [], "2": []',
+        (  # "01" aliases "1"
+            _MAP % '"1": [[2, "1"]], "2": [], "01": []',
+            "non-canonical image key '01' (expected '1')",
+        ),
+        (  # literal duplicate
+            _MAP % '"1": [[2, "1"]], "2": [], "2": [[3, "1"]]',
+            "duplicate JSON keys ['2']",
+        ),
+        (
+            _MAP.replace('"min": 1', '"min": true') % '"1": [], "2": []',
+            "truncation bounds [True, 2] are not integers",
+        ),
+        (_MAP % '"1": [[true, "1"]], "2": []', "image term index True is not an integer"),
+        (
+            _MAP.replace('"max": 2', '"max": 2.9') % '"1": [], "2": []',
+            "truncation bounds [1, 2.9] are not integers",
+        ),
+        (_MAP.replace(', "images": {%s}', ""), "malformed map JSON: 'images'"),
+        (_MAP.replace("{%s}", "[]"), "map JSON images must be an object"),
+        (_MAP % '"1": [[2]], "2": []', "image term [2] is not an [index, rational] pair"),
     ],
-    ids=["aliased-key", "duplicate-key", "bool-bound", "bool-index", "float-bound"],
+    ids=[
+        "aliased-key", "duplicate-key", "bool-bound", "bool-index", "float-bound",
+        "no-images", "images-list", "short-term",
+    ],
 )
-def test_malformed_map_exits_2(tmp_path, text):
+def test_malformed_map_exits_2(tmp_path, text, line):
     path = tmp_path / "map.json"
     path.write_text(text)
     code, out, err = run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {line}\n"
 
 
 def test_jacobi_refuses_wide_window():
@@ -502,6 +528,69 @@ def test_extend_refuses_long_truncation():
         "",
         f"error: truncation {truncation} is above the limit {EXTEND_MAX_TRUNCATION}\n",
     )
+
+
+def test_extend_refuses_many_shifts_at_long_truncation():
+    """Each shift s of the generator images (D(e_k) = c e_{k+s}) repeats the
+    quadratic cross-relation check, so shifts * truncation^2 is bounded."""
+    limit = EXTEND_MAX_TRUNCATION**2
+    forty = " + ".join(f"e_{k}" for k in range(1, 41))  # shifts 0..39
+    start = time.perf_counter()
+    for algebra, e1, e2, truncation, shifts in [
+        ("wplus", "e_1 + e_2", "2*e_2", EXTEND_MAX_TRUNCATION, 2),
+        ("thin", "e_1", "e_2 + e_3", EXTEND_MAX_TRUNCATION, 2),
+        ("wplus", forty, "0", 159, 40),  # 158 would be 998560, inside the limit
+    ]:
+        argv = ["extend", "--algebra", algebra, "--e1", e1, "--e2", e2, "--truncation"]
+        assert run(argv + [str(truncation)]) == (
+            3,
+            "",
+            f"error: shifts * truncation^2 {shifts * truncation**2} is above the limit {limit}\n",
+        )
+    # an algebra generator extension does not handle keeps its message
+    argv = ["extend", "--algebra", "witt", "--e1", "e_1 + e_2", "--e2", "e_2", "--truncation"]
+    assert run(argv + [str(EXTEND_MAX_TRUNCATION)]) == (
+        3,
+        "",
+        "error: witt is not handled by generator extension\n",
+    )
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bracket_refuses_many_term_products():
+    m = 11
+    n = BRACKET_MAX_PRODUCTS // m + 1
+    x = " + ".join(f"e_{k}" for k in range(m))
+    y = " + ".join(f"e_{k}" for k in range(n))
+    start = time.perf_counter()
+    assert run(["bracket", "--algebra", "witt", x, y]) == (
+        3,
+        "",
+        f"error: term products {m * n} is above the limit {BRACKET_MAX_PRODUCTS}\n",
+    )
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("command", ["centralizer", "rigidity"])
+def test_centralizer_and_rigidity_refuse_many_term_products(command):
+    """Both bracket the element with every window index: terms * window is
+    bounded like a bracket's term products, after the library's own checks."""
+    terms = BRACKET_MAX_PRODUCTS // CENTRALIZER_MAX_WINDOW + 1
+    half = CENTRALIZER_MAX_WINDOW // 2
+    window = f"-{half}:{half}"
+    element = " + ".join(f"e_{k}" for k in range(1, terms + 1))
+    argv = [command, "--algebra", "witt", "--element", element, "--window", window]
+    start = time.perf_counter()
+    assert run(argv) == (
+        3,
+        "",
+        f"error: term products {terms * (2 * half + 1)} is above the limit "
+        f"{BRACKET_MAX_PRODUCTS}\n",
+    )
+    argv[2] = "wplus"  # the window leaves the domain of wplus and its witnesses
+    domain = "wplus_ext" if command == "rigidity" else "wplus"
+    assert run(argv) == (3, "", f"error: window {window} leaves the {domain} index domain\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_twolocal_verify_refuses_large_index(tmp_path):
