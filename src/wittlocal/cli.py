@@ -24,7 +24,9 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 
 
 # Widest window `jacobi` accepts: W^3 ordered triples, of which about W^3/6
-# (1.3 M at W = 200) are evaluated.  Wider windows are refused up front.
+# (1.3 M at W = 200) are evaluated, each from a table of integer structure
+# constants; W = 200 takes 0.4-0.6 s per algebra.  Wider windows are refused
+# up front.
 JACOBI_MAX_WINDOW = 200
 
 # Widest window `centralizer` and `rigidity` accept.  Elimination on a W-index

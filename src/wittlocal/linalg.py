@@ -260,10 +260,15 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces declared over the same window.
 
     Computed as the orthogonal complement of the sum of the two orthogonal
-    complements, which stays inside the shared window.
+    complements, which stays inside the shared window.  Spans whose
+    coordinate supports are disjoint meet only in zero, which needs no
+    elimination.
     """
     if a.window != b.window:
         raise ValueError(f"window mismatch: {a.window} vs {b.window}")
+    a_support = {i for v in a.basis for i in v._entries}
+    if a_support.isdisjoint(i for v in b.basis for i in v._entries):
+        return Subspace([], a.window)
     a_perp = kernel_basis(a.basis, a.window)
     b_perp = kernel_basis(b.basis, b.window)
     return kernel_basis(a_perp.basis + b_perp.basis, a.window)

@@ -120,8 +120,7 @@ def additivity_violation(delta: DeltaMap, x: Element, y: Element) -> AdditivityR
 def centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
     """All elements a supported in the window with [a, t] = 0, as a
     canonical subspace over the window's coordinates."""
-    if not algebra.contains_index(window.lo):
-        raise WindowTooSmall(f"window {window} leaves the {algebra} index domain")
+    algebra.require_window(window)
     t = t.in_algebra(algebra)
     rule = algebra.basis_rule
     rows_by_grade: dict[int, dict[int, Fraction]] = {}

@@ -152,6 +152,13 @@ def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, trun
     return images, None
 
 
+def complement_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection of two subspaces over one window as the complement of
+    the sum of their complements, with no shortcut for disjoint supports."""
+    a_perp, b_perp = kernel_basis(a.basis, a.window), kernel_basis(b.basis, b.window)
+    return kernel_basis(a_perp.basis + b_perp.basis, a.window)
+
+
 def reference_jacobi(algebra: Algebra, window, rule=None):
     """The ordered-triple Jacobi scan: every (i, j, k) in the window, in
     lexicographic order, with no use of antisymmetry.  Returns

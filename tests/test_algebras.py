@@ -20,6 +20,8 @@ from wittlocal import (
     parse_element,
 )
 
+from wittlocal.algebras import _graded_table
+
 from helpers import rand_element, reference_jacobi
 
 
@@ -206,6 +208,57 @@ def test_jacobi_matches_ordered_reference():
         if rule not in (None, _diagonal_defect, _asymmetric_pair) and not result.passed:
             sorted_failures += 1
     assert sorted_failures >= 10
+
+
+def _signed_witt(rng, lo, hi):
+    """The witt rule conjugated by random signs e_n -> s_n e_n: an integer,
+    antisymmetric, graded Lie bracket, K(i,j) = (j-i) s_i s_j s_{i+j}."""
+    signs = {n: rng.choice((1, -1)) for n in range(3 * lo - 1, 3 * hi + 2)}
+    return {(i, j): (j - i) * signs[i] * signs[j] * signs[i + j]
+            for i in range(lo, hi + 1) for j in range(2 * lo - 1, 2 * hi + 2)}
+
+
+def _table_rule(table, extra):
+    """Graded rule reading K off a table (zero off it), plus extra terms."""
+
+    def rule(i, j):
+        k = table.get((i, j), -table.get((j, i), 0))
+        return ([(i + j, k)] if k else []) + extra.get((i, j), [])
+
+    return rule
+
+
+def test_jacobi_graded_table_matches_ordered_reference():
+    # seeded rules on windows that cross 0: antisymmetric signed-witt tables
+    # with one planted antisymmetric defect, tables made non-antisymmetric
+    # at one pair, and tables whose only off-grade term is on an outer pair
+    # (a window index with a sum of two, outside the window)
+    rng = Random(89)
+    failures = 0
+    for n in range(45):
+        lo, hi = rng.randint(-5, -1), rng.randint(1, 5)
+        window = Window(lo, hi)
+        table = _signed_witt(rng, lo, hi)
+        p, q = rng.sample(range(lo, hi + 1), 2)
+        kind = n % 3
+        extra = {}
+        if kind == 0:
+            d = rng.choice((1, -1, 2))
+            table[p, q] += d
+            table[q, p] -= d
+        elif kind == 1:
+            table[p, q] += rng.choice((1, -1, 2))
+        else:
+            m = rng.choice([m for m in range(2 * lo, 2 * hi + 1) if m not in window])
+            extra[p, m] = [(p + m + 1, rng.randint(1, 3))]
+        rule = _table_rule(table, extra)
+        result = jacobi_check(Algebra.WITT, window, rule=rule)
+        assert (result.passed, result.counterexample, result.residual) == reference_jacobi(
+            Algebra.WITT, window, rule
+        )
+        assert (_graded_table(rule, window) is None) == (kind == 2)
+        failures += not result.passed
+    assert failures >= 10
 
 
 def test_parse_format_round_trip():

@@ -16,7 +16,7 @@ from wittlocal import (
     subspace_intersection,
 )
 
-from helpers import dot, full_subspace, in_span
+from helpers import complement_intersection, dot, full_subspace, in_span
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
@@ -213,6 +213,36 @@ def test_intersection_properties():
         for v in meet.basis:
             assert in_span(a, v) and in_span(b, v)
         assert meet.dim >= a.dim + b.dim - len(win)
+
+
+def test_intersection_matches_complement_route():
+    # spans on disjoint coordinate sets take the zero shortcut; the others,
+    # half of them sharing a planted direction, run the complement route
+    rng = Random(71)
+    win = Window(-4, 7)
+    disjoint = shared = 0
+    for n in range(60):
+        cols = list(win.indices())
+        rng.shuffle(cols)
+        cut = rng.randint(1, len(cols) - 1)
+        pools = (cols[:cut], cols[cut:]) if n % 2 else (cols, cols)
+        a_vecs, b_vecs = (
+            [
+                SparseVector({rng.choice(pool): rng.randint(-3, 3) for _ in range(3)})
+                for _ in range(rng.randint(0, 4))
+            ]
+            for pool in pools
+        )
+        if n % 2 == 0 and a_vecs:
+            b_vecs.append(a_vecs[0].scale(rng.randint(1, 3)) + a_vecs[-1])
+        a, b = Subspace(a_vecs, win), Subspace(b_vecs, win)
+        meet = subspace_intersection(a, b)
+        expected = complement_intersection(a, b)
+        assert (meet.basis, meet.window) == (expected.basis, expected.window)
+        supports = [{i for v in s.basis for i in v.support()} for s in (a, b)]
+        disjoint += supports[0].isdisjoint(supports[1])
+        shared += meet.dim > 0
+    assert disjoint >= 25 and shared >= 15
 
 
 def test_solutions_satisfy_their_systems():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wittlocal import (
     Algebra,
     Element,
+    IndexOutOfDomain,
     SparseVector,
     Window,
     WindowTooSmall,
@@ -171,7 +172,7 @@ def test_centralizer_examples():
 
 
 def test_centralizer_window_guard():
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(IndexOutOfDomain, match=r"^window 0:5 leaves the wplus index domain$"):
         centralizer(Algebra.WPLUS, parse_element("e_1", Algebra.WPLUS), Window(0, 5))
 
 
