@@ -31,6 +31,8 @@ from .linalg import Rational, SparseVector, Window, format_rational
 
 # basis rule: (i, j) -> list of (index, integer coefficient) of [e_i, e_j]
 BasisRule = Callable[[int, int], list[tuple[int, int]]]
+# structure constant: (i, j) -> K(i, j), with [e_i, e_j] = K(i, j) e_{i+j}
+Constant = Callable[[int, int], int]
 
 
 def _witt_rule(i: int, j: int) -> list[tuple[int, int]]:
@@ -43,6 +45,18 @@ def _thin_rule(i: int, j: int) -> list[tuple[int, int]]:
     if j == 1 and i >= 2:
         return [(i + 1, -1)]
     return []
+
+
+# Closed forms of the rules above, defined on every integer pair as the rules
+# are (the per-shift kernels read K off the index domain, e.g. K(0, k)).
+def _witt_constant(i: int, j: int) -> int:
+    return j - i
+
+
+def _thin_constant(i: int, j: int) -> int:
+    if i == 1:
+        return 1 if j >= 2 else 0
+    return -1 if j == 1 and i >= 2 else 0
 
 
 class Algebra(enum.Enum):
@@ -70,6 +84,12 @@ class Algebra(enum.Enum):
     @property
     def basis_rule(self) -> BasisRule:
         return _thin_rule if self is Algebra.THIN else _witt_rule
+
+    @property
+    def constant(self) -> Constant:
+        """K(i, j) as a plain integer function: every rule is graded and
+        monomial, so `basis_rule(i, j)` is K(i, j) e_{i+j} (empty when 0)."""
+        return _thin_constant if self is Algebra.THIN else _witt_constant
 
     @classmethod
     def from_name(cls, name: str) -> Algebra:
@@ -197,21 +217,29 @@ def jacobi_check(algebra: Algebra, window: Window, rule: BasisRule | None = None
     with an integer K.  Then [e_i,[e_j,e_k]] = K(j,k) K(i,j+k) e_{i+j+k}, and
     the other two terms land on the same basis vector, so a triple's
     residual is one integer times e_{i+j+k}:
-    K(j,k)K(i,j+k) + K(k,i)K(j,k+i) + K(i,j)K(k,i+j).  Such a rule is read
-    once into an integer table of K (`_graded_table`, about 2W^2 rule
-    calls), and each triple then costs three products of list entries and
-    no rule call.  A rule with a term outside grade a+m on the table's
-    pairs gets the generic scan, which brackets every triple through it.
+    K(j,k)K(i,j+k) + K(k,i)K(j,k+i) + K(i,j)K(k,i+j).  The built-in rule's
+    K (`Algebra.constant`), or an injected rule that is monomial on every
+    pair the table covers (`_graded_table`), fills one integer table; the
+    antisymmetry test then reads K(i,j) = -K(j,i) off it, and each triple
+    costs three products of list entries and no rule call.  Any other
+    injected rule gets the term-by-term antisymmetry test and the generic
+    scan, which brackets every triple through it.
     """
     algebra.require_window(window)
-    rule = rule or algebra.basis_rule
     idx = window.indices()
+    if rule is None:
+        constant, grades = algebra.constant, _table_grades(window)
+        table = [[constant(a, m) for m in grades] for a in idx]
+    else:
+        table = _graded_table(rule, window)
+    lo, off = window.lo, min(window.lo, 2 * window.lo)
     pairs = itertools.combinations_with_replacement(idx, 2)
-    alternating = all(rule(i, j) == [(k, -c) for k, c in rule(j, i)] for i, j in pairs)
+    if table is None:
+        alternating = all(rule(i, j) == [(k, -c) for k, c in rule(j, i)] for i, j in pairs)
+    else:
+        alternating = all(table[i - lo][j - off] == -table[j - lo][i - off] for i, j in pairs)
     triples = itertools.combinations(idx, 3) if alternating else itertools.product(idx, repeat=3)
-    table = _graded_table(rule, window)
     if table is not None:
-        lo, off = window.lo, min(window.lo, 2 * window.lo)
         for i, j, k in triples:
             ki, kj, kk = table[i - lo], table[j - lo], table[k - lo]
             r = (kj[k - off] * ki[j + k - off] + kk[i - off] * kj[k + i - off]
@@ -230,23 +258,31 @@ def jacobi_check(algebra: Algebra, window: Window, rule: BasisRule | None = None
     return JacobiResult(True)
 
 
+def _table_grades(window: Window) -> range:
+    """m from min(lo, 2lo) to max(hi, 2hi): with a in the window, (a, m)
+    covers every pair a Jacobi triple brackets, inner (two window indices)
+    or outer (a window index and a sum of two)."""
+    return range(min(window.lo, 2 * window.lo), max(window.hi, 2 * window.hi) + 1)
+
+
 def _graded_table(rule: BasisRule, window: Window) -> list[list[int]] | None:
-    """K(a, m) at table[a - lo][m - off] for a in the window and m from
-    off = min(lo, 2lo) to max(hi, 2hi): every pair a Jacobi triple brackets,
-    inner (two window indices) or outer (a window index and a sum of two).
-    K(a, m) sums the rule's coefficients; None once a term leaves grade a+m.
-    """
-    grades = range(min(window.lo, 2 * window.lo), max(window.hi, 2 * window.hi) + 1)
+    """K(a, m) at table[a - lo][m - min(lo, 2lo)] for a in the window and m
+    in `_table_grades`, read off the rule; None once a call returns more than
+    one term, a zero coefficient, or a term outside grade a+m.  On the table
+    the rule is then ([(a+m, K(a, m))] if K(a, m) else []), so the term-wise
+    antisymmetry test is K(i, j) == -K(j, i)."""
+    grades = _table_grades(window)
     table = []
     for a in window.indices():
         row = []
         for m in grades:
-            c = 0
-            for h, t in rule(a, m):
-                if h != a + m:
-                    return None
-                c += t
-            row.append(c)
+            terms = rule(a, m)
+            if not terms:
+                row.append(0)
+                continue
+            if len(terms) > 1 or terms[0][0] != a + m or not terms[0][1]:
+                return None
+            row.append(terms[0][1])
         table.append(row)
     return table
 

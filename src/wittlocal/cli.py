@@ -25,8 +25,8 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 
 # Widest window `jacobi` accepts: W^3 ordered triples, of which about W^3/6
 # (1.3 M at W = 200) are evaluated, each from a table of integer structure
-# constants; W = 200 takes 0.4-0.6 s per algebra.  Wider windows are refused
-# up front.
+# constants; W = 200 takes 0.33-0.48 s per algebra.  Wider windows are
+# refused up front.
 JACOBI_MAX_WINDOW = 200
 
 # Widest window `centralizer` and `rigidity` accept.  Elimination on a W-index
@@ -35,10 +35,19 @@ JACOBI_MAX_WINDOW = 200
 CENTRALIZER_MAX_WINDOW = 6001
 
 # Largest `der-basis` support bound and consistency depth.  The solve grows
-# like support * depth^2 and takes about 2 s at support 64 with its default
-# depth 2*64+3, the depth cap.  Larger values are refused up front.
+# like support * depth^2 and takes about 0.8 s (wplus) and 0.5 s (thin) at
+# support 64 with its default depth 2*64+3, the depth cap.  Larger values are
+# refused up front.
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
+
+# Largest `leibniz` work, shifts * (pairs + window): one residual per checked
+# pair and shift s of the map (D(e_k) = c e_{k+s}), plus the per-shift split
+# of the table, one entry per window index and shift.  At the limit a
+# one-shift map (D(e_k) = k e_k, 3 M pairs) takes about 1.8 s and 1731
+# shifts at depth 1 about 0.8 s; D(e_k) = k e_k on 1:4000 at depth 4000
+# (4 M pairs, about 2.5 s) is refused.
+LEIBNIZ_MAX_WORK = 3000000
 
 # Largest `extend` truncation.  Checking every cross relation is quadratic:
 # thin takes about 1.8 s at 1000 and 16 s at 3000.  Each shift s of the
@@ -176,6 +185,10 @@ def _cmd_jacobi(args) -> int:
 
 def _cmd_leibniz(args) -> int:
     table = _load_map(args.map, args.algebra)
+    shifts = max(1, len({g - k for k, image in table.images.items() for g in image.support()}))
+    pairs = sum(len(js) for _, js in derivations.leibniz_pairs(table.window, args.depth))
+    work = shifts * (pairs + len(table.window))
+    _refuse_above("shifts * (pairs + window)", work, LEIBNIZ_MAX_WORK)
     result = derivations.leibniz_check(table, args.depth)
     payload = {"algebra": args.algebra.value, "depth": args.depth}
     return _emit_verdict(args, payload, "pairs", result.pairs_checked, "pair", result.pair,

@@ -134,8 +134,7 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     checked on its own, on its sequence scaled to integers.
     """
     win, alg = table.window, table.algebra
-    lo, hi = max(win.lo, -degree_bound), min(win.hi, degree_bound)
-    rows = [(i, range(max(i, win.lo - i), min(hi, win.hi - i) + 1)) for i in range(lo, hi + 1)]
+    rows = leibniz_pairs(win, degree_bound)
     checked = sum(len(js) for _, js in rows)
     if not checked:
         raise TruncationTooSmall(
@@ -144,6 +143,15 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     pairs = ((i, j) for i, js in rows for j in js)
     failure = _first_violation(alg, _shift_parts(table.images, win), pairs)
     return LeibnizResult(failure is None, checked, *(failure or ()))
+
+
+def leibniz_pairs(window: Window, degree_bound: int) -> list[tuple[int, range]]:
+    """The pairs `leibniz_check` runs over, as rows (i, range of j): O(window)
+    work, so a caller can count them before any is checked."""
+    lo, hi = max(window.lo, -degree_bound), min(window.hi, degree_bound)
+    return [
+        (i, range(max(i, window.lo - i), min(hi, window.hi - i) + 1)) for i in range(lo, hi + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -182,12 +190,6 @@ def _cross_relations(algebra: Algebra, truncation: int):
 # recovery run one shift at a time.
 
 
-def _constant(algebra: Algebra, i: int, j: int) -> int:
-    """Structure constant K(i, j) of [e_i, e_j] = K(i, j) e_{i+j}."""
-    term = algebra.basis_rule(i, j)
-    return term[0][1] if term else 0
-
-
 def _shift_sequence(
     algebra: Algebra, s: int, a: Rational, b: Rational, truncation: int
 ) -> list[Fraction]:
@@ -196,21 +198,12 @@ def _shift_sequence(
 
         c_k = (a K(1+s, k-1) + c_{k-1} K(1, k-1+s)) / K(1, k-1).
     """
+    K = algebra.constant
     a = Fraction(a)
     c = [Fraction(0), a, Fraction(b)]
     for k in range(3, truncation + 1):
-        forced = a * _constant(algebra, 1 + s, k - 1)
-        forced += c[k - 1] * _constant(algebra, 1, k - 1 + s)
-        c.append(forced / _constant(algebra, 1, k - 1))
+        c.append((a * K(1 + s, k - 1) + c[k - 1] * K(1, k - 1 + s)) / K(1, k - 1))
     return c
-
-
-def _shift_residuals(algebra: Algebra, s: int, parts: list, i: int, j: int) -> list[int]:
-    """Per shift-s part c, the grade i+j+s coefficient of D([e_i,e_j]) -
-    [D(e_i),e_j] - [e_i,D(e_j)]; c[i+j] is read only if K(i, j) != 0."""
-    kij = _constant(algebra, i, j)
-    ki, kj = _constant(algebra, i + s, j), _constant(algebra, i, j + s)
-    return [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for c in parts]
 
 
 def _integer_parts(seqs: list[list[Rational]]) -> tuple[int, list[list[int]]]:
@@ -221,14 +214,27 @@ def _integer_parts(seqs: list[list[Rational]]) -> tuple[int, list[list[int]]]:
 
 def _first_violation(algebra: Algebra, parts: dict, pairs: Iterable) -> tuple | None:
     """The first (i, j) of pairs with a nonzero residual at some shift, and that
-    residual summed over the shifts; None if there is none.  Each shift's part
-    is checked scaled to integers and only the failing residual divided back."""
-    scaled = {s: _integer_parts([c]) for s, c in parts.items()}
+    residual summed over the shifts; None if there is none.
+
+    The residual of the shift-s part c at (i, j) is the grade i+j+s
+    coefficient of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]:
+    K(i,j) c[i+j] - c[i] K(i+s,j) - c[j] K(i,j+s), with c[i+j] read only if
+    K(i,j) != 0.  Each part is checked scaled to integers, pairs outer and
+    shifts inner, and only the failing residual is divided back."""
+    K = algebra.constant
+    scaled = [(s, *_integer_parts([c])) for s, c in parts.items()]
     for i, j in pairs:
-        residual = {s: _shift_residuals(algebra, s, c, i, j)[0] for s, (_, c) in scaled.items()}
-        if any(residual.values()):
-            terms = {i + j + s: Fraction(r, scaled[s][0]) for s, r in residual.items()}
-            return (i, j), Element(algebra, terms)
+        kij = K(i, j)
+        for s, _, (c,) in scaled:
+            if (kij * c[i + j] if kij else 0) != c[i] * K(i + s, j) + c[j] * K(i, j + s):
+                terms = {
+                    i + j + t: Fraction(
+                        (kij * d[i + j] if kij else 0) - d[i] * K(i + t, j) - d[j] * K(i, j + t),
+                        den,
+                    )
+                    for t, den, (d,) in scaled
+                }
+                return (i, j), Element(algebra, terms)
     return None
 
 
@@ -247,10 +253,14 @@ def _shift_parts(images: Mapping[int, Element], window: Window) -> dict[int, lis
 def _verified_inner(table: LinearMapTable, a: Element) -> Element:
     """a, once every image is [a, e_k]: per shift m, the e_{k+m} coefficient
     must be a_m K(m, k).  Otherwise NotADerivation names the first bad e_k."""
+    K = a.algebra.constant
     parts, coeffs = _shift_parts(table.images, table.window), dict(a.coeffs.items())
+    checks = [(m, parts.get(m), Fraction(coeffs.get(m, 0))) for m in parts.keys() | coeffs.keys()]
     for k in table.window.indices():
-        for m in parts.keys() | coeffs.keys():
-            if (parts[m][k] if m in parts else 0) != coeffs.get(m, 0) * _constant(a.algebra, m, k):
+        for m, c, a_m in checks:
+            v = c[k] if c else 0
+            # v == a_m K(m, k), cross-multiplied: no Fraction is built
+            if v.numerator * a_m.denominator != a_m.numerator * K(m, k) * v.denominator:
                 raise NotADerivation(f"table is not inner: mismatch at e_{k}")
     return a
 
@@ -345,7 +355,8 @@ def derivation_space_basis(
     coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in range(beta_lo, top[2] + 1)]
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     position = {coord: p for p, coord in enumerate(coords)}
-    relations = list(_cross_relations(algebra, depth))
+    K = algebra.constant
+    relations = [(i, j, K(i, j)) for i, j in _cross_relations(algebra, depth)]
     unit = {1: (1, 0), 2: (0, 1)}
     solutions: list[SparseVector] = []
     for s in range(-1, n):
@@ -353,8 +364,9 @@ def derivation_space_basis(
         seqs = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
         _, parts = _integer_parts(seqs)
         rows = set()
-        for i, j in relations:
-            row = _shift_residuals(algebra, s, parts, i, j)
+        for i, j, kij in relations:  # the residuals of `_first_violation`
+            ki, kj = K(i + s, j), K(i, j + s)
+            row = [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for c in parts]
             if any(row):  # primitive, with a positive first nonzero entry
                 g = math.gcd(*row) if next(filter(None, row)) > 0 else -math.gcd(*row)
                 rows.add(tuple(x // g for x in row))

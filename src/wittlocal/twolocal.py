@@ -26,7 +26,7 @@ from typing import Callable
 
 from .algebras import Algebra, Element, bracket
 from .derivations import LinearMapTable, ThinDerivationParams, thin_derivation
-from .errors import MixedAlgebras, WindowTooSmall
+from .errors import IndexOutOfDomain, MixedAlgebras, WindowTooSmall
 from .linalg import SparseVector, Subspace, Window, kernel_basis, subspace_intersection
 
 DeltaMap = Callable[[Element], Element]
@@ -149,7 +149,7 @@ def forced_image_space(
     """
     walg = _witness_algebra(algebra)
     if not algebra.contains_index(probe):
-        raise WindowTooSmall(f"probe index {probe} outside the {algebra} domain")
+        raise IndexOutOfDomain(f"probe index {probe} outside the {algebra} domain")
     cent = centralizer(walg, Element.basis(walg, probe), window)
     lifted = x.in_algebra(walg)
     images = [bracket(Element(walg, v), lifted).coeffs for v in cent.basis]

@@ -121,6 +121,22 @@ def test_ad_tables():
         assert d1.image(i) == Element(Algebra.WITT, {i + 1: (i - 1) * b})
 
 
+def test_constant_matches_basis_rule():
+    """K(i, j) is the summed coefficient of basis_rule(i, j), and every rule
+    term sits at grade i+j, on a grid through each boundary of the rules:
+    i == j, the indices 0, 1 and 2, and negative indices."""
+    grid = range(-30, 31)
+    for algebra in Algebra:
+        constant, rule = algebra.constant, algebra.basis_rule
+        for i in grid:
+            for j in grid:
+                terms = rule(i, j)
+                assert all(h == i + j for h, _ in terms), (algebra, i, j)
+                assert constant(i, j) == sum(c for _, c in terms), (algebra, i, j)
+    thin = Algebra.THIN.constant
+    assert [thin(1, 1), thin(1, 2), thin(2, 1), thin(2, 2)] == [0, 1, -1, 0]
+
+
 def test_jacobi_passes_on_all_algebras():
     assert jacobi_check(Algebra.WITT, Window(-10, 10)).passed
     assert jacobi_check(Algebra.WPLUS, Window(1, 25)).passed

@@ -19,6 +19,7 @@ from wittlocal.cli import (
     DER_BASIS_MAX_SUPPORT,
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_WINDOW,
+    LEIBNIZ_MAX_WORK,
     VERIFY_MAX_INDEX,
     VERIFY_MAX_TOTAL,
     main,
@@ -554,6 +555,32 @@ def test_extend_refuses_many_shifts_at_long_truncation():
         "",
         "error: witt is not handled by generator extension\n",
     )
+    assert time.perf_counter() - start < 0.5
+
+
+def test_leibniz_refuses_large_work(tmp_path):
+    """Each pair is checked once per shift of the map, and each shift is
+    split out over the whole window, so shifts * (pairs + window) is bounded
+    before any pair is checked."""
+    path = tmp_path / "map.json"
+
+    def leibniz(images, depth):
+        n = len(images)
+        table = {"algebra": "wplus", "truncation": {"min": 1, "max": n}, "images": images}
+        path.write_text(json.dumps(table))
+        return run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", str(depth)])
+
+    def refusal(work):
+        line = f"shifts * (pairs + window) {work} is above the limit {LEIBNIZ_MAX_WORK}"
+        return 3, "", f"error: {line}\n"
+
+    start = time.perf_counter()
+    # D(e_k) = k e_k: one shift, 2000 * 2000 pairs at depth 4000
+    degree = {str(k): [[k, str(k)]] for k in range(1, 4001)}
+    assert leibniz(degree, 4000) == refusal(2000 * 2000 + 4000)
+    # D(e_k) = e_{2k}: one pair at depth 1, but 2000 shifts
+    spread = {str(k): [[2 * k, "1"]] for k in range(1, 2001)}
+    assert leibniz(spread, 1) == refusal(2000 * (1 + 2000))
     assert time.perf_counter() - start < 0.5
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -194,6 +195,45 @@ def test_leibniz_matches_element_reference():
     assert failures > 100 and multi_shift > 20
 
 
+def _planted(table, defects):
+    """The table with e_g added to D(e_k) for each (k, g) in defects."""
+    images = dict(table.images)
+    for k, g in defects:
+        images[k] = images[k] + Element.basis(table.algebra, g)
+    return LinearMapTable(table.algebra, table.window, images)
+
+
+def test_leibniz_reports_earliest_pair_across_shifts():
+    # ad(e_0 + e_2 + e_3) splits into shifts 0, 2 and 3, in that order.  A
+    # defect at shift 0 first fails at (1, 8); defects at the later shifts 2
+    # and 3 fail at the earlier pair (1, 4), which must be the one reported,
+    # with its residual summed over the shifts.
+    inner = ad(parse_element("e_0 + e_2 + e_3", Algebra.WPLUS_EXT), Window(1, 12))
+    inner = inner.in_algebra(Algebra.WPLUS)
+    assert leibniz_check(_planted(inner, [(9, 9)]), 12).pair == (1, 8)
+    table = _planted(inner, [(9, 9), (5, 7), (5, 8)])
+    result = leibniz_check(table, 12)
+    assert (result.passed, result.pairs_checked, result.pair, result.residual) == (
+        reference_leibniz(table, 12)
+    )
+    assert result.pair == (1, 4) and result.residual == wplus("3*e_7 + 3*e_8")
+
+
+def test_leibniz_streams_its_pairs():
+    """The pairs are generated, not listed: 10000 pairs at depth 200 peak
+    far below the roughly 650 KiB a list of them takes."""
+    a = parse_element("e_0 + 2*e_3 - 1/2*e_5 + 3*e_8", Algebra.WPLUS_EXT)
+    table = ad(a, Window(1, 200)).in_algebra(Algebra.WPLUS)
+    tracemalloc.start()
+    try:
+        result = leibniz_check(table, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.pairs_checked == 10000
+    assert peak < 128 * 1024
+
+
 # -- generator extension ------------------------------------------------------
 
 
@@ -234,6 +274,21 @@ def test_extend_reproduces_inner_maps():
         reference = ad(a, Window(1, 15))
         for k in range(1, 16):
             assert out.image(k) == reference.image(k).in_algebra(Algebra.WPLUS)
+
+
+def test_extend_sums_residual_over_failing_shifts():
+    # every inconsistent shift of a wplus extension first fails at (2, 3), so
+    # defects at the later shifts 2 and 3 (shift 0 comes first and passes)
+    # must both show in the residual of that relation
+    a = parse_element("e_0 + e_2 + e_3", Algebra.WPLUS_EXT)
+    img1, img2 = (
+        bracket(a, Element.basis(Algebra.WPLUS_EXT, k)).in_algebra(Algebra.WPLUS) for k in (1, 2)
+    )
+    img2 = img2 + wplus("e_4 + e_5")
+    out = extend_from_generators(Algebra.WPLUS, img1, img2, 12)
+    assert isinstance(out, InconsistentExtension)
+    assert (out.relation, out.residual) == reference_extension(Algebra.WPLUS, img1, img2, 12)[1]
+    assert out.relation == (2, 3) and out.residual.support() == [7, 8]
 
 
 def derivation_generator_images(rng, algebra):

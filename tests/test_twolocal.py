@@ -190,6 +190,13 @@ def test_forced_image_examples():
     assert f_self.dim == 0
 
 
+def test_forced_image_probe_outside_domain():
+    # the condition Element.basis and Algebra.require_window report
+    x = parse_element("e_3", Algebra.WPLUS)
+    with pytest.raises(IndexOutOfDomain, match=r"^probe index 0 outside the wplus domain$"):
+        forced_image_space(Algebra.WPLUS, 0, x, Window(0, 10))
+
+
 # -- rigidity ---------------------------------------------------------------------
 
 
