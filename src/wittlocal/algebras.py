@@ -1,15 +1,15 @@
 """The four Lie algebras, their elements, and the bracket.
 
-Each algebra is a basis {e_i} over an integer index domain together with a
-structure-constant rule:
+Each algebra is a basis {e_i} over an integer index domain, graded and
+monomial: [e_i, e_j] = K(i, j) e_{i+j} with an integer structure constant K
+(`Algebra.constant`):
 
-  witt        all integers,       [e_i, e_j] = (j-i) e_{i+j}
-  wplus       integers >= 1,      same rule
-  wplus_ext   integers >= 0,      same rule (wplus with e_0 adjoined; the
+  witt        all integers,       K(i, j) = j - i
+  wplus       integers >= 1,      same K
+  wplus_ext   integers >= 0,      same K (wplus with e_0 adjoined; the
                                   home of inner-derivation witnesses for wplus)
-  thin        integers >= 1,      [e_1, e_n] = e_{n+1} and
-                                  [e_n, e_1] = -e_{n+1} for n >= 2,
-                                  every other basis bracket zero
+  thin        integers >= 1,      K(1, n) = 1 and K(n, 1) = -1 for n >= 2,
+                                  K = 0 on every other pair
 
 Elements are finitely-supported rational combinations of basis vectors.
 wplus embeds in wplus_ext index-wise; the embedding is explicit via
@@ -29,26 +29,10 @@ from typing import Callable, Mapping
 from .errors import IndexOutOfDomain, MixedAlgebras, ParseError
 from .linalg import Rational, SparseVector, Window, format_rational
 
-# basis rule: (i, j) -> list of (index, integer coefficient) of [e_i, e_j]
-BasisRule = Callable[[int, int], list[tuple[int, int]]]
 # structure constant: (i, j) -> K(i, j), with [e_i, e_j] = K(i, j) e_{i+j}
 Constant = Callable[[int, int], int]
 
 
-def _witt_rule(i: int, j: int) -> list[tuple[int, int]]:
-    return [] if i == j else [(i + j, j - i)]
-
-
-def _thin_rule(i: int, j: int) -> list[tuple[int, int]]:
-    if i == 1 and j >= 2:
-        return [(j + 1, 1)]
-    if j == 1 and i >= 2:
-        return [(i + 1, -1)]
-    return []
-
-
-# Closed forms of the rules above, defined on every integer pair as the rules
-# are (the per-shift kernels read K off the index domain, e.g. K(0, k)).
 def _witt_constant(i: int, j: int) -> int:
     return j - i
 
@@ -60,7 +44,7 @@ def _thin_constant(i: int, j: int) -> int:
 
 
 class Algebra(enum.Enum):
-    """Identifies an algebra: index domain plus bracket rule."""
+    """Identifies an algebra: index domain plus structure constant."""
 
     WITT = "witt"
     WPLUS = "wplus"
@@ -82,13 +66,10 @@ class Algebra(enum.Enum):
             raise IndexOutOfDomain(f"window {window} leaves the {self} index domain")
 
     @property
-    def basis_rule(self) -> BasisRule:
-        return _thin_rule if self is Algebra.THIN else _witt_rule
-
-    @property
     def constant(self) -> Constant:
-        """K(i, j) as a plain integer function: every rule is graded and
-        monomial, so `basis_rule(i, j)` is K(i, j) e_{i+j} (empty when 0)."""
+        """K(i, j) of [e_i, e_j] = K(i, j) e_{i+j}, the one definition of the
+        bracket, as a plain integer function defined on every integer pair
+        (the per-shift kernels read K off the index domain, e.g. K(0, k))."""
         return _thin_constant if self is Algebra.THIN else _witt_constant
 
     @classmethod
@@ -184,15 +165,15 @@ class Element:
 
 
 def bracket(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y], the bilinear extension of the basis rule."""
+    """Lie bracket [x, y], the bilinear extension of [e_i, e_j] = K(i, j) e_{i+j}."""
     if x.algebra is not y.algebra:
         raise MixedAlgebras(f"bracket of {x.algebra} element with {y.algebra} element")
-    rule = x.algebra.basis_rule
+    K = x.algebra.constant
     out: dict[int, Fraction] = {}
     for i, ci in x.coeffs.items():
         for j, cj in y.coeffs.items():
-            for k, c in rule(i, j):
-                out[k] = out.get(k, Fraction(0)) + ci * cj * c
+            if c := K(i, j):
+                out[i + j] = out.get(i + j, Fraction(0)) + ci * cj * c
     return Element(x.algebra, out)
 
 
@@ -203,88 +184,36 @@ class JacobiResult:
     residual: SparseVector | None = None
 
 
-def jacobi_check(algebra: Algebra, window: Window, rule: BasisRule | None = None) -> JacobiResult:
+def jacobi_check(
+    algebra: Algebra, window: Window, constant: Constant | None = None
+) -> JacobiResult:
     """Exhaustively check [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] = 0
-    over all ordered basis triples in the window.
+    over all ordered basis triples in the window, which must lie inside the
+    algebra's index domain.  Tests inject another `constant` K to exercise the
+    failure path; the first violating triple in lexicographic order is reported.
 
-    The window must lie inside the algebra's index domain.  An alternative
-    basis rule may be injected (to exercise the failure path); the first
-    violating triple in lexicographic order is reported.  A rule that is
-    antisymmetric term by term on the window makes the sum alternating, so
-    only i < j < k is then evaluated.
-
-    Every built-in rule is graded and monomial: [e_a, e_m] = K(a, m) e_{a+m}
-    with an integer K.  Then [e_i,[e_j,e_k]] = K(j,k) K(i,j+k) e_{i+j+k}, and
-    the other two terms land on the same basis vector, so a triple's
-    residual is one integer times e_{i+j+k}:
-    K(j,k)K(i,j+k) + K(k,i)K(j,k+i) + K(i,j)K(k,i+j).  The built-in rule's
-    K (`Algebra.constant`), or an injected rule that is monomial on every
-    pair the table covers (`_graded_table`), fills one integer table; the
-    antisymmetry test then reads K(i,j) = -K(j,i) off it, and each triple
-    costs three products of list entries and no rule call.  Any other
-    injected rule gets the term-by-term antisymmetry test and the generic
-    scan, which brackets every triple through it.
+    A triple's residual is one integer times e_{i+j+k}:
+    K(j,k)K(i,j+k) + K(k,i)K(j,k+i) + K(i,j)K(k,i+j), read off one table of
+    K(a, m) for a in the window and m from min(lo, 2lo) to max(hi, 2hi).  If
+    K(i,j) = -K(j,i) on the window (so K(i,i) = 0) the sum is alternating, and
+    only i < j < k is evaluated: the first failing one is the first failing
+    ordered triple, with the same residual.
     """
     algebra.require_window(window)
     idx = window.indices()
-    if rule is None:
-        constant, grades = algebra.constant, _table_grades(window)
-        table = [[constant(a, m) for m in grades] for a in idx]
-    else:
-        table = _graded_table(rule, window)
+    K = constant or algebra.constant
     lo, off = window.lo, min(window.lo, 2 * window.lo)
+    table = [[K(a, m) for m in range(off, max(window.hi, 2 * window.hi) + 1)] for a in idx]
     pairs = itertools.combinations_with_replacement(idx, 2)
-    if table is None:
-        alternating = all(rule(i, j) == [(k, -c) for k, c in rule(j, i)] for i, j in pairs)
-    else:
-        alternating = all(table[i - lo][j - off] == -table[j - lo][i - off] for i, j in pairs)
+    alternating = all(table[i - lo][j - off] == -table[j - lo][i - off] for i, j in pairs)
     triples = itertools.combinations(idx, 3) if alternating else itertools.product(idx, repeat=3)
-    if table is not None:
-        for i, j, k in triples:
-            ki, kj, kk = table[i - lo], table[j - lo], table[k - lo]
-            r = (kj[k - off] * ki[j + k - off] + kk[i - off] * kj[k + i - off]
-                 + ki[j - off] * kk[i + j - off])
-            if r:
-                return JacobiResult(False, (i, j, k), SparseVector({i + j + k: r}))
-        return JacobiResult(True)
     for i, j, k in triples:
-        residual: dict[int, int] = {}
-        for a, inner, b in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c1 in rule(inner, b):
-                for h, c2 in rule(a, m):
-                    residual[h] = residual.get(h, 0) + c1 * c2
-        if any(residual.values()):
-            return JacobiResult(False, (i, j, k), SparseVector(residual))
+        ki, kj, kk = table[i - lo], table[j - lo], table[k - lo]
+        r = (kj[k - off] * ki[j + k - off] + kk[i - off] * kj[k + i - off]
+             + ki[j - off] * kk[i + j - off])
+        if r:
+            return JacobiResult(False, (i, j, k), SparseVector({i + j + k: r}))
     return JacobiResult(True)
-
-
-def _table_grades(window: Window) -> range:
-    """m from min(lo, 2lo) to max(hi, 2hi): with a in the window, (a, m)
-    covers every pair a Jacobi triple brackets, inner (two window indices)
-    or outer (a window index and a sum of two)."""
-    return range(min(window.lo, 2 * window.lo), max(window.hi, 2 * window.hi) + 1)
-
-
-def _graded_table(rule: BasisRule, window: Window) -> list[list[int]] | None:
-    """K(a, m) at table[a - lo][m - min(lo, 2lo)] for a in the window and m
-    in `_table_grades`, read off the rule; None once a call returns more than
-    one term, a zero coefficient, or a term outside grade a+m.  On the table
-    the rule is then ([(a+m, K(a, m))] if K(a, m) else []), so the term-wise
-    antisymmetry test is K(i, j) == -K(j, i)."""
-    grades = _table_grades(window)
-    table = []
-    for a in window.indices():
-        row = []
-        for m in grades:
-            terms = rule(a, m)
-            if not terms:
-                row.append(0)
-                continue
-            if len(terms) > 1 or terms[0][0] != a + m or not terms[0][1]:
-                return None
-            row.append(terms[0][1])
-        table.append(row)
-    return table
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")

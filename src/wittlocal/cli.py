@@ -49,6 +49,11 @@ DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 # (4 M pairs, about 2.5 s) is refused.
 LEIBNIZ_MAX_WORK = 3000000
 
+# Largest `recover-inner` work, shifts * window, the size of its per-shift
+# split of the table.  D(e_k) = e_{2k} on 1:1000 / 1:1732 / 1:2000 takes 0.05
+# / 0.08 / 0.14 s and peaks at 24 / 40 / 48 MiB RSS; 1:2000 is refused.
+RECOVER_INNER_MAX_WORK = 3000000
+
 # Largest `extend` truncation.  Checking every cross relation is quadratic:
 # thin takes about 1.8 s at 1000 and 16 s at 3000.  Each shift s of the
 # generator images (D(e_k) = c e_{k+s}) repeats that work, so shifts *
@@ -183,11 +188,15 @@ def _cmd_jacobi(args) -> int:
                          result.counterexample, result.residual, _format_terms)
 
 
+def _shifts(images: dict[int, Element]) -> int:
+    """Distinct shifts s of the terms D(e_k) = c e_{k+s} of a map; at least 1."""
+    return max(1, len({g - k for k, image in images.items() for g in image.support()}))
+
+
 def _cmd_leibniz(args) -> int:
     table = _load_map(args.map, args.algebra)
-    shifts = max(1, len({g - k for k, image in table.images.items() for g in image.support()}))
     pairs = sum(len(js) for _, js in derivations.leibniz_pairs(table.window, args.depth))
-    work = shifts * (pairs + len(table.window))
+    work = _shifts(table.images) * (pairs + len(table.window))
     _refuse_above("shifts * (pairs + window)", work, LEIBNIZ_MAX_WORK)
     result = derivations.leibniz_check(table, args.depth)
     payload = {"algebra": args.algebra.value, "depth": args.depth}
@@ -200,7 +209,7 @@ def _cmd_extend(args) -> int:
     img_e1 = parse_element(args.e1, args.algebra)
     img_e2 = parse_element(args.e2, args.algebra)
     derivations.require_generated(args.algebra)
-    shifts = max(1, len({i - 1 for i in img_e1.support()} | {i - 2 for i in img_e2.support()}))
+    shifts = _shifts({1: img_e1, 2: img_e2})
     _refuse_above("shifts * truncation^2", shifts * args.truncation**2, EXTEND_MAX_TRUNCATION**2)
     outcome = derivations.extend_from_generators(args.algebra, img_e1, img_e2, args.truncation)
     if isinstance(outcome, derivations.InconsistentExtension):
@@ -245,12 +254,13 @@ def _cmd_der_basis(args) -> int:
 
 def _cmd_recover_inner(args) -> int:
     table = _load_map(args.map, args.algebra)
-    if args.algebra is Algebra.WPLUS:
-        a = derivations.recover_inner_wplus(table)
-    elif args.algebra is Algebra.WITT:
-        a = derivations.recover_inner_witt(table)
-    else:
+    recover = {Algebra.WPLUS: derivations.recover_inner_wplus,
+               Algebra.WITT: derivations.recover_inner_witt}.get(args.algebra)
+    if recover is None:
         raise _UsageError(f"recover-inner handles witt and wplus, not {args.algebra}")
+    work = _shifts(table.images) * len(table.window)
+    _refuse_above("shifts * window", work, RECOVER_INNER_MAX_WORK)
+    a = recover(table)
     payload = {"algebra": a.algebra.value, "element": format_element(a)}
     return _emit(args, f"a = {payload['element']}", payload)
 

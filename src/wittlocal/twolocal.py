@@ -122,12 +122,12 @@ def centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
     canonical subspace over the window's coordinates."""
     algebra.require_window(window)
     t = t.in_algebra(algebra)
-    rule = algebra.basis_rule
+    K = algebra.constant
     rows_by_grade: dict[int, dict[int, Fraction]] = {}
     for g in window.indices():
         for j, cj in t.coeffs.items():
-            for h, c in rule(g, j):
-                row = rows_by_grade.setdefault(h, {})
+            if c := K(g, j):
+                row = rows_by_grade.setdefault(g + j, {})
                 row[g] = row.get(g, Fraction(0)) + cj * c
     rows = [SparseVector(r) for _, r in sorted(rows_by_grade.items())]
     return kernel_basis(rows, window)

@@ -11,9 +11,70 @@ from wittlocal import (
     SparseVector,
     Subspace,
     Window,
-    bracket,
     kernel_basis,
 )
+
+
+def _witt_rule(i: int, j: int) -> list[tuple[int, int]]:
+    return [] if i == j else [(i + j, j - i)]
+
+
+def _thin_rule(i: int, j: int) -> list[tuple[int, int]]:
+    if i == 1 and j >= 2:
+        return [(j + 1, 1)]
+    if j == 1 and i >= 2:
+        return [(i + 1, -1)]
+    return []
+
+
+_RULES = {
+    Algebra.WITT: _witt_rule,
+    Algebra.WPLUS: _witt_rule,
+    Algebra.WPLUS_EXT: _witt_rule,
+    Algebra.THIN: _thin_rule,
+}
+
+
+def basis_rule(algebra: Algebra):
+    """The algebra's bracket on basis vectors, (i, j) -> the (index,
+    coefficient) terms of [e_i, e_j].  Written out here, not read from
+    `Algebra.constant`, so the oracles below check the library's K against
+    a second definition."""
+    return _RULES[algebra]
+
+
+def constant_rule(constant):
+    """The basis rule of an injected structure constant K: [e_i, e_j] is
+    K(i, j) e_{i+j}, no term when K(i, j) = 0."""
+
+    def rule(i, j):
+        c = constant(i, j)
+        return [(i + j, c)] if c else []
+
+    return rule
+
+
+def reference_bracket(x: Element, y: Element) -> Element:
+    """[x, y] expanded term by term through `basis_rule`."""
+    assert x.algebra is y.algebra
+    rule = basis_rule(x.algebra)
+    out: dict[int, Fraction] = {}
+    for i, ci in x.coeffs.items():
+        for j, cj in y.coeffs.items():
+            for k, c in rule(i, j):
+                out[k] = out.get(k, Fraction(0)) + ci * cj * c
+    return Element(x.algebra, out)
+
+
+def reference_centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
+    """The centralizer of t on the window by brute force: [e_g, t] for every
+    window index g through `reference_bracket`, one constraint row per grade
+    of those images, then `kernel_basis`."""
+    t = t.in_algebra(algebra)
+    images = {g: reference_bracket(Element.basis(algebra, g), t) for g in window.indices()}
+    grades = sorted({h for image in images.values() for h in image.support()})
+    rows = [SparseVector({g: image.coefficient(h) for g, image in images.items()}) for h in grades]
+    return kernel_basis(rows, window)
 
 
 def dot(u: SparseVector, v: SparseVector) -> Fraction:
@@ -77,14 +138,7 @@ def raw_thin_leibniz_rows(n: int, depth: int) -> tuple[list[SparseVector], int]:
     scratch on the basis rule: one unknown per image coefficient d[k][g]
     (k = 1..depth; the two generator images capped at grade n), one row per
     (pair, grade).  Independent of the generator-extension machinery."""
-
-    def rule(i, j):
-        if i == 1 and j >= 2:
-            return [(j + 1, 1)]
-        if j == 1 and i >= 2:
-            return [(i + 1, -1)]
-        return []
-
+    rule = basis_rule(Algebra.THIN)
     grade_cap = depth + n
     ids: dict[tuple[int, int], int] = {}
     for k in range(1, depth + 1):
@@ -132,7 +186,8 @@ def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, trun
     e1 = Element.basis(algebra, 1)
     images = {1: img_e1, 2: img_e2}
     for k in range(3, truncation + 1):
-        forced = bracket(images[1], Element.basis(algebra, k - 1)) + bracket(e1, images[k - 1])
+        e_prev = Element.basis(algebra, k - 1)
+        forced = reference_bracket(images[1], e_prev) + reference_bracket(e1, images[k - 1])
         if algebra is Algebra.WPLUS:
             forced = forced.scale(Fraction(1, k - 2))
         images[k] = forced
@@ -141,11 +196,10 @@ def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, trun
             if algebra is Algebra.WPLUS and i + j > truncation:
                 continue
             lhs = Element.zero(algebra)
-            for h, c in algebra.basis_rule(i, j):
+            for h, c in basis_rule(algebra)(i, j):
                 lhs = lhs + images[h].scale(c)
-            rhs = bracket(images[i], Element.basis(algebra, j)) + bracket(
-                Element.basis(algebra, i), images[j]
-            )
+            e_i, e_j = Element.basis(algebra, i), Element.basis(algebra, j)
+            rhs = reference_bracket(images[i], e_j) + reference_bracket(e_i, images[j])
             residual = lhs - rhs
             if not residual.is_zero():
                 return images, ((i, j), residual)
@@ -159,11 +213,12 @@ def complement_intersection(a: Subspace, b: Subspace) -> Subspace:
     return kernel_basis(a_perp.basis + b_perp.basis, a.window)
 
 
-def reference_jacobi(algebra: Algebra, window, rule=None):
+def reference_jacobi(algebra: Algebra, window, constant=None):
     """The ordered-triple Jacobi scan: every (i, j, k) in the window, in
-    lexicographic order, with no use of antisymmetry.  Returns
+    lexicographic order, with no use of antisymmetry, bracketing through
+    `basis_rule` or the rule of an injected structure constant.  Returns
     (passed, first failing triple, residual)."""
-    rule = rule or algebra.basis_rule
+    rule = constant_rule(constant) if constant else basis_rule(algebra)
     idx = window.indices()
     for i in idx:
         for j in idx:
@@ -179,7 +234,7 @@ def reference_jacobi(algebra: Algebra, window, rule=None):
 
 
 def reference_leibniz(table, degree_bound: int):
-    """The Leibniz check on whole elements with `bracket`, pair by pair.
+    """The Leibniz check on whole elements with `reference_bracket`, pair by pair.
     Returns (passed, pairs_checked, first failing pair, residual); raises
     ValueError when no pair is checkable."""
     win, alg = table.window, table.algebra
@@ -192,11 +247,10 @@ def reference_leibniz(table, degree_bound: int):
             if failure is not None:
                 continue
             lhs = Element.zero(alg)
-            for k, c in alg.basis_rule(i, j):
+            for k, c in basis_rule(alg)(i, j):
                 lhs = lhs + table.image(k).scale(c)
-            rhs = bracket(table.image(i), Element.basis(alg, j)) + bracket(
-                Element.basis(alg, i), table.image(j)
-            )
+            e_i, e_j = Element.basis(alg, i), Element.basis(alg, j)
+            rhs = reference_bracket(table.image(i), e_j) + reference_bracket(e_i, table.image(j))
             if lhs != rhs:
                 failure = ((i, j), lhs - rhs)
     if checked == 0:
@@ -207,10 +261,11 @@ def reference_leibniz(table, degree_bound: int):
 
 
 def reference_recover_inner(table) -> Element:
-    """Inner recovery with the candidate checked by `bracket` index by index:
-    the closed forms of `recover_inner_wplus` (table in wplus, witness in
-    wplus_ext) and `recover_inner_witt`, raising NotADerivation with the same
-    messages.  Call it only on tables that pass the truncation guards."""
+    """Inner recovery with the candidate checked by `reference_bracket` index
+    by index: the closed forms of `recover_inner_wplus` (table in wplus,
+    witness in wplus_ext) and `recover_inner_witt`, raising NotADerivation
+    with the same messages.  Call it only on tables that pass the truncation
+    guards."""
     if table.algebra is Algebra.WPLUS:
         d1, d2 = table.image(1), table.image(2)
         entries = {0: d1.coefficient(1), 1: d2.coefficient(3)}
@@ -226,7 +281,8 @@ def reference_recover_inner(table) -> Element:
         entries[0] = table.image(1).coefficient(1)
         a = Element(Algebra.WITT, entries)
     for k in table.window.indices():
-        if bracket(a, Element.basis(a.algebra, k)) != table.image(k).in_algebra(a.algebra):
+        image = table.image(k).in_algebra(a.algebra)
+        if reference_bracket(a, Element.basis(a.algebra, k)) != image:
             raise NotADerivation(f"table is not inner: mismatch at e_{k}")
     return a
 
@@ -236,8 +292,10 @@ def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = Non
     in Fractions and passed to `kernel_basis` unreduced, one row per relation
     and shift block.  Returns (coordinate names, canonical Subspace)."""
 
+    rule = basis_rule(algebra)
+
     def constant(i, j):
-        return sum(c for _, c in algebra.basis_rule(i, j))
+        return sum(c for _, c in rule(i, j))
 
     def sequence(s, a, b):
         c = [Fraction(0), Fraction(a), Fraction(b)]
@@ -247,7 +305,7 @@ def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = Non
         return c
 
     def residual(s, c, i, j):
-        lhs = sum(coef * c[h] for h, coef in algebra.basis_rule(i, j))
+        lhs = sum(coef * c[h] for h, coef in rule(i, j))
         return lhs - c[i] * constant(i + s, j) - c[j] * constant(i, j + s)
 
     depth = 2 * n + 3 if depth is None else depth

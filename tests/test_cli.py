@@ -11,7 +11,17 @@ from fractions import Fraction
 import pytest
 
 import wittlocal
-from wittlocal import Algebra, Element, JacobiResult, SparseVector, Window, ad, cli, table_to_json
+from wittlocal import (
+    Algebra,
+    Element,
+    JacobiResult,
+    SparseVector,
+    Window,
+    ad,
+    cli,
+    derivations,
+    table_to_json,
+)
 from wittlocal.cli import (
     BRACKET_MAX_PRODUCTS,
     CENTRALIZER_MAX_WINDOW,
@@ -20,6 +30,7 @@ from wittlocal.cli import (
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_WINDOW,
     LEIBNIZ_MAX_WORK,
+    RECOVER_INNER_MAX_WORK,
     VERIFY_MAX_INDEX,
     VERIFY_MAX_TOTAL,
     main,
@@ -111,7 +122,7 @@ def test_jacobi_text():
 
 
 def test_jacobi_fail_golden(monkeypatch):
-    """The built-in rules always pass, so a failing result is injected."""
+    """Every built-in structure constant passes, so a failing result is injected."""
     failing = JacobiResult(False, (1, 2, 3), SparseVector({6: Fraction(-5, 2)}))
     monkeypatch.setattr(cli, "jacobi_check", lambda algebra, window: failing)
     argv = ["jacobi", "--algebra", "witt", "--window", "1:3"]
@@ -584,6 +595,43 @@ def test_leibniz_refuses_large_work(tmp_path):
     assert time.perf_counter() - start < 0.5
 
 
+def _doubling_map(algebra, window):
+    """D(e_k) = e_{2k} on the window: one shift per index."""
+    images = {str(k): [[2 * k, "1"]] for k in window.indices()}
+    return {"algebra": algebra, "truncation": {"min": window.lo, "max": window.hi},
+            "images": images}
+
+
+def test_recover_inner_refuses_large_work(tmp_path, monkeypatch):
+    """The table is split into one sequence per shift over the whole window
+    before any image is checked, so shifts * window is bounded before that
+    split is built."""
+    path = tmp_path / "map.json"
+
+    def recover(algebra, window):
+        path.write_text(json.dumps(_doubling_map(algebra, window)))
+        return run(["recover-inner", "--algebra", algebra, "--map", str(path)])
+
+    def refusal(work):
+        line = f"shifts * window {work} is above the limit {RECOVER_INNER_MAX_WORK}"
+        return 3, "", f"error: {line}\n"
+
+    # at 1:1732 (2999824) the split is built and the table rejected at e_1
+    assert recover("wplus", Window(1, 1732)) == (
+        3, "", "error: table is not inner: mismatch at e_1\n"
+    )
+
+    def unreachable(*args):
+        raise AssertionError("per-shift split built for a refused table")
+
+    monkeypatch.setattr(derivations, "_shift_parts", unreachable)
+    start = time.perf_counter()
+    assert recover("wplus", Window(1, 2000)) == refusal(2000 * 2000)
+    assert recover("wplus", Window(1, 4000)) == refusal(4000 * 4000)
+    assert recover("witt", Window(-1000, 1000)) == refusal(2001 * 2001)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_bracket_refuses_many_term_products():
     m = 11
     n = BRACKET_MAX_PRODUCTS // m + 1
@@ -737,6 +785,8 @@ def _mixed_requests(tmp_path):
     map_path.write_text(json.dumps(table_to_json(table)))
     pairs_path = tmp_path / "pairs.json"
     pairs_path.write_text(json.dumps({"algebra": "thin", "pairs": [["e_2", "e_1 + 3*e_2"]]}))
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(_doubling_map("wplus", Window(1, 2000))))
     commands = [
         ["bracket", "--algebra", "witt", "e_2", "e_3"],
         ["jacobi", "--algebra", "thin", "--window", "1:12"],
@@ -756,6 +806,7 @@ def _mixed_requests(tmp_path):
         ["two-local"],  # missing subcommand: exit 1
         ["centralizer", "--algebra", "witt", "--element", "e_1", "--window", "-9000:9000",
          "--format", "json"],  # exit 3
+        ["recover-inner", "--algebra", "wplus", "--map", str(wide_path)],  # exit 3
     ]
     requests = []
     for n, argv in enumerate(commands):

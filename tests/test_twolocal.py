@@ -27,7 +27,7 @@ from wittlocal import (
 )
 from wittlocal.derivations import ThinDerivationParams
 
-from helpers import in_span, rand_element, zero_table
+from helpers import in_span, rand_element, reference_centralizer, zero_table
 
 
 def thin(text):
@@ -174,6 +174,30 @@ def test_centralizer_examples():
 def test_centralizer_window_guard():
     with pytest.raises(IndexOutOfDomain, match=r"^window 0:5 leaves the wplus index domain$"):
         centralizer(Algebra.WPLUS, parse_element("e_1", Algebra.WPLUS), Window(0, 5))
+
+
+def test_centralizer_matches_bracket_reference():
+    """Seeded multi-term targets, supported inside and outside the window,
+    against brute-force grade rows built through the helpers' own bracket.
+    A thin target without an e_1 term is centralized by every e_g, g >= 2,
+    so its centralizer grows with the window."""
+    rng = Random(101)
+    cases = [
+        (Algebra.WITT, (-8, 0), (0, 8), range(-10, 11)),
+        (Algebra.WPLUS, (1, 4), (4, 12), range(1, 15)),
+        (Algebra.WPLUS_EXT, (0, 4), (4, 12), range(0, 15)),
+        (Algebra.THIN, (1, 4), (4, 12), range(1, 15)),
+    ]
+    for algebra, lows, highs, indices in cases:
+        for _ in range(25):
+            window = Window(rng.randint(*lows), rng.randint(*highs))
+            t = rand_element(rng, algebra, indices, max_terms=5, nonzero=True)
+            assert centralizer(algebra, t, window) == reference_centralizer(algebra, t, window)
+    t = thin("e_2 - 3*e_5")
+    for hi in (4, 8, 16):
+        space = centralizer(Algebra.THIN, t, Window(1, hi))
+        assert space == reference_centralizer(Algebra.THIN, t, Window(1, hi))
+        assert space.basis == [unit(g) for g in range(2, hi + 1)]
 
 
 # -- forced image spaces ---------------------------------------------------------
