@@ -29,9 +29,11 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 # refused up front.
 JACOBI_MAX_WINDOW = 200
 
-# Widest window `centralizer` and `rigidity` accept.  Elimination on a W-index
-# window costs O(W^2) dictionary lookups even for one-term rows: -3000:3000
-# takes about 1.3 s (centralizer) and 2.6 s (rigidity).
+# Widest window `centralizer` and `rigidity` accept.  `centralizer` eliminates,
+# which on a W-index window costs O(W^2) dictionary lookups even for one-term
+# rows: `witt e_1` on -3000:3000 takes about 1.0 s.  `rigidity` eliminates
+# nothing on witt and wplus (each forced space is one bracket) and takes about
+# 1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
 # Largest `der-basis` support bound and consistency depth.  The solve grows
@@ -61,9 +63,10 @@ RECOVER_INNER_MAX_WORK = 3000000
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),
-# about 9 us each.  `centralizer` and `rigidity` bracket the element with
-# every window index, so their bound is on terms * window: at 16 terms on
-# -3000:3000 (96016 products) they take about 2.9 s and 2.2 s.
+# about 9 us each.  `centralizer` brackets the element with every window
+# index, so its bound is on terms * window: at 16 terms on -3000:3000 (96016
+# products) it takes about 2.5 s.  `rigidity` is refused at the same
+# terms * window, though its two forced spaces take about 1 ms there.
 BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  The witness tabulates

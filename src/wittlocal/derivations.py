@@ -131,7 +131,10 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     The first violation is reported with its residual
     D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)].  An empty pair set means
     the truncation cannot support the requested depth.  Each shift is
-    checked on its own, on its sequence scaled to integers.
+    checked on its own, on its sequence scaled to integers.  A pair reads
+    only D(e_i), D(e_j) and D(e_{i+j}), all with index in
+    [-2 degree_bound, 2 degree_bound], so only those images are split and
+    scaled.
     """
     win, alg = table.window, table.algebra
     rows = leibniz_pairs(win, degree_bound)
@@ -141,7 +144,9 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
             f"no checkable pairs: truncation {win} cannot support depth {degree_bound}"
         )
     pairs = ((i, j) for i, js in rows for j in js)
-    failure = _first_violation(alg, _shift_parts(table.images, win), pairs)
+    reach = Window(max(win.lo, -2 * degree_bound), min(win.hi, 2 * degree_bound))
+    images = {k: table.images[k] for k in reach.indices()}
+    failure = _first_violation(alg, _shift_parts(images, reach), pairs)
     return LeibnizResult(failure is None, checked, *(failure or ()))
 
 

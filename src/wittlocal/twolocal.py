@@ -11,7 +11,11 @@ to depend on the pair.  This module provides
   * the rigidity computation for witt and wplus: the witness for a pair
     (e_k, x) is pinned to the centralizer of e_k once the map kills e_k,
     so the possible values at x form a forced subspace; intersecting the
-    forced subspaces of two well-chosen probes leaves only zero.
+    forced subspaces of two well-chosen probes leaves only zero.  In witt
+    and wplus_ext (the witness algebra of wplus) [e_g, e_k] = (k - g) e_{g+k},
+    and K(g, k) = k - g vanishes only at g = k, so that centralizer is
+    span(e_k) and the forced subspace is span([e_k, x]): one bracket, with
+    no linear system to solve.
 
 The rigidity operations never quantify over all 2-local maps; they verify
 the finite forced-space instances that the general statement reduces to.
@@ -143,16 +147,28 @@ def forced_image_space(
     """Every value a 2-local map can take at x once it kills e_probe.
 
     A witness for the pair (e_probe, x) must centralize e_probe, so the
-    candidate values are spanned by [a, x] for a in that centralizer
-    (witnesses for wplus live in wplus_ext).  The span is returned over
-    the grade hull of the computed images.
+    candidate values are spanned by [a, x] for a in that centralizer on the
+    window (witnesses for wplus live in wplus_ext).  The span is returned
+    over the grade hull of the computed images.
+
+    In witt and wplus_ext, a = sum a_g e_g has [a, e_probe] =
+    sum a_g (probe - g) e_{g+probe}, one grade per g, so a centralizes
+    e_probe exactly when a_g = 0 for every g != probe: K(g, probe) =
+    probe - g is zero only at g = probe.  The centralizer on the window is
+    span(e_probe), or zero when the probe lies outside the window, and the
+    span is that of [e_probe, x] alone.  A thin centralizer grows with the
+    window ([e_i, e_j] = 0 for i, j >= 2), so thin solves for it.
     """
     walg = _witness_algebra(algebra)
     if not algebra.contains_index(probe):
         raise IndexOutOfDomain(f"probe index {probe} outside the {algebra} domain")
-    cent = centralizer(walg, Element.basis(walg, probe), window)
+    if walg is Algebra.THIN:
+        cent = centralizer(walg, Element.basis(walg, probe), window).basis
+    else:
+        walg.require_window(window)
+        cent = [SparseVector.unit(probe)] if probe in window else []
     lifted = x.in_algebra(walg)
-    images = [bracket(Element(walg, v), lifted).coeffs for v in cent.basis]
+    images = [bracket(Element(walg, v), lifted).coeffs for v in cent]
     return _span_over_hull(images)
 
 
@@ -184,7 +200,7 @@ def _require_probes(algebra: Algebra, probes: list[int], window: Window) -> list
     for p in probes:
         if p not in window:
             raise WindowTooSmall(f"witness window {window} misses probe index {p}")
-    _witness_algebra(algebra).require_window(window)  # as `centralizer` would, up front
+    _witness_algebra(algebra).require_window(window)  # as `forced_image_space` does, up front
     return probes
 
 

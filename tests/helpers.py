@@ -77,6 +77,21 @@ def reference_centralizer(algebra: Algebra, t: Element, window: Window) -> Subsp
     return kernel_basis(rows, window)
 
 
+def reference_forced_image_space(algebra: Algebra, probe: int, x: Element, window: Window):
+    """The forced space at x for probe e_probe through the centralizer of
+    e_probe by brute force: [a, x] through `reference_bracket` for each basis
+    vector a of `reference_centralizer` (witnesses for wplus live in
+    wplus_ext), spanned over the grade hull of those images."""
+    walg = Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
+    cent = reference_centralizer(walg, Element.basis(walg, probe), window)
+    lifted = x.in_algebra(walg)
+    images = [reference_bracket(Element(walg, v), lifted).coeffs for v in cent.basis]
+    support = sorted({i for v in images for i in v.support()})
+    if not support:
+        return Subspace([], Window(0, 0))
+    return Subspace(images, Window(support[0], support[-1]))
+
+
 def dot(u: SparseVector, v: SparseVector) -> Fraction:
     """Sum of u_i v_i over the shared support."""
     return sum((c * v.get(i) for i, c in u.items()), Fraction(0))

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from wittlocal import derivations
 from wittlocal import (
     Algebra,
     Element,
@@ -217,6 +218,62 @@ def test_leibniz_reports_earliest_pair_across_shifts():
         reference_leibniz(table, 12)
     )
     assert result.pair == (1, 4) and result.residual == wplus("3*e_7 + 3*e_8")
+
+
+# a prime denominator that no image a checked pair reads carries
+_UNREAD_DENOMINATOR = 1000003
+
+
+def _beyond_reach(rng, table, depth):
+    """The table with every image D(e_k), |k| > 2 depth, rescaled by
+    1/_UNREAD_DENOMINATOR or given an extra term of that denominator at a
+    shift the table has nowhere else.  No pair of depth `depth` reads them."""
+    images = dict(table.images)
+    for k in table.window.indices():
+        if abs(k) <= 2 * depth:
+            continue
+        if k % 2:
+            extra = {k + rng.choice((17, 19)): Fraction(rng.randint(1, 5), _UNREAD_DENOMINATOR)}
+            images[k] = images[k] + Element(table.algebra, extra)
+        else:
+            images[k] = images[k].scale(Fraction(1, _UNREAD_DENOMINATOR))
+    return LinearMapTable(table.algebra, table.window, images)
+
+
+def test_leibniz_scales_only_the_images_it_reads(monkeypatch):
+    """Pairs (i, j) with |i|, |j| <= depth read images up to index 2 depth
+    only.  Large denominators and extra shifts beyond that must leave the
+    verdict, the first failing pair and its residual as `reference_leibniz`
+    has them, and must never reach the integer scaling."""
+    scaled = []
+
+    def spy(seqs):
+        scaled.append(max(x.denominator for c in seqs for x in c))
+        return integer_parts(seqs)
+
+    integer_parts = derivations._integer_parts
+    monkeypatch.setattr(derivations, "_integer_parts", spy)
+    rng = Random(109)
+    inner = [
+        (ad(parse_element("e_0 + 2*e_1 - 1/3*e_4", Algebra.WPLUS_EXT), Window(1, 60))
+         .in_algebra(Algebra.WPLUS), 10),
+        (ad(parse_element("e_-2 + 1/2*e_0 + e_3", Algebra.WITT), Window(-40, 40)), 6),
+        (thin_derivation(ThinDerivationParams({1: 1, 3: 2}, {2: -1, 4: Fraction(1, 2)}), 50), 8),
+    ]
+    failures = 0
+    for table, depth in inner:
+        for near in (table, _planted(table, [(2, 7)])):
+            far = _beyond_reach(rng, near, depth)
+            scaled.clear()
+            result = leibniz_check(far, depth)
+            got = (result.passed, result.pairs_checked, result.pair, result.residual)
+            assert got == reference_leibniz(far, depth)
+            assert max(scaled) < _UNREAD_DENOMINATOR
+            reached = Window(max(far.window.lo, -2 * depth), min(far.window.hi, 2 * depth))
+            shifts = {g - k for k in reached.indices() for g in far.image(k).support()}
+            assert len(scaled) == len(shifts)
+            failures += not result.passed
+    assert failures == 3
 
 
 def test_leibniz_streams_its_pairs():

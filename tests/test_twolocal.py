@@ -25,9 +25,16 @@ from wittlocal import (
     thin_witness,
     verify_pair,
 )
+from wittlocal import linalg, twolocal
 from wittlocal.derivations import ThinDerivationParams
 
-from helpers import in_span, rand_element, reference_centralizer, zero_table
+from helpers import (
+    in_span,
+    rand_element,
+    reference_centralizer,
+    reference_forced_image_space,
+    zero_table,
+)
 
 
 def thin(text):
@@ -219,6 +226,44 @@ def test_forced_image_probe_outside_domain():
     x = parse_element("e_3", Algebra.WPLUS)
     with pytest.raises(IndexOutOfDomain, match=r"^probe index 0 outside the wplus domain$"):
         forced_image_space(Algebra.WPLUS, 0, x, Window(0, 10))
+    # a window below the witness domain is refused even with the probe inside it
+    with pytest.raises(IndexOutOfDomain, match=r"^window -3:10 leaves the wplus_ext index domain$"):
+        forced_image_space(Algebra.WPLUS, 1, x, Window(-3, 10))
+    with pytest.raises(IndexOutOfDomain, match=r"^window 0:10 leaves the thin index domain$"):
+        forced_image_space(Algebra.THIN, 1, parse_element("e_3", Algebra.THIN), Window(0, 10))
+    # a probe outside the window has no centralizer there, so nothing is forced
+    empty = forced_image_space(Algebra.WITT, 12, parse_element("e_3", Algebra.WITT), Window(-10, 10))
+    assert (empty.dim, empty.window) == (0, Window(0, 0))
+
+
+def test_forced_image_matches_centralizer_reference():
+    """Seeded targets against the brute-force centralizer route, on windows
+    that cross 0 (or start at it), with probes inside and outside the window
+    and targets that are multiples of e_probe (whose forced span is zero)."""
+    rng = Random(103)
+    cases = [
+        (Algebra.WITT, (-8, 0), (0, 8), range(-10, 11)),
+        (Algebra.WPLUS, (0, 3), (3, 10), range(1, 12)),
+        (Algebra.WPLUS_EXT, (0, 3), (3, 10), range(0, 12)),
+        (Algebra.THIN, (1, 3), (3, 10), range(1, 12)),
+    ]
+    outside = zero_spans = 0
+    for algebra, lows, highs, indices in cases:
+        for n in range(40):
+            window = Window(rng.randint(*lows), rng.randint(*highs))
+            inside = [i for i in window.indices() if i in indices]
+            probe = rng.choice(indices if n % 4 == 1 else inside)
+            if n % 4 == 0:
+                x = Element.basis(algebra, probe).scale(rng.choice((1, -2, Fraction(3, 5))))
+            else:
+                x = rand_element(rng, algebra, indices, max_terms=5, nonzero=True)
+            got = forced_image_space(algebra, probe, x, window)
+            expected = reference_forced_image_space(algebra, probe, x, window)
+            assert (got.window, got.basis) == (expected.window, expected.basis), (
+                algebra, probe, str(x), window)
+            outside += probe not in window
+            zero_spans += got.dim == 0 and probe in window
+    assert outside > 10 and zero_spans >= 40
 
 
 # -- rigidity ---------------------------------------------------------------------
@@ -280,6 +325,36 @@ def test_rigidity_intersection_inside_forced_spaces():
         for v in tr.intersection.basis:
             for s in tr.forced:
                 assert in_span(s, v)
+
+
+def test_rigidity_does_no_elimination(monkeypatch):
+    """On witt and wplus the forced spaces come from one bracket each and
+    meet on disjoint supports, so no centralizer and no kernel is solved,
+    even at -3000:3000."""
+
+    def refuse(*args):
+        raise AssertionError("rigidity solved a linear system")
+
+    monkeypatch.setattr(twolocal, "centralizer", refuse)
+    monkeypatch.setattr(twolocal, "kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    mixed = parse_element("3*e_-2 + e_1", Algebra.WITT)
+    tr = rigidity_check(Algebra.WITT, mixed, Window(-3000, 3000))
+    assert tr.probes == [0, 5] and tr.rigid
+    assert [s.basis for s in tr.forced] == [
+        [SparseVector({-2: 1, 1: Fraction(-1, 6)})],
+        [SparseVector({3: 1, 6: Fraction(4, 21)})],
+    ]
+    assert rigidity_check(Algebra.WPLUS, parse_element("e_1 + e_2", Algebra.WPLUS),
+                          Window(0, 12)).rigid
+    assert basis_rigidity_check(Algebra.WITT, 5, Window(-10, 10)).rigid
+    assert basis_rigidity_check(Algebra.WPLUS, 7, Window(0, 15)).rigid
+    rng = Random(107)
+    for algebra, indices, window in ((Algebra.WITT, range(-6, 7), Window(-20, 20)),
+                                     (Algebra.WPLUS, range(1, 8), Window(0, 20))):
+        for _ in range(20):
+            x = rand_element(rng, algebra, indices, nonzero=True)
+            assert rigidity_check(algebra, x, window).rigid
 
 
 def test_rigidity_window_guard():
