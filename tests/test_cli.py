@@ -254,7 +254,7 @@ _INNER = Element.basis(Algebra.WPLUS_EXT, 0) + Element.basis(Algebra.WPLUS_EXT, 
     Fraction(1, 2)
 )
 
-# (argv, map file contents or None, text stdout, JSON payload).  The JSON
+# (argv, map or pairs file contents or None, text stdout, JSON payload).  The JSON
 # payload is a dict literal, so its key order is part of the expected bytes.
 _BYTE_GOLDENS = {
     "jacobi-pass": (
@@ -340,6 +340,81 @@ _BYTE_GOLDENS = {
         "violated = true\n",
         {"x": "e_1 + e_2", "y": "-e_1 + e_2", "delta_of_sum": "0", "sum_of_deltas": "2*e_2",
          "residual": "-2*e_2", "violated": True},
+    ),
+    "bracket-thin": (
+        ["bracket", "--algebra", "thin", "e_1 - 1/2*e_3", "2*e_2 + e_3 - e_1"],
+        None,
+        "2*e_3 + 1/2*e_4\n",
+        {"algebra": "thin", "x": "e_1 - 1/2*e_3", "y": "-e_1 + 2*e_2 + e_3",
+         "result": "2*e_3 + 1/2*e_4"},
+    ),
+    "bracket-wplus": (
+        ["bracket", "--algebra", "wplus", "e_1 - 1/2*e_3", "2/3*e_2 - e_4"],
+        None,
+        "2/3*e_3 - 8/3*e_5 + 1/2*e_7\n",
+        {"algebra": "wplus", "x": "e_1 - 1/2*e_3", "y": "2/3*e_2 - e_4",
+         "result": "2/3*e_3 - 8/3*e_5 + 1/2*e_7"},
+    ),
+    "extend-thin": (  # D(e_3) = ((3-2) alpha_1 + beta_2) e_3 + ... has a cancelled diagonal
+        ["extend", "--algebra", "thin", "--e1", "e_1 - 1/2*e_3", "--e2", "-e_2 + 2*e_4",
+         "--truncation", "5"],
+        None,
+        "D(e_1) = e_1 - 1/2*e_3\n"
+        "D(e_2) = -e_2 + 2*e_4\n"
+        "D(e_3) = 2*e_5\n"
+        "D(e_4) = e_4 + 2*e_6\n"
+        "D(e_5) = 2*e_5 + 2*e_7\n",
+        {"algebra": "thin", "truncation": {"min": 1, "max": 5},
+         "images": {"1": [[1, "1"], [3, "-1/2"]], "2": [[2, "-1"], [4, "2"]], "3": [[5, "2"]],
+                    "4": [[4, "1"], [6, "2"]], "5": [[5, "2"], [7, "2"]]}},
+    ),
+    "extend-wplus": (  # ad(-e_0 + 1/2*e_1)
+        ["extend", "--algebra", "wplus", "--e1", "-e_1", "--e2", "-2*e_2 + 1/2*e_3",
+         "--truncation", "5"],
+        None,
+        "D(e_1) = -e_1\n"
+        "D(e_2) = -2*e_2 + 1/2*e_3\n"
+        "D(e_3) = -3*e_3 + e_4\n"
+        "D(e_4) = -4*e_4 + 3/2*e_5\n"
+        "D(e_5) = -5*e_5 + 2*e_6\n",
+        {"algebra": "wplus", "truncation": {"min": 1, "max": 5},
+         "images": {"1": [[1, "-1"]], "2": [[2, "-2"], [3, "1/2"]], "3": [[3, "-3"], [4, "1"]],
+                    "4": [[4, "-4"], [5, "3/2"]], "5": [[5, "-5"], [6, "2"]]}},
+    ),
+    "extend-inconsistent": (
+        ["extend", "--algebra", "wplus", "--e1", "-e_2", "--e2", "1/2*e_3", "--truncation", "5"],
+        None,
+        "inconsistent at (2, 3): residual = -4/3*e_6\n",
+        {"status": "inconsistent", "relation": [2, 3], "residual": "-4/3*e_6"},
+    ),
+    "twolocal-verify": (  # all three witness cases; e_2 + e_3 - e_3 cancels to e_2
+        ["two-local", "verify", "--pairs", "MAP"],
+        {"algebra": "thin", "pairs": [["e_2 + e_3 - e_3", "-3/4*e_3"],
+                                      ["-2*e_1 + 1/3*e_2 - e_4", "5/7*e_3"],
+                                      ["e_1 + e_2", "-1/2*e_1 + e_3"]]},
+        "[1] case=zero | D(e_1) = 0 | D(e_2) = 0 | pass=true\n"
+        "[2] case=e1-scaled | D(e_1) = -1/6*e_2 + 1/2*e_4 | D(e_2) = 0 | pass=true\n"
+        "[3] case=tail-identity | D(e_1) = 0 | D(e_2) = e_2 | pass=true\n"
+        "all pass: true\n",
+        {
+            "algebra": "thin",
+            "results": [
+                {"pair": ["e_2", "-3/4*e_3"], "case": "zero",
+                 "witness": {"algebra": "thin", "truncation": {"min": 1, "max": 3},
+                             "images": {"1": [], "2": [], "3": []}},
+                 "pass": True},
+                {"pair": ["-2*e_1 + 1/3*e_2 - e_4", "5/7*e_3"], "case": "e1-scaled",
+                 "witness": {"algebra": "thin", "truncation": {"min": 1, "max": 4},
+                             "images": {"1": [[2, "-1/6"], [4, "1/2"]], "2": [], "3": [],
+                                        "4": []}},
+                 "pass": True},
+                {"pair": ["e_1 + e_2", "-1/2*e_1 + e_3"], "case": "tail-identity",
+                 "witness": {"algebra": "thin", "truncation": {"min": 1, "max": 3},
+                             "images": {"1": [], "2": [[2, "1"]], "3": [[3, "1"]]}},
+                 "pass": True},
+            ],
+            "all_pass": True,
+        },
     ),
 }
 
