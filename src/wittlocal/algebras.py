@@ -217,13 +217,15 @@ def jacobi_check(
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")
+_UNIT = {"-": Fraction(-1), "+": Fraction(1), "": Fraction(1)}
 
 
 def parse_element(text: str, algebra: Algebra) -> Element:
     """Parse the element grammar: a signed sum of `c*e_k` terms ("0" for zero).
 
     Whitespace is ignored; a missing coefficient means 1; indices must lie
-    in the algebra's domain.
+    in the algebra's domain.  Each coefficient is built once, signed, as a
+    Fraction; only a repeated index adds.
     """
     compact = re.sub(r"\s+", "", text)
     if compact in ("0", "+0", "-0"):
@@ -237,34 +239,41 @@ def parse_element(text: str, algebra: Algebra) -> Element:
         m = _TERM_RE.match(compact, pos)
         if not m or (not first and m.group(1) == ""):
             raise ParseError(f"bad element text {text!r} at position {pos}")
-        sign = -1 if m.group(1) == "-" else 1
-        if m.group(2):
-            num, _, den = m.group(2).partition("/")
-            if den and int(den) == 0:
+        sign, magnitude, index = m.groups()
+        if magnitude:
+            num, _, den = magnitude.partition("/")
+            q = int(den) if den else 1
+            if q == 0:
                 raise ParseError(f"zero denominator in {text!r}")
-            coeff = Fraction(int(num), int(den) if den else 1)
+            p = -int(num) if sign == "-" else int(num)
+            coeff = Fraction(p) if q == 1 else Fraction(p, q)
         else:
-            coeff = Fraction(1)
-        k = int(m.group(3))
+            coeff = _UNIT[sign]
+        k = int(index)
         if not algebra.contains_index(k):
             raise ParseError(f"index {k} not allowed in {algebra}: {text!r}")
-        out[k] = out.get(k, Fraction(0)) + sign * coeff
+        out[k] = out[k] + coeff if k in out else coeff
         pos = m.end()
         first = False
-    return Element(algebra, out)
+    if not all(out.values()):
+        out = {k: c for k, c in out.items() if c}
+    return Element(algebra, SparseVector._trusted(out))
 
 
 def format_element(x: Element) -> str:
     """Render in the element grammar, terms by ascending index ("0" if zero)."""
-    terms = x.coeffs.items()
-    if not terms:
-        return "0"
     parts: list[str] = []
-    for n, (k, c) in enumerate(terms):
-        mag = abs(c)
-        body = f"e_{k}" if mag == 1 else f"{format_rational(mag)}*e_{k}"
-        if n == 0:
-            parts.append(body if c > 0 else f"-{body}")
+    for k, c in x.coeffs.items():
+        p, q = c.numerator, c.denominator
+        sign = "-" if p < 0 else "+"
+        p = abs(p)
+        if q != 1:
+            parts.append(f"{sign} {p}/{q}*e_{k}")
+        elif p != 1:
+            parts.append(f"{sign} {p}*e_{k}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            parts.append(f"{sign} e_{k}")
+    if not parts:
+        return "0"
+    text = " ".join(parts)  # "+ c*e_k - ...": the first sign loses its space
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"

@@ -329,30 +329,37 @@ def _cmd_twolocal_verify(args) -> int:
         pairs.append((x, y))
         total += max(3, top)  # the witness tabulates 1..max(3, top)
     _refuse_above("total witness size", total, VERIFY_MAX_TOTAL)
-    lines = []
-    results = []
+    as_json = args.format == "json"
+    rows = []
     all_pass = True
     for n, (x, y) in enumerate(pairs, start=1):
         cert = twolocal.thin_witness(x, y)
-        verdict = twolocal.verify_pair(twolocal.thin_delta, cert)
-        all_pass = all_pass and verdict.passed
-        witness = cert.witness
-        d1, d2 = witness.image(1), witness.image(2)
-        lines.append(
-            f"[{n}] case={cert.case} | D(e_1) = {format_element(d1)} | "
-            f"D(e_2) = {format_element(d2)} | pass={str(verdict.passed).lower()}"
-        )
-        results.append(
-            {
-                "pair": [format_element(x), format_element(y)],
-                "case": cert.case,
-                "witness": derivations.table_to_json(witness),
-                "pass": verdict.passed,
-            }
-        )
-    lines.append(f"all pass: {str(all_pass).lower()}")
-    payload = {"algebra": "thin", "results": results, "all_pass": all_pass}
-    return _emit(args, "\n".join(lines), payload)
+        passed = twolocal.verify_pair(twolocal.thin_delta, cert).passed
+        all_pass = all_pass and passed
+        rows.append(_verify_json(cert, passed) if as_json else _verify_line(n, cert, passed))
+    if as_json:
+        return _emit(args, "", {"algebra": "thin", "results": rows, "all_pass": all_pass})
+    rows.append(f"all pass: {str(all_pass).lower()}")
+    return _emit(args, "\n".join(rows), {})
+
+
+def _verify_line(n: int, cert: twolocal.WitnessCertificate, passed: bool) -> str:
+    """The text line of one verified pair; only `--format text` builds it."""
+    d1, d2 = cert.witness.image(1), cert.witness.image(2)
+    return (
+        f"[{n}] case={cert.case} | D(e_1) = {format_element(d1)} | "
+        f"D(e_2) = {format_element(d2)} | pass={str(passed).lower()}"
+    )
+
+
+def _verify_json(cert: twolocal.WitnessCertificate, passed: bool) -> dict:
+    """The JSON result of one verified pair; only `--format json` builds it."""
+    return {
+        "pair": [format_element(cert.x), format_element(cert.y)],
+        "case": cert.case,
+        "witness": derivations.table_to_json(cert.witness),
+        "pass": passed,
+    }
 
 
 def _cmd_twolocal_additivity(args) -> int:

@@ -467,22 +467,23 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
         D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}
 
     for j >= 3.  Always a derivation (asserted in the test suite, not
-    re-verified per call).
+    re-verified per call).  The diagonal takes one addition per index (none
+    when alpha_1 = 0) and is dropped where it cancels; the tail terms are
+    the beta_i themselves, at distinct indices above j.
     """
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
-    alpha1 = params.alpha.get(1, Fraction(0))
-    beta2 = params.beta.get(2, Fraction(0))
-    images: dict[int, Element] = {
-        1: Element(Algebra.THIN, params.alpha),
-        2: Element(Algebra.THIN, params.beta),
-    }
+    d1, d2 = Element(Algebra.THIN, params.alpha), Element(Algebra.THIN, params.beta)
+    alpha1, diagonal = d1.coefficient(1), d2.coefficient(2)
+    tail = [(i - 2, c) for i, c in d2.coeffs.items() if i >= 3]
+    images: dict[int, Element] = {1: d1, 2: d2}
     for j in range(3, truncation + 1):
-        entries = {j: (j - 2) * alpha1 + beta2}
-        for i, c in params.beta.items():
-            if i >= 3:
-                entries[i + j - 2] = entries.get(i + j - 2, Fraction(0)) + c
-        images[j] = Element(Algebra.THIN, entries)
+        if alpha1:
+            diagonal += alpha1
+        entries = {j: diagonal} if diagonal else {}
+        for shift, c in tail:
+            entries[j + shift] = c
+        images[j] = Element(Algebra.THIN, SparseVector._trusted(entries))
     return LinearMapTable(Algebra.THIN, Window(1, truncation), images)
 
 

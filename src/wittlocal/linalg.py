@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 from .errors import ParseError
 
 Rational = Fraction
+_ZERO = Fraction(0)  # shared: Fractions are immutable
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -38,7 +39,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(value: Rational) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 class SparseVector:
@@ -54,7 +55,8 @@ class SparseVector:
         cleaned: dict[int, Fraction] = {}
         if entries:
             for idx, val in entries.items():
-                val = Fraction(val)
+                if type(val) is not Fraction:
+                    val = Fraction(val)
                 if val != 0:
                     cleaned[int(idx)] = val
         self._entries = cleaned
@@ -73,7 +75,7 @@ class SparseVector:
         return cls({index: Fraction(1)})
 
     def get(self, index: int) -> Fraction:
-        return self._entries.get(index, Fraction(0))
+        return self._entries.get(index, _ZERO)
 
     __getitem__ = get
 

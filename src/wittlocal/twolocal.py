@@ -41,9 +41,10 @@ def thin_delta(x: Element) -> Element:
     component, otherwise x with the e_1 component removed."""
     if x.algebra is not Algebra.THIN:
         raise MixedAlgebras(f"thin_delta on a {x.algebra} element")
-    if x.coefficient(1) == 0:
+    terms = x.coeffs.items()  # index ascending, and thin indices start at 1
+    if not terms or terms[0][0] != 1:
         return Element.zero(Algebra.THIN)
-    return x - Element.basis(Algebra.THIN, 1).scale(x.coefficient(1))
+    return Element(Algebra.THIN, SparseVector._trusted(dict(terms[1:])))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded random elements and independent oracles."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -8,8 +9,10 @@ from wittlocal import (
     Element,
     LinearMapTable,
     NotADerivation,
+    ParseError,
     SparseVector,
     Subspace,
+    ThinDerivationParams,
     Window,
     kernel_basis,
 )
@@ -357,3 +360,95 @@ def reference_apply(table, x: Element) -> Element:
     for k, c in x.coeffs.items():
         out = out + table.image(k).scale(c)
     return out
+
+
+# Element text and the thin witnesses as first written: every coefficient and
+# image built through the normalising public constructors.  The library's
+# lean versions must agree with these value for value and byte for byte.
+
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")
+
+
+def reference_parse_element(text: str, algebra: Algebra) -> Element:
+    """`parse_element` with each term summed as a Fraction into a dict that
+    `Element` normalises; the same `ParseError` messages."""
+    compact = re.sub(r"\s+", "", text)
+    if compact in ("0", "+0", "-0"):
+        return Element.zero(algebra)
+    if not compact:
+        raise ParseError("empty element text")
+    out: dict[int, Fraction] = {}
+    pos = 0
+    first = True
+    while pos < len(compact):
+        m = _TERM_RE.match(compact, pos)
+        if not m or (not first and m.group(1) == ""):
+            raise ParseError(f"bad element text {text!r} at position {pos}")
+        sign = -1 if m.group(1) == "-" else 1
+        if m.group(2):
+            num, _, den = m.group(2).partition("/")
+            if den and int(den) == 0:
+                raise ParseError(f"zero denominator in {text!r}")
+            coeff = Fraction(int(num), int(den) if den else 1)
+        else:
+            coeff = Fraction(1)
+        k = int(m.group(3))
+        if not algebra.contains_index(k):
+            raise ParseError(f"index {k} not allowed in {algebra}: {text!r}")
+        out[k] = out.get(k, Fraction(0)) + sign * coeff
+        pos = m.end()
+        first = False
+    return Element(algebra, out)
+
+
+def reference_format_element(x: Element) -> str:
+    """`format_element` through `abs`, Fraction comparisons and `str(Fraction)`."""
+    terms = x.coeffs.items()
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for n, (k, c) in enumerate(terms):
+        mag = abs(c)
+        body = f"e_{k}" if mag == 1 else f"{Fraction(mag)}*e_{k}"
+        if n == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def reference_thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapTable:
+    """`thin_derivation` with every image built through `Element`:
+    D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}, j >= 3."""
+    if truncation < 3:
+        raise ValueError("truncation must be at least 3")
+    alpha1 = params.alpha.get(1, Fraction(0))
+    beta2 = params.beta.get(2, Fraction(0))
+    images: dict[int, Element] = {
+        1: Element(Algebra.THIN, params.alpha),
+        2: Element(Algebra.THIN, params.beta),
+    }
+    for j in range(3, truncation + 1):
+        entries = {j: (j - 2) * alpha1 + beta2}
+        for i, c in params.beta.items():
+            if i >= 3:
+                entries[i + j - 2] = entries.get(i + j - 2, Fraction(0)) + c
+        images[j] = Element(Algebra.THIN, entries)
+    return LinearMapTable(Algebra.THIN, Window(1, truncation), images)
+
+
+def reference_thin_delta(x: Element) -> Element:
+    """`thin_delta` by element arithmetic: x minus its e_1 component, or zero
+    when that component vanishes."""
+    assert x.algebra is Algebra.THIN
+    if x.coefficient(1) == 0:
+        return Element.zero(Algebra.THIN)
+    return x - Element.basis(Algebra.THIN, 1).scale(x.coefficient(1))
+
+
+def assert_normalised_element(x: Element) -> None:
+    """x stores only int indices and nonzero Fractions, as `SparseVector`'s
+    public constructor would: the lean paths wrap their dicts unchecked."""
+    entries = dict(x.coeffs.items())
+    assert all(type(k) is int and type(c) is Fraction and c != 0 for k, c in entries.items())
+    assert x.coeffs == SparseVector(entries) and hash(x.coeffs) == hash(SparseVector(entries))

@@ -19,7 +19,15 @@ from wittlocal import (
     parse_element,
 )
 
-from helpers import basis_rule, rand_element, reference_bracket, reference_jacobi
+from helpers import (
+    assert_normalised_element,
+    basis_rule,
+    rand_element,
+    reference_bracket,
+    reference_format_element,
+    reference_jacobi,
+    reference_parse_element,
+)
 
 
 def E(text, algebra=Algebra.WITT):
@@ -313,3 +321,86 @@ def test_bracket_antisymmetry_property(xs, ys):
 def test_support_bound():
     assert E("3*e_-7 + e_2").support_bound() == 7
     assert Element.zero(Algebra.WITT).support_bound() == 0
+
+
+# -- lean parse and format against the reference copies ------------------------
+
+_SPACES = st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\u00a0", "\u2003", "\u3000"])
+_GAP = st.lists(_SPACES, max_size=2).map("".join)
+_ALGEBRAS = st.sampled_from(list(Algebra))
+_BIG = st.integers(10**20, 10**30)
+
+
+@st.composite
+def _coefficient_text(draw):
+    """"" (a missing coefficient), "p" or "p/q"; zero, huge and unreduced values included."""
+    kind = draw(st.sampled_from(["none", "int", "frac", "zero", "big"]))
+    if kind == "none":
+        return ""
+    if kind == "zero":
+        return draw(st.sampled_from(["0*", "0/5*", "00*"]))
+    if kind == "big":
+        return f"{draw(_BIG)}/{draw(_BIG)}*"
+    num = draw(st.integers(0, 12))
+    return f"{num}*" if kind == "int" else f"{num}/{draw(st.integers(1, 12))}*"
+
+
+@st.composite
+def element_texts(draw):
+    """Text in the element grammar, often with terms that cancel, and odd whitespace."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_GAP) + draw(st.sampled_from(["0", "+0", "-0"])) + draw(_GAP)
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeff, k = draw(_coefficient_text()), draw(st.integers(-4, 9))
+        terms.append((draw(st.sampled_from("+-")), coeff, k))
+        if draw(st.booleans()):  # the same term with the other sign
+            terms.append(("-" if terms[-1][0] == "+" else "+", coeff, k))
+    text = draw(_GAP)
+    for n, (sign, coeff, k) in enumerate(terms):
+        lead = "" if n == 0 and sign == "+" and draw(st.booleans()) else sign
+        text += f"{lead}{draw(_GAP)}{coeff}{draw(_GAP)}e_{k}{draw(_GAP)}"
+    return text
+
+
+def _outcome(parse, text, algebra):
+    try:
+        return parse(text, algebra)
+    except Exception as exc:  # the class and message must agree too
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(element_texts(), _ALGEBRAS)
+def test_parse_element_matches_reference(text, algebra):
+    got = _outcome(parse_element, text, algebra)
+    assert got == _outcome(reference_parse_element, text, algebra)
+    if isinstance(got, Element):
+        assert_normalised_element(got)
+        assert format_element(got) == reference_format_element(got)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.text(alphabet="e_0123456789+-*/ \t x.", max_size=24), _ALGEBRAS)
+def test_parse_element_malformed_matches_reference(text, algebra):
+    assert _outcome(parse_element, text, algebra) == _outcome(
+        reference_parse_element, text, algebra
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(
+        st.integers(-9, 9),
+        st.one_of(
+            st.fractions(min_value=-5, max_value=5, max_denominator=7),
+            st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**25)),
+            st.integers(-3, 3),
+        ),
+        max_size=6,
+    )
+)
+def test_format_element_matches_reference(coeffs):
+    x = Element(Algebra.WITT, coeffs)
+    assert format_element(x) == reference_format_element(x)
+    assert parse_element(format_element(x), Algebra.WITT) == x

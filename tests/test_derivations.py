@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittlocal import derivations
 from wittlocal import (
@@ -31,6 +33,7 @@ from wittlocal import (
 )
 
 from helpers import (
+    assert_normalised_element,
     rand_element,
     rand_rational,
     reference_derivation_space,
@@ -38,6 +41,7 @@ from helpers import (
     reference_leibniz,
     reference_apply,
     reference_recover_inner,
+    reference_thin_derivation,
     zero_table,
 )
 
@@ -705,3 +709,32 @@ def test_table_json_rejects_non_integer_bounds():
             table_from_json({**doc, "truncation": bounds})
     with pytest.raises(ParseError, match="empty window"):
         table_from_json({**doc, "truncation": {"min": 4, "max": 1}})
+
+
+_PARAM_COEFFS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5), st.integers(-3, 3)
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(st.integers(1, 6), _PARAM_COEFFS, max_size=4),
+    st.dictionaries(st.integers(2, 6), _PARAM_COEFFS, max_size=4),
+    st.integers(3, 14),
+)
+def test_thin_derivation_matches_reference(alpha, beta, truncation):
+    params = ThinDerivationParams(alpha, beta)
+    table = thin_derivation(params, truncation)
+    assert table == reference_thin_derivation(params, truncation)
+    assert table_to_json(table) == table_to_json(reference_thin_derivation(params, truncation))
+    for k in table.window.indices():
+        assert_normalised_element(table.image(k))
+
+
+def test_thin_derivation_drops_a_vanishing_diagonal():
+    """alpha_1 = 1, beta_2 = -3: the e_5 coefficient of D(e_5) is 3 - 3 = 0."""
+    params = ThinDerivationParams({1: 1}, {2: -3, 4: Fraction(1, 2)})
+    table = thin_derivation(params, 8)
+    assert table == reference_thin_derivation(params, 8)
+    assert table.image(5) == thin("1/2*e_7")
+    assert_normalised_element(table.image(5))

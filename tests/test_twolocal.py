@@ -29,10 +29,12 @@ from wittlocal import linalg, twolocal
 from wittlocal.derivations import ThinDerivationParams
 
 from helpers import (
+    assert_normalised_element,
     in_span,
     rand_element,
     reference_centralizer,
     reference_forced_image_space,
+    reference_thin_delta,
     zero_table,
 )
 
@@ -429,3 +431,18 @@ def test_rigidity_invariant_under_window_enlargement(algebra, m1, m2, data):
     assert before.rigid == after.rigid
     assert (before.probes, before.forced) == (after.probes, after.forced)
     assert before.intersection == after.intersection
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(
+        st.integers(1, 8),
+        st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=6), st.integers(-2, 2)),
+        max_size=5,
+    )
+)
+def test_thin_delta_matches_reference(coeffs):
+    x = Element(Algebra.THIN, coeffs)
+    got = thin_delta(x)
+    assert got == reference_thin_delta(x)
+    assert_normalised_element(got)
