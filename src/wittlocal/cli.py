@@ -45,10 +45,12 @@ DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
 # Largest `leibniz` work, shifts * (pairs + window): one residual per checked
 # pair and shift s of the map (D(e_k) = c e_{k+s}), plus the per-shift split
-# of the table, one entry per window index and shift.  At the limit a
-# one-shift map (D(e_k) = k e_k, 3 M pairs) takes about 1.8 s and 1731
-# shifts at depth 1 about 0.8 s; D(e_k) = k e_k on 1:4000 at depth 4000
-# (4 M pairs, about 2.5 s) is refused.
+# of the table, one entry per index and shift.  Both count only what
+# `leibniz_check` reads: the images in its reach, the window indices within
+# [-2 depth, 2 depth].  D(e_k) = k e_k on 1:4000 (one shift) takes about
+# 1.9 s at depth 2460 (2.8 M pairs) and is refused at depth 4000 (4 M
+# pairs); the 100-shift inner map of e_0 + ... + e_99 on 1:400 takes about
+# 1.0 s at depth 200 (work 2.05 M).
 LEIBNIZ_MAX_WORK = 3000000
 
 # Largest `recover-inner` work, shifts * window, the size of its per-shift
@@ -65,8 +67,10 @@ EXTEND_MAX_TRUNCATION = 1000
 # Most term products one `bracket` multiplies (terms of x times terms of y),
 # about 9 us each.  `centralizer` brackets the element with every window
 # index, so its bound is on terms * window: at 16 terms on -3000:3000 (96016
-# products) it takes about 2.5 s.  `rigidity` is refused at the same
-# terms * window, though its two forced spaces take about 1 ms there.
+# products) it takes about 2.5 s.  `rigidity` needs no bound of its own: its
+# far probe 2 * support_bound + 1 must lie in the window, so a target has at
+# most 2999 terms, and its two forced spaces are one bracket of `terms`
+# products each (2999 terms on -3000:3000 take about 0.15 s).
 BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  The witness tabulates
@@ -198,8 +202,11 @@ def _shifts(images: dict[int, Element]) -> int:
 
 def _cmd_leibniz(args) -> int:
     table = _load_map(args.map, args.algebra)
-    pairs = sum(len(js) for _, js in derivations.leibniz_pairs(table.window, args.depth))
-    work = _shifts(table.images) * (pairs + len(table.window))
+    win, depth = table.window, args.depth
+    pairs = sum(len(js) for _, js in derivations.leibniz_pairs(win, depth))
+    # `leibniz_check` splits only the images in its reach [-2 depth, 2 depth]
+    reach = range(max(win.lo, -2 * depth), min(win.hi, 2 * depth) + 1)
+    work = _shifts({k: table.images[k] for k in reach}) * (pairs + len(reach))
     _refuse_above("shifts * (pairs + window)", work, LEIBNIZ_MAX_WORK)
     result = derivations.leibniz_check(table, args.depth)
     payload = {"algebra": args.algebra.value, "depth": args.depth}
@@ -286,8 +293,6 @@ def _cmd_centralizer(args) -> int:
 def _cmd_rigidity(args) -> int:
     window = _bounded_window(args, CENTRALIZER_MAX_WINDOW)
     x = parse_element(args.element, args.algebra)
-    twolocal.rigidity_probes(args.algebra, x, window)
-    _refuse_above("term products", len(x.coeffs) * len(window), BRACKET_MAX_PRODUCTS)
     trace = twolocal.rigidity_check(args.algebra, x, window)
     payload = {
         "algebra": args.algebra.value,

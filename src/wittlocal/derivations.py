@@ -543,7 +543,8 @@ def table_from_json(data: object) -> LinearMapTable:
             idx, coeff = term
             if not _is_integer(idx):
                 raise ParseError(f"image term index {idx!r} is not an integer")
-            entries[idx] = entries.get(idx, Fraction(0)) + parse_rational(str(coeff))
+            c = parse_rational(str(coeff))
+            entries[idx] = entries[idx] + c if idx in entries else c
         try:
             images[k] = Element(algebra, entries)
         except IndexOutOfDomain as exc:

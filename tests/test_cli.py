@@ -36,6 +36,8 @@ from wittlocal.cli import (
     main,
 )
 
+from helpers import reference_leibniz
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -646,8 +648,9 @@ def test_extend_refuses_many_shifts_at_long_truncation():
 
 def test_leibniz_refuses_large_work(tmp_path):
     """Each pair is checked once per shift of the map, and each shift is
-    split out over the whole window, so shifts * (pairs + window) is bounded
-    before any pair is checked."""
+    split out over the indices the pairs reach, [-2 depth, 2 depth] of the
+    window, so shifts * (pairs + window) over that reach is bounded before
+    any pair is checked."""
     path = tmp_path / "map.json"
 
     def leibniz(images, depth):
@@ -660,13 +663,18 @@ def test_leibniz_refuses_large_work(tmp_path):
         line = f"shifts * (pairs + window) {work} is above the limit {LEIBNIZ_MAX_WORK}"
         return 3, "", f"error: {line}\n"
 
+    # D(e_k) = e_{2k}: 2000 shifts, but one pair at depth 1 reads e_1 and e_2 only
+    spread = {str(k): [[2 * k, "1"]] for k in range(1, 2001)}
+    table = {"algebra": "wplus", "truncation": {"min": 1, "max": 2000}, "images": spread}
+    passed, checked, _, _ = reference_leibniz(derivations.table_from_json(table), 1)
+    assert passed and checked == 1
     start = time.perf_counter()
     # D(e_k) = k e_k: one shift, 2000 * 2000 pairs at depth 4000
     degree = {str(k): [[k, str(k)]] for k in range(1, 4001)}
     assert leibniz(degree, 4000) == refusal(2000 * 2000 + 4000)
-    # D(e_k) = e_{2k}: one pair at depth 1, but 2000 shifts
-    spread = {str(k): [[2 * k, "1"]] for k in range(1, 2001)}
-    assert leibniz(spread, 1) == refusal(2000 * (1 + 2000))
+    assert leibniz(spread, 1) == (0, "pass (1 pairs checked)\n", "")
+    # at depth 1000 the pairs reach 1:2000, every shift: 500500 pairs
+    assert leibniz(spread, 1000) == refusal(2000 * (500500 + 2000))
     assert time.perf_counter() - start < 0.5
 
 
@@ -723,20 +731,35 @@ def test_bracket_refuses_many_term_products():
 
 @pytest.mark.parametrize("command", ["centralizer", "rigidity"])
 def test_centralizer_and_rigidity_refuse_many_term_products(command):
-    """Both bracket the element with every window index: terms * window is
-    bounded like a bracket's term products, after the library's own checks."""
+    """`centralizer` brackets the element with every window index: terms *
+    window is bounded like a bracket's term products, after the library's
+    own checks.  `rigidity` brackets the target with two probes only, and
+    its far probe 2 * support_bound + 1 must lie in the window, so the
+    window bounds the terms: the largest target at the window cap (2999
+    terms) is answered."""
     terms = BRACKET_MAX_PRODUCTS // CENTRALIZER_MAX_WINDOW + 1
     half = CENTRALIZER_MAX_WINDOW // 2
     window = f"-{half}:{half}"
     element = " + ".join(f"e_{k}" for k in range(1, terms + 1))
     argv = [command, "--algebra", "witt", "--element", element, "--window", window]
+    if command == "rigidity":
+        top = (half - 1) // 2  # the far probe 2 * top + 1 is the window's last index
+        target = " + ".join(f"e_{k}" for k in range(-top, top + 1))
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            code, out, err = run(argv[:4] + [target, "--window", window, "--format", fmt])
+            assert time.perf_counter() - start < 0.5
+            assert (code, err) == (0, "")
+            rigid = out.endswith("rigid = true\n") if fmt == "text" else json.loads(out)["rigid"]
+            assert rigid is True
     start = time.perf_counter()
-    assert run(argv) == (
-        3,
-        "",
-        f"error: term products {terms * (2 * half + 1)} is above the limit "
-        f"{BRACKET_MAX_PRODUCTS}\n",
-    )
+    if command == "centralizer":
+        assert run(argv) == (
+            3,
+            "",
+            f"error: term products {terms * (2 * half + 1)} is above the limit "
+            f"{BRACKET_MAX_PRODUCTS}\n",
+        )
     argv[2] = "wplus"  # the window leaves the domain of wplus and its witnesses
     domain = "wplus_ext" if command == "rigidity" else "wplus"
     assert run(argv) == (3, "", f"error: window {window} leaves the {domain} index domain\n")
