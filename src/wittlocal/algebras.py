@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import IndexOutOfDomain, MixedAlgebras, ParseError
-from .linalg import Rational, SparseVector, Window, format_rational
+from .linalg import Rational, SparseVector, Window
 
 # structure constant: (i, j) -> K(i, j), with [e_i, e_j] = K(i, j) e_{i+j}
 Constant = Callable[[int, int], int]
