@@ -74,13 +74,15 @@ EXTEND_MAX_TRUNCATION = 1000
 BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  The witness tabulates
-# every index up to it: 6001 takes about 0.3 s and prints 131 KB of JSON.
+# every index up to it: 6001 takes about 0.03 s in-process and prints 131 KB
+# of JSON.
 VERIFY_MAX_INDEX = 6001
 
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
-# witness is built.  At the limit, 5 pairs near 6000 take about 0.4 s and
-# 10000 pairs of two-term elements about 3 s (each pair has a fixed cost).
+# witness is built.  At the limit, in a fresh process, 5 pairs near 6000
+# take about 0.2 s (0.4 s as JSON) and 10000 pairs of two-term elements
+# about 0.9 s (1.8 s as JSON): each pair has a fixed cost.
 VERIFY_MAX_TOTAL = 30000
 
 

@@ -256,8 +256,9 @@ _INNER = Element.basis(Algebra.WPLUS_EXT, 0) + Element.basis(Algebra.WPLUS_EXT, 
     Fraction(1, 2)
 )
 
-# (argv, map or pairs file contents or None, text stdout, JSON payload).  The JSON
-# payload is a dict literal, so its key order is part of the expected bytes.
+# (argv, map or pairs file contents or None, text stdout, JSON payload).
+# The JSON payload is a dict literal, so its key order is part of the
+# expected bytes.
 _BYTE_GOLDENS = {
     "jacobi-pass": (
         ["jacobi", "--algebra", "wplus", "--window", "1:6"],
