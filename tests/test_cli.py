@@ -326,12 +326,41 @@ _BYTE_GOLDENS = {
             "rigid": True,
         },
     ),
+    "rigidity-wplus": (  # witnesses from wplus_ext, which holds e_0
+        ["rigidity", "--algebra", "wplus", "--element", "2*e_3 - 1/2*e_5", "--window", "1:40"],
+        None,
+        "target = 2*e_3 - 1/2*e_5\n"
+        "probes: e_1, e_11\n"
+        "probe e_1: dim=1; basis: e_4 - 1/2*e_6\n"
+        "probe e_11: dim=1; basis: e_14 - 3/16*e_16\n"
+        "intersection: dim=0; basis: -\n"
+        "rigid = true\n",
+        {
+            "algebra": "wplus",
+            "target": "2*e_3 - 1/2*e_5",
+            "window": {"min": 1, "max": 40},
+            "probes": [1, 11],
+            "forced": [
+                {"probe": 1, "dim": 1, "basis": ["e_4 - 1/2*e_6"]},
+                {"probe": 11, "dim": 1, "basis": ["e_14 - 3/16*e_16"]},
+            ],
+            "intersection": {"dim": 0, "basis": []},
+            "rigid": True,
+        },
+    ),
     "centralizer": (
         ["centralizer", "--algebra", "witt", "--element", "-e_1 + e_2", "--window", "-3:3"],
         None,
         "dim=1; basis: e_1 - e_2\n",
         {"algebra": "witt", "element": "-e_1 + e_2", "window": {"min": -3, "max": 3}, "dim": 1,
          "basis": ["e_1 - e_2"]},
+    ),
+    "centralizer-thin": (  # every index from 2 up commutes with e_2: five free columns
+        ["centralizer", "--algebra", "thin", "--element", "e_2", "--window", "1:6"],
+        None,
+        "dim=5; basis: e_2, e_3, e_4, e_5, e_6\n",
+        {"algebra": "thin", "element": "e_2", "window": {"min": 1, "max": 6}, "dim": 5,
+         "basis": ["e_2", "e_3", "e_4", "e_5", "e_6"]},
     ),
     "additivity": (
         ["two-local", "additivity"],
