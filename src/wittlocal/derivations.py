@@ -380,7 +380,7 @@ def derivation_space_basis(
             if any(unknowns[t] not in position for t in vec.support()):
                 raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")
             solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
-    space = Subspace(solutions, Window(0, len(coords) - 1))
+    space = Subspace(solutions)
     return DerivationSpace(algebra, support_bound, depth, names, space, coords)
 
 

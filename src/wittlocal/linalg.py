@@ -209,26 +209,17 @@ def _add_multiple(row: dict[int, Fraction], f: Fraction, other: dict[int, Fracti
 
 
 class Subspace:
-    """Linear subspace of the vectors supported in a window, stored as a
-    canonical reduced-echelon basis.  Equal spans compare equal."""
+    """Span of finitely many vectors, stored as its canonical reduced-echelon
+    basis.  Equal spans compare equal."""
 
-    __slots__ = ("basis", "window")
+    __slots__ = ("basis",)
 
-    def __init__(self, vectors: Iterable[SparseVector], window: Window):
-        vectors = list(vectors)
-        for v in vectors:
-            if not window.contains_vector(v):
-                raise ValueError(f"vector support {v.support()} escapes window {window}")
+    def __init__(self, vectors: Iterable[SparseVector]):
         self.basis = [SparseVector._trusted(row) for _, row in sorted(_reduce(vectors).items())]
-        self.window = window
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def rewindow(self, window: Window) -> Subspace:
-        """Same span, declared over a (usually larger) window."""
-        return Subspace(self.basis, window)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -236,7 +227,7 @@ class Subspace:
         return self.basis == other.basis
 
     def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, window={self.window})"
+        return f"Subspace(dim={self.dim})"
 
 
 def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
@@ -255,22 +246,21 @@ def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
             if c:
                 entries[col] = -c
         vectors.append(SparseVector._trusted(entries))
-    return Subspace(vectors, window)
+    return Subspace(vectors)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces declared over the same window.
+    """Intersection of two spans.
 
     Computed as the orthogonal complement of the sum of the two orthogonal
-    complements, which stays inside the shared window.  Spans whose
-    coordinate supports are disjoint meet only in zero, which needs no
-    elimination.
+    complements, all over the index hull of both supports, which holds
+    every vector of either span.  Spans whose coordinate supports are
+    disjoint meet only in zero, which needs no elimination.
     """
-    if a.window != b.window:
-        raise ValueError(f"window mismatch: {a.window} vs {b.window}")
     a_support = {i for v in a.basis for i in v._entries}
-    if a_support.isdisjoint(i for v in b.basis for i in v._entries):
-        return Subspace([], a.window)
-    a_perp = kernel_basis(a.basis, a.window)
-    b_perp = kernel_basis(b.basis, b.window)
-    return kernel_basis(a_perp.basis + b_perp.basis, a.window)
+    b_support = {i for v in b.basis for i in v._entries}
+    if a_support.isdisjoint(b_support):
+        return Subspace([])
+    hull = Window(min(a_support | b_support), max(a_support | b_support))
+    a_perp, b_perp = kernel_basis(a.basis, hull), kernel_basis(b.basis, hull)
+    return kernel_basis(a_perp.basis + b_perp.basis, hull)

@@ -49,21 +49,14 @@ def thin_delta(x: Element) -> Element:
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """A derivation (or the element generating an inner one) claimed to
-    agree with a 2-local map at both members of a pair.  Never trusted:
-    `verify_pair` recomputes both agreements."""
+    """A derivation table claimed to agree with a 2-local map at both
+    members of a pair.  Never trusted: `verify_pair` recomputes both
+    agreements."""
 
     x: Element
     y: Element
     case: str
-    witness: Element | LinearMapTable
-
-    def apply(self, target: Element) -> Element:
-        if isinstance(self.witness, LinearMapTable):
-            return self.witness.apply(target)
-        a = self.witness
-        lifted = target.in_algebra(a.algebra)
-        return bracket(a, lifted).in_algebra(target.algebra)
+    witness: LinearMapTable
 
 
 def thin_witness(x: Element, y: Element) -> WitnessCertificate:
@@ -101,8 +94,8 @@ class PairVerification:
 def verify_pair(delta: DeltaMap, cert: WitnessCertificate) -> PairVerification:
     """Check that the certificate's witness reproduces delta at both pair
     members, exactly.  Residuals are delta(member) - witness(member)."""
-    rx = delta(cert.x) - cert.apply(cert.x)
-    ry = delta(cert.y) - cert.apply(cert.y)
+    rx = delta(cert.x) - cert.witness.apply(cert.x)
+    ry = delta(cert.y) - cert.witness.apply(cert.y)
     return PairVerification(rx.is_zero() and ry.is_zero(), rx, ry)
 
 
@@ -149,8 +142,7 @@ def forced_image_space(
 
     A witness for the pair (e_probe, x) must centralize e_probe, so the
     candidate values are spanned by [a, x] for a in that centralizer on the
-    window (witnesses for wplus live in wplus_ext).  The span is returned
-    over the grade hull of the computed images.
+    window (witnesses for wplus live in wplus_ext).
 
     In witt and wplus_ext, a = sum a_g e_g has [a, e_probe] =
     sum a_g (probe - g) e_{g+probe}, one grade per g, so a centralizes
@@ -169,25 +161,15 @@ def forced_image_space(
         walg.require_window(window)
         cent = [SparseVector.unit(probe)] if probe in window else []
     lifted = x.in_algebra(walg)
-    images = [bracket(Element(walg, v), lifted).coeffs for v in cent]
-    return _span_over_hull(images)
-
-
-def _span_over_hull(vectors: list[SparseVector]) -> Subspace:
-    support = sorted({i for v in vectors for i in v.support()})
-    if not support:
-        return Subspace([], Window(0, 0))
-    return Subspace(vectors, Window(support[0], support[-1]))
+    return Subspace([bracket(Element(walg, v), lifted).coeffs for v in cent])
 
 
 @dataclass(frozen=True)
 class RigidityTrace:
-    """Record of one rigidity run: the target element, the probe indices,
-    the forced value space per probe, and their intersection (all over a
-    shared grade window).  Zero intersection certifies that a 2-local map
-    killing every probe also kills the target."""
+    """Record of one rigidity run: the two probe indices, the forced value
+    space per probe, and their intersection.  Zero intersection certifies
+    that a 2-local map killing both probes also kills the target."""
 
-    target: Element
     probes: list[int]
     forced: list[Subspace]
     intersection: Subspace
@@ -209,17 +191,11 @@ def _rigidity_from_probes(
     algebra: Algebra, x: Element, probes: list[int], window: Window
 ) -> RigidityTrace:
     spaces = [forced_image_space(algebra, p, x, window) for p in probes]
-    hull_indices = [i for s in spaces for i in (s.window.lo, s.window.hi)]
-    hull = Window(min(hull_indices), max(hull_indices))
-    spaces = [s.rewindow(hull) for s in spaces]
-    meet = spaces[0]
-    for s in spaces[1:]:
-        meet = subspace_intersection(meet, s)
-    return RigidityTrace(x, probes, spaces, meet)
+    return RigidityTrace(probes, spaces, subspace_intersection(*spaces))
 
 
-def rigidity_probes(algebra: Algebra, x: Element, window: Window) -> list[int]:
-    """The probes of `rigidity_check`, once its inputs pass its checks.
+def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrace:
+    """Rigidity for an arbitrary nonzero target.
 
     Probes are the lowest generator index (0 for witt, 1 for wplus) plus
     one index beyond twice the target's support bound, so the two forced
@@ -232,12 +208,8 @@ def rigidity_probes(algebra: Algebra, x: Element, window: Window) -> list[int]:
     if x.is_zero():
         raise ValueError("rigidity target must be nonzero")
     far = 2 * x.support_bound() + 1
-    return _require_probes(algebra, [0, far] if algebra is Algebra.WITT else [1, far], window)
-
-
-def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrace:
-    """Rigidity for an arbitrary nonzero target, at its `rigidity_probes`."""
-    return _rigidity_from_probes(algebra, x, rigidity_probes(algebra, x, window), window)
+    probes = _require_probes(algebra, [0, far] if algebra is Algebra.WITT else [1, far], window)
+    return _rigidity_from_probes(algebra, x, probes, window)
 
 
 def basis_rigidity_check(algebra: Algebra, i: int, window: Window) -> RigidityTrace:

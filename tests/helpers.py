@@ -84,15 +84,11 @@ def reference_forced_image_space(algebra: Algebra, probe: int, x: Element, windo
     """The forced space at x for probe e_probe through the centralizer of
     e_probe by brute force: [a, x] through `reference_bracket` for each basis
     vector a of `reference_centralizer` (witnesses for wplus live in
-    wplus_ext), spanned over the grade hull of those images."""
+    wplus_ext)."""
     walg = Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
     cent = reference_centralizer(walg, Element.basis(walg, probe), window)
     lifted = x.in_algebra(walg)
-    images = [reference_bracket(Element(walg, v), lifted).coeffs for v in cent.basis]
-    support = sorted({i for v in images for i in v.support()})
-    if not support:
-        return Subspace([], Window(0, 0))
-    return Subspace(images, Window(support[0], support[-1]))
+    return Subspace([reference_bracket(Element(walg, v), lifted).coeffs for v in cent.basis])
 
 
 def dot(u: SparseVector, v: SparseVector) -> Fraction:
@@ -113,7 +109,7 @@ def in_span(space: Subspace, v: SparseVector) -> bool:
 
 def full_subspace(window: Window) -> Subspace:
     """Every vector supported in the window."""
-    return Subspace([SparseVector.unit(i) for i in window.indices()], window)
+    return Subspace([SparseVector.unit(i) for i in window.indices()])
 
 
 def zero_table(algebra: Algebra, window: Window) -> LinearMapTable:
@@ -224,11 +220,12 @@ def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, trun
     return images, None
 
 
-def complement_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces over one window as the complement of
-    the sum of their complements, with no shortcut for disjoint supports."""
-    a_perp, b_perp = kernel_basis(a.basis, a.window), kernel_basis(b.basis, b.window)
-    return kernel_basis(a_perp.basis + b_perp.basis, a.window)
+def complement_intersection(a: Subspace, b: Subspace, window: Window) -> Subspace:
+    """Intersection of two spans supported in the window as the complement
+    of the sum of their complements there, with no shortcut for disjoint
+    supports."""
+    a_perp, b_perp = kernel_basis(a.basis, window), kernel_basis(b.basis, window)
+    return kernel_basis(a_perp.basis + b_perp.basis, window)
 
 
 def reference_jacobi(algebra: Algebra, window, constant=None):
@@ -350,7 +347,7 @@ def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = Non
             assert all(unknowns[t] in position for t in vec.support()), "thin beta_1 != 0"
             solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
-    return names, Subspace(solutions, Window(0, len(coords) - 1))
+    return names, Subspace(solutions)
 
 
 def reference_apply(table, x: Element) -> Element:

@@ -95,7 +95,7 @@ def test_arithmetic_results_are_normalised(pair, c):
 @settings(derandomize=True, max_examples=100)
 @given(st.lists(sparse_vectors, max_size=8), st.integers(0, 8))
 def test_echelon_results_are_normalised(rows, cut):
-    left, right = Subspace(rows[:cut], _WIN), Subspace(rows[cut:], _WIN)
+    left, right = Subspace(rows[:cut]), Subspace(rows[cut:])
     kernel = kernel_basis(rows, _WIN)
     for v in left.basis + right.basis + kernel.basis + subspace_intersection(left, right).basis:
         assert_normalised(v)
@@ -165,13 +165,12 @@ def test_rank_nullity():
             )
             for _ in range(rng.randint(0, 10))
         ]
-        rank = Subspace(rows, win).dim
+        rank = Subspace(rows).dim
         assert kernel_basis(rows, win).dim + rank == len(win)
 
 
 def test_subspace_canonical_form():
-    win = Window(0, 3)
-    s = Subspace([SparseVector({0: 2, 1: 2}), SparseVector({0: 1, 1: 1, 2: 3})], win)
+    s = Subspace([SparseVector({0: 2, 1: 2}), SparseVector({0: 1, 1: 1, 2: 3})])
     assert s.dim == 2
     for v in s.basis:
         assert v.get(v.leading_index()) == 1
@@ -187,7 +186,7 @@ def test_intersection_examples():
     win = Window(1, 4)
 
     def span(*vecs):
-        return Subspace(list(vecs), win)
+        return Subspace(vecs)
 
     e = {i: SparseVector({i: 1}) for i in win.indices()}
     assert subspace_intersection(span(e[2]), span(e[3])).dim == 0
@@ -208,7 +207,7 @@ def test_intersection_properties():
             )
             for _ in range(rng.randint(1, 4))
         ]
-        a, b = Subspace(vecs(), win), Subspace(vecs(), win)
+        a, b = Subspace(vecs()), Subspace(vecs())
         meet = subspace_intersection(a, b)
         for v in meet.basis:
             assert in_span(a, v) and in_span(b, v)
@@ -235,10 +234,9 @@ def test_intersection_matches_complement_route():
         )
         if n % 2 == 0 and a_vecs:
             b_vecs.append(a_vecs[0].scale(rng.randint(1, 3)) + a_vecs[-1])
-        a, b = Subspace(a_vecs, win), Subspace(b_vecs, win)
+        a, b = Subspace(a_vecs), Subspace(b_vecs)
         meet = subspace_intersection(a, b)
-        expected = complement_intersection(a, b)
-        assert (meet.basis, meet.window) == (expected.basis, expected.window)
+        assert meet.basis == complement_intersection(a, b, win).basis
         supports = [{i for v in s.basis for i in v.support()} for s in (a, b)]
         disjoint += supports[0].isdisjoint(supports[1])
         shared += meet.dim > 0
@@ -298,8 +296,41 @@ def test_kernel_matches_sympy_nullspace():
         assert kernel_basis(rows, win).basis == expected
 
 
-def test_window_mismatch_rejected():
-    a = Subspace([SparseVector({0: 1})], Window(0, 2))
-    b = Subspace([SparseVector({0: 1})], Window(0, 3))
-    with pytest.raises(ValueError):
-        subspace_intersection(a, b)
+def test_intersection_of_spans_built_on_different_windows():
+    """A span carries no window: spans drawn from two different windows meet
+    as the complement route over the hull of both windows says, and in
+    dimension dim a + dim b - rank(a and b together), the rank from sympy."""
+    sympy = pytest.importorskip("sympy")
+    rng = Random(89)
+    shared = 0
+    for n in range(60):
+        wins = []
+        for _ in range(2):
+            lo = rng.randint(-6, 4)
+            wins.append(Window(lo, lo + rng.randint(0, 6)))
+        a_vecs, b_vecs = (
+            [
+                SparseVector(
+                    {rng.randint(w.lo, w.hi): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for _ in range(3)}
+                )
+                for _ in range(rng.randint(0, 4))
+            ]
+            for w in wins
+        )
+        overlap = range(max(w.lo for w in wins), min(w.hi for w in wins) + 1)
+        if n % 2 == 0 and overlap:  # plant a direction both windows hold
+            planted = SparseVector({rng.choice(overlap): rng.randint(1, 3) for _ in range(2)})
+            a_vecs.append(planted)
+            b_vecs.append(planted.scale(rng.choice((-2, 1, 3))))
+        a, b = Subspace(a_vecs), Subspace(b_vecs)
+        meet = subspace_intersection(a, b)
+        hull = Window(min(w.lo for w in wins), max(w.hi for w in wins))
+        assert meet.basis == complement_intersection(a, b, hull).basis
+        both, cols = a.basis + b.basis, list(hull.indices())
+        matrix = sympy.Matrix(len(both), len(cols), lambda r, c: both[r].get(cols[c]))
+        assert meet.dim == a.dim + b.dim - (matrix.rank() if both else 0)
+        for v in meet.basis:
+            assert in_span(a, v) and in_span(b, v)
+        shared += meet.dim > 0
+    assert shared >= 15
