@@ -173,7 +173,8 @@ def bracket(x: Element, y: Element) -> Element:
     for i, ci in x.coeffs.items():
         for j, cj in y.coeffs.items():
             if c := K(i, j):
-                out[i + j] = out.get(i + j, Fraction(0)) + ci * cj * c
+                k, v = i + j, ci * cj * c
+                out[k] = out[k] + v if k in out else v
     return Element(x.algebra, out)
 
 
