@@ -58,6 +58,13 @@ LEIBNIZ_MAX_WORK = 3000000
 # / 0.08 / 0.14 s and peaks at 24 / 40 / 48 MiB RSS; 1:2000 is refused.
 RECOVER_INNER_MAX_WORK = 3000000
 
+# Most image terms a `leibniz` or `recover-inner` map file may hold, counted
+# once the JSON is read and before the table is built.  In a fresh process,
+# reading and tabulating a map on 1:400 takes about 0.3 s / 27 MiB peak RSS
+# at 40000 terms, 0.6 s / 43 MiB at 100000 and 4.6 s / 202 MiB at 600000;
+# the 600000-term file (11 MB) is refused in 1.0 s, mostly the JSON read.
+MAP_MAX_TERMS = 100000
+
 # Largest `extend` truncation.  Checking every cross relation is quadratic:
 # thin takes about 1.8 s at 1000 and 16 s at 3000.  Each shift s of the
 # generator images (D(e_k) = c e_{k+s}) repeats that work, so shifts *
@@ -154,7 +161,12 @@ def _load_json(path: str, kind: str) -> object:
 
 
 def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
-    table = derivations.table_from_json(_load_json(path, "map"))
+    data = _load_json(path, "map")
+    images = data.get("images") if isinstance(data, dict) else None
+    if isinstance(images, dict):  # anything else is malformed: table_from_json says how
+        terms = sum(len(image) for image in images.values() if isinstance(image, list))
+        _refuse_above("map terms", terms, MAP_MAX_TERMS)
+    table = derivations.table_from_json(data)
     if table.algebra is not algebra:
         raise ParseError(f"map file algebra {table.algebra} does not match --algebra {algebra}")
     return table

@@ -30,6 +30,7 @@ from wittlocal.cli import (
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_WINDOW,
     LEIBNIZ_MAX_WORK,
+    MAP_MAX_TERMS,
     RECOVER_INNER_MAX_WORK,
     VERIFY_MAX_INDEX,
     VERIFY_MAX_TOTAL,
@@ -706,6 +707,25 @@ def test_leibniz_refuses_large_work(tmp_path):
     # at depth 1000 the pairs reach 1:2000, every shift: 500500 pairs
     assert leibniz(spread, 1000) == refusal(2000 * (500500 + 2000))
     assert time.perf_counter() - start < 0.5
+
+
+def test_map_terms_refused_before_the_table(tmp_path):
+    """The image terms of a map file are counted as soon as it is read, so
+    one term above MAP_MAX_TERMS is refused before any image is built."""
+    assert MAP_MAX_TERMS == 100000
+    shifts = 100  # D(e_k) = e_k + e_{k+1} + ... + e_{k+99} on 1:1000
+    images = {str(k): [[k + s, "1"] for s in range(shifts)] for k in range(1, 1001)}
+    table = {"algebra": "wplus", "truncation": {"min": 1, "max": 1000}, "images": images}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(table))
+    assert run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "1"]) == (
+        0, "pass (1 pairs checked)\n", ""
+    )
+    images["1"].append([1 + shifts, "1"])
+    path.write_text(json.dumps(table))
+    refusal = (3, "", f"error: map terms {MAP_MAX_TERMS + 1} is above the limit {MAP_MAX_TERMS}\n")
+    assert run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "1"]) == refusal
+    assert run(["recover-inner", "--algebra", "wplus", "--map", str(path)]) == refusal
 
 
 def _doubling_map(algebra, window):
