@@ -37,9 +37,9 @@ JACOBI_MAX_WINDOW = 200
 CENTRALIZER_MAX_WINDOW = 6001
 
 # Largest `der-basis` support bound and consistency depth.  The solve grows
-# like support * depth^2 and takes about 0.8 s (wplus) and 0.5 s (thin) at
-# support 64 with its default depth 2*64+3, the depth cap.  Larger values are
-# refused up front.
+# like support * depth^2 and takes about 0.7 s (wplus) and 0.45 s (thin) in a
+# fresh process at support 64 with its default depth 2*64+3, the depth cap.
+# Larger values are refused up front.
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
@@ -59,7 +59,9 @@ LEIBNIZ_MAX_WORK = 3000000
 RECOVER_INNER_MAX_WORK = 3000000
 
 # Most image terms a `leibniz` or `recover-inner` map file may hold, counted
-# once the JSON is read and before the table is built.  In a fresh process,
+# once the JSON is read and before the table is built.  The number of image
+# keys has the same bound, since each key is an `Element` even when its image
+# is empty.  In a fresh process,
 # reading and tabulating a map on 1:400 takes about 0.3 s / 27 MiB peak RSS
 # at 40000 terms, 0.6 s / 43 MiB at 100000 and 4.6 s / 202 MiB at 600000;
 # the 600000-term file (11 MB) is refused in 1.0 s, mostly the JSON read.
@@ -164,6 +166,7 @@ def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
     data = _load_json(path, "map")
     images = data.get("images") if isinstance(data, dict) else None
     if isinstance(images, dict):  # anything else is malformed: table_from_json says how
+        _refuse_above("map keys", len(images), MAP_MAX_TERMS)
         terms = sum(len(image) for image in images.values() if isinstance(image, list))
         _refuse_above("map terms", terms, MAP_MAX_TERMS)
     table = derivations.table_from_json(data)

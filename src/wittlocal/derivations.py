@@ -40,7 +40,6 @@ from .linalg import (
     Subspace,
     Window,
     format_rational,
-    kernel_basis,
     parse_rational,
 )
 
@@ -146,7 +145,8 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     pairs = ((i, j) for i, js in rows for j in js)
     reach = Window(max(win.lo, -2 * degree_bound), min(win.hi, 2 * degree_bound))
     images = {k: table.images[k] for k in reach.indices()}
-    failure = _first_violation(alg, _shift_parts(images, reach), pairs)
+    scaled = {s: _integer_parts(c) for s, c in _shift_parts(images, reach).items()}
+    failure = _first_violation(alg, scaled, pairs)
     return LeibnizResult(failure is None, checked, *(failure or ()))
 
 
@@ -196,48 +196,65 @@ def _cross_relations(algebra: Algebra, truncation: int):
 
 
 def _shift_sequence(
-    algebra: Algebra, s: int, a: Rational, b: Rational, truncation: int
-) -> list[Fraction]:
-    """c_0..c_N (c_0 unused) of the shift-s part with D(e_1) = a e_{1+s} and
-    D(e_2) = b e_{2+s}; D(e_k) is forced by e_k = [e_1, e_{k-1}] / K(1, k-1):
+    algebra: Algebra, s: int, a: int, b: int, truncation: int
+) -> tuple[int, list[int]]:
+    """(L, L c_0..L c_N) for the shift-s part with D(e_1) = a e_{1+s} and
+    D(e_2) = b e_{2+s} (a, b integers, c_0 unused); D(e_k) is forced by
+    e_k = [e_1, e_{k-1}] / K(1, k-1):
 
         c_k = (a K(1+s, k-1) + c_{k-1} K(1, k-1+s)) / K(1, k-1).
+
+    All in integers: c_k = n_k / L_k, where L_k = L_{k-1} K(1, k-1) / g
+    grows only by the part of K(1, k-1) that the gcd g with the numerator
+    does not cancel.  Each n_k is then scaled by L_N / L_k.  L = L_N divides
+    K(1, 2) ... K(1, N-1) but is usually far smaller, so the integers stay
+    short.
     """
     K = algebra.constant
-    a = Fraction(a)
-    c = [Fraction(0), a, Fraction(b)]
+    c, steps, den = [0, a, b], [1, 1, 1], 1
     for k in range(3, truncation + 1):
-        c.append((a * K(1 + s, k - 1) + c[k - 1] * K(1, k - 1 + s)) / K(1, k - 1))
-    return c
+        num = a * den * K(1 + s, k - 1) + c[k - 1] * K(1, k - 1 + s)
+        g = math.gcd(num, K(1, k - 1))
+        steps.append(K(1, k - 1) // g)
+        den *= steps[-1]
+        c.append(num // g)
+    later = 1  # L_N / L_k
+    for k in range(truncation, 0, -1):
+        c[k] *= later
+        later *= steps[k]
+    return den, c
 
 
-def _integer_parts(seqs: list[list[Rational]]) -> tuple[int, list[list[int]]]:
-    """One common denominator of the sequences, and the sequences times it."""
-    den = math.lcm(*(x.denominator for c in seqs for x in c))
-    return den, [[x.numerator * den // x.denominator for x in c] for c in seqs]
+def _integer_parts(c: list[Rational]) -> tuple[int, list[int]]:
+    """One common denominator of the sequence, and the sequence times it."""
+    den = math.lcm(*(x.denominator for x in c))
+    return den, [x.numerator * den // x.denominator for x in c]
 
 
-def _first_violation(algebra: Algebra, parts: dict, pairs: Iterable) -> tuple | None:
+def _first_violation(
+    algebra: Algebra, parts: dict[int, tuple[int, list[int]]], pairs: Iterable
+) -> tuple | None:
     """The first (i, j) of pairs with a nonzero residual at some shift, and that
     residual summed over the shifts; None if there is none.
 
-    The residual of the shift-s part c at (i, j) is the grade i+j+s
-    coefficient of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]:
+    parts maps each shift s to its part c scaled to integers, as (den, den c).
+    The residual of c at (i, j) is the grade i+j+s coefficient of
+    D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]:
     K(i,j) c[i+j] - c[i] K(i+s,j) - c[j] K(i,j+s), with c[i+j] read only if
-    K(i,j) != 0.  Each part is checked scaled to integers, pairs outer and
-    shifts inner, and only the failing residual is divided back."""
+    K(i,j) != 0.  Pairs run outer and shifts inner, and only the failing
+    residual is divided back."""
     K = algebra.constant
-    scaled = [(s, *_integer_parts([c])) for s, c in parts.items()]
+    scaled = list(parts.items())
     for i, j in pairs:
         kij = K(i, j)
-        for s, _, (c,) in scaled:
+        for s, (_, c) in scaled:
             if (kij * c[i + j] if kij else 0) != c[i] * K(i + s, j) + c[j] * K(i, j + s):
                 terms = {
                     i + j + t: Fraction(
                         (kij * d[i + j] if kij else 0) - d[i] * K(i + t, j) - d[j] * K(i, j + t),
                         den,
                     )
-                    for t, den, (d,) in scaled
+                    for t, (den, d) in scaled
                 }
                 return (i, j), Element(algebra, terms)
     return None
@@ -285,14 +302,15 @@ def extend_from_generators(
         raise ValueError("truncation must be at least 3")
     if img_e1.algebra is not algebra or img_e2.algebra is not algebra:
         raise MixedAlgebras("generator images must live in the target algebra")
-    parts = {
-        s: _shift_sequence(algebra, s, c[1], c[2], truncation)
-        for s, c in _shift_parts({1: img_e1, 2: img_e2}, Window(1, 2)).items()
-    }
+    parts = {}
+    for s, generators in _shift_parts({1: img_e1, 2: img_e2}, Window(1, 2)).items():
+        den, (a, b) = _integer_parts(generators[1:])
+        q, c = _shift_sequence(algebra, s, a, b, truncation)
+        parts[s] = den * q, c
     if failure := _first_violation(algebra, parts, _cross_relations(algebra, truncation)):
         return InconsistentExtension(*failure)
     images = {
-        k: Element(algebra, {k + s: c[k] for s, c in parts.items()})
+        k: Element(algebra, {k + s: Fraction(c[k], den) for s, (den, c) in parts.items()})
         for k in range(1, truncation + 1)
     }
     return LinearMapTable(algebra, Window(1, truncation), images)
@@ -327,6 +345,39 @@ class DerivationSpace:
         return Element(self.algebra, by_gen[1]), Element(self.algebra, by_gen[2])
 
 
+def _block_kernel(
+    K, s: int, parts: list[tuple[int, list[int]]], relations: Iterable
+) -> list[list[int]]:
+    """Integer basis of the x for which the shift-s part sum_t x_t c_t
+    satisfies every relation (i, j, K(i, j)), that is, the residual of
+    `_first_violation` vanishes.  parts[t] is c_t scaled to integers, as
+    (L_t, L_t c_t).
+
+    The kernel starts as the t-th unit vectors times L_t, each kept with its
+    sequence.  A relation with a nonzero residual on some kernel sequence
+    pivots on the first such one: every other vector becomes its integer
+    combination with the pivot that cancels that residual, and the pivot
+    leaves.  That happens at most once per unknown, and the relations stop
+    being read once the kernel is zero, since none can change that.
+    """
+    kernel = [([den * (t == u) for t in range(len(parts))], c) for u, (den, c) in enumerate(parts)]
+    for i, j, kij in relations:
+        ki, kj = K(i + s, j), K(i, j + s)
+        if not (kij or ki or kj):
+            continue
+        res = [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for _, c in kernel]
+        if any(res):
+            t = next(t for t, r in enumerate(res) if r)
+            (pv, pc), rp = kernel.pop(t), res.pop(t)
+            kernel = [
+                ([rp * x - r * y for x, y in zip(v, pv)], [rp * x - r * y for x, y in zip(c, pc)])
+                for (v, c), r in zip(kernel, res)
+            ]
+            if not kernel:
+                break
+    return [v for v, _ in kernel]
+
+
 def derivation_space_basis(
     algebra: Algebra, support_bound: int, consistency_depth: int | None = None
 ) -> DerivationSpace:
@@ -340,12 +391,13 @@ def derivation_space_basis(
     coefficient exclusions for support bound n) is imposed.
 
     Shift s couples only alpha_{s+1} and beta_{s+2}, so each shift is an
-    independent block of at most two unknowns; the canonical basis is the
-    reduced echelon form of all block solutions.  A block is assembled in
-    integers (its unit sequences scaled by one common denominator) and only
-    its distinct primitive rows reach `kernel_basis`: the kernel is the same.
-    For thin, beta_1 is solved for as well and must come out zero; it is not
-    a reported coordinate.
+    independent block of at most two unknowns.  A block's unit sequences
+    come from the integer recurrence of `_shift_sequence`, and
+    `_block_kernel` imposes the relations on them one at a time, in
+    integers, until its kernel is zero.  No linear system is assembled; the
+    canonical basis is the reduced echelon form of all block kernels.  For
+    thin, beta_1 is solved for as well and must come out zero; it is not a
+    reported coordinate.
     """
     require_generated(algebra)
     if support_bound < 1:
@@ -366,20 +418,12 @@ def derivation_space_basis(
     solutions: list[SparseVector] = []
     for s in range(-1, n):
         unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
-        seqs = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
-        _, parts = _integer_parts(seqs)
-        rows = set()
-        for i, j, kij in relations:  # the residuals of `_first_violation`
-            ki, kj = K(i + s, j), K(i, j + s)
-            row = [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for c in parts]
-            if any(row):  # primitive, with a positive first nonzero entry
-                g = math.gcd(*row) if next(filter(None, row)) > 0 else -math.gcd(*row)
-                rows.add(tuple(x // g for x in row))
-        block = [SparseVector(dict(enumerate(row))) for row in sorted(rows)]
-        for vec in kernel_basis(block, Window(0, len(unknowns) - 1)).basis:
-            if any(unknowns[t] not in position for t in vec.support()):
+        parts = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
+        for vec in _block_kernel(K, s, parts, relations):
+            entries = {unknowns[t]: x for t, x in enumerate(vec) if x}
+            if not entries.keys() <= position.keys():
                 raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")
-            solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
+            solutions.append(SparseVector({position[u]: x for u, x in entries.items()}))
     space = Subspace(solutions)
     return DerivationSpace(algebra, support_bound, depth, names, space, coords)
 

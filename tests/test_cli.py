@@ -728,6 +728,30 @@ def test_map_terms_refused_before_the_table(tmp_path):
     assert run(["recover-inner", "--algebra", "wplus", "--map", str(path)]) == refusal
 
 
+def test_map_keys_refused_before_the_table(tmp_path, monkeypatch):
+    """Image keys are counted with the terms: empty images hold no terms, but
+    each one would still become an `Element`, so one key above MAP_MAX_TERMS
+    is refused before `table_from_json` runs."""
+
+    def refuse(data):
+        raise AssertionError("the table was built")
+
+    def table(top):
+        images = {str(k): [] for k in range(1, top + 1)}
+        return {"algebra": "wplus", "truncation": {"min": 1, "max": top}, "images": images}
+
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(table(MAP_MAX_TERMS)))
+    assert run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "1"]) == (
+        0, "pass (1 pairs checked)\n", ""
+    )
+    path.write_text(json.dumps(table(MAP_MAX_TERMS + 1)))
+    monkeypatch.setattr(derivations, "table_from_json", refuse)
+    refusal = (3, "", f"error: map keys {MAP_MAX_TERMS + 1} is above the limit {MAP_MAX_TERMS}\n")
+    assert run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "1"]) == refusal
+    assert run(["recover-inner", "--algebra", "wplus", "--map", str(path)]) == refusal
+
+
 def _doubling_map(algebra, window):
     """D(e_k) = e_{2k} on the window: one shift per index."""
     images = {str(k): [[2 * k, "1"]] for k in window.indices()}

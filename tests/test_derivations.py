@@ -15,6 +15,7 @@ from wittlocal import (
     MixedAlgebras,
     NotADerivation,
     ParseError,
+    SparseVector,
     ThinDerivationParams,
     TruncationTooSmall,
     Window,
@@ -34,6 +35,7 @@ from wittlocal import (
 
 from helpers import (
     assert_normalised_element,
+    basis_rule,
     rand_element,
     rand_rational,
     reference_derivation_space,
@@ -251,9 +253,9 @@ def test_leibniz_scales_only_the_images_it_reads(monkeypatch):
     has them, and must never reach the integer scaling."""
     scaled = []
 
-    def spy(seqs):
-        scaled.append(max(x.denominator for c in seqs for x in c))
-        return integer_parts(seqs)
+    def spy(c):
+        scaled.append(max(x.denominator for x in c))
+        return integer_parts(c)
 
     integer_parts = derivations._integer_parts
     monkeypatch.setattr(derivations, "_integer_parts", spy)
@@ -435,12 +437,99 @@ def test_space_invariant_under_deeper_consistency(algebra):
 
 @pytest.mark.parametrize("algebra", [Algebra.WPLUS, Algebra.THIN])
 def test_space_matches_fraction_reference(algebra):
-    for n in range(1, 11):
+    for n in range(1, 17):
         for depth in (None, 2 * n + 4, 2 * n + 9):
             space = derivation_space_basis(algebra, n, depth)
             names, reference = reference_derivation_space(algebra, n, depth)
             assert space.coordinates == names
             assert space.space.basis == reference.basis
+
+
+@pytest.mark.parametrize("algebra", [Algebra.WPLUS, Algebra.THIN])
+def test_space_matches_sympy_nullspace_of_block_rows(algebra):
+    """Each shift block's rows, one per cross relation, are the residuals of
+    its unit sequences built in Fractions from the written-out bracket rule
+    and never reduced.  sympy's nullspaces of those blocks, put together and
+    brought to reduced echelon form, are the solver's canonical basis; thin's
+    beta_1 comes out zero in every block."""
+    sympy = pytest.importorskip("sympy")
+    rule = basis_rule(algebra)
+
+    def constant(i, j):
+        return sum(c for _, c in rule(i, j))
+
+    for n in range(1, 7):
+        space = derivation_space_basis(algebra, n)
+        depth, position = space.depth, {name: p for p, name in enumerate(space.coordinates)}
+        relations = [
+            (i, j)
+            for i in range(2, depth + 1)
+            for j in range(i + 1, depth + 1)
+            if algebra is Algebra.THIN or i + j <= depth
+        ]
+        vectors = []
+        for s in range(-1, n):
+            names = [f"alpha_{1 + s}", f"beta_{2 + s}"]
+            unknowns = [t for t, name in enumerate(names) if name in position or name == "beta_1"]
+            columns = []
+            for t in unknowns:
+                c = [Fraction(0), Fraction(t == 0), Fraction(t == 1)]
+                for k in range(3, depth + 1):
+                    forced = c[1] * constant(1 + s, k - 1) + c[k - 1] * constant(1, k - 1 + s)
+                    c.append(forced / constant(1, k - 1))
+                columns.append([
+                    sum(coef * c[h] for h, coef in rule(i, j))
+                    - c[i] * constant(i + s, j) - c[j] * constant(i, j + s)
+                    for i, j in relations
+                ])
+            block = sympy.Matrix(len(relations), len(unknowns), lambda r, t: columns[t][r])
+            for null in block.nullspace():
+                entries = {names[t]: x for t, x in zip(unknowns, null) if x}
+                assert set(entries) <= set(position), (n, s, entries)
+                vectors.append([entries.get(name, 0) for name in space.coordinates])
+        rref = sympy.Matrix(vectors).rref()[0]
+        expected = [
+            SparseVector({p: Fraction(int(x.p), int(x.q)) for p, x in enumerate(rref.row(r))})
+            for r in range(len(vectors))
+        ]
+        assert space.space.basis == expected
+
+
+def test_block_kernel_on_hand_built_sequences():
+    """With K = 1 and shift 0 the residual of c at (i, j) is
+    c[i+j] - c[i] - c[j], so additive sequences pass every relation.  A
+    failing relation pivots on the first sequence it fails on; the kernel
+    vectors start as the unit vectors times each sequence's denominator;
+    relations past a zero kernel are never read; and a relation counts as
+    soon as one of its three constants is nonzero."""
+    additive = [0, 1, 2, 3, 4, 5, 6]
+    fails_12 = [0, 1, 2, 4, 4, 5, 6]  # residual 1 at (1, 2), -1 at (2, 3)
+    fails_later = [0, 1, 2, 5, 4, 7, 6]  # residual 2 at (1, 2)
+    relations = [(1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 1), (2, 4, 1)]
+
+    def kernel(parts):
+        read = []
+
+        def reading():
+            for relation in relations:
+                read.append(relation)
+                yield relation
+
+        return derivations._block_kernel(lambda i, j: 1, 0, parts, reading()), len(read)
+
+    # pivot on the first sequence: the additive one is left as it was
+    assert kernel([(1, fails_12), (1, additive)]) == ([[0, 1]], 5)
+    # pivot on the second: the first vector keeps its denominator 3 and is
+    # scaled by the pivot residual 1
+    assert kernel([(3, additive), (1, fails_12)]) == ([[3, 0]], 5)
+    # 2 -> 1 at (1, 2): fails_later - 2 fails_12 = [0, -1, -2, -3, -4, -3, -6]
+    # still fails (2, 3), with residual 2, so 1 -> 0 there and the two later
+    # relations are not read
+    assert kernel([(1, fails_12), (1, fails_later)]) == ([], 3)
+    # a relation whose only nonzero constant is K(i, j+s): at (2, 3) with
+    # shift 1 and K(i, j) = [j = 4] the residual is -c[3]
+    only_kj = derivations._block_kernel(lambda i, j: int(j == 4), 1, [(1, fails_12)], [(2, 3, 0)])
+    assert only_kj == []
 
 
 def test_space_depth_validation():
