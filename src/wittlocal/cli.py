@@ -36,9 +36,10 @@ JACOBI_MAX_WINDOW = 200
 # 1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
-# Largest `der-basis` support bound and consistency depth.  The solve grows
-# like support * depth^2 and takes about 0.7 s (wplus) and 0.45 s (thin) in a
-# fresh process at support 64 with its default depth 2*64+3, the depth cap.
+# Largest `der-basis` support bound and consistency depth.  On wplus the solve
+# grows like support * depth^2: support 64 at its default depth 2*64+3, the
+# depth cap, takes 0.35-0.55 s in a fresh process.  On thin only the shift -1
+# block reads relations, so the solve is linear: 0.14 s, mostly start-up.
 # Larger values are refused up front.
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
@@ -67,10 +68,13 @@ RECOVER_INNER_MAX_WORK = 3000000
 # the 600000-term file (11 MB) is refused in 1.0 s, mostly the JSON read.
 MAP_MAX_TERMS = 100000
 
-# Largest `extend` truncation.  Checking every cross relation is quadratic:
-# thin takes about 1.8 s at 1000 and 16 s at 3000.  Each shift s of the
-# generator images (D(e_k) = c e_{k+s}) repeats that work, so shifts *
-# truncation^2 above EXTEND_MAX_TRUNCATION^2 is refused too.
+# Largest `extend` truncation.  On wplus every cross relation is checked, so
+# the work is quadratic: `--e1 0 --e2 e_3` takes about 0.1-0.35 s in-process
+# at 1000 and 1-3 s at 3000.  Each shift s of the generator images
+# (D(e_k) = c e_{k+s}) repeats it, so shifts * truncation^2 above
+# EXTEND_MAX_TRUNCATION^2 is refused too.  On thin only relations with i or
+# j equal to 1 - s can fail, so the work is linear (`--e1 e_1 --e2 e_2`: 5 ms
+# at 1000, 20 ms at 3000, in-process); the same caps hold.
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),

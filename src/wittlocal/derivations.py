@@ -133,7 +133,7 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     checked on its own, on its sequence scaled to integers.  A pair reads
     only D(e_i), D(e_j) and D(e_{i+j}), all with index in
     [-2 degree_bound, 2 degree_bound], so only those images are split and
-    scaled.
+    scaled, and only the pairs of `_live_pairs` are evaluated.
     """
     win, alg = table.window, table.algebra
     rows = leibniz_pairs(win, degree_bound)
@@ -142,11 +142,10 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
         raise TruncationTooSmall(
             f"no checkable pairs: truncation {win} cannot support depth {degree_bound}"
         )
-    pairs = ((i, j) for i, js in rows for j in js)
     reach = Window(max(win.lo, -2 * degree_bound), min(win.hi, 2 * degree_bound))
     images = {k: table.images[k] for k in reach.indices()}
     scaled = {s: _integer_parts(c) for s, c in _shift_parts(images, reach).items()}
-    failure = _first_violation(alg, scaled, pairs)
+    failure = _first_violation(alg, scaled, _live_pairs(alg, scaled, rows))
     return LeibnizResult(failure is None, checked, *(failure or ()))
 
 
@@ -178,15 +177,31 @@ def require_generated(algebra: Algebra) -> None:
         raise ValueError(f"{algebra} is not handled by generator extension")
 
 
-def _cross_relations(algebra: Algebra, truncation: int):
-    """Bracket relations not used by the defining recursion, in lexicographic
-    order.  For wplus every [e_i,e_j] with i >= 2 and i+j inside the
-    truncation; for thin every vanishing bracket [e_i,e_j], i >= 2."""
-    for i in range(2, truncation + 1):
-        for j in range(i + 1, truncation + 1):
-            if algebra is Algebra.WPLUS and i + j > truncation:
-                continue
-            yield (i, j)
+def _cross_relations(algebra: Algebra, truncation: int) -> list[tuple[int, range]]:
+    """Bracket relations not used by the defining recursion, as rows
+    (i, range of j) in lexicographic order.  For wplus every [e_i,e_j] with
+    2 <= i < j and i+j inside the truncation; for thin every vanishing
+    bracket [e_i,e_j], 2 <= i < j <= truncation."""
+    return [
+        (i, range(i + 1, (truncation if algebra is Algebra.THIN else truncation - i) + 1))
+        for i in range(2, truncation + 1)
+    ]
+
+
+def _live_pairs(algebra: Algebra, shifts: Iterable[int], rows: Iterable[tuple[int, range]]):
+    """The pairs (i, j) of rows (i ascending, every j >= i), in order, whose
+    residual can be nonzero at some shift s.  On witt and wplus that is every
+    pair, streamed.  On thin K(a, b) != 0 needs a = 1 or b = 1, so i or j is
+    in {1} and {1 - s}: those pairs are listed, and later rows are not read."""
+    if algebra is not Algebra.THIN:
+        return ((i, j) for i, js in rows for j in js)
+    hot = sorted({1} | {1 - s for s in shifts})
+    live = []
+    for i, js in rows:
+        if i > hot[-1]:
+            break
+        live.extend((i, j) for j in (js if i in hot else (m for m in hot if m in js)))
+    return live
 
 
 # A derivation splits into homogeneous parts e_k -> c_k e_{k+s}, one per
@@ -293,9 +308,10 @@ def extend_from_generators(
     """Extend candidate generator images to a full derivation table.
 
     Images of e_3..e_N are forced by the bracket recursion from e_1; every
-    alternative relation within reach is then re-derived and has to agree
-    exactly.  A disagreement is a semantic outcome, not an error: the first
-    failing relation is reported with its residual summed over all shifts.
+    alternative relation that can fail (`_live_pairs`) is then re-derived and
+    has to agree exactly.  A disagreement is a semantic outcome, not an error:
+    the first failing relation is reported with its residual summed over all
+    shifts.
     """
     require_generated(algebra)
     if truncation < 3:
@@ -307,7 +323,8 @@ def extend_from_generators(
         den, (a, b) = _integer_parts(generators[1:])
         q, c = _shift_sequence(algebra, s, a, b, truncation)
         parts[s] = den * q, c
-    if failure := _first_violation(algebra, parts, _cross_relations(algebra, truncation)):
+    pairs = _live_pairs(algebra, parts, _cross_relations(algebra, truncation))
+    if failure := _first_violation(algebra, parts, pairs):
         return InconsistentExtension(*failure)
     images = {
         k: Element(algebra, {k + s: Fraction(c[k], den) for s, (den, c) in parts.items()})
@@ -363,8 +380,6 @@ def _block_kernel(
     kernel = [([den * (t == u) for t in range(len(parts))], c) for u, (den, c) in enumerate(parts)]
     for i, j, kij in relations:
         ki, kj = K(i + s, j), K(i, j + s)
-        if not (kij or ki or kj):
-            continue
         res = [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for _, c in kernel]
         if any(res):
             t = next(t for t, r in enumerate(res) if r)
@@ -394,7 +409,9 @@ def derivation_space_basis(
     independent block of at most two unknowns.  A block's unit sequences
     come from the integer recurrence of `_shift_sequence`, and
     `_block_kernel` imposes the relations on them one at a time, in
-    integers, until its kernel is zero.  No linear system is assembled; the
+    integers, until its kernel is zero.  A block with no live relation
+    (`_live_pairs`: on thin, every block but shift -1) keeps its unit
+    kernel and builds no sequence.  No linear system is assembled; the
     canonical basis is the reduced echelon form of all block kernels.  For
     thin, beta_1 is solved for as well and must come out zero; it is not a
     reported coordinate.
@@ -413,13 +430,17 @@ def derivation_space_basis(
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     position = {coord: p for p, coord in enumerate(coords)}
     K = algebra.constant
-    relations = [(i, j, K(i, j)) for i, j in _cross_relations(algebra, depth)]
+    rows = _cross_relations(algebra, depth)
+    relations = [(i, j, K(i, j)) for i, j in _live_pairs(algebra, range(-1, n), rows)]
     unit = {1: (1, 0), 2: (0, 1)}
     solutions: list[SparseVector] = []
     for s in range(-1, n):
         unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
-        parts = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
-        for vec in _block_kernel(K, s, parts, relations):
+        kernel = [[int(t == u) for t in range(len(unknowns))] for u in range(len(unknowns))]
+        if any(_live_pairs(algebra, [s], rows)):  # else no relation constrains the block
+            parts = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
+            kernel = _block_kernel(K, s, parts, relations)
+        for vec in kernel:
             entries = {unknowns[t]: x for t, x in enumerate(vec) if x}
             if not entries.keys() <= position.keys():
                 raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlocal import derivations
+from wittlocal import algebras, derivations
 from wittlocal import (
     Algebra,
     Element,
@@ -297,6 +297,75 @@ def test_leibniz_streams_its_pairs():
     assert peak < 128 * 1024
 
 
+def _brute_live(algebra, shifts, rows):
+    """Every pair of rows with K(i,j), K(i+s,j) or K(i,j+s) nonzero at a shift."""
+    K = algebra.constant
+    return [
+        (i, j) for i, js in rows for j in js
+        if any(K(i, j) or K(i + s, j) or K(i, j + s) for s in shifts)
+    ]
+
+
+def test_live_pairs_keep_every_live_pair_in_order():
+    """`_live_pairs` keeps each pair whose residual can be nonzero, on the
+    rows of both `_cross_relations` and `leibniz_pairs`, in strict
+    lexicographic order; it never invents a pair.  On witt and wplus it keeps
+    them all."""
+    rng = Random(131)
+    cases = []
+    for algebra, win in ((Algebra.THIN, Window(1, 70)), (Algebra.WPLUS, Window(1, 40))):
+        for n in (3, 9, 41, 70):
+            cases.append((algebra, derivations._cross_relations(algebra, n)))
+        for depth in (1, 2, 5, 17, 40):
+            cases.append((algebra, derivations.leibniz_pairs(win, depth)))
+    cases.append((Algebra.WITT, derivations.leibniz_pairs(Window(-12, 15), 9)))
+    thin_live = 0
+    for algebra, rows in cases:
+        every = [(i, j) for i, js in rows for j in js]
+        for shifts in ([], [0], [-40], list(range(-40, 41))) + tuple(
+            rng.sample(range(-40, 41), rng.randint(1, 6)) for _ in range(6)
+        ):
+            live = list(derivations._live_pairs(algebra, shifts, rows))
+            assert all(a < b for a, b in zip(live, live[1:]))
+            assert set(live) <= set(every)
+            assert set(_brute_live(algebra, shifts, rows)) <= set(live)
+            if algebra is Algebra.THIN:
+                thin_live += len(live)
+            else:
+                assert live == every
+    assert thin_live > 1000
+
+
+def _thin_with_defects(rng, n):
+    """A thin derivation on 1:n with terms planted below the diagonal
+    (D(e_k) = ... + c e_g, g < k: negative shifts, e_1 the most common)."""
+    alpha = {i: rand_rational(rng, 4, 5) for i in range(1, 5)}
+    beta = {i: rand_rational(rng, 4, 5) for i in range(2, 6)}
+    table = thin_derivation(ThinDerivationParams(alpha, beta), n)
+    images = dict(table.images)
+    for k in rng.sample(range(2, n + 1), rng.randint(0, 4)):
+        g = 1 if rng.random() < 0.5 else rng.randint(1, k - 1)
+        images[k] = images[k] + Element(Algebra.THIN, {g: rand_rational(rng, 5, 7, False)})
+    return LinearMapTable(Algebra.THIN, table.window, images)
+
+
+def test_thin_leibniz_with_negative_shifts_matches_reference():
+    """Defects at negative shifts only show at pairs with i or j in
+    {1, 1 - s}; the verdict, pair count, first failing pair and residual
+    must be those of `reference_leibniz`."""
+    rng = Random(137)
+    failures = negative = 0
+    for _ in range(40):
+        table = _thin_with_defects(rng, rng.randint(4, 24))
+        negative += any(g < k for k in table.window.indices() for g in table.image(k).support())
+        for depth in (1, 2, rng.randint(3, 12), 24):
+            result = leibniz_check(table, depth)
+            got = (result.passed, result.pairs_checked, result.pair, result.residual)
+            assert got == reference_leibniz(table, depth)
+            failures += not result.passed
+    assert negative > 25 and failures > 40
+
+
 # -- generator extension ------------------------------------------------------
 
 
@@ -388,6 +457,54 @@ def test_extend_matches_element_reference():
                     assert (out.relation, out.residual) == failure
                     multi_grade += len(failure[1].support()) > 1
     assert consistent > 50 and multi_grade > 20
+
+
+def test_thin_extend_matches_reference():
+    """Thin generator images, an e_1 term in the e_2 image (shift -1) among
+    them, extend or fail exactly as `reference_extension` says."""
+    rng = Random(139)
+    consistent = inconsistent = 0
+    for _ in range(60):
+        img1 = rand_element(rng, Algebra.THIN, range(1, 7), max_terms=3)
+        img2 = rand_element(rng, Algebra.THIN, range(1 + (rng.random() < 0.4), 8), max_terms=3)
+        truncation = rng.randint(3, 30)
+        images, failure = reference_extension(Algebra.THIN, img1, img2, truncation)
+        out = extend_from_generators(Algebra.THIN, img1, img2, truncation)
+        if failure is None:
+            assert isinstance(out, LinearMapTable) and out.images == images
+            consistent += 1
+        else:
+            assert (out.relation, out.residual) == failure
+            inconsistent += 1
+    assert consistent > 10 and inconsistent > 10
+    for truncation in (3, 40):
+        expected = reference_extension(Algebra.THIN, thin("e_1"), thin("e_1"), truncation)[1]
+        out = extend_from_generators(Algebra.THIN, thin("e_1"), thin("e_1"), truncation)
+        assert (out.relation, out.residual) == expected
+    out = extend_from_generators(Algebra.THIN, thin("e_1"), thin("e_1"), 500)
+    assert out.describe() == "inconsistent at (2, 3): residual = -e_4"
+
+
+def test_thin_solve_and_extend_work_is_linear(monkeypatch):
+    """Thin structure constants vanish off i = 1 or j = 1, so the thin
+    solve and extension evaluate K O(depth) and O(shifts * truncation)
+    times, not once per pair of the truncation."""
+    calls = []
+    counted = algebras._thin_constant
+
+    def counting(i, j):
+        calls.append(1)
+        return counted(i, j)
+
+    monkeypatch.setattr(algebras, "_thin_constant", counting)
+    space = derivation_space_basis(Algebra.THIN, 64)
+    assert space.dim == 127
+    assert 0 < len(calls) <= 20 * space.depth
+    calls.clear()
+    img1, img2 = thin("e_1 + 2/7*e_3"), thin("e_2 - 1/5*e_4")
+    out = extend_from_generators(Algebra.THIN, img1, img2, 1000)
+    assert isinstance(out, LinearMapTable)
+    assert 0 < len(calls) <= 20 * 2 * 1000
 
 
 # -- derivation space ---------------------------------------------------------
