@@ -29,11 +29,12 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 # refused up front.
 JACOBI_MAX_WINDOW = 200
 
-# Widest window `centralizer` and `rigidity` accept.  `centralizer` eliminates,
-# which on a W-index window costs O(W^2) dictionary lookups even for one-term
-# rows: `witt e_1` on -3000:3000 takes about 1.0 s.  `rigidity` eliminates
-# nothing on witt and wplus (each forced space is one bracket) and takes about
-# 1 ms at -3000:3000; it keeps the same cap.
+# Widest window `centralizer` and `rigidity` accept.  `centralizer` reads its
+# answer off the grading (`witt e_1` on -3000:3000: 0.02 ms in-process), but
+# t = 0 and a thin target with no e_1 term are centralized by every window
+# index, and canonicalising W unit vectors costs O(W^2) dictionary lookups:
+# thin `e_3` on 1:6001 takes about 1.0 s.  `rigidity` (one bracket per forced
+# space) takes about 0.1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
 # Largest `der-basis` support bound and consistency depth.  On wplus the solve
@@ -78,12 +79,12 @@ MAP_MAX_TERMS = 100000
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),
-# about 9 us each.  `centralizer` brackets the element with every window
-# index, so its bound is on terms * window: at 16 terms on -3000:3000 (96016
-# products) it takes about 2.5 s.  `rigidity` needs no bound of its own: its
+# about 9 us each.  `centralizer` brackets nothing, yet keeps a bound on
+# terms * window as an input bound: at 16 terms on -3000:3000 (96016) it
+# takes about 0.04 ms in-process.  `rigidity` needs no bound of its own: its
 # far probe 2 * support_bound + 1 must lie in the window, so a target has at
 # most 2999 terms, and its two forced spaces are one bracket of `terms`
-# products each (2999 terms on -3000:3000 take about 0.15 s).
+# products each (2999 terms on -3000:3000 take about 0.04 s in-process).
 BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  The witness tabulates

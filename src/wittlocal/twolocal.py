@@ -8,14 +8,14 @@ to depend on the pair.  This module provides
     present, zero otherwise), a 2-local derivation that is not additive,
   * per-pair witness construction for it, and verification of any
     witness certificate against any candidate map,
+  * centralizers in closed form from the grading (`centralizer`): the
+    whole window, thin's indices >= 2, span(t) or zero,
   * the rigidity computation for witt and wplus: the witness for a pair
     (e_k, x) is pinned to the centralizer of e_k once the map kills e_k,
     so the possible values at x form a forced subspace; intersecting the
     forced subspaces of two well-chosen probes leaves only zero.  In witt
-    and wplus_ext (the witness algebra of wplus) [e_g, e_k] = (k - g) e_{g+k},
-    and K(g, k) = k - g vanishes only at g = k, so that centralizer is
-    span(e_k) and the forced subspace is span([e_k, x]): one bracket, with
-    no linear system to solve.
+    and wplus_ext (the witness algebra of wplus) that centralizer is
+    span(e_k), so the forced subspace is span([e_k, x]): one bracket.
 
 The rigidity operations never quantify over all 2-local maps; they verify
 the finite forced-space instances that the general statement reduces to.
@@ -25,13 +25,12 @@ Witnesses on wplus are drawn from wplus_ext.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .algebras import Algebra, Element, bracket
 from .derivations import LinearMapTable, ThinDerivationParams, thin_derivation
 from .errors import IndexOutOfDomain, MixedAlgebras, WindowTooSmall
-from .linalg import SparseVector, Subspace, Window, kernel_basis, subspace_intersection
+from .linalg import SparseVector, Subspace, Window, subspace_intersection
 
 DeltaMap = Callable[[Element], Element]
 
@@ -117,18 +116,28 @@ def additivity_violation(delta: DeltaMap, x: Element, y: Element) -> AdditivityR
 
 def centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
     """All elements a supported in the window with [a, t] = 0, as a
-    canonical subspace over the window's coordinates."""
+    canonical subspace over the window's coordinates, read off the grading.
+
+    t = 0 is centralized by the whole window.  In witt, wplus and wplus_ext
+    K(g, d) = d - g, so for nonzero a and t with top indices G and D the top
+    grade G + D of [a, t] is a_G t_D (D - G) alone: a centralizing a has top
+    index D.  Then a - (a_D / t_D) t centralizes t with a lower top index, so
+    it is zero, and the centralizer is span(t) when supp(t) lies in the
+    window, else zero.  In thin,
+    [a, t] = a_1 sum_{k>=2} t_k e_{k+1} - t_1 sum_{k>=2} a_k e_{k+1}: with no
+    e_1 term in t only a_1 must vanish, so every window index >= 2 is free;
+    with one, a_k = a_1 t_k / t_1 for every k >= 2 and a is a multiple of t
+    as before.
+    """
     algebra.require_window(window)
     t = t.in_algebra(algebra)
-    K = algebra.constant
-    rows_by_grade: dict[int, dict[int, Fraction]] = {}
-    for g in window.indices():
-        for j, cj in t.coeffs.items():
-            if c := K(g, j):
-                row = rows_by_grade.setdefault(g + j, {})
-                row[g] = row.get(g, Fraction(0)) + cj * c
-    rows = [SparseVector(r) for _, r in sorted(rows_by_grade.items())]
-    return kernel_basis(rows, window)
+    if t.is_zero():
+        free = window.indices()
+    elif algebra is Algebra.THIN and not t.coefficient(1):
+        free = range(max(2, window.lo), window.hi + 1)
+    else:
+        return Subspace([t.coeffs] if window.contains_vector(t.coeffs) else [])
+    return Subspace([SparseVector.unit(g) for g in free])
 
 
 def _witness_algebra(algebra: Algebra) -> Algebra:
@@ -143,23 +152,11 @@ def forced_image_space(
     A witness for the pair (e_probe, x) must centralize e_probe, so the
     candidate values are spanned by [a, x] for a in that centralizer on the
     window (witnesses for wplus live in wplus_ext).
-
-    In witt and wplus_ext, a = sum a_g e_g has [a, e_probe] =
-    sum a_g (probe - g) e_{g+probe}, one grade per g, so a centralizes
-    e_probe exactly when a_g = 0 for every g != probe: K(g, probe) =
-    probe - g is zero only at g = probe.  The centralizer on the window is
-    span(e_probe), or zero when the probe lies outside the window, and the
-    span is that of [e_probe, x] alone.  A thin centralizer grows with the
-    window ([e_i, e_j] = 0 for i, j >= 2), so thin solves for it.
     """
     walg = _witness_algebra(algebra)
     if not algebra.contains_index(probe):
         raise IndexOutOfDomain(f"probe index {probe} outside the {algebra} domain")
-    if walg is Algebra.THIN:
-        cent = centralizer(walg, Element.basis(walg, probe), window).basis
-    else:
-        walg.require_window(window)
-        cent = [SparseVector.unit(probe)] if probe in window else []
+    cent = centralizer(walg, Element.basis(walg, probe), window).basis
     lifted = x.in_algebra(walg)
     return Subspace([bracket(Element(walg, v), lifted).coeffs for v in cent])
 

@@ -592,10 +592,15 @@ _MAP = '{"algebra": "wplus", "truncation": {"min": 1, "max": 2}, "images": {%s}}
         (_MAP.replace(', "images": {%s}', ""), "malformed map JSON: 'images'"),
         (_MAP.replace("{%s}", "[]"), "map JSON images must be an object"),
         (_MAP % '"1": [[2]], "2": []', "image term [2] is not an [index, rational] pair"),
+        (_MAP % '"a": [], "1": [], "2": []', "non-integer image key 'a'"),
+        (
+            _MAP % '"1": {"2": "1"}, "2": []',
+            "image of e_1 must be a list of [index, rational] pairs",
+        ),
     ],
     ids=[
         "aliased-key", "duplicate-key", "bool-bound", "bool-index", "float-bound",
-        "no-images", "images-list", "short-term",
+        "no-images", "images-list", "short-term", "letter-key", "image-object",
     ],
 )
 def test_malformed_map_exits_2(tmp_path, text, line):
@@ -805,9 +810,9 @@ def test_bracket_refuses_many_term_products():
 
 @pytest.mark.parametrize("command", ["centralizer", "rigidity"])
 def test_centralizer_and_rigidity_refuse_many_term_products(command):
-    """`centralizer` brackets the element with every window index: terms *
-    window is bounded like a bracket's term products, after the library's
-    own checks.  `rigidity` brackets the target with two probes only, and
+    """`centralizer` reads its answer off the grading and brackets nothing,
+    but terms * window stays bounded like a bracket's term products, as a
+    bound on its input, after the library's own checks.  `rigidity` brackets the target with two probes only, and
     its far probe 2 * support_bound + 1 must lie in the window, so the
     window bounds the terms: the largest target at the window cap (2999
     terms) is answered."""

@@ -395,6 +395,15 @@ def test_extend_detects_inconsistency():
     assert out.describe() == "inconsistent at (2, 3): residual = 4/3*e_6"
 
 
+def test_extend_input_guards():
+    with pytest.raises(ValueError, match="^truncation must be at least 3$"):
+        extend_from_generators(Algebra.WPLUS, wplus("e_2"), wplus("e_3"), 2)
+    with pytest.raises(MixedAlgebras, match="^generator images must live in the target algebra$"):
+        extend_from_generators(Algebra.WPLUS, wplus("e_2"), thin("e_3"), 10)
+    with pytest.raises(MixedAlgebras):
+        extend_from_generators(Algebra.THIN, wplus("e_2"), thin("e_3"), 10)
+
+
 def test_extend_reproduces_inner_maps():
     rng = Random(31)
     for _ in range(25):
@@ -652,6 +661,9 @@ def test_block_kernel_on_hand_built_sequences():
 def test_space_depth_validation():
     with pytest.raises(ValueError):
         derivation_space_basis(Algebra.THIN, 4, consistency_depth=5)
+    for algebra in (Algebra.WPLUS, Algebra.THIN):
+        with pytest.raises(ValueError, match="^support bound must be at least 1$"):
+            derivation_space_basis(algebra, 0)
 
 
 # -- inner recovery -----------------------------------------------------------
@@ -719,6 +731,12 @@ def test_recover_witt_guards():
     images[0] = parse_element("e_0", Algebra.WITT)
     with pytest.raises(NotADerivation):
         recover_inner_witt(LinearMapTable(Algebra.WITT, Window(-3, 3), images))
+    witt_table = ad(parse_element("e_1", Algebra.WITT), Window(-6, 6))
+    wplus_table = ad(Element.basis(Algebra.WPLUS, 1), Window(1, 6))
+    with pytest.raises(MixedAlgebras, match="^expected a witt table, got wplus$"):
+        recover_inner_witt(wplus_table)
+    with pytest.raises(MixedAlgebras, match="^expected a wplus table, got witt$"):
+        recover_inner_wplus(witt_table)
 
 
 def _recovery_outcome(recover, table):
@@ -793,6 +811,8 @@ def test_thin_params_validation():
         ThinDerivationParams(beta={1: 1})
     with pytest.raises(NotADerivation):
         ThinDerivationParams.from_generator_images(thin("e_1"), thin("e_1"))
+    with pytest.raises(ValueError, match="^truncation must be at least 3$"):
+        thin_derivation(ThinDerivationParams(), 2)
 
 
 def test_thin_params_drop_zeros_and_repr():

@@ -129,6 +129,8 @@ def test_kernel_trivial_cases():
     full_rank = [SparseVector({i: 1}) for i in win.indices()]
     assert kernel_basis(full_rank, win).dim == 0
     assert kernel_basis([], win).dim == 5
+    with pytest.raises(ValueError, match=r"^row support \[3, 5\] escapes window 0:4$"):
+        kernel_basis([SparseVector({3: 1, 5: 2})], win)
 
 
 def test_kernel_of_grade_scaling_rows():

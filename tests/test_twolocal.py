@@ -9,6 +9,7 @@ from wittlocal import (
     Algebra,
     Element,
     IndexOutOfDomain,
+    MixedAlgebras,
     SparseVector,
     Window,
     WindowTooSmall,
@@ -25,7 +26,7 @@ from wittlocal import (
     thin_witness,
     verify_pair,
 )
-from wittlocal import linalg, twolocal
+from wittlocal import linalg
 from wittlocal.derivations import ThinDerivationParams
 
 from helpers import (
@@ -63,6 +64,17 @@ def test_thin_delta_homogeneous_within_case():
         x = rand_element(rng, Algebra.THIN, range(1, 10))
         lam = Fraction(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice((1, -1))
         assert thin_delta(x.scale(lam)) == thin_delta(x).scale(lam)
+
+
+def test_thin_maps_and_rigidity_refuse_mixed_algebras():
+    wplus_e2 = parse_element("e_2", Algebra.WPLUS)
+    with pytest.raises(MixedAlgebras, match="^thin_delta on a wplus element$"):
+        thin_delta(wplus_e2)
+    for x, y in ((wplus_e2, thin("e_1")), (thin("e_1"), wplus_e2)):
+        with pytest.raises(MixedAlgebras, match="^thin_witness needs two thin elements$"):
+            thin_witness(x, y)
+    with pytest.raises(MixedAlgebras, match="^target lives in wplus, expected witt$"):
+        rigidity_check(Algebra.WITT, wplus_e2, Window(-10, 10))
 
 
 def test_additivity_counterexample():
@@ -181,20 +193,50 @@ def test_centralizer_window_guard():
 def test_centralizer_matches_bracket_reference():
     """Seeded multi-term targets, supported inside and outside the window,
     against brute-force grade rows built through the helpers' own bracket.
-    A thin target without an e_1 term is centralized by every e_g, g >= 2,
-    so its centralizer grows with the window."""
+    The cases cover every branch of the closed form: t = 0, thin targets
+    with and without an e_1 term, witt windows on one side of 0, windows
+    that hold only t's top or only its bottom index, and wplus_ext targets
+    with an e_0 term.  A thin target without an e_1 term is centralized by
+    every e_g, g >= 2, so its centralizer grows with the window."""
     rng = Random(101)
+    witt, wplus_ext = Algebra.WITT, Algebra.WPLUS_EXT
     cases = [
-        (Algebra.WITT, (-8, 0), (0, 8), range(-10, 11)),
+        (witt, (-8, 0), (0, 8), range(-10, 11)),
         (Algebra.WPLUS, (1, 4), (4, 12), range(1, 15)),
-        (Algebra.WPLUS_EXT, (0, 4), (4, 12), range(0, 15)),
+        (wplus_ext, (0, 4), (4, 12), range(0, 15)),
         (Algebra.THIN, (1, 4), (4, 12), range(1, 15)),
+        (witt, (-12, -6), (-5, -1), range(-12, 0)),
+        (witt, (1, 5), (6, 12), range(1, 13)),
     ]
+    checked = []
     for algebra, lows, highs, indices in cases:
-        for _ in range(25):
+        for n in range(25):
             window = Window(rng.randint(*lows), rng.randint(*highs))
             t = rand_element(rng, algebra, indices, max_terms=5, nonzero=True)
-            assert centralizer(algebra, t, window) == reference_centralizer(algebra, t, window)
+            if n % 5 == 0:
+                t = Element.zero(algebra)
+            elif n % 5 == 1 and indices[0] <= 1 < indices[-1]:
+                t = t + Element.basis(algebra, 1)
+            checked.append((algebra, t, window))
+    for _ in range(25):
+        t = rand_element(rng, wplus_ext, range(1, 10), max_terms=3, nonzero=True)
+        t = t + Element.basis(wplus_ext, 0).scale(rng.choice((1, -2, Fraction(3, 5))))
+        checked.append((wplus_ext, t, Window(0, rng.randint(0, 12))))
+    for algebra, indices in ((witt, range(-10, 11)), (wplus_ext, range(0, 12)),
+                             (Algebra.THIN, range(1, 12))):
+        for _ in range(25):
+            t = rand_element(rng, algebra, indices, max_terms=4, nonzero=True)
+            if algebra is Algebra.THIN:
+                t = t + Element.basis(algebra, 1)
+            lo, hi = t.support()[0], t.support()[-1]
+            lowest = max(indices[0], lo - 3)
+            checked.append((algebra, t, Window(lowest, max(lowest, hi - 1))))
+            checked.append((algebra, t, Window(min(lo + 1, hi), hi + 3)))
+    for algebra, t, window in checked:
+        assert centralizer(algebra, t, window) == reference_centralizer(algebra, t, window), (
+            algebra, str(t), window)
+    assert sum(t.is_zero() for _, t, _ in checked) >= 30
+    assert sum(c.dim == 1 for c in (centralizer(*case) for case in checked)) >= 50
     t = thin("e_2 - 3*e_5")
     for hi in (4, 8, 16):
         space = centralizer(Algebra.THIN, t, Window(1, hi))
@@ -323,16 +365,25 @@ def test_rigidity_intersection_inside_forced_spaces():
 
 
 def test_rigidity_does_no_elimination(monkeypatch):
-    """On witt and wplus the forced spaces come from one bracket each and
-    meet on disjoint supports, so no centralizer and no kernel is solved,
-    even at -3000:3000."""
+    """Centralizers are read off the grading, and on witt and wplus the
+    forced spaces come from one bracket each and meet on disjoint supports,
+    so neither centralizer nor rigidity solves a kernel, even at
+    -3000:3000."""
 
     def refuse(*args):
-        raise AssertionError("rigidity solved a linear system")
+        raise AssertionError("solved a linear system")
 
-    monkeypatch.setattr(twolocal, "centralizer", refuse)
-    monkeypatch.setattr(twolocal, "kernel_basis", refuse)
     monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    witt_e1 = centralizer(Algebra.WITT, parse_element("e_1", Algebra.WITT), Window(-3000, 3000))
+    assert witt_e1.basis == [unit(1)]
+    assert centralizer(Algebra.WPLUS, parse_element("e_2 - e_5", Algebra.WPLUS),
+                       Window(1, 3000)).basis == [SparseVector({2: 1, 5: -1})]
+    assert centralizer(Algebra.WPLUS_EXT, parse_element("e_0 + e_3", Algebra.WPLUS_EXT),
+                       Window(0, 2)).basis == []
+    assert centralizer(Algebra.THIN, thin("2*e_1 + e_3"), Window(1, 6001)).basis == [
+        SparseVector({1: 1, 3: Fraction(1, 2)})]
+    assert centralizer(Algebra.THIN, thin("e_3"), Window(1, 5)).basis == [
+        unit(g) for g in range(2, 6)]
     mixed = parse_element("3*e_-2 + e_1", Algebra.WITT)
     tr = rigidity_check(Algebra.WITT, mixed, Window(-3000, 3000))
     assert tr.probes == [0, 5] and tr.rigid
