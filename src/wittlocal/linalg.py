@@ -2,9 +2,9 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest
 terms with positive denominator), re-exported here as `Rational`.  Vectors
-are finitely supported maps from integer index to nonzero scalar.  Systems
-are solved over an explicit closed index window; results are stable under
-window enlargement once the window contains every relevant support.
+are finitely supported maps from integer index to nonzero scalar.  A span
+is its canonical reduced-echelon basis and carries no window; only
+`kernel_basis` takes one, to say which indices its unknowns range over.
 
 Everything in this module is immutable after construction and every
 function is pure, so concurrent use needs no coordination.
@@ -179,22 +179,24 @@ class Window:
 
 def _reduce(vectors: Iterable[SparseVector]) -> dict[int, dict[int, Fraction]]:
     """Reduced row echelon form of the span: pivot index -> row with a monic
-    entry there, every pivot index cleared from every other row."""
+    entry there, every pivot index cleared from every other row.
+
+    A forward pass subtracts pivot rows from each vector only until its
+    leading index is new, then stores it monic.  A backward pass, pivots from
+    the highest down, clears each row's later pivot columns; those rows are
+    already reduced, so each row reads only its own entries."""
     pivots: dict[int, dict[int, Fraction]] = {}
     for v in vectors:
         row = dict(v._entries)
-        for col in [c for c in row if c in pivots]:
+        while row and (lead := min(row)) in pivots:
+            _add_multiple(row, -row[lead], pivots[lead])
+        if row:
+            inv = 1 / row[lead]
+            pivots[lead] = {i: inv * x for i, x in row.items()}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
             _add_multiple(row, -row[col], pivots[col])
-        if not row:
-            continue
-        lead = min(row)
-        inv = 1 / row[lead]
-        row = {i: inv * x for i, x in row.items()}
-        for prow in pivots.values():
-            f = prow.get(lead)
-            if f:
-                _add_multiple(prow, -f, row)
-        pivots[lead] = row
     return pivots
 
 
@@ -236,17 +238,12 @@ def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
         if not window.contains_vector(r):
             raise ValueError(f"row support {r.support()} escapes window {window}")
     pivots = _reduce(rows)
-    vectors = []
-    for free in window.indices():
-        if free in pivots:
-            continue
-        entries = {free: Fraction(1)}
-        for col, row in pivots.items():
-            c = row.get(free)
-            if c:
-                entries[col] = -c
-        vectors.append(SparseVector._trusted(entries))
-    return Subspace(vectors)
+    free = {i: {i: Fraction(1)} for i in window.indices() if i not in pivots}
+    for col, row in pivots.items():
+        for i, x in row.items():
+            if i != col:
+                free[i][col] = -x
+    return Subspace(SparseVector._trusted(entries) for entries in free.values())
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

@@ -91,6 +91,45 @@ def reference_forced_image_space(algebra: Algebra, probe: int, x: Element, windo
     return Subspace([reference_bracket(Element(walg, v), lifted).coeffs for v in cent.basis])
 
 
+def reference_reduce(vectors) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the span as first written: each new row
+    is reduced by every pivot column it holds, stored monic, and its lead is
+    then cleared from every earlier pivot row (a scan of all pivots per row).
+    Returns pivot index -> row, like `linalg._reduce`."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for v in vectors:
+        row = dict(v._entries)
+        for col in [c for c in row if c in pivots]:
+            _reference_add_multiple(row, -row[col], pivots[col])
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {i: inv * x for i, x in row.items()}
+        for prow in pivots.values():
+            f = prow.get(lead)
+            if f:
+                _reference_add_multiple(prow, -f, row)
+        pivots[lead] = row
+    return pivots
+
+
+def _reference_add_multiple(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row += f * other in place, dropping entries that cancel."""
+    for i, x in other.items():
+        value = row.get(i, 0) + f * x
+        if value:
+            row[i] = value
+        else:
+            del row[i]
+
+
+def reference_basis(vectors) -> list[SparseVector]:
+    """The canonical basis of the span through `reference_reduce`, pivots
+    ascending."""
+    return [SparseVector(row) for _, row in sorted(reference_reduce(vectors).items())]
+
+
 def dot(u: SparseVector, v: SparseVector) -> Fraction:
     """Sum of u_i v_i over the shared support."""
     return sum((c * v.get(i) for i, c in u.items()), Fraction(0))

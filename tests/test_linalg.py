@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittlocal import linalg
 from wittlocal import (
     ParseError,
     SparseVector,
@@ -16,7 +17,7 @@ from wittlocal import (
     subspace_intersection,
 )
 
-from helpers import complement_intersection, dot, full_subspace, in_span
+from helpers import complement_intersection, dot, full_subspace, in_span, rand_rational, reference_basis
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
@@ -184,6 +185,65 @@ def test_subspace_canonical_form():
     assert not in_span(s, SparseVector({3: 1}))
 
 
+def _reduce_inputs(rng, n):
+    """The n-th seeded input family for the differential test of `_reduce`:
+    shuffled unit vectors, duplicates and zeros, ascending or descending
+    chains e_k + c e_{k+1}, planted dependent vectors, or dense rows."""
+    lo = rng.randint(-5, 5)
+    cols = list(range(lo, lo + rng.randint(1, 8)))
+    coeff = lambda: rand_rational(rng, 4, 3, allow_zero=False)
+    kind = n % 5
+    if kind == 0:
+        vecs = [SparseVector({k: coeff()}) for k in cols]
+        rng.shuffle(vecs)
+    elif kind == 1:
+        vecs = [SparseVector({rng.choice(cols): coeff() for _ in range(2)}) for _ in range(3)]
+        vecs += [v.scale(coeff()) for v in rng.choices(vecs, k=2)] + [SparseVector()] * 2
+        rng.shuffle(vecs)
+    elif kind == 2:
+        vecs = [SparseVector({k: 1, k + 1: coeff()}) for k in cols]
+        if rng.random() < 0.5:
+            vecs.reverse()
+    elif kind == 3:
+        vecs = [SparseVector({rng.choice(cols): coeff() for _ in range(3)}) for _ in range(3)]
+        vecs.append(vecs[0].scale(coeff()) + vecs[-1].scale(coeff()))
+        rng.shuffle(vecs)
+    else:
+        cols = cols[:6]
+        vecs = [SparseVector({k: coeff() for k in cols}) for _ in range(rng.randint(1, len(cols) + 2))]
+    return vecs
+
+
+def test_subspace_matches_reference_reduce():
+    """`Subspace` gives the basis of the elimination as first written, which
+    scanned every pivot row for each new lead, on 20000 seeded inputs."""
+    rng = Random(97)
+    dims = set()
+    for n in range(20000):
+        vecs = _reduce_inputs(rng, n)
+        space = Subspace(vecs)
+        assert space.basis == reference_basis(vecs)
+        dims.add(space.dim)
+    assert dims == set(range(1, 9))
+
+
+def test_subspace_work_follows_row_entries(monkeypatch):
+    """300 ascending chain vectors e_k + e_{k+1} are already echelon: each
+    row clears the one later pivot it holds, 299 row operations in all
+    (a scan of every earlier pivot per new lead would make 44850)."""
+    calls = []
+    counted = linalg._add_multiple
+
+    def counting(row, f, other):
+        calls.append(1)
+        counted(row, f, other)
+
+    monkeypatch.setattr(linalg, "_add_multiple", counting)
+    space = Subspace([SparseVector({k: 1, k + 1: 1}) for k in range(1, 301)])
+    assert space.dim == 300
+    assert 0 < len(calls) <= 300
+
+
 def test_intersection_examples():
     win = Window(1, 4)
 
@@ -275,9 +335,10 @@ def test_solve_thin_leibniz_system():
 def test_kernel_matches_sympy_nullspace():
     sympy = pytest.importorskip("sympy")
     rng = Random(53)
-    for _ in range(40):
+    for n in range(60):
+        width, max_rows = (7, 9) if n < 40 else (29, 30)  # windows up to 8, then 30 indices
         lo = rng.randint(-3, 2)
-        win = Window(lo, lo + rng.randint(0, 7))
+        win = Window(lo, lo + rng.randint(0, width))
         rows = [
             SparseVector(
                 {
@@ -285,7 +346,7 @@ def test_kernel_matches_sympy_nullspace():
                     for _ in range(rng.randint(1, 3))
                 }
             )
-            for _ in range(rng.randint(0, 9))
+            for _ in range(rng.randint(0, max_rows))
         ]
         cols = list(win.indices())
         matrix = sympy.Matrix(len(rows), len(cols), lambda r, c: rows[r].get(cols[c]))
