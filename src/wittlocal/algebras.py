@@ -241,16 +241,18 @@ def parse_element(text: str, algebra: Algebra) -> Element:
         if not m or (not first and m.group(1) == ""):
             raise ParseError(f"bad element text {text!r} at position {pos}")
         sign, magnitude, index = m.groups()
+        num, _, den = (magnitude or "1").partition("/")
+        try:
+            p, q, k = int(num), int(den or 1), int(index)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"too many digits in element text at position {pos}") from None
+        if q == 0:
+            raise ParseError(f"zero denominator in {text!r}")
         if magnitude:
-            num, _, den = magnitude.partition("/")
-            q = int(den) if den else 1
-            if q == 0:
-                raise ParseError(f"zero denominator in {text!r}")
-            p = -int(num) if sign == "-" else int(num)
+            p = -p if sign == "-" else p
             coeff = Fraction(p) if q == 1 else Fraction(p, q)
         else:
             coeff = _UNIT[sign]
-        k = int(index)
         if not algebra.contains_index(k):
             raise ParseError(f"index {k} not allowed in {algebra}: {text!r}")
         out[k] = out[k] + coeff if k in out else coeff

@@ -55,9 +55,11 @@ DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 # 1.0 s at depth 200 (work 2.05 M).
 LEIBNIZ_MAX_WORK = 3000000
 
-# Largest `recover-inner` work, shifts * window, the size of its per-shift
-# split of the table.  D(e_k) = e_{2k} on 1:1000 / 1:1732 / 1:2000 takes 0.05
-# / 0.08 / 0.14 s and peaks at 24 / 40 / 48 MiB RSS; 1:2000 is refused.
+# Largest `recover-inner` work, shifts * window.  It bounds the comparison of
+# each image with [a, e_k], which reads |a| <= shifts terms per index.  The
+# 100-shift inner map of e_0 + ... + e_99 on 1:1000 (work 100000) takes about
+# 0.7 s in a fresh process, mostly reading the file; D(e_k) = e_{2k} on
+# 1:2000 (work 4000000) is refused.
 RECOVER_INNER_MAX_WORK = 3000000
 
 # Most image terms a `leibniz` or `recover-inner` map file may hold, counted
@@ -163,7 +165,9 @@ def _load_json(path: str, kind: str) -> object:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+    # literals with more digits than int() converts
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 

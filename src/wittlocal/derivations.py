@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -142,9 +143,14 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
         raise TruncationTooSmall(
             f"no checkable pairs: truncation {win} cannot support depth {degree_bound}"
         )
-    reach = Window(max(win.lo, -2 * degree_bound), min(win.hi, 2 * degree_bound))
-    images = {k: table.images[k] for k in reach.indices()}
-    scaled = {s: _integer_parts(c) for s, c in _shift_parts(images, reach).items()}
+    lo, hi = max(win.lo, -2 * degree_bound), min(win.hi, 2 * degree_bound)
+    # c_s[k] is the e_{k+s} coefficient of D(e_k), read at every k in lo..hi;
+    # a negative k indexes from the end of the list, past the slots of 0..hi
+    parts = defaultdict(lambda: [0] * (max(hi + 1, 0) + max(-lo, 0)))
+    for k in range(lo, hi + 1):
+        for g, c in table.images[k].coeffs.items():
+            parts[g - k][k] = c
+    scaled = {s: _integer_parts(c) for s, c in parts.items()}
     failure = _first_violation(alg, scaled, _live_pairs(alg, scaled, rows))
     return LeibnizResult(failure is None, checked, *(failure or ()))
 
@@ -206,8 +212,8 @@ def _live_pairs(algebra: Algebra, shifts: Iterable[int], rows: Iterable[tuple[in
 
 # A derivation splits into homogeneous parts e_k -> c_k e_{k+s}, one per
 # shift s, and no bracket relation mixes two shifts.  Each part is a scalar
-# sequence c_1..c_N, so extension, solving, the Leibniz check and inner
-# recovery run one shift at a time.
+# sequence c_1..c_N, so extension, solving and the Leibniz check run one
+# shift at a time.
 
 
 def _shift_sequence(
@@ -275,30 +281,23 @@ def _first_violation(
     return None
 
 
-def _shift_parts(images: Mapping[int, Element], window: Window) -> dict[int, list[Rational]]:
-    """Homogeneous parts of a map tabulated on the window: c_s[k] is the
-    e_{k+s} coefficient of D(e_k).  Each part is a list read at every k in
-    the window; a negative k indexes from its end, past the slots of 0..hi."""
-    size = max(window.hi + 1, 0) + max(-window.lo, 0)
-    parts: dict[int, list[Rational]] = {}
-    for k, image in images.items():
-        for g, c in image.coeffs.items():
-            parts.setdefault(g - k, [0] * size)[k] = c
-    return parts
-
-
 def _verified_inner(table: LinearMapTable, a: Element) -> Element:
-    """a, once every image is [a, e_k]: per shift m, the e_{k+m} coefficient
-    must be a_m K(m, k).  Otherwise NotADerivation names the first bad e_k."""
+    """a, once every image is [a, e_k]: for each a_m with K(m, k) != 0, D(e_k)
+    must hold a_m K(m, k) at e_{k+m}, and no other term.  Otherwise
+    NotADerivation names the first bad e_k."""
     K = a.algebra.constant
-    parts, coeffs = _shift_parts(table.images, table.window), dict(a.coeffs.items())
-    checks = [(m, parts.get(m), Fraction(coeffs.get(m, 0))) for m in parts.keys() | coeffs.keys()]
+    terms = [(m, c.numerator, c.denominator) for m, c in a.coeffs.items()]
     for k in table.window.indices():
-        for m, c, a_m in checks:
-            v = c[k] if c else 0
-            # v == a_m K(m, k), cross-multiplied: no Fraction is built
-            if v.numerator * a_m.denominator != a_m.numerator * K(m, k) * v.denominator:
-                raise NotADerivation(f"table is not inner: mismatch at e_{k}")
+        image, expected = table.images[k].coeffs, 0
+        for m, p, q in terms:
+            if kmk := K(m, k):
+                expected += 1
+                v = image.get(m + k)
+                # v == a_m K(m, k) with a_m = p/q, cross-multiplied: no Fraction is built
+                if v.numerator * q != p * kmk * v.denominator:
+                    raise NotADerivation(f"table is not inner: mismatch at e_{k}")
+        if len(image) != expected:
+            raise NotADerivation(f"table is not inner: mismatch at e_{k}")
     return a
 
 
@@ -319,8 +318,8 @@ def extend_from_generators(
     if img_e1.algebra is not algebra or img_e2.algebra is not algebra:
         raise MixedAlgebras("generator images must live in the target algebra")
     parts = {}
-    for s, generators in _shift_parts({1: img_e1, 2: img_e2}, Window(1, 2)).items():
-        den, (a, b) = _integer_parts(generators[1:])
+    for s in sorted({g - 1 for g in img_e1.support()} | {g - 2 for g in img_e2.support()}):
+        den, (a, b) = _integer_parts([img_e1.coefficient(1 + s), img_e2.coefficient(2 + s)])
         q, c = _shift_sequence(algebra, s, a, b, truncation)
         parts[s] = den * q, c
     pairs = _live_pairs(algebra, parts, _cross_relations(algebra, truncation))

@@ -30,8 +30,10 @@ def parse_rational(text: str) -> Rational:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("too many digits in rational literal") from None
     if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -156,7 +158,10 @@ class Window:
         m = re.match(r"^(-?\d+):(-?\d+)$", text.strip())
         if not m:
             raise ParseError(f"not a window: {text!r} (expected a:b)")
-        lo, hi = int(m.group(1)), int(m.group(2))
+        try:
+            lo, hi = int(m.group(1)), int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("too many digits in window text") from None
         if lo > hi:
             raise ParseError(f"empty window: {text!r}")
         return cls(lo, hi)

@@ -765,9 +765,9 @@ def _doubling_map(algebra, window):
 
 
 def test_recover_inner_refuses_large_work(tmp_path, monkeypatch):
-    """The table is split into one sequence per shift over the whole window
-    before any image is checked, so shifts * window is bounded before that
-    split is built."""
+    """Each image is compared with [a, e_k], at most one term per shift of
+    the map, so shifts * window bounds the comparison and is checked before
+    it starts."""
     path = tmp_path / "map.json"
 
     def recover(algebra, window):
@@ -778,15 +778,15 @@ def test_recover_inner_refuses_large_work(tmp_path, monkeypatch):
         line = f"shifts * window {work} is above the limit {RECOVER_INNER_MAX_WORK}"
         return 3, "", f"error: {line}\n"
 
-    # at 1:1732 (2999824) the split is built and the table rejected at e_1
+    # at 1:1732 (2999824) the images are compared and the table rejected at e_1
     assert recover("wplus", Window(1, 1732)) == (
         3, "", "error: table is not inner: mismatch at e_1\n"
     )
 
     def unreachable(*args):
-        raise AssertionError("per-shift split built for a refused table")
+        raise AssertionError("images compared for a refused table")
 
-    monkeypatch.setattr(derivations, "_shift_parts", unreachable)
+    monkeypatch.setattr(derivations, "_verified_inner", unreachable)
     start = time.perf_counter()
     assert recover("wplus", Window(1, 2000)) == refusal(2000 * 2000)
     assert recover("wplus", Window(1, 4000)) == refusal(4000 * 4000)
@@ -907,6 +907,37 @@ def test_unreadable_input_file_exits_2(tmp_path, kind, broken):
         assert err.startswith(f"error: cannot read {kind} file {path}: ")
     else:
         assert err.startswith(f"error: {kind} file {path} is not valid JSON: ")
+
+
+_NINES, _SEVENS = "9" * 5000, "7" * 5000  # longer than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv, map_text, message",
+    [
+        (["bracket", "--algebra", "witt", "e_1", f"e_{_NINES}"], None,
+         "too many digits in element text at position 0"),
+        (["jacobi", "--algebra", "witt", "--window", f"1:{_NINES}"], None,
+         "too many digits in window text"),
+        (["recover-inner", "--algebra", "wplus", "--map", "MAP"],
+         '{"algebra": "wplus", "truncation": {"min": 1, "max": 1}, '
+         f'"images": {{"1": [[1, "1/{_SEVENS}"]]}}}}',
+         "too many digits in rational literal"),
+        (["recover-inner", "--algebra", "wplus", "--map", "MAP"],
+         f'{{"algebra": "wplus", "truncation": {{"min": 1, "max": {_NINES}}}, "images": {{}}}}',
+         "map file MAP is not valid JSON: Exceeds the limit"),
+    ],
+    ids=["element", "window", "map-rational", "json-integer"],
+)
+def test_oversized_integer_literals_exit_2(tmp_path, argv, map_text, message):
+    """Integer literals with more digits than int() converts are unparsable
+    input: exit 2 with one line, not the interpreter's exit-3 ValueError."""
+    path = tmp_path / "map.json"
+    if map_text is not None:
+        path.write_text(map_text)
+    code, out, err = run([str(path) if arg == "MAP" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {message.replace('MAP', str(path))}")
 
 
 def test_twolocal_verify_rejects_duplicate_keys(tmp_path):

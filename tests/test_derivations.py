@@ -746,7 +746,27 @@ def _recovery_outcome(recover, table):
         return f"NotADerivation: {exc}"
 
 
+def _one_term_off(rng, table, a, domain):
+    """The table with one term deleted from one image, or with one term added
+    at a shift where a has no term."""
+    images = dict(table.images)
+    filled = [k for k, image in images.items() if not image.is_zero()]
+    if filled and rng.random() < 0.5:
+        k = rng.choice(filled)
+        g = rng.choice(images[k].support())
+        images[k] = images[k] - Element(table.algebra, {g: images[k].coefficient(g)})
+    else:
+        k = rng.choice(list(table.window.indices()))
+        grades = [k + s for s in range(-6, 12) if k + s in domain and s not in a.support()]
+        c = rand_rational(rng, 5, 7, allow_zero=False)
+        images[k] = images[k] + Element(table.algebra, {rng.choice(grades): c})
+    return LinearMapTable(table.algebra, table.window, images)
+
+
 def test_recover_inner_matches_bracket_reference():
+    """Round trips, tables with terms added (`_perturbed`), and tables one term
+    off [a, -]: a term missing, or one at a shift a lacks, which only a term
+    count can catch."""
     rng = Random(71)
     compared = mismatches = 0
     cases = [
@@ -755,10 +775,12 @@ def test_recover_inner_matches_bracket_reference():
     ]
     for recover, algebra, win, support, domain in cases:
         home = Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
-        for _ in range(40):
+        for n in range(80):
             a = rand_element(rng, home, support, max_num=9, max_den=9)
             table = ad(a, win).in_algebra(algebra)
-            if rng.random() < 0.7:
+            if n >= 40:
+                table = _one_term_off(rng, table, a, domain)
+            elif rng.random() < 0.7:
                 table = _perturbed(rng, table, domain)
             try:
                 got = _recovery_outcome(recover, table)
@@ -767,7 +789,31 @@ def test_recover_inner_matches_bracket_reference():
             assert got == _recovery_outcome(reference_recover_inner, table)
             compared += 1
             mismatches += isinstance(got, str) and "mismatch at" in got
-    assert compared > 70 and mismatches > 30
+    assert compared > 140 and mismatches > 100
+
+
+def test_recover_inner_memory_is_linear_in_the_map():
+    """Images are compared with [a, e_k] in place: no shifts x window split.
+    Both tables have about 2000 shifts over about 2000 indices."""
+    d0 = Element(Algebra.WITT, {j: 1 for j in range(-1000, 1001) if j})
+    images = {k: Element.zero(Algebra.WITT) for k in range(-1000, 1001)}
+    witt = LinearMapTable(Algebra.WITT, Window(-1000, 1000), {**images, 0: d0})
+    doubling = LinearMapTable(
+        Algebra.WPLUS, Window(1, 2000),
+        {k: Element.basis(Algebra.WPLUS, 2 * k) for k in range(1, 2001)},
+    )
+    for recover, table, first_bad in (
+        (recover_inner_witt, witt, -1000),
+        (recover_inner_wplus, doubling, 1),
+    ):
+        tracemalloc.start()
+        try:
+            outcome = _recovery_outcome(recover, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == f"NotADerivation: table is not inner: mismatch at e_{first_bad}"
+        assert peak < 4 * 1024 * 1024
 
 
 # -- the thin family ----------------------------------------------------------
