@@ -85,6 +85,9 @@ class Algebra(enum.Enum):
 
 
 _MIN_INDEX = {Algebra.WITT: None, Algebra.WPLUS: 1, Algebra.WPLUS_EXT: 0, Algebra.THIN: 1}
+# indices c where K(a, m) may change form, as a function of a or of m, between
+# c - 1 and c; `jacobi_check` certifies K on the cells between them
+_CUTS = {Algebra.WITT: (), Algebra.WPLUS: (), Algebra.WPLUS_EXT: (), Algebra.THIN: (2,)}
 
 
 class Element:
@@ -188,33 +191,98 @@ class JacobiResult:
 def jacobi_check(
     algebra: Algebra, window: Window, constant: Constant | None = None
 ) -> JacobiResult:
-    """Exhaustively check [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] = 0
-    over all ordered basis triples in the window, which must lie inside the
-    algebra's index domain.  Tests inject another `constant` K to exercise the
-    failure path; the first violating triple in lexicographic order is reported.
+    """Check [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] = 0 for every
+    ordered basis triple in the window, which must lie inside the algebra's
+    index domain.  Tests inject another `constant` K to exercise the failure
+    path; the first violating triple in lexicographic order is reported.
 
     A triple's residual is one integer times e_{i+j+k}:
     K(j,k)K(i,j+k) + K(k,i)K(j,k+i) + K(i,j)K(k,i+j), read off one table of
-    K(a, m) for a in the window and m from min(lo, 2lo) to max(hi, 2hi).  If
-    K(i,j) = -K(j,i) on the window (so K(i,i) = 0) the sum is alternating, and
-    only i < j < k is evaluated: the first failing one is the first failing
-    ordered triple, with the same residual.
+    K(a, m) for a in the window and m from min(lo, 2lo) to max(hi, 2hi).
+
+    The table first gets a certificate that reads only its entries.  The
+    window and the m-range are split into cells at the algebra's cut points
+    (`_CUTS`: thin's K changes form where an index reaches 2, so index 1 is
+    a cell of its own; the other algebras have one cell).  If every row and
+    every column of each block (a-cell x m-cell) has zero second
+    differences, K = alpha + beta a + gamma m + delta a m on the block.  If
+    moreover every cell and every sum of two cells lies in one m-cell, each
+    of the three terms, on a triple of cells, is a product of two such
+    block-affine factors, K(j,k) and K(i,j+k) say, so the residual there is
+    a polynomial of degree <= 2 in each of i, j and k.  A polynomial of
+    degree <= 2 in one variable that vanishes at 3 points is zero, so,
+    one variable at a time, it vanishes on the whole triple of cells once it
+    vanishes on the grid of each cell's first min(3, |cell|) indices (Alon,
+    Combinatorial Nullstellensatz, Lemma 2.1).  On thin, index 1 is its own
+    cell and every sum of two indices is >= 2, so each block is constant.
+
+    Without a certificate every triple is scanned.  If K(i,j) = -K(j,i) on
+    the window (so K(i,i) = 0) the sum is alternating, and only i < j < k is
+    evaluated: the first failing one is the first failing ordered triple,
+    with the same residual.
     """
     algebra.require_window(window)
-    idx = window.indices()
     K = constant or algebra.constant
-    lo, off = window.lo, min(window.lo, 2 * window.lo)
-    table = [[K(a, m) for m in range(off, max(window.hi, 2 * window.hi) + 1)] for a in idx]
-    pairs = itertools.combinations_with_replacement(idx, 2)
-    alternating = all(table[i - lo][j - off] == -table[j - lo][i - off] for i, j in pairs)
-    triples = itertools.combinations(idx, 3) if alternating else itertools.product(idx, repeat=3)
+    off = min(window.lo, 2 * window.lo)
+    ms = range(off, max(window.hi, 2 * window.hi) + 1)
+    table = [[K(a, m) for m in ms] for a in window.indices()]
+    if _certified(table, window, off, _CUTS[algebra]):
+        return JacobiResult(True)
+    return _scan(table, window, off)
+
+
+def _first_failure(table, lo: int, off: int, triples) -> JacobiResult | None:
+    """The failed result at the first triple with a nonzero residual, or None."""
     for i, j, k in triples:
         ki, kj, kk = table[i - lo], table[j - lo], table[k - lo]
         r = (kj[k - off] * ki[j + k - off] + kk[i - off] * kj[k + i - off]
              + ki[j - off] * kk[i + j - off])
         if r:
             return JacobiResult(False, (i, j, k), SparseVector({i + j + k: r}))
-    return JacobiResult(True)
+    return None
+
+
+def _cells(lo: int, hi: int, cuts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """lo..hi split into (first, last) intervals, a new one starting at each cut."""
+    starts = [lo] + [c for c in cuts if lo < c <= hi]
+    return list(zip(starts, [c - 1 for c in starts[1:]] + [hi]))
+
+
+def _affine(seq) -> bool:
+    """Zero second differences: seq[t] = seq[0] + t d."""
+    n = len(seq)
+    if n < 3:
+        return True
+    s, d = seq[0], seq[1] - seq[0]
+    return list(seq) == ([s] * n if d == 0 else list(range(s, s + n * d, d)))
+
+
+def _certified(table, window: Window, off: int, cuts: tuple[int, ...]) -> bool:
+    """The certificate of `jacobi_check`: True only if no triple fails."""
+    lo = window.lo
+    cells = _cells(lo, window.hi, cuts)
+    m_cells = _cells(off, off + len(table[0]) - 1, cuts)
+    for a0, a1 in cells:
+        rows = table[a0 - lo:a1 - lo + 1]
+        for m0, m1 in m_cells:
+            block = [row[m0 - off:m1 - off + 1] for row in rows]
+            if not (all(map(_affine, block)) and all(map(_affine, zip(*block)))):
+                return False
+    sums = [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in itertools.product(cells, repeat=2)]
+    if not all(any(m0 <= s0 and s1 <= m1 for m0, m1 in m_cells) for s0, s1 in cells + sums):
+        return False
+    grid = [n for c0, c1 in cells for n in range(c0, min(c1, c0 + 2) + 1)]
+    return _first_failure(table, lo, off, itertools.product(grid, repeat=3)) is None
+
+
+def _scan(table, window: Window, off: int) -> JacobiResult:
+    """The triple scan of `jacobi_check`, over sorted triples when K is
+    antisymmetric on the window and over ordered triples otherwise."""
+    idx, lo = window.indices(), window.lo
+    pairs = itertools.combinations_with_replacement(idx, 2)
+    alternating = all(table[i - lo][j - off] == -table[j - lo][i - off] for i, j in pairs)
+    triples = itertools.combinations(idx, 3) if alternating else itertools.product(idx, repeat=3)
+    return _first_failure(table, lo, off, triples) or JacobiResult(True)
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")

@@ -23,10 +23,12 @@ from .errors import ParseError, WittlocalError
 from .linalg import SparseVector, Subspace, Window, format_rational
 
 
-# Widest window `jacobi` accepts: W^3 ordered triples, of which about W^3/6
-# (1.3 M at W = 200) are evaluated, each from a table of integer structure
-# constants; W = 200 takes 0.33-0.48 s per algebra.  Wider windows are
-# refused up front.
+# Widest window `jacobi` accepts.  Every built-in algebra is certified from
+# its W x 2W table of integer structure constants, so the work is O(W^2):
+# W = 200 takes 13-20 ms per algebra in-process, 0.15-0.19 s in a fresh
+# process.  The triple scan, which only a K without a certificate reaches,
+# would evaluate about W^3/6 triples (1.3 M, 0.33-0.48 s at W = 200).  Wider
+# windows are refused up front.
 JACOBI_MAX_WINDOW = 200
 
 # Widest window `centralizer` and `rigidity` accept.  `centralizer` reads its
@@ -68,7 +70,8 @@ RECOVER_INNER_MAX_WORK = 3000000
 # is empty.  In a fresh process,
 # reading and tabulating a map on 1:400 takes about 0.3 s / 27 MiB peak RSS
 # at 40000 terms, 0.6 s / 43 MiB at 100000 and 4.6 s / 202 MiB at 600000;
-# the 600000-term file (11 MB) is refused in 1.0 s, mostly the JSON read.
+# the 600000-term file (11 MB) is refused from its size before it is read
+# (JSON_BYTES_PER_TERM).
 MAP_MAX_TERMS = 100000
 
 # Largest `extend` truncation.  On wplus every cross relation is checked, so
@@ -100,6 +103,15 @@ VERIFY_MAX_INDEX = 6001
 # take about 0.2 s (0.4 s as JSON) and 10000 pairs of two-term elements
 # about 0.9 s (1.8 s as JSON): each pair has a fixed cost.
 VERIFY_MAX_TOTAL = 30000
+
+# Bytes a JSON input file may hold per term of its bound: a map file
+# MAP_MAX_TERMS * 64 (6.4 MB), a pairs file VERIFY_MAX_TOTAL * 64 (1.92 MB).
+# 64 bytes hold a term such as `[12345, "-123/4567"]` with its share of image
+# keys, separators and `indent=2` whitespace; the largest test map, 99900
+# terms, is 1.40 MB.  The size is read with `os.fstat` before the JSON is, so
+# the 13.9 MB map of 1:1000000 empty images, which took 4.1 s and 310 MiB to
+# read before its key count was refused, is refused at once.
+JSON_BYTES_PER_TERM = 64
 
 
 class _UsageError(Exception):
@@ -158,21 +170,25 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
-def _load_json(path: str, kind: str) -> object:
-    """The contents of a JSON input file; `kind` names it in error messages."""
+def _load_json(path: str, kind: str, max_bytes: int) -> object:
+    """The contents of a JSON input file of at most `max_bytes` bytes, a
+    bound checked before the file is read; `kind` names it in messages."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            size = os.fstat(fh.fileno()).st_size
+            data = json.load(fh, object_pairs_hook=_unique_keys) if size <= max_bytes else None
     except OSError as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
     # literals with more digits than int() converts
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    _refuse_above(f"{kind} file bytes", size, max_bytes)
+    return data
 
 
 def _load_map(path: str, algebra: Algebra) -> derivations.LinearMapTable:
-    data = _load_json(path, "map")
+    data = _load_json(path, "map", MAP_MAX_TERMS * JSON_BYTES_PER_TERM)
     images = data.get("images") if isinstance(data, dict) else None
     if isinstance(images, dict):  # anything else is malformed: table_from_json says how
         _refuse_above("map keys", len(images), MAP_MAX_TERMS)
@@ -340,7 +356,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_twolocal_verify(args) -> int:
-    data = _load_json(args.pairs, "pairs")
+    data = _load_json(args.pairs, "pairs", VERIFY_MAX_TOTAL * JSON_BYTES_PER_TERM)
     if not isinstance(data, dict) or data.get("algebra") != "thin":
         raise ParseError('pairs file must be {"algebra": "thin", "pairs": [...]}')
     raw_pairs = data.get("pairs")

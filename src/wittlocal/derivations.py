@@ -609,8 +609,10 @@ def table_from_json(data: object) -> LinearMapTable:
                 raise ParseError(f"image term index {idx!r} is not an integer")
             c = parse_rational(str(coeff))
             entries[idx] = entries[idx] + c if idx in entries else c
+        if not all(entries.values()):
+            entries = {i: c for i, c in entries.items() if c}
         try:
-            images[k] = Element(algebra, entries)
+            images[k] = Element(algebra, SparseVector._trusted(entries))
         except IndexOutOfDomain as exc:
             raise ParseError(str(exc)) from exc
     missing = len(window) - sum(1 for k in images if k in window)

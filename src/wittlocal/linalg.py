@@ -36,7 +36,7 @@ def parse_rational(text: str) -> Rational:
         raise ParseError("too many digits in rational literal") from None
     if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(num) if den == 1 else Fraction(num, den)  # an int needs no gcd
 
 
 def format_rational(value: Rational) -> str:

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 from random import Random
 
@@ -13,6 +15,7 @@ from wittlocal import (
     ParseError,
     Window,
     ad,
+    algebras,
     bracket,
     format_element,
     jacobi_check,
@@ -270,6 +273,182 @@ def test_jacobi_graded_table_matches_ordered_reference():
         )
         failures += not result.passed
     assert failures >= 10
+
+
+def _scans(monkeypatch):
+    """The windows `jacobi_check` hands to its triple scan, recorded."""
+    scans = []
+    scan = algebras._scan
+
+    def recording(table, window, off):
+        scans.append(window)
+        return scan(table, window, off)
+
+    monkeypatch.setattr(algebras, "_scan", recording)
+    return scans
+
+
+def _affine_constant(a, b, c, d):
+    return lambda i, j: a + b * i + c * j + d * i * j
+
+
+def _thin_cells_constant(forms):
+    """K = a + b i + c j + d ij with its own (a, b, c, d) on each of thin's
+    blocks, keyed by (i >= 2, j >= 2)."""
+    return lambda i, j: _affine_constant(*forms[i >= 2, j >= 2])(i, j)
+
+
+def _thin_family(a, b):
+    """[e_1, e_j] = (a + b j) e_{j+1} for j >= 2, every other bracket 0: a Lie
+    algebra for every a and b, affine on each of thin's blocks."""
+    zero = (0, 0, 0, 0)
+    return _thin_cells_constant({(False, True): (a, 0, b, 0), (True, False): (-a, -b, 0, 0),
+                                 (False, False): zero, (True, True): zero})
+
+
+def _grid(algebra, window):
+    """The first min(3, |cell|) indices of each of the window's cells."""
+    idx = window.indices()
+    cells = [idx] if algebra is not Algebra.THIN else [
+        [n for n in idx if n < 2], [n for n in idx if n >= 2]]
+    return [n for cell in cells for n in cell[:3]]
+
+
+def _residual(K, i, j, k):
+    return K(j, k) * K(i, j + k) + K(k, i) * K(j, k + i) + K(i, j) * K(k, i + j)
+
+
+def test_jacobi_certificate_matches_reference(monkeypatch):
+    """Seeded block-affine K, injected: a + b i + c j + d ij on witt and wplus
+    windows, and its own such form on each of thin's blocks.  Each result
+    equals the ordered scan's, and the triple scan runs exactly for the K
+    that fail: the certificate decides every other one."""
+    scans = _scans(monkeypatch)
+    rng = Random(97)
+    cases = []
+    for n in range(150):
+        kind = n % 3
+        if kind == 0:
+            lo = rng.randint(-5, 3)
+            algebra = Algebra.WITT if lo < 1 else Algebra.WPLUS
+            window = Window(lo, lo + rng.randint(0, 8))
+            c = rng.randint(-3, 3)
+            coeffs = (0, -c, c, 0) if n % 2 else tuple(rng.randint(-2, 2) for _ in range(4))
+            constant = _affine_constant(*coeffs)
+        else:
+            algebra, window = Algebra.THIN, Window(1, rng.randint(1, 9))
+            if kind == 1:
+                constant = _thin_family(rng.randint(-3, 3), rng.randint(-3, 3))
+            else:
+                constant = _thin_cells_constant(
+                    {key: tuple(rng.randint(-2, 2) for _ in range(4))
+                     for key in itertools.product((False, True), repeat=2)}
+                )
+        cases.append((algebra, window, constant))
+    passed = 0
+    for algebra, window, constant in cases:
+        result = jacobi_check(algebra, window, constant=constant)
+        expected = reference_jacobi(algebra, window, constant)
+        assert (result.passed, result.counterexample, result.residual) == expected
+        passed += result.passed
+    assert len(scans) == len(cases) - passed
+    assert passed >= 50 and len(scans) >= 40
+
+
+@pytest.mark.parametrize("algebra, window", [
+    (Algebra.THIN, Window(1, 1)), (Algebra.THIN, Window(1, 2)), (Algebra.THIN, Window(1, 3)),
+    (Algebra.WPLUS_EXT, Window(0, 0)), (Algebra.WPLUS_EXT, Window(0, 1)),
+    (Algebra.WPLUS_EXT, Window(0, 2)), (Algebra.WPLUS_EXT, Window(0, 3)),
+    (Algebra.WITT, Window(0, 0)), (Algebra.WITT, Window(-1, 0)), (Algebra.WITT, Window(0, 1)),
+    (Algebra.WITT, Window(-1, 1)), (Algebra.WITT, Window(-2, 0)), (Algebra.WITT, Window(0, 2)),
+])
+def test_jacobi_certificate_on_cells_smaller_than_its_grid(algebra, window):
+    """A cell of fewer than three indices is its own grid."""
+    constants = [None, _affine_constant(0, 0, 0, 1), _affine_constant(0, -1, 2, 0),
+                 _thin_family(2, -1), _thin_cells_constant({
+                     (False, False): (1, 0, 0, 0), (False, True): (0, 1, 1, 0),
+                     (True, False): (0, -1, -1, 0), (True, True): (0, -1, 1, 0)})]
+    for constant in constants:
+        result = jacobi_check(algebra, window, constant=constant)
+        expected = reference_jacobi(algebra, window, constant)
+        assert (result.passed, result.counterexample, result.residual) == expected
+
+
+def test_jacobi_certificate_fit_rejects_defect_off_the_grid(monkeypatch):
+    """An antisymmetric defect at (p, q), away from every grid point, is
+    invisible to the grid, so the fit has to reject it; the scan then finds
+    the reference's first failing triple.  So must a constant added to one
+    row off the grid, which leaves every row affine but not its columns."""
+    scans = _scans(monkeypatch)
+    cases = [(Algebra.WPLUS, Window(1, 14), 7, 11), (Algebra.WITT, Window(-6, 7), -1, 4),
+             (Algebra.THIN, Window(1, 14), 6, 9), (Algebra.WPLUS_EXT, Window(0, 13), 5, 8),
+             (Algebra.WPLUS, Window(1, 14), 7, None)]
+    for algebra, window, p, q in cases:
+        base = algebra.constant
+
+        def constant(i, j, base=base, p=p, q=q):
+            if q is None:
+                return base(i, j) + (i == p)
+            return base(i, j) + {(p, q): 1, (q, p): -1}.get((i, j), 0)
+
+        grid = _grid(algebra, window)
+        assert p not in grid and q not in grid
+        assert not any(_residual(constant, *t) for t in itertools.product(grid, repeat=3))
+        result = jacobi_check(algebra, window, constant=constant)
+        assert not result.passed
+        assert (result.passed, result.counterexample, result.residual) == reference_jacobi(
+            algebra, window, constant
+        )
+    assert len(scans) == len(cases)
+
+
+def test_jacobi_certificate_grid_catches_affine_non_lie():
+    """K = ij, K = 2j - i and K = ij - i are affine, so the fit passes; the
+    residual is nonzero at a grid point, so the certificate fails and the
+    scan reports the reference's first failing triple.  On 0:10 the residual
+    of ij - i vanishes on the first two indices of the window, so a grid of
+    two points per cell would pass it."""
+    ij_minus_i = _affine_constant(0, -1, 0, 1)
+    cases = [(constant, algebra, window)
+             for constant in (_affine_constant(0, 0, 0, 1), _affine_constant(0, -1, 2, 0))
+             for algebra, window in ((Algebra.WITT, Window(-5, 6)),
+                                     (Algebra.WPLUS, Window(1, 12)), (Algebra.THIN, Window(1, 12)))]
+    cases.append((ij_minus_i, Algebra.WPLUS_EXT, Window(0, 10)))
+    assert not any(_residual(ij_minus_i, *t) for t in itertools.product((0, 1), repeat=3))
+    for constant, algebra, window in cases:
+        grid = _grid(algebra, window)
+        assert any(_residual(constant, *t) for t in itertools.product(grid, repeat=3))
+        result = jacobi_check(algebra, window, constant=constant)
+        assert not result.passed
+        assert (result.passed, result.counterexample, result.residual) == reference_jacobi(
+            algebra, window, constant
+        )
+
+
+def test_jacobi_certificate_needs_sums_inside_one_cell(monkeypatch):
+    """With a cut at 0, e_-1 + e_1 lands in neither cell whole, so K(i, j+k)
+    need not be one polynomial on a triple of cells: even the witt K goes
+    to the scan."""
+    scans = _scans(monkeypatch)
+    monkeypatch.setitem(algebras._CUTS, Algebra.WITT, (0,))
+    assert jacobi_check(Algebra.WITT, Window(-4, 4)).passed
+    assert jacobi_check(Algebra.WITT, Window(0, 8)).passed
+    assert scans == [Window(-4, 4)]
+
+
+def test_jacobi_certificate_skips_the_scan_at_the_cli_cap(monkeypatch):
+    """Every built-in algebra at W = 200, the `jacobi` command's widest
+    window, is certified without reaching the triple scan."""
+
+    def unreachable(*args):
+        raise AssertionError("triple scan reached")
+
+    monkeypatch.setattr(algebras, "_scan", unreachable)
+    start = time.perf_counter()
+    for algebra, window in ((Algebra.WITT, Window(-99, 100)), (Algebra.WPLUS, Window(1, 200)),
+                            (Algebra.WPLUS_EXT, Window(0, 199)), (Algebra.THIN, Window(1, 200))):
+        assert jacobi_check(algebra, window).passed
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_format_round_trip():

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from wittlocal.cli import (
     DER_BASIS_MAX_SUPPORT,
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_WINDOW,
+    JSON_BYTES_PER_TERM,
     LEIBNIZ_MAX_WORK,
     MAP_MAX_TERMS,
     RECOVER_INNER_MAX_WORK,
@@ -755,6 +757,49 @@ def test_map_keys_refused_before_the_table(tmp_path, monkeypatch):
     refusal = (3, "", f"error: map keys {MAP_MAX_TERMS + 1} is above the limit {MAP_MAX_TERMS}\n")
     assert run(["leibniz", "--algebra", "wplus", "--map", str(path), "--depth", "1"]) == refusal
     assert run(["recover-inner", "--algebra", "wplus", "--map", str(path)]) == refusal
+
+
+def test_json_inputs_refused_by_size(tmp_path):
+    """A map or pairs file above its term bound times JSON_BYTES_PER_TERM
+    bytes is refused from its size, before it is read: the 13.9 MB map of
+    1:1000000 empty images in under 0.1 s and 30 MiB.  A file of exactly
+    the bound is read."""
+    big = tmp_path / "big.json"
+    with open(big, "w") as fh:
+        fh.write('{"algebra": "wplus", "truncation": {"min": 1, "max": 1000000}, "images": {')
+        fh.writelines(f'{", " if k > 1 else ""}"{k}": []' for k in range(1, 1000001))
+        fh.write("}}\n")
+    map_limit = MAP_MAX_TERMS * JSON_BYTES_PER_TERM
+    refusal = (3, "", f"error: map file bytes {big.stat().st_size} is above the limit {map_limit}\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert run(["leibniz", "--algebra", "wplus", "--map", str(big), "--depth", "1"]) == refusal
+        assert run(["recover-inner", "--algebra", "wplus", "--map", str(big)]) == refusal
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 30 * 2**20
+
+    def padded(text, size):
+        path = tmp_path / "padded.json"
+        path.write_text(text + " " * (size - len(text)))
+        return str(path)
+
+    small_map = json.dumps({"algebra": "wplus", "truncation": {"min": 1, "max": 2},
+                            "images": {"1": [[1, "1"]], "2": [[2, "2"]]}})
+    argv = ["leibniz", "--algebra", "wplus", "--depth", "1", "--map"]
+    assert run(argv + [padded(small_map, map_limit)]) == (0, "pass (1 pairs checked)\n", "")
+    assert run(argv + [padded(small_map, map_limit + 1)]) == (
+        3, "", f"error: map file bytes {map_limit + 1} is above the limit {map_limit}\n"
+    )
+    pairs = '{"algebra": "thin", "pairs": [["e_1", "e_2"]]}'
+    pairs_limit = VERIFY_MAX_TOTAL * JSON_BYTES_PER_TERM
+    argv = ["two-local", "verify", "--pairs"]
+    assert run(argv + [padded(pairs, pairs_limit)])[0] == 0
+    assert run(argv + [padded(pairs, pairs_limit + 1)]) == (
+        3, "", f"error: pairs file bytes {pairs_limit + 1} is above the limit {pairs_limit}\n"
+    )
 
 
 def _doubling_map(algebra, window):

@@ -914,6 +914,32 @@ def test_table_json_round_trip():
     assert again == table
 
 
+def test_table_json_matches_sparse_vector_construction():
+    """`table_from_json` wraps each image's summed terms unchecked; the
+    result must equal the public `SparseVector(...)` of the same terms:
+    repeated indices add, zero literals and cancelled sums vanish."""
+    rng = Random(53)
+    literals = ["0", "-0", "0/7", "1", "-1", "12", "-3", "2/4", "-6/3", "5/1", "7/9"]
+    for _ in range(60):
+        top = rng.randint(1, 8)
+        images, expected = {}, {}
+        for k in range(1, top + 1):
+            terms = [[rng.randint(1, 12), rng.choice(literals)] for _ in range(rng.randint(0, 6))]
+            if terms and rng.random() < 0.3:  # the first term again, negated
+                idx, lit = terms[0]
+                terms.append([idx, lit[1:] if lit.startswith("-") else "-" + lit])
+            sums = {}
+            for idx, lit in terms:
+                sums[idx] = sums.get(idx, 0) + Fraction(lit)
+            images[str(k)] = terms
+            expected[k] = Element(Algebra.WPLUS, SparseVector(sums))
+        doc = {"algebra": "wplus", "truncation": {"min": 1, "max": top}, "images": images}
+        table = table_from_json(doc)
+        assert table.images == expected
+        for image in table.images.values():
+            assert_normalised_element(image)
+
+
 def test_table_json_errors():
     table = ad(Element.basis(Algebra.WPLUS, 1), Window(1, 4))
     doc = table_to_json(table)
