@@ -201,20 +201,14 @@ def jacobi_check(
     K(a, m) for a in the window and m from min(lo, 2lo) to max(hi, 2hi).
 
     The table first gets a certificate that reads only its entries.  The
-    window and the m-range are split into cells at the algebra's cut points
-    (`_CUTS`: thin's K changes form where an index reaches 2, so index 1 is
-    a cell of its own; the other algebras have one cell).  If every row and
-    every column of each block (a-cell x m-cell) has zero second
-    differences, K = alpha + beta a + gamma m + delta a m on the block.  If
-    moreover every cell and every sum of two cells lies in one m-cell, each
-    of the three terms, on a triple of cells, is a product of two such
-    block-affine factors, K(j,k) and K(i,j+k) say, so the residual there is
-    a polynomial of degree <= 2 in each of i, j and k.  A polynomial of
-    degree <= 2 in one variable that vanishes at 3 points is zero, so,
-    one variable at a time, it vanishes on the whole triple of cells once it
-    vanishes on the grid of each cell's first min(3, |cell|) indices (Alon,
-    Combinatorial Nullstellensatz, Lemma 2.1).  On thin, index 1 is its own
-    cell and every sum of two indices is >= 2, so each block is constant.
+    window and the m-range are split into cells at `_CUTS` (thin's K changes
+    form where an index reaches 2, so index 1 is a cell of its own).  If
+    every row and column of each block (a-cell x m-cell) is affine, K is
+    alpha + beta a + gamma m + delta a m there.  If moreover every cell and
+    every sum of two cells lies in one m-cell, each term of the residual on
+    a triple of cells is a product of two such factors, K(j,k) K(i,j+k)
+    say, of degree <= 2 in each of i, j and k: `_grid_certified` applies.
+    On thin every sum of two indices is >= 2, so each block is constant.
 
     Without a certificate every triple is scanned.  If K(i,j) = -K(j,i) on
     the window (so K(i,i) = 0) the sum is alternating, and only i < j < k is
@@ -257,22 +251,28 @@ def _affine(seq) -> bool:
     return list(seq) == ([s] * n if d == 0 else list(range(s, s + n * d, d)))
 
 
+def _grid_certified(seqs, fails, axes) -> bool:
+    """True if each integer sequence of `seqs` is `_affine` and `fails` finds
+    no nonzero residual on the grid of each cell's first min(3, |cell|)
+    indices, cells (first, last) per axis.  A residual of degree <= 2 in each
+    variable is then zero on all of them (Alon, Nullstellensatz, Lemma 2.1)."""
+    grid = itertools.product(*([n for c0, c1 in cells for n in range(c0, min(c1, c0 + 2) + 1)]
+                               for cells in axes))
+    return all(map(_affine, seqs)) and not fails(grid)
+
+
 def _certified(table, window: Window, off: int, cuts: tuple[int, ...]) -> bool:
     """The certificate of `jacobi_check`: True only if no triple fails."""
     lo = window.lo
     cells = _cells(lo, window.hi, cuts)
     m_cells = _cells(off, off + len(table[0]) - 1, cuts)
-    for a0, a1 in cells:
-        rows = table[a0 - lo:a1 - lo + 1]
-        for m0, m1 in m_cells:
-            block = [row[m0 - off:m1 - off + 1] for row in rows]
-            if not (all(map(_affine, block)) and all(map(_affine, zip(*block)))):
-                return False
     sums = [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in itertools.product(cells, repeat=2)]
     if not all(any(m0 <= s0 and s1 <= m1 for m0, m1 in m_cells) for s0, s1 in cells + sums):
         return False
-    grid = [n for c0, c1 in cells for n in range(c0, min(c1, c0 + 2) + 1)]
-    return _first_failure(table, lo, off, itertools.product(grid, repeat=3)) is None
+    blocks = ([row[m0 - off:m1 - off + 1] for row in table[a0 - lo:a1 - lo + 1]]
+              for a0, a1 in cells for m0, m1 in m_cells)
+    seqs = itertools.chain.from_iterable(itertools.chain(block, zip(*block)) for block in blocks)
+    return _grid_certified(seqs, lambda grid: _first_failure(table, lo, off, grid), [cells] * 3)
 
 
 def _scan(table, window: Window, off: int) -> JacobiResult:

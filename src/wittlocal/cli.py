@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -39,11 +40,11 @@ JACOBI_MAX_WINDOW = 200
 # forced space) takes about 0.1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
-# Largest `der-basis` support bound and consistency depth.  On wplus the solve
-# grows like support * depth^2: support 64 at its default depth 2*64+3, the
-# depth cap, takes 0.35-0.55 s in a fresh process.  On thin only the shift -1
-# block reads relations, so the solve is linear: 0.14 s, mostly start-up.
-# Larger values are refused up front.
+# Largest `der-basis` support bound and consistency depth.  On wplus a block
+# whose kernel fails its certificate reads support * depth^2 relations: support
+# 64 at its default depth 2*64+3, the depth cap, took 0.35-0.55 s in a fresh
+# process that way, and takes 0.19 s certified.  On thin only the shift -1
+# block reads relations: 0.14 s, mostly start-up.  Larger values are refused.
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
@@ -51,10 +52,10 @@ DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 # pair and shift s of the map (D(e_k) = c e_{k+s}), plus the per-shift split
 # of the table, one entry per index and shift.  Both count only what
 # `leibniz_check` reads: the images in its reach, the window indices within
-# [-2 depth, 2 depth].  D(e_k) = k e_k on 1:4000 (one shift) takes about
-# 1.9 s at depth 2460 (2.8 M pairs) and is refused at depth 4000 (4 M
-# pairs); the 100-shift inner map of e_0 + ... + e_99 on 1:400 takes about
-# 1.0 s at depth 200 (work 2.05 M).
+# [-2 depth, 2 depth].  It bounds the pair scan, which a table that fails the
+# certificate gets: D(e_k) = k e_k on 1:4000 (one shift) took 1.9 s that way
+# at depth 2460 (2.8 M pairs) and is refused at depth 4000; the 100-shift
+# inner map of e_0 + ... + e_99 on 1:400 took 1.0 s at depth 200 (work 2.05 M).
 LEIBNIZ_MAX_WORK = 3000000
 
 # Largest `recover-inner` work, shifts * window.  It bounds the comparison of
@@ -74,10 +75,10 @@ RECOVER_INNER_MAX_WORK = 3000000
 # (JSON_BYTES_PER_TERM).
 MAP_MAX_TERMS = 100000
 
-# Largest `extend` truncation.  On wplus every cross relation is checked, so
-# the work is quadratic: `--e1 0 --e2 e_3` takes about 0.1-0.35 s in-process
-# at 1000 and 1-3 s at 3000.  Each shift s of the generator images
-# (D(e_k) = c e_{k+s}) repeats it, so shifts * truncation^2 above
+# Largest `extend` truncation.  On wplus, images that fail the certificate get
+# every cross relation checked, quadratic work: `--e1 0 --e2 e_3` took
+# 0.1-0.35 s in-process at 1000 that way (8 ms certified).  Each shift s of the
+# generator images (D(e_k) = c e_{k+s}) repeats it, so shifts * truncation^2 above
 # EXTEND_MAX_TRUNCATION^2 is refused too.  On thin only relations with i or
 # j equal to 1 - s can fail, so the work is linear (`--e1 e_1 --e2 e_2`: 5 ms
 # at 1000, 20 ms at 3000, in-process); the same caps hold.
@@ -110,7 +111,7 @@ VERIFY_MAX_TOTAL = 30000
 # keys, separators and `indent=2` whitespace; the largest test map, 99900
 # terms, is 1.40 MB.  The size is read with `os.fstat` before the JSON is, so
 # the 13.9 MB map of 1:1000000 empty images, which took 4.1 s and 310 MiB to
-# read before its key count was refused, is refused at once.
+# read before its key count was refused, is refused at once (`_load_json`).
 JSON_BYTES_PER_TERM = 64
 
 
@@ -172,11 +173,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _load_json(path: str, kind: str, max_bytes: int) -> object:
     """The contents of a JSON input file of at most `max_bytes` bytes, a
-    bound checked before the file is read; `kind` names it in messages."""
+    bound checked from the file's size before it is read; a pipe reports size
+    0, so at most `max_bytes + 1` bytes of it are read.  `kind` names it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            data = json.load(fh, object_pairs_hook=_unique_keys) if size <= max_bytes else None
+            raw = fh.read(-1 if size else max_bytes + 1) if size <= max_bytes else b""
+        size = max(size, len(raw))
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")  # newlines as text mode
+        data = json.load(text, object_pairs_hook=_unique_keys) if size <= max_bytes else None
     except OSError as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integer

@@ -20,6 +20,7 @@ Tables are immutable; every function is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .algebras import Algebra, Element, bracket, format_element
+from .algebras import Algebra, Element, _grid_certified, bracket, format_element
 from .errors import (
     IndexOutOfDomain,
     MixedAlgebras,
@@ -134,7 +135,9 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     checked on its own, on its sequence scaled to integers.  A pair reads
     only D(e_i), D(e_j) and D(e_{i+j}), all with index in
     [-2 degree_bound, 2 degree_bound], so only those images are split and
-    scaled, and only the pairs of `_live_pairs` are evaluated.
+    scaled.  Affine parts whose residual vanishes on a 3 x 3 grid, as ad(a)
+    has (c_s[k] = a_s K(s, k)), pass every pair (`_parts_certified`; not on
+    thin); otherwise the pairs of `_live_pairs` are evaluated one by one.
     """
     win, alg = table.window, table.algebra
     rows = leibniz_pairs(win, degree_bound)
@@ -151,6 +154,10 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
         for g, c in table.images[k].coeffs.items():
             parts[g - k][k] = c
     scaled = {s: _integer_parts(c) for s, c in parts.items()}
+    if alg is not Algebra.THIN and _parts_certified(alg.constant, [
+        (s, [c[k] for k in range(lo, hi + 1)]) for s, (_, c) in scaled.items()
+    ], lo, ([(lo, hi)],) * 2):
+        return LeibnizResult(True, checked)
     failure = _first_violation(alg, scaled, _live_pairs(alg, scaled, rows))
     return LeibnizResult(failure is None, checked, *(failure or ()))
 
@@ -281,6 +288,18 @@ def _first_violation(
     return None
 
 
+def _parts_certified(K, parts: list, first: int, axes=([(2, 4)], [(5, 7)])) -> bool:
+    """True only if no pair fails, for K affine in each index (the witt K):
+    each part (s, c), c[t] at index first + t, is affine, and the residual of
+    its affine extension c(k) = a + d k, K(i,j) c(i+j) - c(i) K(i+s,j) -
+    c(j) K(i,j+s), of degree <= 2 in i and in j, vanishes on the grid of
+    `axes` (`_grid_certified`; i in {2,3,4}, j in {5,6,7} by default)."""
+    lines = [(s, c[0] - first * d, d) for s, c in parts for d in [c[1] - c[0] if c[1:] else 0]]
+    return _grid_certified((c for _, c in parts), lambda grid: any(
+        K(i, j) * (a + d * (i + j)) != (a + d * i) * K(i + s, j) + (a + d * j) * K(i, j + s)
+        for i, j in grid for s, a, d in lines), axes)
+
+
 def _verified_inner(table: LinearMapTable, a: Element) -> Element:
     """a, once every image is [a, e_k]: for each a_m with K(m, k) != 0, D(e_k)
     must hold a_m K(m, k) at e_{k+m}, and no other term.  Otherwise
@@ -307,10 +326,11 @@ def extend_from_generators(
     """Extend candidate generator images to a full derivation table.
 
     Images of e_3..e_N are forced by the bracket recursion from e_1; every
-    alternative relation that can fail (`_live_pairs`) is then re-derived and
-    has to agree exactly.  A disagreement is a semantic outcome, not an error:
-    the first failing relation is reported with its residual summed over all
-    shifts.
+    alternative relation that can fail (`_live_pairs`) then has to agree
+    exactly, unless on wplus affine parts with residual zero on a 3 x 3 grid,
+    as inner images give, pass them all at once (`_parts_certified`).  A
+    disagreement is a semantic outcome, not an error: the first failing
+    relation is reported with its residual summed over all shifts.
     """
     require_generated(algebra)
     if truncation < 3:
@@ -322,8 +342,10 @@ def extend_from_generators(
         den, (a, b) = _integer_parts([img_e1.coefficient(1 + s), img_e2.coefficient(2 + s)])
         q, c = _shift_sequence(algebra, s, a, b, truncation)
         parts[s] = den * q, c
+    certified = algebra is Algebra.WPLUS and _parts_certified(
+        algebra.constant, [(s, c[1:]) for s, (_, c) in parts.items()], 1)
     pairs = _live_pairs(algebra, parts, _cross_relations(algebra, truncation))
-    if failure := _first_violation(algebra, parts, pairs):
+    if not certified and (failure := _first_violation(algebra, parts, pairs)):
         return InconsistentExtension(*failure)
     images = {
         k: Element(algebra, {k + s: Fraction(c[k], den) for s, (den, c) in parts.items()})
@@ -363,7 +385,7 @@ class DerivationSpace:
 
 def _block_kernel(
     K, s: int, parts: list[tuple[int, list[int]]], relations: Iterable
-) -> list[list[int]]:
+) -> list[tuple[list[int], list[int]]]:
     """Integer basis of the x for which the shift-s part sum_t x_t c_t
     satisfies every relation (i, j, K(i, j)), that is, the residual of
     `_first_violation` vanishes.  parts[t] is c_t scaled to integers, as
@@ -374,7 +396,8 @@ def _block_kernel(
     pivots on the first such one: every other vector becomes its integer
     combination with the pivot that cancels that residual, and the pivot
     leaves.  That happens at most once per unknown, and the relations stop
-    being read once the kernel is zero, since none can change that.
+    being read once the kernel is zero, since none can change that.  Each
+    vector is returned with its sequence, which a certificate can read.
     """
     kernel = [([den * (t == u) for t in range(len(parts))], c) for u, (den, c) in enumerate(parts)]
     for i, j, kij in relations:
@@ -389,7 +412,7 @@ def _block_kernel(
             ]
             if not kernel:
                 break
-    return [v for v, _ in kernel]
+    return kernel
 
 
 def derivation_space_basis(
@@ -414,6 +437,15 @@ def derivation_space_basis(
     canonical basis is the reduced echelon form of all block kernels.  For
     thin, beta_1 is solved for as well and must come out zero; it is not a
     reported coordinate.
+
+    On wplus a block first imposes the relations with i + j <= P =
+    min(depth, 14) on sequences built to P.  A kernel sequence affine on 1..P
+    with residual zero on {2,3,4} x {5,6,7} (`_parts_certified`) has residual
+    identically zero.  At i = 1 that is the recursion of `_shift_sequence`,
+    and K(1, k-1) = k-2 != 0 for k >= 3, so its full-depth sequence is the
+    affine extension and satisfies every relation.  The prefix kernel holds
+    the true kernel: if all its sequences are certified, the two are equal;
+    else the block is solved again at full depth.
     """
     require_generated(algebra)
     if support_bound < 1:
@@ -430,16 +462,21 @@ def derivation_space_basis(
     position = {coord: p for p, coord in enumerate(coords)}
     K = algebra.constant
     rows = _cross_relations(algebra, depth)
-    relations = [(i, j, K(i, j)) for i, j in _live_pairs(algebra, range(-1, n), rows)]
+    prefix = min(depth, 14) if algebra is Algebra.WPLUS else depth
+    relations = functools.cache(lambda last: [(i, j, K(i, j)) for i, j in _live_pairs(
+        algebra, range(-1, n), _cross_relations(algebra, last))])
     unit = {1: (1, 0), 2: (0, 1)}
     solutions: list[SparseVector] = []
     for s in range(-1, n):
         unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
-        kernel = [[int(t == u) for t in range(len(unknowns))] for u in range(len(unknowns))]
+        kernel = [([int(t == u) for t in range(len(unknowns))], None) for u in range(len(unknowns))]
         if any(_live_pairs(algebra, [s], rows)):  # else no relation constrains the block
-            parts = [_shift_sequence(algebra, s, *unit[gen], depth) for gen, _ in unknowns]
-            kernel = _block_kernel(K, s, parts, relations)
-        for vec in kernel:
+            for last in (prefix, depth):
+                parts = [_shift_sequence(algebra, s, *unit[gen], last) for gen, _ in unknowns]
+                kernel = _block_kernel(K, s, parts, relations(last))
+                if last == depth or _parts_certified(K, [(s, c[1:]) for _, c in kernel], 1):
+                    break
+        for vec, _ in kernel:
             entries = {unknowns[t]: x for t, x in enumerate(vec) if x}
             if not entries.keys() <= position.keys():
                 raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")

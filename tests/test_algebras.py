@@ -436,6 +436,22 @@ def test_jacobi_certificate_needs_sums_inside_one_cell(monkeypatch):
     assert scans == [Window(-4, 4)]
 
 
+def test_jacobi_certificate_goes_through_the_shared_helper(monkeypatch):
+    """`jacobi_check` certifies with `_grid_certified`, the helper the
+    Leibniz-type scans share: with it failing, every window reaches the
+    triple scan, which gives the reference's verdicts."""
+    scans = _scans(monkeypatch)
+    monkeypatch.setattr(algebras, "_grid_certified", lambda *args: False)
+    cases = [(Algebra.WITT, Window(-4, 4), None), (Algebra.WPLUS, Window(1, 8), None),
+             (Algebra.THIN, Window(1, 8), None),
+             (Algebra.WPLUS_EXT, Window(0, 6), _affine_constant(0, 0, 0, 1))]
+    for algebra, window, constant in cases:
+        result = jacobi_check(algebra, window, constant=constant)
+        expected = reference_jacobi(algebra, window, constant)
+        assert (result.passed, result.counterexample, result.residual) == expected
+    assert len(scans) == len(cases)
+
+
 def test_jacobi_certificate_skips_the_scan_at_the_cli_cap(monkeypatch):
     """Every built-in algebra at W = 200, the `jacobi` command's widest
     window, is certified without reaching the triple scan."""

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -800,6 +801,44 @@ def test_json_inputs_refused_by_size(tmp_path):
     assert run(argv + [padded(pairs, pairs_limit + 1)]) == (
         3, "", f"error: pairs file bytes {pairs_limit + 1} is above the limit {pairs_limit}\n"
     )
+
+
+def test_json_inputs_refused_from_a_fifo(tmp_path):
+    """A FIFO reports size 0, so its bytes are counted as they are read: at
+    most the bound + 1 bytes are read, and an oversized map is refused before
+    it is parsed, with the file-size message.  A small map through a FIFO is
+    read as from a regular file."""
+    limit = MAP_MAX_TERMS * JSON_BYTES_PER_TERM
+    big = ('{"algebra": "wplus", "truncation": {"min": 1, "max": 1000000}, "images": {'
+           + ", ".join(f'"{k}": []' for k in range(1, 1000001)) + "}}\n")
+    small = json.dumps({"algebra": "wplus", "truncation": {"min": 1, "max": 2},
+                        "images": {"1": [[1, "1"]], "2": [[2, "2"]]}})
+    argv = ["leibniz", "--algebra", "wplus", "--depth", "1", "--map"]
+    for text, expected in (
+        (big, (3, "", f"error: map file bytes {limit + 1} is above the limit {limit}\n")),
+        (small, (0, "pass (1 pairs checked)\n", "")),
+    ):
+        fifo = tmp_path / "map.fifo"
+        os.mkfifo(fifo)
+
+        def feed(text=text, fifo=fifo):
+            try:
+                with open(fifo, "w") as fh:
+                    fh.write(text)
+            except BrokenPipeError:  # the reader stopped at the bound
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        tracemalloc.start()
+        try:
+            assert run(argv + [str(fifo)]) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=10)
+            fifo.unlink()
+        assert peak < 30 * 2**20
 
 
 def _doubling_map(algebra, window):

@@ -641,10 +641,14 @@ def test_block_kernel_on_hand_built_sequences():
                 read.append(relation)
                 yield relation
 
-        return derivations._block_kernel(lambda i, j: 1, 0, parts, reading()), len(read)
+        pairs = derivations._block_kernel(lambda i, j: 1, 0, parts, reading())
+        return [v for v, _ in pairs], len(read)
 
-    # pivot on the first sequence: the additive one is left as it was
+    # pivot on the first sequence: the additive one is left as it was, and
+    # comes back with its vector
     assert kernel([(1, fails_12), (1, additive)]) == ([[0, 1]], 5)
+    pairs = derivations._block_kernel(lambda i, j: 1, 0, [(1, fails_12), (1, additive)], relations)
+    assert pairs == [([0, 1], additive)]
     # pivot on the second: the first vector keeps its denominator 3 and is
     # scaled by the pivot residual 1
     assert kernel([(3, additive), (1, fails_12)]) == ([[3, 0]], 5)
@@ -664,6 +668,224 @@ def test_space_depth_validation():
     for algebra in (Algebra.WPLUS, Algebra.THIN):
         with pytest.raises(ValueError, match="^support bound must be at least 1$"):
             derivation_space_basis(algebra, 0)
+
+
+# -- index-polynomial certificate ---------------------------------------------
+
+
+def _recorded(monkeypatch, name):
+    """The argument tuples of every call of derivations.<name>."""
+    calls = []
+    original = getattr(derivations, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(derivations, name, recording)
+    return calls
+
+
+def _part_table(algebra, window, parts):
+    """D(e_k) = sum over parts {s: c} of c(k) e_{k+s}, terms outside the
+    domain dropped."""
+    images = {
+        k: Element(algebra, {k + s: c(k) for s, c in parts.items() if algebra.contains_index(k + s)})
+        for k in window.indices()
+    }
+    return LinearMapTable(algebra, window, images)
+
+
+def _seeded_parts(rng, kind):
+    """One to three shift parts c_s(k): inner (a_s (k - s), what ad(a) has),
+    affine (alpha + beta k) or neither (inner plus one planted defect)."""
+    parts = {}
+    for s in rng.sample(range(-3, 5), rng.randint(1, 3)):
+        a, alpha, beta = (rand_rational(rng, 4, 3, allow_zero=False) for _ in range(3))
+        if kind == "affine":
+            parts[s] = lambda k, alpha=alpha, beta=beta: alpha + beta * k
+        elif kind == "defect":
+            p = rng.randint(-12, 14)
+            parts[s] = lambda k, a=a, s=s, p=p: a * (k - s) + (k == p)
+        else:
+            parts[s] = lambda k, a=a, s=s: a * (k - s)
+    return parts
+
+
+_CERTIFICATE_WINDOWS = [
+    (Algebra.WITT, Window(-7, 7)), (Algebra.WITT, Window(-12, -1)),
+    (Algebra.WITT, Window(-3, -2)), (Algebra.WITT, Window(-1, 0)), (Algebra.WITT, Window(0, 0)),
+    (Algebra.WPLUS, Window(1, 14)), (Algebra.WPLUS, Window(1, 2)), (Algebra.WPLUS, Window(1, 1)),
+    (Algebra.WPLUS_EXT, Window(0, 14)), (Algebra.WPLUS_EXT, Window(0, 1)),
+    (Algebra.THIN, Window(1, 12)), (Algebra.THIN, Window(1, 2)),
+]
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["certificate", "fallback"])
+def test_leibniz_certificate_matches_reference(monkeypatch, certified):
+    """Seeded inner, affine and defective shift parts on all four algebras,
+    windows of fewer than three indices and all-negative witt windows among
+    them: every result equals `reference_leibniz`, through the certificate
+    and with the certificate failing, which forces the pair scan.  The scan
+    runs for every failure, and for no certified pass."""
+    if not certified:
+        monkeypatch.setattr(derivations, "_parts_certified", lambda *args: False)
+    scans = _recorded(monkeypatch, "_first_violation")
+    rng = Random(151)
+    passed = failed = certified_passes = 0
+    for algebra, window in _CERTIFICATE_WINDOWS:
+        for kind in ("inner", "affine", "defect") * 3:
+            table = _part_table(algebra, window, _seeded_parts(rng, kind))
+            for depth in (1, 3, 6, 20):
+                try:
+                    expected = reference_leibniz(table, depth)
+                except ValueError:
+                    with pytest.raises(TruncationTooSmall):
+                        leibniz_check(table, depth)
+                    continue
+                before = len(scans)
+                result = leibniz_check(table, depth)
+                assert (result.passed, result.pairs_checked, result.pair,
+                        result.residual) == expected
+                passed += result.passed
+                failed += not result.passed
+                certified_passes += len(scans) == before
+    assert passed > 100 and failed > 100
+    assert certified_passes > 80 if certified else certified_passes == 0
+
+
+def test_leibniz_certificate_fit_rejects_defect_off_the_grid(monkeypatch):
+    """The grid reads each part through its affine extension from the first
+    two indices, so a defect further up is invisible to it: with the fit
+    switched off the certificate passes the defective table.  With the fit
+    on, the scan reports `reference_leibniz`'s first failing pair."""
+    cases = [
+        (Algebra.WPLUS, "e_0 + 2*e_1 - 1/3*e_4", Window(1, 30), 17, 15),
+        (Algebra.WITT, "e_-2 + 1/2*e_0 + e_3", Window(-15, 15), 9, 8),
+        (Algebra.WITT, "e_-2 + 1/2*e_0 + e_3", Window(-30, -1), -20, 15),
+        (Algebra.WPLUS_EXT, "3*e_0 - e_2", Window(0, 30), 12, 15),
+    ]
+    for algebra, text, window, p, depth in cases:
+        a = parse_element(text, Algebra.WITT if algebra is Algebra.WITT else Algebra.WPLUS_EXT)
+        table = _planted(ad(a, window).in_algebra(algebra), [(p, p + max(a.support()))])
+        expected = reference_leibniz(table, depth)
+        assert not expected[0]
+        result = leibniz_check(table, depth)
+        assert (result.passed, result.pairs_checked, result.pair, result.residual) == expected
+        with monkeypatch.context() as patched:
+            patched.setattr(algebras, "_affine", lambda seq: True)
+            assert leibniz_check(table, depth).passed
+
+
+def test_parts_certificate_on_affine_constants():
+    """For K = a + b i + c j + d ij, the family the certificate assumes, and
+    affine parts, the certificate holds exactly when the residual vanishes
+    on every pair of a 7 x 7 box.  The i^2 and j^2 terms of the residual
+    cancel, so it vanishes on the box exactly when it vanishes on the first
+    2 x 2 grid: no affine part is nonzero only off a two-point grid, and
+    the third grid point, which `jacobi_check` needs, is spare here.  Every
+    other case is a multiple of the witt K with parts beta (k - s) + offset,
+    inner when the offset is 0, so both verdicts are frequent."""
+    rng = Random(163)
+    holds = 0
+    for n in range(400):
+        m = rng.randint(1, 3)
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4)) if n % 2 else (0, -m, m, 0)
+
+        def K(i, j, a=a, b=b, c=c, d=d):
+            return a + b * i + c * j + d * i * j
+
+        first = rng.randint(-4, 4)
+        lines = []  # (s, alpha, beta): the part alpha + beta (k - first)
+        for s in rng.sample(range(-3, 4), rng.randint(1, 2)):
+            beta = rng.randint(-3, 3)
+            offset = rng.choice((0, 0, 1)) if n % 2 == 0 else rng.randint(-3, 3)
+            lines.append((s, beta * (first - s) + offset, beta))
+        parts = [(s, [alpha + beta * t for t in range(rng.randint(2, 9))])
+                 for s, alpha, beta in lines]
+
+        def residual(i, j):
+            def c(k, alpha, beta):
+                return alpha + beta * (k - first)
+
+            return any(K(i, j) * c(i + j, *ab) - c(i, *ab) * K(i + s, j) - c(j, *ab) * K(i, j + s)
+                       for s, *ab in lines)
+
+        box = range(first, first + 7)
+        on_box = not any(residual(i, j) for i in box for j in box)
+        assert on_box == (not any(residual(i, j) for i in box[:2] for j in box[:2]))
+        cell = [(first, first + 6)]
+        assert derivations._parts_certified(K, parts, first, (cell, cell)) == on_box
+        holds += on_box
+    assert 50 < holds < 350
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["certificate", "fallback"])
+def test_wplus_extend_certificate_matches_reference(monkeypatch, certified):
+    """Inner generator images, some with extra terms, extend or fail exactly
+    as `reference_extension` says, through the certificate and with the
+    certificate failing.  Inner images never reach the relation scan; at a
+    small truncation some other images extend as well, after the scan."""
+    if not certified:
+        monkeypatch.setattr(derivations, "_parts_certified", lambda *args: False)
+    scans = _recorded(monkeypatch, "_first_violation")
+    rng = Random(157)
+    consistent = inconsistent = inner_scans = 0
+    for _ in range(80):
+        img1, img2 = derivation_generator_images(rng, Algebra.WPLUS)
+        inner = rng.random() < 0.5
+        if not inner:
+            img1 = img1 + rand_element(rng, Algebra.WPLUS, range(1, 7), max_terms=2)
+        truncation = rng.randint(3, 24)
+        images, failure = reference_extension(Algebra.WPLUS, img1, img2, truncation)
+        before = len(scans)
+        out = extend_from_generators(Algebra.WPLUS, img1, img2, truncation)
+        inner_scans += inner and len(scans) > before
+        if failure is None:
+            assert isinstance(out, LinearMapTable) and out.images == images
+            consistent += 1
+        else:
+            assert (out.relation, out.residual) == failure
+            inconsistent += 1
+    assert consistent > 20 and inconsistent > 20
+    assert inner_scans == 0 if certified else len(scans) == 80
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["certificate", "fallback"])
+def test_wplus_space_certificate_matches_reference(monkeypatch, certified):
+    """The wplus solve equals `reference_derivation_space` for n = 1..12 at
+    the default depth and at 2n + 10, through the certificate and with the
+    certificate failing, which solves every block again at full depth."""
+    if not certified:
+        monkeypatch.setattr(derivations, "_parts_certified", lambda *args: False)
+    built = _recorded(monkeypatch, "_shift_sequence")
+    for n in range(1, 13):
+        for depth in (2 * n + 3, 2 * n + 10):
+            built.clear()
+            space = derivation_space_basis(Algebra.WPLUS, n, depth)
+            names, reference = reference_derivation_space(Algebra.WPLUS, n, depth)
+            assert space.coordinates == names
+            assert space.space.basis == reference.basis
+            lengths = {args[-1] for args in built}
+            assert lengths == ({min(depth, 14)} if certified else {min(depth, 14), depth})
+
+
+def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
+    """The wplus solve at n = 64, an inner `leibniz_check` at depth 200 and
+    an inner wplus extension to 1000 are certified: no pair scan runs, and
+    the solve builds no sequence beyond index 14."""
+    scans = _recorded(monkeypatch, "_first_violation")
+    built = _recorded(monkeypatch, "_shift_sequence")
+    space = derivation_space_basis(Algebra.WPLUS, 64)
+    assert space.dim == 64 and max(args[-1] for args in built) == 14
+    a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
+    table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
+    assert leibniz_check(table, 200).passed
+    images = [bracket(a, Element.basis(Algebra.WPLUS_EXT, k)).in_algebra(Algebra.WPLUS)
+              for k in (1, 2)]
+    out = extend_from_generators(Algebra.WPLUS, *images, 1000)
+    assert out == ad(a, Window(1, 1000)).in_algebra(Algebra.WPLUS)
+    assert scans == []
 
 
 # -- inner recovery -----------------------------------------------------------
