@@ -105,8 +105,15 @@ class Element:
         self.coeffs = coeffs
 
     @classmethod
+    def _trusted(cls, algebra: Algebra, coeffs: SparseVector) -> Element:
+        """Wrap a vector already known to lie in the algebra's index domain."""
+        x = cls.__new__(cls)
+        x.algebra, x.coeffs = algebra, coeffs
+        return x
+
+    @classmethod
     def zero(cls, algebra: Algebra) -> Element:
-        return cls(algebra, SparseVector())
+        return cls._trusted(algebra, SparseVector())
 
     @classmethod
     def basis(cls, algebra: Algebra, index: int) -> Element:
@@ -121,7 +128,7 @@ class Element:
     def support_bound(self) -> int:
         """max |i| over the support; 0 for the zero element."""
         sup = self.support()
-        return max(abs(i) for i in sup) if sup else 0
+        return max(-sup[0], sup[-1]) if sup else 0
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()

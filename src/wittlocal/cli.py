@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from . import derivations, twolocal
@@ -94,15 +95,16 @@ EXTEND_MAX_TRUNCATION = 1000
 BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  The witness tabulates
-# every index up to it: 6001 takes about 0.03 s in-process and prints 131 KB
-# of JSON.
+# every index up to it: 6001 takes about 15 ms in-process (22 ms as JSON,
+# which prints 131 KB).
 VERIFY_MAX_INDEX = 6001
 
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
 # witness is built.  At the limit, in a fresh process, 5 pairs near 6000
-# take about 0.2 s (0.4 s as JSON) and 10000 pairs of two-term elements
-# about 0.9 s (1.8 s as JSON): each pair has a fixed cost.
+# take 0.22-0.28 s (0.29-0.40 s as JSON) and 10000 pairs of two-term elements
+# 0.9-1.3 s (1.6-1.75 s as JSON): each pair has a fixed cost of about 0.1 ms,
+# shared by parsing its two elements, building its witness and checking it.
 VERIFY_MAX_TOTAL = 30000
 
 # Bytes a JSON input file may hold per term of its bound: a map file
@@ -142,12 +144,40 @@ def _window_json(window: Window) -> dict:
     return {"min": window.lo, "max": window.hi}
 
 
+# the JSON text of each scalar type, as `json.dumps` writes it
+_JSON_SCALARS = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+                 type(None): {None: "null"}.get}
+
+
+def _write_json(obj, out: list[str], newline: str = "\n") -> list[str]:
+    """Append the pieces of `json.dumps(obj, indent=2)`, nested at the depth
+    `newline` indents, to out and return out.  Indented `json.dumps` runs a
+    pure-Python encoder (the C one takes no indent); this one is about twice
+    as fast.  Values other than dicts with str keys, lists and `_JSON_SCALARS`
+    go to `json.dumps`, which escapes every newline inside a string."""
+    is_dict = type(obj) is dict and {*map(type, obj)} <= {str}
+    if not is_dict and type(obj) is not list:
+        out.append(json.dumps(obj, indent=2).replace("\n", newline))
+        return out
+    inner = sep = newline + "  "
+    out.append("{" if is_dict else "[")
+    for key, value in obj.items() if is_dict else enumerate(obj):
+        head = f"{sep}{_encode_str(key)}: " if is_dict else sep
+        sep = "," + inner
+        if scalar := _JSON_SCALARS.get(type(value)):
+            out.append(head + scalar(value))
+        else:
+            out.append(head)
+            _write_json(value, out, inner)
+    out.append((newline if obj else "") + ("}" if is_dict else "]"))
+    return out
+
+
 def _emit(args, text: str, payload: dict) -> int:
     """Print the JSON payload, or the text made from the payload's strings."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+        text = "".join(_write_json(payload, []))  # the pieces are freed before printing
+    print(text)
     return 0
 
 

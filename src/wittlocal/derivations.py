@@ -41,7 +41,6 @@ from .linalg import (
     SparseVector,
     Subspace,
     Window,
-    format_rational,
     parse_rational,
 )
 
@@ -66,9 +65,9 @@ class LinearMapTable:
             if img.algebra is not algebra:
                 raise MixedAlgebras(f"image of e_{k} lives in {img.algebra}, table in {algebra}")
             table[k] = img
-        for k in images:
-            if k not in window:
-                raise TruncationTooSmall(f"image index {k} outside declared window {window}")
+        if len(images) != len(table):  # then some image index lies outside the window
+            k = next(k for k in images if k not in window)
+            raise TruncationTooSmall(f"image index {k} outside declared window {window}")
         self.algebra = algebra
         self.window = window
         self.images = table
@@ -542,8 +541,8 @@ class ThinDerivationParams:
     beta: Mapping[int, Rational | int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.alpha = {int(i): Fraction(c) for i, c in self.alpha.items() if c != 0}
-        self.beta = {int(i): Fraction(c) for i, c in self.beta.items() if c != 0}
+        self.alpha = {int(i): f for i, c in self.alpha.items() if (f := Fraction(c))}
+        self.beta = {int(i): f for i, c in self.beta.items() if (f := Fraction(c))}
         for i in self.alpha:
             if i < 1:
                 raise ValueError(f"alpha index {i} below 1")
@@ -570,11 +569,13 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
     for j >= 3.  Always a derivation (asserted in the test suite, not
     re-verified per call).  The diagonal takes one addition per index (none
     when alpha_1 = 0) and is dropped where it cancels; the tail terms are
-    the beta_i themselves, at distinct indices above j.
+    the beta_i themselves, at distinct indices above j.  The params hold
+    nonzero Fractions at thin indices, so no image is re-checked.
     """
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
-    d1, d2 = Element(Algebra.THIN, params.alpha), Element(Algebra.THIN, params.beta)
+    d1, d2 = (Element._trusted(Algebra.THIN, SparseVector._trusted(dict(coeffs)))
+              for coeffs in (params.alpha, params.beta))
     alpha1, diagonal = d1.coefficient(1), d2.coefficient(2)
     tail = [(i - 2, c) for i, c in d2.coeffs.items() if i >= 3]
     images: dict[int, Element] = {1: d1, 2: d2}
@@ -584,7 +585,7 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
         entries = {j: diagonal} if diagonal else {}
         for shift, c in tail:
             entries[j + shift] = c
-        images[j] = Element(Algebra.THIN, SparseVector._trusted(entries))
+        images[j] = Element._trusted(Algebra.THIN, SparseVector._trusted(entries))
     return LinearMapTable(Algebra.THIN, Window(1, truncation), images)
 
 
@@ -597,9 +598,9 @@ def table_to_json(table: LinearMapTable) -> dict:
     return {
         "algebra": table.algebra.value,
         "truncation": {"min": table.window.lo, "max": table.window.hi},
-        "images": {
-            str(k): [[i, format_rational(c)] for i, c in table.image(k).coeffs.items()]
-            for k in table.window.indices()
+        "images": {  # keyed in window order; each value is a Fraction, which prints as p/q
+            str(k): [[i, str(c)] for i, c in image.coeffs.items()]
+            for k, image in table.images.items()
         },
     }
 

@@ -482,6 +482,14 @@ def reference_thin_delta(x: Element) -> Element:
     return x - Element.basis(Algebra.THIN, 1).scale(x.coefficient(1))
 
 
+def reference_verify_pair(delta, cert) -> tuple[bool, Element, Element]:
+    """(passed, residual_x, residual_y) of `verify_pair` by element
+    arithmetic: delta(m) - witness.apply(m) for each pair member m."""
+    rx = delta(cert.x) - cert.witness.apply(cert.x)
+    ry = delta(cert.y) - cert.witness.apply(cert.y)
+    return rx.is_zero() and ry.is_zero(), rx, ry
+
+
 def assert_normalised_element(x: Element) -> None:
     """x stores only int indices and nonzero Fractions, as `SparseVector`'s
     public constructor would: the lean paths wrap their dicts unchecked."""

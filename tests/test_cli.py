@@ -11,6 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wittlocal
 from wittlocal import (
@@ -466,6 +468,43 @@ def test_output_bytes_golden(tmp_path, name):
     argv = [str(path) if arg == "MAP" else arg for arg in argv]
     assert run(argv) == (0, text, "")
     assert run(argv + ["--format", "json"]) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+# -- the indent-2 JSON writer -------------------------------------------------
+
+def written_json(obj) -> str:
+    return "".join(cli._write_json(obj, []))
+
+
+# text that needs escaping: quotes, backslashes, control characters, non-ASCII
+# (two-byte, three-byte, astral) and lone surrogates, among arbitrary characters
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800'),
+                              st.characters()), max_size=6)
+JSON_INTS = st.one_of(st.integers(), st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**30, -1]))
+# empty lists and dicts are leaves, so they turn up at every depth
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_TEXT, JSON_INTS, st.booleans(), st.none(), st.just([]), st.just({})),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400)
+@given(JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(obj):
+    assert written_json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [1.5, -0.0, float("inf"), float("nan")],
+    {"a": (1, [2, {}]), "b": {1: "x", None: [True], 2.5: {}}},
+    [{"k": {3: {"n": [(), {"m": (4,)}]}}}],
+])
+def test_json_writer_hands_other_values_to_json_dumps(obj):
+    """Floats, tuples and dicts with keys other than str go to `json.dumps`,
+    re-indented to the depth they sit at."""
+    assert written_json(obj) == json.dumps(obj, indent=2)
 
 
 def test_twolocal_verify_cli(tmp_path):

@@ -2,8 +2,10 @@
 generated map and pairs JSON files, well-formed and malformed.
 
 Whatever the input, `main` must return an exit code in {0, 1, 2, 3} and
-leave no traceback.  Windows, supports, depths and truncations stay far
-below the `jacobi` and `der-basis` work bounds, so every example is fast.
+leave no traceback, and a successful `--format json` run must print exactly
+what the stdlib's `json.dumps(..., indent=2)` prints for the same value.
+Windows, supports, depths and truncations stay far below the `jacobi` and
+`der-basis` work bounds, so every example is fast.
 """
 
 import io
@@ -151,13 +153,15 @@ def run(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse's --help exits by itself
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_clean(argv):
-    code, err = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 0 and any(argv[i:i + 2] == ["--format", "json"] for i in range(len(argv))):
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 @pytest.fixture(scope="module")

@@ -1231,8 +1231,11 @@ def test_table_json_rejects_non_integer_bounds():
         table_from_json({**doc, "truncation": {"min": 4, "max": 1}})
 
 
+# strings too: `Fraction` reads them, and "0" must be dropped like 0, since
+# `thin_derivation` wraps the params' values unchecked
 _PARAM_COEFFS = st.one_of(
-    st.fractions(min_value=-4, max_value=4, max_denominator=5), st.integers(-3, 3)
+    st.fractions(min_value=-4, max_value=4, max_denominator=5), st.integers(-3, 3),
+    st.sampled_from(["0", "-0", "2/4", "-3"]),
 )
 
 

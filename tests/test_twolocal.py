@@ -9,6 +9,7 @@ from wittlocal import (
     Algebra,
     Element,
     IndexOutOfDomain,
+    LinearMapTable,
     MixedAlgebras,
     SparseVector,
     Window,
@@ -36,6 +37,7 @@ from helpers import (
     reference_centralizer,
     reference_forced_image_space,
     reference_thin_delta,
+    reference_verify_pair,
     zero_table,
 )
 
@@ -163,6 +165,50 @@ def test_verify_pair_rejects_wrong_witness():
     assert not v.passed
     assert v.residual_x == thin("e_2")
     assert v.residual_y.is_zero()
+
+
+def test_verify_pair_matches_reference_residuals():
+    """The one-pass residuals equal delta(m) - witness.apply(m) on 300 seeded
+    thin pairs and on wrong witnesses: the zero map, and a true witness with
+    one image perturbed (at an index of x, of y, or of neither)."""
+    rng = Random(71)
+    certs = []
+    for _ in range(300):
+        x = rand_element(rng, Algebra.THIN, range(1, 13))
+        y = rand_element(rng, Algebra.THIN, range(1, 13))
+        certs.append(thin_witness(x, y))
+    # (x, y, perturbed indices): in x, in y, and (second pair) in neither
+    wrong = [("e_1 + e_2 - 1/2*e_4", "3*e_3", (2, 3)), ("e_1 + e_5", "-e_1 + e_2", (5, 2, 4))]
+    for x, y, perturbed in wrong:
+        x, y = thin(x), thin(y)
+        good = thin_witness(x, y)
+        window = good.witness.window
+        certs.append(WitnessCertificate(x, y, good.case, zero_table(Algebra.THIN, window)))
+        for k in perturbed:
+            images = dict(good.witness.images)
+            images[k] = images[k] + thin("2/3*e_5 - e_6")
+            table = LinearMapTable(Algebra.THIN, window, images)
+            certs.append(WitnessCertificate(x, y, good.case, table))
+    failed = 0
+    for cert in certs:
+        v = verify_pair(thin_delta, cert)
+        assert (v.passed, v.residual_x, v.residual_y) == reference_verify_pair(thin_delta, cert)
+        assert_normalised_element(v.residual_x)
+        assert_normalised_element(v.residual_y)
+        failed += not v.passed
+    assert failed == 6  # every wrong witness but the perturbation at e_4, in neither member
+
+
+def test_verify_pair_refuses_mixed_algebras():
+    x, y = thin("e_1 + e_2"), thin("e_3")
+    wplus_table = zero_table(Algebra.WPLUS, Window(1, 5))
+    with pytest.raises(MixedAlgebras):
+        verify_pair(thin_delta, WitnessCertificate(x, y, "zero", wplus_table))
+    thin_cert = WitnessCertificate(x, y, "zero", zero_table(Algebra.THIN, Window(1, 5)))
+    with pytest.raises(MixedAlgebras):
+        verify_pair(lambda m: m.in_algebra(Algebra.WPLUS), thin_cert)
+    with pytest.raises(MixedAlgebras):
+        reference_verify_pair(thin_delta, WitnessCertificate(x, y, "zero", wplus_table))
 
 
 def test_verify_pair_zero_pair():
