@@ -214,13 +214,12 @@ def jacobi_check(
     alpha + beta a + gamma m + delta a m there.  If moreover every cell and
     every sum of two cells lies in one m-cell, each term of the residual on
     a triple of cells is a product of two such factors, K(j,k) K(i,j+k)
-    say, of degree <= 2 in each of i, j and k: `_grid_certified` applies.
-    On thin every sum of two indices is >= 2, so each block is constant.
+    say, of degree <= 2 in each of i, j and k.  Zero on the grid of each
+    cell's first min(3, |cell|) indices, it is then zero on the whole triple
+    of cells (Alon, Combinatorial Nullstellensatz, Lemma 2.1).  On thin
+    every sum of two indices is >= 2, so each block is constant.
 
-    Without a certificate every triple is scanned.  If K(i,j) = -K(j,i) on
-    the window (so K(i,i) = 0) the sum is alternating, and only i < j < k is
-    evaluated: the first failing one is the first failing ordered triple,
-    with the same residual.
+    Without a certificate every ordered triple is scanned.
     """
     algebra.require_window(window)
     K = constant or algebra.constant
@@ -258,16 +257,6 @@ def _affine(seq) -> bool:
     return list(seq) == ([s] * n if d == 0 else list(range(s, s + n * d, d)))
 
 
-def _grid_certified(seqs, fails, axes) -> bool:
-    """True if each integer sequence of `seqs` is `_affine` and `fails` finds
-    no nonzero residual on the grid of each cell's first min(3, |cell|)
-    indices, cells (first, last) per axis.  A residual of degree <= 2 in each
-    variable is then zero on all of them (Alon, Nullstellensatz, Lemma 2.1)."""
-    grid = itertools.product(*([n for c0, c1 in cells for n in range(c0, min(c1, c0 + 2) + 1)]
-                               for cells in axes))
-    return all(map(_affine, seqs)) and not fails(grid)
-
-
 def _certified(table, window: Window, off: int, cuts: tuple[int, ...]) -> bool:
     """The certificate of `jacobi_check`: True only if no triple fails."""
     lo = window.lo
@@ -279,17 +268,15 @@ def _certified(table, window: Window, off: int, cuts: tuple[int, ...]) -> bool:
     blocks = ([row[m0 - off:m1 - off + 1] for row in table[a0 - lo:a1 - lo + 1]]
               for a0, a1 in cells for m0, m1 in m_cells)
     seqs = itertools.chain.from_iterable(itertools.chain(block, zip(*block)) for block in blocks)
-    return _grid_certified(seqs, lambda grid: _first_failure(table, lo, off, grid), [cells] * 3)
+    grid = [n for c0, c1 in cells for n in range(c0, min(c1, c0 + 2) + 1)]
+    return all(map(_affine, seqs)) and not _first_failure(
+        table, lo, off, itertools.product(grid, repeat=3))
 
 
 def _scan(table, window: Window, off: int) -> JacobiResult:
-    """The triple scan of `jacobi_check`, over sorted triples when K is
-    antisymmetric on the window and over ordered triples otherwise."""
-    idx, lo = window.indices(), window.lo
-    pairs = itertools.combinations_with_replacement(idx, 2)
-    alternating = all(table[i - lo][j - off] == -table[j - lo][i - off] for i, j in pairs)
-    triples = itertools.combinations(idx, 3) if alternating else itertools.product(idx, repeat=3)
-    return _first_failure(table, lo, off, triples) or JacobiResult(True)
+    """The ordered triple scan of `jacobi_check`."""
+    triples = itertools.product(window.indices(), repeat=3)
+    return _first_failure(table, window.lo, off, triples) or JacobiResult(True)
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")
@@ -335,7 +322,7 @@ def parse_element(text: str, algebra: Algebra) -> Element:
         first = False
     if not all(out.values()):
         out = {k: c for k, c in out.items() if c}
-    return Element(algebra, SparseVector._trusted(out))
+    return Element._trusted(algebra, SparseVector._trusted(out))
 
 
 def format_element(x: Element) -> str:

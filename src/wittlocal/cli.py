@@ -29,9 +29,15 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 # its W x 2W table of integer structure constants, so the work is O(W^2):
 # W = 200 takes 13-20 ms per algebra in-process, 0.15-0.19 s in a fresh
 # process.  The triple scan, which only a K without a certificate reaches,
-# would evaluate about W^3/6 triples (1.3 M, 0.33-0.48 s at W = 200).  Wider
-# windows are refused up front.
+# would evaluate all W^3 ordered triples (8 M, about 3.3 s in-process at
+# W = 200).  Wider windows are refused up front.
 JACOBI_MAX_WINDOW = 200
+
+# Most `jacobi` table entries, W times the columns min(lo, 2 lo)..max(hi, 2 hi),
+# which grow with the window's distance from 0.  `--algebra witt --window
+# 4601:4800` (200 x 5000) takes 0.42-0.54 s and 61 MiB peak RSS in a fresh
+# process; 4602:4801 (1000200) is refused, as is 200000:200199 (built: 15 s, 1.87 GiB).
+JACOBI_MAX_TABLE = 1000000
 
 # Widest window `centralizer` and `rigidity` accept.  `centralizer` reads its
 # answer off the grading (`witt e_1` on -3000:3000: 0.02 ms in-process); t = 0
@@ -44,8 +50,9 @@ CENTRALIZER_MAX_WINDOW = 6001
 # Largest `der-basis` support bound and consistency depth.  On wplus a block
 # whose kernel fails its certificate reads support * depth^2 relations: support
 # 64 at its default depth 2*64+3, the depth cap, took 0.35-0.55 s in a fresh
-# process that way, and takes 0.19 s certified.  On thin only the shift -1
-# block reads relations: 0.14 s, mostly start-up.  Larger values are refused.
+# process that way, and takes 0.13-0.15 s certified, 4 ms of it in the solve
+# (in-process).  On thin only the shift -1 block reads relations: 0.14 s,
+# mostly start-up.  Larger values are refused.
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
@@ -266,6 +273,9 @@ def _bounded_window(args, limit: int) -> Window:
 
 def _cmd_jacobi(args) -> int:
     window = _bounded_window(args, JACOBI_MAX_WINDOW)
+    args.algebra.require_window(window)  # a domain error comes before the size refusal
+    columns = max(window.hi, 2 * window.hi) - min(window.lo, 2 * window.lo) + 1
+    _refuse_above("table entries", len(window) * columns, JACOBI_MAX_TABLE)
     result = jacobi_check(args.algebra, window)
     payload = {"algebra": args.algebra.value, "window": _window_json(window)}
     return _emit_verdict(args, payload, "triples", len(window) ** 3, "counterexample",

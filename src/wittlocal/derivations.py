@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .algebras import Algebra, Element, _grid_certified, bracket, format_element
+from .algebras import Algebra, Element, bracket, format_element
 from .errors import (
     IndexOutOfDomain,
     MixedAlgebras,
@@ -134,9 +134,9 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
     checked on its own, on its sequence scaled to integers.  A pair reads
     only D(e_i), D(e_j) and D(e_{i+j}), all with index in
     [-2 degree_bound, 2 degree_bound], so only those images are split and
-    scaled.  Affine parts whose residual vanishes on a 3 x 3 grid, as ad(a)
-    has (c_s[k] = a_s K(s, k)), pass every pair (`_parts_certified`; not on
-    thin); otherwise the pairs of `_live_pairs` are evaluated one by one.
+    scaled.  Parts of the form c_s[k] = d (k - s), the shift-s part of
+    ad(d e_s), pass every pair (`_parts_certified`; not on thin); otherwise
+    the pairs of `_live_pairs` are evaluated one by one.
     """
     win, alg = table.window, table.algebra
     rows = leibniz_pairs(win, degree_bound)
@@ -153,9 +153,8 @@ def leibniz_check(table: LinearMapTable, degree_bound: int) -> LeibnizResult:
         for g, c in table.images[k].coeffs.items():
             parts[g - k][k] = c
     scaled = {s: _integer_parts(c) for s, c in parts.items()}
-    if alg is not Algebra.THIN and _parts_certified(alg.constant, [
-        (s, [c[k] for k in range(lo, hi + 1)]) for s, (_, c) in scaled.items()
-    ], lo, ([(lo, hi)],) * 2):
+    if alg is not Algebra.THIN and _parts_certified(
+            [(s, [c[k] for k in range(lo, hi + 1)]) for s, (_, c) in scaled.items()], lo):
         return LeibnizResult(True, checked)
     failure = _first_violation(alg, scaled, _live_pairs(alg, scaled, rows))
     return LeibnizResult(failure is None, checked, *(failure or ()))
@@ -287,16 +286,14 @@ def _first_violation(
     return None
 
 
-def _parts_certified(K, parts: list, first: int, axes=([(2, 4)], [(5, 7)])) -> bool:
-    """True only if no pair fails, for K affine in each index (the witt K):
-    each part (s, c), c[t] at index first + t, is affine, and the residual of
-    its affine extension c(k) = a + d k, K(i,j) c(i+j) - c(i) K(i+s,j) -
-    c(j) K(i,j+s), of degree <= 2 in i and in j, vanishes on the grid of
-    `axes` (`_grid_certified`; i in {2,3,4}, j in {5,6,7} by default)."""
-    lines = [(s, c[0] - first * d, d) for s, c in parts for d in [c[1] - c[0] if c[1:] else 0]]
-    return _grid_certified((c for _, c in parts), lambda grid: any(
-        K(i, j) * (a + d * (i + j)) != (a + d * i) * K(i + s, j) + (a + d * j) * K(i, j + s)
-        for i, j in grid for s, a, d in lines), axes)
+def _parts_certified(parts: list, first: int) -> bool:
+    """True only if no pair fails under the witt K(i, j) = j - i: each part
+    (s, c), c[t] at index first + t, is d (first + t - s) with d = c[1] - c[0]
+    (0 for one entry), the shift-s part of ad(d e_s).  An affine part
+    c(k) = a + d k has residual K(i,j) c(i+j) - c(i) K(i+s,j) - c(j) K(i,j+s)
+    = -(j - i) c(s), zero on every pair exactly when c(s) = 0."""
+    return all(c == list(range(d * (first - s), d * (first - s + len(c)), d)) if d else not any(c)
+               for s, c in parts for d in [c[1] - c[0] if c[1:] else 0])
 
 
 def _verified_inner(table: LinearMapTable, a: Element) -> Element:
@@ -326,8 +323,8 @@ def extend_from_generators(
 
     Images of e_3..e_N are forced by the bracket recursion from e_1; every
     alternative relation that can fail (`_live_pairs`) then has to agree
-    exactly, unless on wplus affine parts with residual zero on a 3 x 3 grid,
-    as inner images give, pass them all at once (`_parts_certified`).  A
+    exactly, unless on wplus every part is the shift-s part of an ad(d e_s),
+    as inner images give, which passes them all (`_parts_certified`).  A
     disagreement is a semantic outcome, not an error: the first failing
     relation is reported with its residual summed over all shifts.
     """
@@ -341,8 +338,8 @@ def extend_from_generators(
         den, (a, b) = _integer_parts([img_e1.coefficient(1 + s), img_e2.coefficient(2 + s)])
         q, c = _shift_sequence(algebra, s, a, b, truncation)
         parts[s] = den * q, c
-    certified = algebra is Algebra.WPLUS and _parts_certified(
-        algebra.constant, [(s, c[1:]) for s, (_, c) in parts.items()], 1)
+    certified = algebra is not Algebra.THIN and _parts_certified(
+        [(s, c[1:]) for s, (_, c) in parts.items()], 1)
     pairs = _live_pairs(algebra, parts, _cross_relations(algebra, truncation))
     if not certified and (failure := _first_violation(algebra, parts, pairs)):
         return InconsistentExtension(*failure)
@@ -438,13 +435,13 @@ def derivation_space_basis(
     reported coordinate.
 
     On wplus a block first imposes the relations with i + j <= P =
-    min(depth, 14) on sequences built to P.  A kernel sequence affine on 1..P
-    with residual zero on {2,3,4} x {5,6,7} (`_parts_certified`) has residual
-    identically zero.  At i = 1 that is the recursion of `_shift_sequence`,
-    and K(1, k-1) = k-2 != 0 for k >= 3, so its full-depth sequence is the
-    affine extension and satisfies every relation.  The prefix kernel holds
-    the true kernel: if all its sequences are certified, the two are equal;
-    else the block is solved again at full depth.
+    min(depth, 5) (the first cross relation is [e_2, e_3]) on sequences
+    built to P.  A kernel sequence d (k - s) on 1..P (`_parts_certified`)
+    is d (k - s) to full depth, which satisfies every relation: the
+    recursion of `_shift_sequence` is the relation at i = 1, and
+    K(1, k-1) = k-2 != 0 for k >= 3.  The prefix kernel holds the true
+    kernel: if all its sequences are certified, the two are equal; else the
+    block is solved again at full depth.
     """
     require_generated(algebra)
     if support_bound < 1:
@@ -461,7 +458,7 @@ def derivation_space_basis(
     position = {coord: p for p, coord in enumerate(coords)}
     K = algebra.constant
     rows = _cross_relations(algebra, depth)
-    prefix = min(depth, 14) if algebra is Algebra.WPLUS else depth
+    prefix = min(depth, 5) if algebra is not Algebra.THIN else depth
     relations = functools.cache(lambda last: [(i, j, K(i, j)) for i, j in _live_pairs(
         algebra, range(-1, n), _cross_relations(algebra, last))])
     unit = {1: (1, 0), 2: (0, 1)}
@@ -473,7 +470,7 @@ def derivation_space_basis(
             for last in (prefix, depth):
                 parts = [_shift_sequence(algebra, s, *unit[gen], last) for gen, _ in unknowns]
                 kernel = _block_kernel(K, s, parts, relations(last))
-                if last == depth or _parts_certified(K, [(s, c[1:]) for _, c in kernel], 1):
+                if last == depth or _parts_certified([(s, c[1:]) for _, c in kernel], 1):
                     break
         for vec, _ in kernel:
             entries = {unknowns[t]: x for t, x in enumerate(vec) if x}

@@ -2,7 +2,9 @@
 
 
 class WittlocalError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the package's own errors.  A failed precondition on an
+    argument raises ValueError instead; the CLI maps both to exit 3 (ParseError
+    to 2).  No subclass is a ValueError, which `cli._load_json` would re-wrap."""
 
 
 class ParseError(WittlocalError):

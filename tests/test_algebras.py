@@ -436,12 +436,12 @@ def test_jacobi_certificate_needs_sums_inside_one_cell(monkeypatch):
     assert scans == [Window(-4, 4)]
 
 
-def test_jacobi_certificate_goes_through_the_shared_helper(monkeypatch):
-    """`jacobi_check` certifies with `_grid_certified`, the helper the
-    Leibniz-type scans share: with it failing, every window reaches the
-    triple scan, which gives the reference's verdicts."""
+def test_jacobi_without_certificate_scans_every_ordered_triple(monkeypatch):
+    """With `_certified` failing, every window reaches the ordered triple
+    scan, which gives the reference's verdicts, first failing triple and
+    residual."""
     scans = _scans(monkeypatch)
-    monkeypatch.setattr(algebras, "_grid_certified", lambda *args: False)
+    monkeypatch.setattr(algebras, "_certified", lambda *args: False)
     cases = [(Algebra.WITT, Window(-4, 4), None), (Algebra.WPLUS, Window(1, 8), None),
              (Algebra.THIN, Window(1, 8), None),
              (Algebra.WPLUS_EXT, Window(0, 6), _affine_constant(0, 0, 0, 1))]

@@ -32,6 +32,7 @@ from wittlocal.cli import (
     DER_BASIS_MAX_DEPTH,
     DER_BASIS_MAX_SUPPORT,
     EXTEND_MAX_TRUNCATION,
+    JACOBI_MAX_TABLE,
     JACOBI_MAX_WINDOW,
     JSON_BYTES_PER_TERM,
     LEIBNIZ_MAX_WORK,
@@ -659,6 +660,26 @@ def test_jacobi_refuses_wide_window():
         code, out, err = run(["jacobi", "--algebra", "witt", "--window", window])
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and f"at most {JACOBI_MAX_WINDOW}" in err
+
+
+def test_jacobi_refuses_a_table_far_from_zero(monkeypatch):
+    """A 200-index window far from 0 passes the index cap, but its table of
+    K(a, m) for m from min(lo, 2 lo) to max(hi, 2 hi) is refused before
+    `jacobi_check` runs.  The window at the limit, 200 x 5000 entries, and
+    every window the other tests check are accepted."""
+
+    def unreachable(*args):
+        raise AssertionError("jacobi_check called")
+
+    monkeypatch.setattr(cli, "jacobi_check", unreachable)
+    for window, entries in (("4602:4801", 1000200), ("200000:200199", 40079800),
+                            ("-200199:-200000", 40079800), ("1000000:1000000", 1000001)):
+        code, out, err = run(["jacobi", "--algebra", "witt", "--window", window])
+        assert (code, out) == (3, "")
+        assert err == f"error: table entries {entries} is above the limit {JACOBI_MAX_TABLE}\n"
+    monkeypatch.setattr(cli, "jacobi_check", lambda algebra, window: JacobiResult(True))
+    for window in ("4601:4800", "-4800:-4601", "1000:1199", "-99:100", "1:200"):
+        assert run(["jacobi", "--algebra", "witt", "--window", window])[0] == 0
 
 
 @pytest.mark.parametrize("command", ["centralizer", "rigidity"])
