@@ -85,9 +85,6 @@ class Algebra(enum.Enum):
 
 
 _MIN_INDEX = {Algebra.WITT: None, Algebra.WPLUS: 1, Algebra.WPLUS_EXT: 0, Algebra.THIN: 1}
-# indices c where K(a, m) may change form, as a function of a or of m, between
-# c - 1 and c; `jacobi_check` certifies K on the cells between them
-_CUTS = {Algebra.WITT: (), Algebra.WPLUS: (), Algebra.WPLUS_EXT: (), Algebra.THIN: (2,)}
 
 
 class Element:
@@ -207,76 +204,53 @@ def jacobi_check(
     K(j,k)K(i,j+k) + K(k,i)K(j,k+i) + K(i,j)K(k,i+j), read off one table of
     K(a, m) for a in the window and m from min(lo, 2lo) to max(hi, 2hi).
 
-    The table first gets a certificate that reads only its entries.  The
-    window and the m-range are split into cells at `_CUTS` (thin's K changes
-    form where an index reaches 2, so index 1 is a cell of its own).  If
-    every row and column of each block (a-cell x m-cell) is affine, K is
-    alpha + beta a + gamma m + delta a m there.  If moreover every cell and
-    every sum of two cells lies in one m-cell, each term of the residual on
-    a triple of cells is a product of two such factors, K(j,k) K(i,j+k)
-    say, of degree <= 2 in each of i, j and k.  Zero on the grid of each
-    cell's first min(3, |cell|) indices, it is then zero on the whole triple
-    of cells (Alon, Combinatorial Nullstellensatz, Lemma 2.1).  On thin
-    every sum of two indices is >= 2, so each block is constant.
+    The table is certified, with no scan, when it has one of two closed
+    forms, each a Lie bracket on every triple it covers:
 
-    Without a certificate every ordered triple is scanned.
+      witt form  K(a, m) = d (m - a) at every entry (witt, wplus, wplus_ext):
+                 the residual is d^2 times
+                 (k-j)(j+k-i) + (i-k)(k+i-j) + (j-i)(i+j-k) = 0.
+      thin form  the window starts at 1, K(1, 1) = 0, K(a, 1) = -K(1, a) for
+                 a >= 2 and K(a, m) = 0 for a, m >= 2 (K(1, m >= 2) is free,
+                 thin's is 1).  As j + k >= 2, a term K(j,k) K(i,j+k) is
+                 nonzero only if i = 1 and one of j, k is 1, so only the
+                 rotations of (1, 1, n) can fail, and the residual is cyclic
+                 in (i, j, k): K(1,n)K(1,n+1) + K(n,1)K(1,n+1) + K(1,1)K(n,2) = 0.
+
+    Any other table goes to a scan of every ordered triple.
     """
     algebra.require_window(window)
     K = constant or algebra.constant
     off = min(window.lo, 2 * window.lo)
     ms = range(off, max(window.hi, 2 * window.hi) + 1)
     table = [[K(a, m) for m in ms] for a in window.indices()]
-    if _certified(table, window, off, _CUTS[algebra]):
+    if _certified(table, window, off):
         return JacobiResult(True)
     return _scan(table, window, off)
 
 
-def _first_failure(table, lo: int, off: int, triples) -> JacobiResult | None:
-    """The failed result at the first triple with a nonzero residual, or None."""
-    for i, j, k in triples:
+def _certified(table, window: Window, off: int) -> bool:
+    """The certificate of `jacobi_check`: the table has the witt or the thin form."""
+    head, n = table[0], len(table[0])
+    d = head[1] - head[0] if n > 1 else 0
+    if all(row == (list(range(d * (off - a), d * (off - a + n), d)) if d else [0] * n)
+           for a, row in enumerate(table, window.lo)):
+        return True
+    zeros = [0] * (n - 1)
+    return window.lo == 1 and head[0] == 0 and all(
+        row == [-head[t]] + zeros for t, row in enumerate(table[1:], 1))
+
+
+def _scan(table, window: Window, off: int) -> JacobiResult:
+    """The ordered triple scan of `jacobi_check`: the first nonzero residual."""
+    lo = window.lo
+    for i, j, k in itertools.product(window.indices(), repeat=3):
         ki, kj, kk = table[i - lo], table[j - lo], table[k - lo]
         r = (kj[k - off] * ki[j + k - off] + kk[i - off] * kj[k + i - off]
              + ki[j - off] * kk[i + j - off])
         if r:
             return JacobiResult(False, (i, j, k), SparseVector({i + j + k: r}))
-    return None
-
-
-def _cells(lo: int, hi: int, cuts: tuple[int, ...]) -> list[tuple[int, int]]:
-    """lo..hi split into (first, last) intervals, a new one starting at each cut."""
-    starts = [lo] + [c for c in cuts if lo < c <= hi]
-    return list(zip(starts, [c - 1 for c in starts[1:]] + [hi]))
-
-
-def _affine(seq) -> bool:
-    """Zero second differences: seq[t] = seq[0] + t d."""
-    n = len(seq)
-    if n < 3:
-        return True
-    s, d = seq[0], seq[1] - seq[0]
-    return list(seq) == ([s] * n if d == 0 else list(range(s, s + n * d, d)))
-
-
-def _certified(table, window: Window, off: int, cuts: tuple[int, ...]) -> bool:
-    """The certificate of `jacobi_check`: True only if no triple fails."""
-    lo = window.lo
-    cells = _cells(lo, window.hi, cuts)
-    m_cells = _cells(off, off + len(table[0]) - 1, cuts)
-    sums = [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in itertools.product(cells, repeat=2)]
-    if not all(any(m0 <= s0 and s1 <= m1 for m0, m1 in m_cells) for s0, s1 in cells + sums):
-        return False
-    blocks = ([row[m0 - off:m1 - off + 1] for row in table[a0 - lo:a1 - lo + 1]]
-              for a0, a1 in cells for m0, m1 in m_cells)
-    seqs = itertools.chain.from_iterable(itertools.chain(block, zip(*block)) for block in blocks)
-    grid = [n for c0, c1 in cells for n in range(c0, min(c1, c0 + 2) + 1)]
-    return all(map(_affine, seqs)) and not _first_failure(
-        table, lo, off, itertools.product(grid, repeat=3))
-
-
-def _scan(table, window: Window, off: int) -> JacobiResult:
-    """The ordered triple scan of `jacobi_check`."""
-    triples = itertools.product(window.indices(), repeat=3)
-    return _first_failure(table, window.lo, off, triples) or JacobiResult(True)
+    return JacobiResult(True)
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")

@@ -25,18 +25,13 @@ from .errors import ParseError, WittlocalError
 from .linalg import SparseVector, Subspace, Window, format_rational
 
 
-# Widest window `jacobi` accepts.  Every built-in algebra is certified from
-# its W x 2W table of integer structure constants, so the work is O(W^2):
-# W = 200 takes 13-20 ms per algebra in-process, 0.15-0.19 s in a fresh
-# process.  The triple scan, which only a K without a certificate reaches,
-# would evaluate all W^3 ordered triples (8 M, about 3.3 s in-process at
-# W = 200).  Wider windows are refused up front.
-JACOBI_MAX_WINDOW = 200
-
 # Most `jacobi` table entries, W times the columns min(lo, 2 lo)..max(hi, 2 hi),
-# which grow with the window's distance from 0.  `--algebra witt --window
-# 4601:4800` (200 x 5000) takes 0.42-0.54 s and 61 MiB peak RSS in a fresh
-# process; 4602:4801 (1000200) is refused, as is 200000:200199 (built: 15 s, 1.87 GiB).
+# which grow with the window's distance from 0; the only `jacobi` cap, as every
+# built-in table is certified from its entries.  In a fresh process `--algebra
+# witt --window -353:353` (707 x 1413) takes 0.22-0.27 s and 50 MiB peak RSS,
+# `thin 1:707` (707 x 1414) 0.25-0.27 s and 25 MiB, `witt 4601:4800` (200 x
+# 5000) 0.21-0.24 s and 54 MiB; -354:354 (1004653) is refused, as is
+# 200000:200199 (built: 15 s, 1.87 GiB).
 JACOBI_MAX_TABLE = 1000000
 
 # Widest window `centralizer` and `rigidity` accept.  `centralizer` reads its
@@ -272,7 +267,7 @@ def _bounded_window(args, limit: int) -> Window:
 
 
 def _cmd_jacobi(args) -> int:
-    window = _bounded_window(args, JACOBI_MAX_WINDOW)
+    window = Window.parse(args.window)
     args.algebra.require_window(window)  # a domain error comes before the size refusal
     columns = max(window.hi, 2 * window.hi) - min(window.lo, 2 * window.lo) + 1
     _refuse_above("table entries", len(window) * columns, JACOBI_MAX_TABLE)

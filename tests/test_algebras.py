@@ -292,7 +292,7 @@ def _affine_constant(a, b, c, d):
     return lambda i, j: a + b * i + c * j + d * i * j
 
 
-def _thin_cells_constant(forms):
+def _thin_blocks_constant(forms):
     """K = a + b i + c j + d ij with its own (a, b, c, d) on each of thin's
     blocks, keyed by (i >= 2, j >= 2)."""
     return lambda i, j: _affine_constant(*forms[i >= 2, j >= 2])(i, j)
@@ -302,27 +302,47 @@ def _thin_family(a, b):
     """[e_1, e_j] = (a + b j) e_{j+1} for j >= 2, every other bracket 0: a Lie
     algebra for every a and b, affine on each of thin's blocks."""
     zero = (0, 0, 0, 0)
-    return _thin_cells_constant({(False, True): (a, 0, b, 0), (True, False): (-a, -b, 0, 0),
-                                 (False, False): zero, (True, True): zero})
+    return _thin_blocks_constant({(False, True): (a, 0, b, 0), (True, False): (-a, -b, 0, 0),
+                                  (False, False): zero, (True, True): zero})
 
 
-def _grid(algebra, window):
-    """The first min(3, |cell|) indices of each of the window's cells."""
-    idx = window.indices()
-    cells = [idx] if algebra is not Algebra.THIN else [
-        [n for n in idx if n < 2], [n for n in idx if n >= 2]]
-    return [n for cell in cells for n in cell[:3]]
+def _closed_form(K, window):
+    """Whether K's `jacobi_check` table, K(a, m) for a in the window and m
+    from min(lo, 2 lo) to max(hi, 2 hi), has the witt form d (m - a) or the
+    thin form, read entry by entry."""
+    lo, hi = window.lo, window.hi
+    cells = [(a, m) for a in window.indices() for m in range(min(lo, 2 * lo), max(hi, 2 * hi) + 1)]
+    a, m = next(((a, m) for a, m in cells if m != a), (lo, lo))
+    d = Fraction(K(a, m), m - a) if m != a else 0
+    if all(K(a, m) == d * (m - a) for a, m in cells):
+        return True
+
+    def thin_entry(a, m):
+        if a == 1 and m >= 2:
+            return True
+        return K(a, m) == (-K(1, a) if a >= 2 and m == 1 else 0)
+
+    return lo == 1 and all(thin_entry(a, m) for a, m in cells)
 
 
-def _residual(K, i, j, k):
-    return K(j, k) * K(i, j + k) + K(k, i) * K(j, k + i) + K(i, j) * K(k, i + j)
+def test_jacobi_residual_of_the_witt_form_expands_to_zero():
+    """For K(a, m) = d (m - a) the Jacobi residual of (i, j, k) is the
+    zero polynomial, the identity the witt form of `_certified` rests on."""
+    sympy = pytest.importorskip("sympy")
+    i, j, k, d = sympy.symbols("i j k d")
+
+    def K(a, m):
+        return d * (m - a)
+
+    residual = K(j, k) * K(i, j + k) + K(k, i) * K(j, k + i) + K(i, j) * K(k, i + j)
+    assert sympy.expand(residual) == 0
 
 
 def test_jacobi_certificate_matches_reference(monkeypatch):
-    """Seeded block-affine K, injected: a + b i + c j + d ij on witt and wplus
-    windows, and its own such form on each of thin's blocks.  Each result
-    equals the ordered scan's, and the triple scan runs exactly for the K
-    that fail: the certificate decides every other one."""
+    """Seeded affine K, injected: a + b i + c j + d ij on witt and wplus
+    windows, and its own such form on each of thin's blocks (i >= 2, j >= 2).
+    Each result equals the ordered scan's, and the triple scan runs exactly
+    for the K whose table has neither closed form."""
     scans = _scans(monkeypatch)
     rng = Random(97)
     cases = []
@@ -340,7 +360,7 @@ def test_jacobi_certificate_matches_reference(monkeypatch):
             if kind == 1:
                 constant = _thin_family(rng.randint(-3, 3), rng.randint(-3, 3))
             else:
-                constant = _thin_cells_constant(
+                constant = _thin_blocks_constant(
                     {key: tuple(rng.randint(-2, 2) for _ in range(4))
                      for key in itertools.product((False, True), repeat=2)}
                 )
@@ -351,8 +371,85 @@ def test_jacobi_certificate_matches_reference(monkeypatch):
         expected = reference_jacobi(algebra, window, constant)
         assert (result.passed, result.counterexample, result.residual) == expected
         passed += result.passed
-    assert len(scans) == len(cases) - passed
-    assert passed >= 50 and len(scans) >= 40
+    assert scans == [window for _, window, constant in cases if not _closed_form(constant, window)]
+    assert passed >= 50 and len(scans) >= 40 and len(cases) - len(scans) >= 50
+
+
+def _thin_form(values):
+    """K(1, m) = values[m] for m >= 2, K(a, 1) = -K(1, a) for a >= 2, every
+    other entry 0: a table of the thin form."""
+
+    def constant(i, j):
+        if i == 1:
+            return values.get(j, 0) if j >= 2 else 0
+        return -values.get(i, 0) if j == 1 else 0
+
+    return constant
+
+
+def test_jacobi_thin_form_is_certified(monkeypatch):
+    """Seeded K(1, m), zeros among them, on windows 1:1 ... 1:12 and 1:200:
+    every table of the thin form is certified with no scan.  On the small
+    windows the verdict equals the ordered reference scan's; on 1:200 the
+    reference would read 8 M triples, so there it is the passing verdict."""
+    scans = _scans(monkeypatch)
+    rng = Random(113)
+    for hi in [*range(1, 13), 200]:
+        window = Window(1, hi)
+        for _ in range(4 if hi <= 12 else 1):
+            values = {m: rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for m in range(2, 2 * hi + 1)}
+            constant = _thin_form(values)
+            assert _closed_form(constant, window)
+            result = jacobi_check(Algebra.THIN, window, constant=constant)
+            expected = reference_jacobi(Algebra.THIN, window, constant) if hi <= 12 else (
+                True, None, None)
+            assert (result.passed, result.counterexample, result.residual) == expected
+    assert scans == []
+
+
+def _changed(base, entries):
+    """base with K(i, j) += w for each ((i, j), w) in entries."""
+    return lambda i, j: base(i, j) + entries.get((i, j), 0)
+
+
+def test_jacobi_one_changed_entry_goes_to_the_scan(monkeypatch):
+    """A table of either form with one entry changed (or an antisymmetric
+    pair, or a whole row) has neither form any more: the scan runs and gives
+    the reference's verdict, first failing triple and residual.  The cases
+    include defects away from the first indices of the window, K(1, 1) != 0
+    on thin, and a thin column 1 that is symmetric instead of antisymmetric."""
+    scans = _scans(monkeypatch)
+    cases = [(algebra, window, _changed(algebra.constant, {(p, q): 1, (q, p): -1}))
+             for algebra, window, p, q in (
+                 (Algebra.WPLUS, Window(1, 14), 7, 11), (Algebra.WITT, Window(-6, 7), -1, 4),
+                 (Algebra.THIN, Window(1, 14), 6, 9), (Algebra.WPLUS_EXT, Window(0, 13), 5, 8))]
+    cases.append((Algebra.WPLUS, Window(1, 14), lambda i, j: _witt(i, j) + (i == 7)))
+    thin = Algebra.THIN.constant
+    cases += [(Algebra.THIN, Window(1, hi), _changed(thin, {(1, 1): w}))
+              for hi in (1, 2, 9) for w in (1, -2)]
+    cases.append((Algebra.THIN, Window(1, 9), lambda i, j: thin(i, j) if j != 1 else thin(j, i)))
+    rng = Random(127)
+    for n in range(40):
+        if n % 2:
+            values = {m: rng.randint(-3, 3) for m in range(2, 17)}
+            algebra, window, base = Algebra.THIN, Window(1, rng.randint(2, 8)), _thin_form(values)
+            # K(1, m) for m beyond the window is free in the thin form
+            a = rng.randint(1, window.hi)
+            m = rng.randint(1, window.hi if a == 1 else 2 * window.hi)
+        else:
+            lo = rng.randint(-4, 2)
+            algebra = Algebra.WITT if lo < 1 else Algebra.WPLUS
+            window = Window(lo, lo + rng.randint(2, 7))
+            base = _affine_constant(0, -(d := rng.choice((1, -1, 2, -3))), d, 0)
+            a = rng.randint(window.lo, window.hi)
+            m = rng.randint(min(lo, 2 * lo), max(window.hi, 2 * window.hi))
+        cases.append((algebra, window, _changed(base, {(a, m): rng.choice((1, -1, 3))})))
+    for algebra, window, constant in cases:
+        assert not _closed_form(constant, window)
+        result = jacobi_check(algebra, window, constant=constant)
+        expected = reference_jacobi(algebra, window, constant)
+        assert (result.passed, result.counterexample, result.residual) == expected
+    assert len(scans) == len(cases)
 
 
 @pytest.mark.parametrize("algebra, window", [
@@ -363,9 +460,10 @@ def test_jacobi_certificate_matches_reference(monkeypatch):
     (Algebra.WITT, Window(-1, 1)), (Algebra.WITT, Window(-2, 0)), (Algebra.WITT, Window(0, 2)),
 ])
 def test_jacobi_certificate_on_cells_smaller_than_its_grid(algebra, window):
-    """A cell of fewer than three indices is its own grid."""
+    """Windows of one to four indices, where a table of either form has
+    only a few entries: every verdict equals the reference's."""
     constants = [None, _affine_constant(0, 0, 0, 1), _affine_constant(0, -1, 2, 0),
-                 _thin_family(2, -1), _thin_cells_constant({
+                 _thin_family(2, -1), _thin_blocks_constant({
                      (False, False): (1, 0, 0, 0), (False, True): (0, 1, 1, 0),
                      (True, False): (0, -1, -1, 0), (True, True): (0, -1, 1, 0)})]
     for constant in constants:
@@ -374,66 +472,21 @@ def test_jacobi_certificate_on_cells_smaller_than_its_grid(algebra, window):
         assert (result.passed, result.counterexample, result.residual) == expected
 
 
-def test_jacobi_certificate_fit_rejects_defect_off_the_grid(monkeypatch):
-    """An antisymmetric defect at (p, q), away from every grid point, is
-    invisible to the grid, so the fit has to reject it; the scan then finds
-    the reference's first failing triple.  So must a constant added to one
-    row off the grid, which leaves every row affine but not its columns."""
-    scans = _scans(monkeypatch)
-    cases = [(Algebra.WPLUS, Window(1, 14), 7, 11), (Algebra.WITT, Window(-6, 7), -1, 4),
-             (Algebra.THIN, Window(1, 14), 6, 9), (Algebra.WPLUS_EXT, Window(0, 13), 5, 8),
-             (Algebra.WPLUS, Window(1, 14), 7, None)]
-    for algebra, window, p, q in cases:
-        base = algebra.constant
-
-        def constant(i, j, base=base, p=p, q=q):
-            if q is None:
-                return base(i, j) + (i == p)
-            return base(i, j) + {(p, q): 1, (q, p): -1}.get((i, j), 0)
-
-        grid = _grid(algebra, window)
-        assert p not in grid and q not in grid
-        assert not any(_residual(constant, *t) for t in itertools.product(grid, repeat=3))
-        result = jacobi_check(algebra, window, constant=constant)
-        assert not result.passed
-        assert (result.passed, result.counterexample, result.residual) == reference_jacobi(
-            algebra, window, constant
-        )
-    assert len(scans) == len(cases)
-
-
-def test_jacobi_certificate_grid_catches_affine_non_lie():
-    """K = ij, K = 2j - i and K = ij - i are affine, so the fit passes; the
-    residual is nonzero at a grid point, so the certificate fails and the
-    scan reports the reference's first failing triple.  On 0:10 the residual
-    of ij - i vanishes on the first two indices of the window, so a grid of
-    two points per cell would pass it."""
-    ij_minus_i = _affine_constant(0, -1, 0, 1)
+def test_jacobi_affine_non_lie_matches_reference():
+    """K = ij, K = 2j - i and K = ij - i are affine in each index but not Lie
+    brackets: the scan reports the reference's first failing triple.  On
+    0:10 the residual of ij - i vanishes on every triple of 0 and 1."""
     cases = [(constant, algebra, window)
              for constant in (_affine_constant(0, 0, 0, 1), _affine_constant(0, -1, 2, 0))
              for algebra, window in ((Algebra.WITT, Window(-5, 6)),
                                      (Algebra.WPLUS, Window(1, 12)), (Algebra.THIN, Window(1, 12)))]
-    cases.append((ij_minus_i, Algebra.WPLUS_EXT, Window(0, 10)))
-    assert not any(_residual(ij_minus_i, *t) for t in itertools.product((0, 1), repeat=3))
+    cases.append((_affine_constant(0, -1, 0, 1), Algebra.WPLUS_EXT, Window(0, 10)))
     for constant, algebra, window in cases:
-        grid = _grid(algebra, window)
-        assert any(_residual(constant, *t) for t in itertools.product(grid, repeat=3))
         result = jacobi_check(algebra, window, constant=constant)
         assert not result.passed
         assert (result.passed, result.counterexample, result.residual) == reference_jacobi(
             algebra, window, constant
         )
-
-
-def test_jacobi_certificate_needs_sums_inside_one_cell(monkeypatch):
-    """With a cut at 0, e_-1 + e_1 lands in neither cell whole, so K(i, j+k)
-    need not be one polynomial on a triple of cells: even the witt K goes
-    to the scan."""
-    scans = _scans(monkeypatch)
-    monkeypatch.setitem(algebras._CUTS, Algebra.WITT, (0,))
-    assert jacobi_check(Algebra.WITT, Window(-4, 4)).passed
-    assert jacobi_check(Algebra.WITT, Window(0, 8)).passed
-    assert scans == [Window(-4, 4)]
 
 
 def test_jacobi_without_certificate_scans_every_ordered_triple(monkeypatch):
@@ -453,8 +506,9 @@ def test_jacobi_without_certificate_scans_every_ordered_triple(monkeypatch):
 
 
 def test_jacobi_certificate_skips_the_scan_at_the_cli_cap(monkeypatch):
-    """Every built-in algebra at W = 200, the `jacobi` command's widest
-    window, is certified without reaching the triple scan."""
+    """Every built-in algebra at W = 200, and at the widest windows around 0
+    that the `jacobi` command's table cap accepts (about 10^6 entries), is
+    certified without reaching the triple scan."""
 
     def unreachable(*args):
         raise AssertionError("triple scan reached")
@@ -465,6 +519,11 @@ def test_jacobi_certificate_skips_the_scan_at_the_cli_cap(monkeypatch):
                             (Algebra.WPLUS_EXT, Window(0, 199)), (Algebra.THIN, Window(1, 200))):
         assert jacobi_check(algebra, window).passed
     assert time.perf_counter() - start < 1.0
+    for algebra, window in ((Algebra.WITT, Window(-353, 353)), (Algebra.WPLUS, Window(1, 707)),
+                            (Algebra.WPLUS_EXT, Window(0, 706)), (Algebra.THIN, Window(1, 707))):
+        start = time.perf_counter()
+        assert jacobi_check(algebra, window).passed
+        assert time.perf_counter() - start < 1.0
 
 
 def test_parse_format_round_trip():

@@ -33,7 +33,6 @@ from wittlocal.cli import (
     DER_BASIS_MAX_SUPPORT,
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_TABLE,
-    JACOBI_MAX_WINDOW,
     JSON_BYTES_PER_TERM,
     LEIBNIZ_MAX_WORK,
     MAP_MAX_TERMS,
@@ -655,18 +654,26 @@ def test_malformed_map_exits_2(tmp_path, text, line):
     assert err == f"error: {line}\n"
 
 
-def test_jacobi_refuses_wide_window():
-    for window in (f"1:{JACOBI_MAX_WINDOW + 1}", "1:100000", "-100000:100000"):
+def test_jacobi_refuses_wide_window(monkeypatch):
+    """The table-entries cap is the only `jacobi` cap: wide windows are
+    refused by their table size, before `jacobi_check` runs."""
+
+    def unreachable(*args):
+        raise AssertionError("jacobi_check called")
+
+    monkeypatch.setattr(cli, "jacobi_check", unreachable)
+    for window, entries in (("1:1000", 2000000), ("-354:354", 1004653),
+                            ("1:100000", 20000000000), ("-100000:100000", 80000600001)):
         code, out, err = run(["jacobi", "--algebra", "witt", "--window", window])
         assert (code, out) == (3, "")
-        assert err.count("\n") == 1 and f"at most {JACOBI_MAX_WINDOW}" in err
+        assert err == f"error: table entries {entries} is above the limit {JACOBI_MAX_TABLE}\n"
 
 
 def test_jacobi_refuses_a_table_far_from_zero(monkeypatch):
-    """A 200-index window far from 0 passes the index cap, but its table of
-    K(a, m) for m from min(lo, 2 lo) to max(hi, 2 hi) is refused before
-    `jacobi_check` runs.  The window at the limit, 200 x 5000 entries, and
-    every window the other tests check are accepted."""
+    """A 200-index window far from 0 has a table of K(a, m) for m from
+    min(lo, 2 lo) to max(hi, 2 hi) that is refused before `jacobi_check`
+    runs.  The windows at the limit (200 x 5000 entries far from 0, 707
+    indices around 0) and every window the other tests check are accepted."""
 
     def unreachable(*args):
         raise AssertionError("jacobi_check called")
@@ -678,7 +685,8 @@ def test_jacobi_refuses_a_table_far_from_zero(monkeypatch):
         assert (code, out) == (3, "")
         assert err == f"error: table entries {entries} is above the limit {JACOBI_MAX_TABLE}\n"
     monkeypatch.setattr(cli, "jacobi_check", lambda algebra, window: JacobiResult(True))
-    for window in ("4601:4800", "-4800:-4601", "1000:1199", "-99:100", "1:200"):
+    for window in ("4601:4800", "-4800:-4601", "1000:1199", "-99:100", "1:200", "-353:353",
+                   "1:707"):
         assert run(["jacobi", "--algebra", "witt", "--window", window])[0] == 0
 
 
