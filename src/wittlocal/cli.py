@@ -42,12 +42,12 @@ JACOBI_MAX_TABLE = 1000000
 # forced space) takes about 0.1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
-# Largest `der-basis` support bound and consistency depth.  On wplus a block
-# whose kernel fails its certificate reads support * depth^2 relations: support
-# 64 at its default depth 2*64+3, the depth cap, took 0.35-0.55 s in a fresh
-# process that way, and takes 0.13-0.15 s certified, 4 ms of it in the solve
-# (in-process).  On thin only the shift -1 block reads relations: 0.14 s,
-# mostly start-up.  Larger values are refused.
+# Largest `der-basis` support bound and consistency depth.  Each of the
+# support + 1 blocks builds sequences to index 5 and reads one relation,
+# [e_2, e_3], whatever the depth, so the cap bounds linear solving and an
+# output of support basis vectors (2 support - 1 on thin).  Support 64 at
+# depth 131 takes 0.15-0.24 s and 17 MiB peak RSS in a fresh process on wplus
+# and on thin, mostly start-up.  Larger values are refused.
 DER_BASIS_MAX_SUPPORT = 64
 DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
@@ -78,13 +78,14 @@ RECOVER_INNER_MAX_WORK = 3000000
 # (JSON_BYTES_PER_TERM).
 MAP_MAX_TERMS = 100000
 
-# Largest `extend` truncation.  On wplus, images that fail the certificate get
-# every cross relation checked, quadratic work: `--e1 0 --e2 e_3` took
-# 0.1-0.35 s in-process at 1000 that way (8 ms certified).  Each shift s of the
-# generator images (D(e_k) = c e_{k+s}) repeats it, so shifts * truncation^2 above
-# EXTEND_MAX_TRUNCATION^2 is refused too.  On thin only relations with i or
-# j equal to 1 - s can fail, so the work is linear (`--e1 e_1 --e2 e_2`: 5 ms
-# at 1000, 20 ms at 3000, in-process); the same caps hold.
+# Largest `extend` truncation.  Each shift s of the generator images
+# (D(e_k) = c e_{k+s}) builds one sequence to the truncation and is checked at
+# the one relation [e_2, e_3], so the work and the output are linear,
+# shifts * truncation terms.  `--e1 0 --e2 e_3` at 1000 takes 0.14-0.21 s and
+# 18 MiB peak RSS in a fresh process as JSON.  shifts * truncation^2 above
+# EXTEND_MAX_TRUNCATION^2 is refused too, which bounds the output by
+# 10^6 / truncation terms: 10000 thin shifts at truncation 10 (100000 terms)
+# take 0.75-0.92 s and 49 MiB as text, 1.0-1.2 s and 82 MiB as JSON.
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),

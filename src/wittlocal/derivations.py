@@ -6,8 +6,8 @@ provides
 
   * Leibniz-law checking at a given depth,
   * extension of a candidate derivation from images of the two generators
-    e_1, e_2 (wplus and thin are generated by them), with every alternative
-    bracket relation re-derived and cross-checked,
+    e_1, e_2 (wplus and thin are generated by them), decided by the one
+    relation [e_2, e_3],
   * the solver for the full space of generator-image pairs that extend
     consistently,
   * closed-form recovery of the inner element behind a derivation (wplus
@@ -20,7 +20,6 @@ Tables are immutable; every function is pure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import defaultdict
@@ -188,17 +187,6 @@ def require_generated(algebra: Algebra) -> None:
         raise ValueError(f"{algebra} is not handled by generator extension")
 
 
-def _cross_relations(algebra: Algebra, truncation: int) -> list[tuple[int, range]]:
-    """Bracket relations not used by the defining recursion, as rows
-    (i, range of j) in lexicographic order.  For wplus every [e_i,e_j] with
-    2 <= i < j and i+j inside the truncation; for thin every vanishing
-    bracket [e_i,e_j], 2 <= i < j <= truncation."""
-    return [
-        (i, range(i + 1, (truncation if algebra is Algebra.THIN else truncation - i) + 1))
-        for i in range(2, truncation + 1)
-    ]
-
-
 def _live_pairs(algebra: Algebra, shifts: Iterable[int], rows: Iterable[tuple[int, range]]):
     """The pairs (i, j) of rows (i ascending, every j >= i), in order, whose
     residual can be nonzero at some shift s.  On witt and wplus that is every
@@ -321,12 +309,12 @@ def extend_from_generators(
 ) -> LinearMapTable | InconsistentExtension:
     """Extend candidate generator images to a full derivation table.
 
-    Images of e_3..e_N are forced by the bracket recursion from e_1; every
-    alternative relation that can fail (`_live_pairs`) then has to agree
-    exactly, unless on wplus every part is the shift-s part of an ad(d e_s),
-    as inner images give, which passes them all (`_parts_certified`).  A
-    disagreement is a semantic outcome, not an error: the first failing
-    relation is reported with its residual summed over all shifts.
+    Images of e_3..e_N are forced by the bracket recursion from e_1.  The
+    images extend exactly when every part passes [e_2, e_3], when that is a
+    cross relation of the truncation (always on thin, from N = 5 on wplus);
+    `derivation_space_basis` proves it.  A disagreement is a semantic
+    outcome, not an error: (2, 3), the first cross relation, is reported
+    with its residual summed over all shifts.
     """
     require_generated(algebra)
     if truncation < 3:
@@ -338,10 +326,8 @@ def extend_from_generators(
         den, (a, b) = _integer_parts([img_e1.coefficient(1 + s), img_e2.coefficient(2 + s)])
         q, c = _shift_sequence(algebra, s, a, b, truncation)
         parts[s] = den * q, c
-    certified = algebra is not Algebra.THIN and _parts_certified(
-        [(s, c[1:]) for s, (_, c) in parts.items()], 1)
-    pairs = _live_pairs(algebra, parts, _cross_relations(algebra, truncation))
-    if not certified and (failure := _first_violation(algebra, parts, pairs)):
+    pairs = [(2, 3)] if algebra is Algebra.THIN or truncation >= 5 else []
+    if failure := _first_violation(algebra, parts, pairs):
         return InconsistentExtension(*failure)
     images = {
         k: Element(algebra, {k + s: Fraction(c[k], den) for s, (den, c) in parts.items()})
@@ -393,7 +379,7 @@ def _block_kernel(
     combination with the pivot that cancels that residual, and the pivot
     leaves.  That happens at most once per unknown, and the relations stop
     being read once the kernel is zero, since none can change that.  Each
-    vector is returned with its sequence, which a certificate can read.
+    vector is returned with its sequence.
     """
     kernel = [([den * (t == u) for t in range(len(parts))], c) for u, (den, c) in enumerate(parts)]
     for i, j, kij in relations:
@@ -419,29 +405,29 @@ def derivation_space_basis(
     alpha_i is the e_i coefficient of the e_1 image (i = 1..n) and beta_i
     the e_i coefficient of the e_2 image; beta runs to n for thin and to
     n+1 for wplus, because the e_2 image of an inner derivation with witness
-    supported in 0..n-1 reaches grade n+1.  Every cross relation up to the
-    consistency depth (default 2n+3, the smallest bound that forces all
-    coefficient exclusions for support bound n) is imposed.
+    supported in 0..n-1 reaches grade n+1.  For thin, beta_1 is solved for
+    as well and must come out zero; it is not a reported coordinate.
 
     Shift s couples only alpha_{s+1} and beta_{s+2}, so each shift is an
-    independent block of at most two unknowns.  A block's unit sequences
-    come from the integer recurrence of `_shift_sequence`, and
-    `_block_kernel` imposes the relations on them one at a time, in
-    integers, until its kernel is zero.  A block with no live relation
-    (`_live_pairs`: on thin, every block but shift -1) keeps its unit
-    kernel and builds no sequence.  No linear system is assembled; the
-    canonical basis is the reduced echelon form of all block kernels.  For
-    thin, beta_1 is solved for as well and must come out zero; it is not a
-    reported coordinate.
+    independent block of at most two unknowns.  The part with
+    D(e_1) = a e_{1+s} and D(e_2) = b e_{2+s} has residual at the first
+    cross relation [e_2, e_3]
 
-    On wplus a block first imposes the relations with i + j <= P =
-    min(depth, 5) (the first cross relation is [e_2, e_3]) on sequences
-    built to P.  A kernel sequence d (k - s) on 1..P (`_parts_certified`)
-    is d (k - s) to full depth, which satisfies every relation: the
-    recursion of `_shift_sequence` is the relation at i = 1, and
-    K(1, k-1) = k-2 != 0 for k >= 3.  The prefix kernel holds the true
-    kernel: if all its sequences are certified, the two are equal; else the
-    block is solved again at full depth.
+        wplus: (s^2 + s + 6) ((s - 1) b - (s - 2) a) / 6,
+        thin:  -b at s = -1, and 0 for every s >= 0.
+
+    As s^2 + s + 6 > 0, a wplus part passes exactly when (a, b) is on the
+    inner line d (1 - s, 2 - s); the recursion of `_shift_sequence` is the
+    relation at i = 1 and K(1, k-1) = k - 2 != 0, so the part is then
+    d (k - s), the shift-s part of ad(d e_s), which passes every relation.
+    On thin a part with s >= 0 has no live relation (K(x, y) != 0 needs x
+    or y = 1), and the s = -1 part passes only as zero.  So [e_2, e_3]
+    decides every block: a block's unit sequences are built to 5 and
+    `_block_kernel` imposes that one relation.  A thin block with s >= 0,
+    where it is not live, keeps its unit kernel and builds no sequence.  No
+    linear system is assembled; the canonical basis is the reduced echelon
+    form of all block kernels.  consistency_depth (default and minimum 2n+3) is validated and
+    reported, but no longer changes the answer.
     """
     require_generated(algebra)
     if support_bound < 1:
@@ -457,21 +443,14 @@ def derivation_space_basis(
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     position = {coord: p for p, coord in enumerate(coords)}
     K = algebra.constant
-    rows = _cross_relations(algebra, depth)
-    prefix = min(depth, 5) if algebra is not Algebra.THIN else depth
-    relations = functools.cache(lambda last: [(i, j, K(i, j)) for i, j in _live_pairs(
-        algebra, range(-1, n), _cross_relations(algebra, last))])
     unit = {1: (1, 0), 2: (0, 1)}
     solutions: list[SparseVector] = []
     for s in range(-1, n):
         unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
         kernel = [([int(t == u) for t in range(len(unknowns))], None) for u in range(len(unknowns))]
-        if any(_live_pairs(algebra, [s], rows)):  # else no relation constrains the block
-            for last in (prefix, depth):
-                parts = [_shift_sequence(algebra, s, *unit[gen], last) for gen, _ in unknowns]
-                kernel = _block_kernel(K, s, parts, relations(last))
-                if last == depth or _parts_certified([(s, c[1:]) for _, c in kernel], 1):
-                    break
+        if K(2, 3) or K(2 + s, 3) or K(2, 3 + s):  # else [e_2, e_3] does not constrain the block
+            parts = [_shift_sequence(algebra, s, *unit[gen], 5) for gen, _ in unknowns]
+            kernel = _block_kernel(K, s, parts, [(2, 3, K(2, 3))])
         for vec, _ in kernel:
             entries = {unknowns[t]: x for t, x in enumerate(vec) if x}
             if not entries.keys() <= position.keys():

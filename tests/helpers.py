@@ -14,7 +14,6 @@ from wittlocal import (
     Subspace,
     ThinDerivationParams,
     Window,
-    kernel_basis,
 )
 
 
@@ -72,12 +71,12 @@ def reference_bracket(x: Element, y: Element) -> Element:
 def reference_centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
     """The centralizer of t on the window by brute force: [e_g, t] for every
     window index g through `reference_bracket`, one constraint row per grade
-    of those images, then `kernel_basis`."""
+    of those images, then `reference_kernel`."""
     t = t.in_algebra(algebra)
     images = {g: reference_bracket(Element.basis(algebra, g), t) for g in window.indices()}
     grades = sorted({h for image in images.values() for h in image.support()})
     rows = [SparseVector({g: image.coefficient(h) for g, image in images.items()}) for h in grades]
-    return kernel_basis(rows, window)
+    return reference_kernel(rows, window)
 
 
 def reference_forced_image_space(algebra: Algebra, probe: int, x: Element, window: Window):
@@ -88,7 +87,7 @@ def reference_forced_image_space(algebra: Algebra, probe: int, x: Element, windo
     walg = Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
     cent = reference_centralizer(walg, Element.basis(walg, probe), window)
     lifted = x.in_algebra(walg)
-    return Subspace([reference_bracket(Element(walg, v), lifted).coeffs for v in cent.basis])
+    return reference_span([reference_bracket(Element(walg, v), lifted).coeffs for v in cent.basis])
 
 
 def reference_reduce(vectors) -> dict[int, dict[int, Fraction]]:
@@ -128,6 +127,29 @@ def reference_basis(vectors) -> list[SparseVector]:
     """The canonical basis of the span through `reference_reduce`, pivots
     ascending."""
     return [SparseVector(row) for _, row in sorted(reference_reduce(vectors).items())]
+
+
+def reference_span(vectors) -> Subspace:
+    """The span as a `Subspace` holding `reference_basis`, built without
+    `linalg._reduce`, so it compares equal to a library result only when the
+    two eliminations agree."""
+    space = object.__new__(Subspace)
+    space.basis = reference_basis(vectors)
+    return space
+
+
+def reference_kernel(rows, window: Window) -> Subspace:
+    """{v supported in the window : <row, v> = 0 for every row}, read off
+    `reference_reduce`: one vector per free column i, with 1 at i and minus
+    each pivot row's entry in column i at that pivot, then `reference_span`."""
+    assert all(i in window for r in rows for i in r.support()), "row escapes the window"
+    pivots = reference_reduce(rows)
+    free = {i: {i: Fraction(1)} for i in window.indices() if i not in pivots}
+    for col, row in pivots.items():
+        for i, x in row.items():
+            if i != col:
+                free[i][col] = -x
+    return reference_span(SparseVector(entries) for entries in free.values())
 
 
 def dot(u: SparseVector, v: SparseVector) -> Fraction:
@@ -263,8 +285,8 @@ def complement_intersection(a: Subspace, b: Subspace, window: Window) -> Subspac
     """Intersection of two spans supported in the window as the complement
     of the sum of their complements there, with no shortcut for disjoint
     supports."""
-    a_perp, b_perp = kernel_basis(a.basis, window), kernel_basis(b.basis, window)
-    return kernel_basis(a_perp.basis + b_perp.basis, window)
+    a_perp, b_perp = reference_kernel(a.basis, window), reference_kernel(b.basis, window)
+    return reference_kernel(a_perp.basis + b_perp.basis, window)
 
 
 def reference_jacobi(algebra: Algebra, window, constant=None):
@@ -343,8 +365,8 @@ def reference_recover_inner(table) -> Element:
 
 def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = None):
     """The derivation-space solve with every cross-relation residual built
-    in Fractions and passed to `kernel_basis` unreduced, one row per relation
-    and shift block.  Returns (coordinate names, canonical Subspace)."""
+    in Fractions and passed to `reference_kernel` unreduced, one row per
+    relation and shift block.  Returns (coordinate names, canonical Subspace)."""
 
     rule = basis_rule(algebra)
 
@@ -382,11 +404,11 @@ def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = Non
             SparseVector({t: residual(s, c, i, j) for t, c in enumerate(parts)})
             for i, j in relations
         ]
-        for vec in kernel_basis(rows, Window(0, len(unknowns) - 1)).basis:
+        for vec in reference_kernel(rows, Window(0, len(unknowns) - 1)).basis:
             assert all(unknowns[t] in position for t in vec.support()), "thin beta_1 != 0"
             solutions.append(SparseVector({position[unknowns[t]]: c for t, c in vec.items()}))
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
-    return names, Subspace(solutions)
+    return names, reference_span(solutions)
 
 
 def reference_apply(table, x: Element) -> Element:

@@ -308,14 +308,16 @@ def _brute_live(algebra, shifts, rows):
 
 def test_live_pairs_keep_every_live_pair_in_order():
     """`_live_pairs` keeps each pair whose residual can be nonzero, on the
-    rows of both `_cross_relations` and `leibniz_pairs`, in strict
+    rows of `leibniz_pairs` and of the cross relations of a truncation n
+    (wplus: 2 <= i < j, i + j <= n; thin: 2 <= i < j <= n), in strict
     lexicographic order; it never invents a pair.  On witt and wplus it keeps
     them all."""
     rng = Random(131)
     cases = []
     for algebra, win in ((Algebra.THIN, Window(1, 70)), (Algebra.WPLUS, Window(1, 40))):
         for n in (3, 9, 41, 70):
-            cases.append((algebra, derivations._cross_relations(algebra, n)))
+            cases.append((algebra, [(i, range(i + 1, (n if algebra is Algebra.THIN else n - i) + 1))
+                                    for i in range(2, n + 1)]))
         for depth in (1, 2, 5, 17, 40):
             cases.append((algebra, derivations.leibniz_pairs(win, depth)))
     cases.append((Algebra.WITT, derivations.leibniz_pairs(Window(-12, 15), 9)))
@@ -830,27 +832,71 @@ def test_parts_certificate_on_affine_constants():
     assert 100 < holds < 300
 
 
-@pytest.mark.parametrize("certified", [True, False], ids=["certificate", "fallback"])
-def test_wplus_extend_certificate_matches_reference(monkeypatch, certified):
+def test_first_cross_relation_residual_of_shift_parts():
+    """The [e_2, e_3] residual K(2,3) c[5] - c[2] K(2+s,3) - c[3] K(2,3+s) of
+    the part with D(e_1) = a e_{1+s} and D(e_2) = b e_{2+s}, the identity
+    `derivation_space_basis` rests on: on wplus
+    (s^2 + s + 6) ((s - 1) b - (s - 2) a) / 6, expanded from the recursion
+    with s a symbol, and s^2 + s + 6 has no real root; through the unit
+    sequences of `_shift_sequence` at s = -1..40, that form on wplus, and
+    on thin -b at s = -1 and 0 for s >= 0."""
+    sympy = pytest.importorskip("sympy")
+    s, a, b = sympy.symbols("s a b")
+    c = [0, a, b]
+    for k in range(3, 6):
+        c.append((a * (k - 2 - s) + c[k - 1] * (k - 2 + s)) / (k - 2))
+    wplus = (s**2 + s + 6) * ((s - 1) * b - (s - 2) * a) / 6
+    assert sympy.expand(c[5] - c[2] * (1 - s) - c[3] * (1 + s) - wplus) == 0
+    assert sympy.discriminant(s**2 + s + 6, s) < 0
+    for algebra in (Algebra.WPLUS, Algebra.THIN):
+        K = algebra.constant
+        for t in range(-1, 41):
+            residual = 0
+            for coefficient, unit in ((a, (1, 0)), (b, (0, 1))):
+                den, u = derivations._shift_sequence(algebra, t, *unit, 5)
+                r = K(2, 3) * u[5] - u[2] * K(2 + t, 3) - u[3] * K(2, 3 + t)
+                residual += coefficient * sympy.Rational(r, den)
+            form = wplus.subs(s, t) if algebra is Algebra.WPLUS else (-b if t == -1 else 0)
+            assert sympy.expand(residual - form) == 0, (algebra, t)
+
+
+def test_reference_extension_fails_first_at_2_3():
+    """`reference_extension`, which scans every cross relation, either
+    extends or first fails at (2, 3), on both algebras at truncations
+    3..40: why `extend_from_generators` reads that relation alone."""
+    rng = Random(167)
+    outcomes = {}
+    for algebra in (Algebra.WPLUS, Algebra.THIN):
+        for truncation in range(3, 41):
+            for _ in range(3):
+                img1, img2 = derivation_generator_images(rng, algebra)
+                if rng.random() < 0.5:
+                    img1 = img1 + rand_element(rng, algebra, range(1, 7), max_terms=2)
+                    img2 = img2 + rand_element(rng, algebra, range(1, 4), max_terms=2)
+                _, failure = reference_extension(algebra, img1, img2, truncation)
+                assert failure is None or failure[0] == (2, 3), (algebra, truncation)
+                key = algebra, failure is None
+                outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 15, outcomes
+
+
+def test_wplus_extend_certificate_matches_reference(monkeypatch):
     """Inner generator images, some with extra terms, extend or fail exactly
-    as `reference_extension` says, through the certificate and with the
-    certificate failing.  Inner images never reach the relation scan; at a
-    small truncation some other images extend as well, after the scan."""
-    if not certified:
-        monkeypatch.setattr(derivations, "_parts_certified", lambda *args: False)
+    as `reference_extension` says, which scans every cross relation.  The
+    extension reads only (2, 3), and none below truncation 5, where wplus
+    has no cross relation."""
     scans = _recorded(monkeypatch, "_first_violation")
     rng = Random(157)
-    consistent = inconsistent = inner_scans = 0
+    consistent = inconsistent = 0
     for _ in range(80):
         img1, img2 = derivation_generator_images(rng, Algebra.WPLUS)
-        inner = rng.random() < 0.5
-        if not inner:
+        if rng.random() < 0.5:
             img1 = img1 + rand_element(rng, Algebra.WPLUS, range(1, 7), max_terms=2)
         truncation = rng.randint(3, 24)
         images, failure = reference_extension(Algebra.WPLUS, img1, img2, truncation)
-        before = len(scans)
+        scans.clear()
         out = extend_from_generators(Algebra.WPLUS, img1, img2, truncation)
-        inner_scans += inner and len(scans) > before
+        assert [list(args[2]) for args in scans] == [[(2, 3)] if truncation >= 5 else []]
         if failure is None:
             assert isinstance(out, LinearMapTable) and out.images == images
             consistent += 1
@@ -858,16 +904,12 @@ def test_wplus_extend_certificate_matches_reference(monkeypatch, certified):
             assert (out.relation, out.residual) == failure
             inconsistent += 1
     assert consistent > 20 and inconsistent > 20
-    assert inner_scans == 0 if certified else len(scans) == 80
 
 
-@pytest.mark.parametrize("certified", [True, False], ids=["certificate", "fallback"])
-def test_wplus_space_certificate_matches_reference(monkeypatch, certified):
-    """The wplus solve equals `reference_derivation_space` for n = 1..12 at
-    the default depth and at 2n + 10, through the certificate and with the
-    certificate failing, which solves every block again at full depth."""
-    if not certified:
-        monkeypatch.setattr(derivations, "_parts_certified", lambda *args: False)
+def test_wplus_space_certificate_matches_reference(monkeypatch):
+    """The wplus solve equals `reference_derivation_space`, which imposes
+    every cross relation, for n = 1..12 at the default depth and at
+    2n + 10, and builds every block's sequences to index 5 only."""
     built = _recorded(monkeypatch, "_shift_sequence")
     for n in range(1, 13):
         for depth in (2 * n + 3, 2 * n + 10):
@@ -876,26 +918,30 @@ def test_wplus_space_certificate_matches_reference(monkeypatch, certified):
             names, reference = reference_derivation_space(Algebra.WPLUS, n, depth)
             assert space.coordinates == names
             assert space.space.basis == reference.basis
-            lengths = {args[-1] for args in built}
-            assert lengths == ({min(depth, 5)} if certified else {min(depth, 5), depth})
+            assert {args[-1] for args in built} == {5}
 
 
 def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
-    """The wplus solve at n = 64, an inner `leibniz_check` at depth 200 and
-    an inner wplus extension to 1000 are certified: no pair scan runs, and
-    the solve builds no sequence beyond index 5."""
+    """The wplus solve at n = 64 builds no sequence beyond index 5, and the
+    thin one only the shift -1 sequence; an inner `leibniz_check` at depth
+    200 is certified and scans no pair; an inner wplus extension to 1000
+    reads one pair, (2, 3)."""
     scans = _recorded(monkeypatch, "_first_violation")
     built = _recorded(monkeypatch, "_shift_sequence")
     space = derivation_space_basis(Algebra.WPLUS, 64)
     assert space.dim == 64 and max(args[-1] for args in built) == 5
+    built.clear()
+    assert derivation_space_basis(Algebra.THIN, 64).dim == 127
+    assert [(args[1], args[-1]) for args in built] == [(-1, 5)]
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
     table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
     assert leibniz_check(table, 200).passed
+    assert scans == []
     images = [bracket(a, Element.basis(Algebra.WPLUS_EXT, k)).in_algebra(Algebra.WPLUS)
               for k in (1, 2)]
     out = extend_from_generators(Algebra.WPLUS, *images, 1000)
     assert out == ad(a, Window(1, 1000)).in_algebra(Algebra.WPLUS)
-    assert scans == []
+    assert [list(args[2]) for args in scans] == [[(2, 3)]]
 
 
 # -- inner recovery -----------------------------------------------------------

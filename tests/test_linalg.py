@@ -17,7 +17,15 @@ from wittlocal import (
     subspace_intersection,
 )
 
-from helpers import complement_intersection, dot, full_subspace, in_span, rand_rational, reference_basis
+from helpers import (
+    complement_intersection,
+    dot,
+    full_subspace,
+    in_span,
+    rand_rational,
+    reference_basis,
+    reference_kernel,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
@@ -357,6 +365,7 @@ def test_kernel_matches_sympy_nullspace():
             for r in range(rref.rows)
         ]
         assert kernel_basis(rows, win).basis == expected
+        assert reference_kernel(rows, win).basis == expected
 
 
 def test_intersection_of_spans_built_on_different_windows():
