@@ -51,11 +51,6 @@ class Algebra(enum.Enum):
     WPLUS_EXT = "wplus_ext"
     THIN = "thin"
 
-    @property
-    def min_index(self) -> int | None:
-        """Smallest legal basis index; None when unbounded below."""
-        return _MIN_INDEX[self]
-
     def contains_index(self, i: int) -> bool:
         lo = _MIN_INDEX[self]
         return lo is None or i >= lo

@@ -365,38 +365,6 @@ class DerivationSpace:
         return Element(self.algebra, by_gen[1]), Element(self.algebra, by_gen[2])
 
 
-def _block_kernel(
-    K, s: int, parts: list[tuple[int, list[int]]], relations: Iterable
-) -> list[tuple[list[int], list[int]]]:
-    """Integer basis of the x for which the shift-s part sum_t x_t c_t
-    satisfies every relation (i, j, K(i, j)), that is, the residual of
-    `_first_violation` vanishes.  parts[t] is c_t scaled to integers, as
-    (L_t, L_t c_t).
-
-    The kernel starts as the t-th unit vectors times L_t, each kept with its
-    sequence.  A relation with a nonzero residual on some kernel sequence
-    pivots on the first such one: every other vector becomes its integer
-    combination with the pivot that cancels that residual, and the pivot
-    leaves.  That happens at most once per unknown, and the relations stop
-    being read once the kernel is zero, since none can change that.  Each
-    vector is returned with its sequence.
-    """
-    kernel = [([den * (t == u) for t in range(len(parts))], c) for u, (den, c) in enumerate(parts)]
-    for i, j, kij in relations:
-        ki, kj = K(i + s, j), K(i, j + s)
-        res = [(kij * c[i + j] if kij else 0) - c[i] * ki - c[j] * kj for _, c in kernel]
-        if any(res):
-            t = next(t for t, r in enumerate(res) if r)
-            (pv, pc), rp = kernel.pop(t), res.pop(t)
-            kernel = [
-                ([rp * x - r * y for x, y in zip(v, pv)], [rp * x - r * y for x, y in zip(c, pc)])
-                for (v, c), r in zip(kernel, res)
-            ]
-            if not kernel:
-                break
-    return kernel
-
-
 def derivation_space_basis(
     algebra: Algebra, support_bound: int, consistency_depth: int | None = None
 ) -> DerivationSpace:
@@ -405,8 +373,8 @@ def derivation_space_basis(
     alpha_i is the e_i coefficient of the e_1 image (i = 1..n) and beta_i
     the e_i coefficient of the e_2 image; beta runs to n for thin and to
     n+1 for wplus, because the e_2 image of an inner derivation with witness
-    supported in 0..n-1 reaches grade n+1.  For thin, beta_1 is solved for
-    as well and must come out zero; it is not a reported coordinate.
+    supported in 0..n-1 reaches grade n+1.  For thin, beta_1 is an unknown
+    of the s = -1 block as well; it is not a reported coordinate.
 
     Shift s couples only alpha_{s+1} and beta_{s+2}, so each shift is an
     independent block of at most two unknowns.  The part with
@@ -422,12 +390,16 @@ def derivation_space_basis(
     d (k - s), the shift-s part of ad(d e_s), which passes every relation.
     On thin a part with s >= 0 has no live relation (K(x, y) != 0 needs x
     or y = 1), and the s = -1 part passes only as zero.  So [e_2, e_3]
-    decides every block: a block's unit sequences are built to 5 and
-    `_block_kernel` imposes that one relation.  A thin block with s >= 0,
-    where it is not live, keeps its unit kernel and builds no sequence.  No
-    linear system is assembled; the canonical basis is the reduced echelon
-    form of all block kernels.  consistency_depth (default and minimum 2n+3) is validated and
-    reported, but no longer changes the answer.
+    decides every block, as one row (r_0, r_1): r_t is the residual of
+    unknown t's unit sequence, built to 5 and read by `_first_violation`.
+    Its kernel is every unit vector when r = 0, else (r_1, -r_0) with two
+    unknowns and nothing with one.  Thin's s = -1 block has the one unknown
+    beta_1 and r = -1, so its kernel is empty.  A thin block with s >= 0,
+    where the row is not live, keeps its unit vectors and builds no
+    sequence.  No linear system is assembled; the canonical basis is the
+    reduced echelon form of all block kernels.  consistency_depth (default
+    and minimum 2n+3) is validated and reported, but no longer changes the
+    answer.
     """
     require_generated(algebra)
     if support_bound < 1:
@@ -447,15 +419,17 @@ def derivation_space_basis(
     solutions: list[SparseVector] = []
     for s in range(-1, n):
         unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
-        kernel = [([int(t == u) for t in range(len(unknowns))], None) for u in range(len(unknowns))]
+        r = []
         if K(2, 3) or K(2 + s, 3) or K(2, 3 + s):  # else [e_2, e_3] does not constrain the block
-            parts = [_shift_sequence(algebra, s, *unit[gen], 5) for gen, _ in unknowns]
-            kernel = _block_kernel(K, s, parts, [(2, 3, K(2, 3))])
-        for vec, _ in kernel:
-            entries = {unknowns[t]: x for t, x in enumerate(vec) if x}
-            if not entries.keys() <= position.keys():
-                raise NotADerivation("solver produced a nonzero e_1 coefficient in the e_2 image")
-            solutions.append(SparseVector({position[u]: x for u, x in entries.items()}))
+            for gen, _ in unknowns:
+                part = _shift_sequence(algebra, s, *unit[gen], 5)
+                failure = _first_violation(algebra, {s: part}, [(2, 3)])
+                r.append(failure[1].coefficient(5 + s) if failure else 0)
+        if not any(r):
+            solutions.extend(SparseVector.unit(position[u]) for u in unknowns)
+        elif len(r) == 2:  # the kernel of the one row r; with one unknown it is empty
+            p0, p1 = (position[u] for u in unknowns)
+            solutions.append(SparseVector({p0: r[1], p1: -r[0]}))
     space = Subspace(solutions)
     return DerivationSpace(algebra, support_bound, depth, names, space, coords)
 

@@ -217,15 +217,28 @@ def test_extend_json_round_trips_into_leibniz(tmp_path):
 
 
 def test_der_basis_text_golden():
-    code, out, _ = run(["der-basis", "--algebra", "thin", "--support", "2"])
-    assert code == 0
-    assert out == (
-        "dim=3\n"
-        "coordinates: alpha_1, alpha_2, beta_2\n"
-        "[1] e1 = e_1; e2 = 0\n"
-        "[2] e1 = e_2; e2 = 0\n"
-        "[3] e1 = 0; e2 = e_2\n"
-    )
+    """wplus at support 4 has blocks where 1 - s or 2 - s is zero or
+    negative, so a sign or scale slip in a block's solve would show."""
+    goldens = {
+        ("thin", "2"): (
+            "dim=3\n"
+            "coordinates: alpha_1, alpha_2, beta_2\n"
+            "[1] e1 = e_1; e2 = 0\n"
+            "[2] e1 = e_2; e2 = 0\n"
+            "[3] e1 = 0; e2 = e_2\n"
+        ),
+        ("wplus", "4"): (
+            "dim=4\n"
+            "coordinates: alpha_1, alpha_2, alpha_3, alpha_4, beta_1, beta_2, beta_3, beta_4, beta_5\n"
+            "[1] e1 = e_1; e2 = 2*e_2\n"
+            "[2] e1 = e_3; e2 = 0\n"
+            "[3] e1 = e_4; e2 = 1/2*e_5\n"
+            "[4] e1 = 0; e2 = e_3\n"
+        ),
+    }
+    for (algebra, support), expected in goldens.items():
+        code, out, _ = run(["der-basis", "--algebra", algebra, "--support", support])
+        assert (code, out) == (0, expected)
 
 
 def test_recover_inner_cli(tmp_path):

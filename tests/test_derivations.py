@@ -43,6 +43,7 @@ from helpers import (
     reference_leibniz,
     reference_apply,
     reference_recover_inner,
+    reference_span,
     reference_thin_derivation,
     zero_table,
 )
@@ -623,45 +624,24 @@ def test_space_matches_sympy_nullspace_of_block_rows(algebra):
         assert space.space.basis == expected
 
 
-def test_block_kernel_on_hand_built_sequences():
-    """With K = 1 and shift 0 the residual of c at (i, j) is
-    c[i+j] - c[i] - c[j], so additive sequences pass every relation.  A
-    failing relation pivots on the first sequence it fails on; the kernel
-    vectors start as the unit vectors times each sequence's denominator;
-    relations past a zero kernel are never read; and a relation counts as
-    soon as one of its three constants is nonzero."""
-    additive = [0, 1, 2, 3, 4, 5, 6]
-    fails_12 = [0, 1, 2, 4, 4, 5, 6]  # residual 1 at (1, 2), -1 at (2, 3)
-    fails_later = [0, 1, 2, 5, 4, 7, 6]  # residual 2 at (1, 2)
-    relations = [(1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 1), (2, 4, 1)]
-
-    def kernel(parts):
-        read = []
-
-        def reading():
-            for relation in relations:
-                read.append(relation)
-                yield relation
-
-        pairs = derivations._block_kernel(lambda i, j: 1, 0, parts, reading())
-        return [v for v, _ in pairs], len(read)
-
-    # pivot on the first sequence: the additive one is left as it was, and
-    # comes back with its vector
-    assert kernel([(1, fails_12), (1, additive)]) == ([[0, 1]], 5)
-    pairs = derivations._block_kernel(lambda i, j: 1, 0, [(1, fails_12), (1, additive)], relations)
-    assert pairs == [([0, 1], additive)]
-    # pivot on the second: the first vector keeps its denominator 3 and is
-    # scaled by the pivot residual 1
-    assert kernel([(3, additive), (1, fails_12)]) == ([[3, 0]], 5)
-    # 2 -> 1 at (1, 2): fails_later - 2 fails_12 = [0, -1, -2, -3, -4, -3, -6]
-    # still fails (2, 3), with residual 2, so 1 -> 0 there and the two later
-    # relations are not read
-    assert kernel([(1, fails_12), (1, fails_later)]) == ([], 3)
-    # a relation whose only nonzero constant is K(i, j+s): at (2, 3) with
-    # shift 1 and K(i, j) = [j = 4] the residual is -c[3]
-    only_kj = derivations._block_kernel(lambda i, j: int(j == 4), 1, [(1, fails_12)], [(2, 3, 0)])
-    assert only_kj == []
+def test_space_blocks_are_the_inner_lines():
+    """Without the reference solver: the wplus space at n is spanned by the
+    inner lines (1 - s) alpha_{s+1} + (2 - s) beta_{s+2}, s = 0..n-1, and
+    the thin space by the unit vectors of its coordinates, which never
+    include beta_1."""
+    for n in range(1, 65):
+        space = derivation_space_basis(Algebra.WPLUS, n)
+        assert space.coordinates == [f"alpha_{i}" for i in range(1, n + 1)] + [
+            f"beta_{i}" for i in range(1, n + 2)]
+        position = {name: p for p, name in enumerate(space.coordinates)}
+        lines = [SparseVector({position[f"alpha_{s + 1}"]: 1 - s, position[f"beta_{s + 2}"]: 2 - s})
+                 for s in range(n)]
+        assert space.space.basis == reference_span(lines).basis, n
+        space = derivation_space_basis(Algebra.THIN, n)
+        assert space.coordinates == [f"alpha_{i}" for i in range(1, n + 1)] + [
+            f"beta_{i}" for i in range(2, n + 1)]
+        units = [SparseVector.unit(p) for p in range(len(space.coordinates))]
+        assert space.space.basis == reference_span(units).basis, n
 
 
 def test_space_depth_validation():
@@ -923,9 +903,9 @@ def test_wplus_space_certificate_matches_reference(monkeypatch):
 
 def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
     """The wplus solve at n = 64 builds no sequence beyond index 5, and the
-    thin one only the shift -1 sequence; an inner `leibniz_check` at depth
-    200 is certified and scans no pair; an inner wplus extension to 1000
-    reads one pair, (2, 3)."""
+    thin one only the shift -1 sequence; both read only (2, 3); an inner
+    `leibniz_check` at depth 200 is certified and scans no pair; an inner
+    wplus extension to 1000 reads one pair, (2, 3)."""
     scans = _recorded(monkeypatch, "_first_violation")
     built = _recorded(monkeypatch, "_shift_sequence")
     space = derivation_space_basis(Algebra.WPLUS, 64)
@@ -933,6 +913,8 @@ def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
     built.clear()
     assert derivation_space_basis(Algebra.THIN, 64).dim == 127
     assert [(args[1], args[-1]) for args in built] == [(-1, 5)]
+    assert scans and all(list(args[2]) == [(2, 3)] for args in scans)
+    scans.clear()
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
     table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
     assert leibniz_check(table, 200).passed
