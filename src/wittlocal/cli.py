@@ -42,14 +42,13 @@ JACOBI_MAX_TABLE = 1000000
 # forced space) takes about 0.1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
-# Largest `der-basis` support bound and consistency depth.  Each of the
-# support + 1 blocks builds sequences to index 5 and reads one relation,
-# [e_2, e_3], whatever the depth, so the cap bounds linear solving and an
-# output of support basis vectors (2 support - 1 on thin).  Support 64 at
-# depth 131 takes 0.15-0.24 s and 17 MiB peak RSS in a fresh process on wplus
-# and on thin, mostly start-up.  Larger values are refused.
+# Largest `der-basis` support bound.  Each of the support + 1 blocks builds
+# sequences to index 5 and reads one relation, [e_2, e_3], so the cap bounds
+# linear solving and an output of support basis vectors (2 support - 1 on
+# thin).  Support 64 takes 0.13-0.19 s and 17 MiB peak RSS in a fresh process
+# on wplus and on thin, text or JSON, about the start-up of any command.
+# Larger values are refused.
 DER_BASIS_MAX_SUPPORT = 64
-DER_BASIS_MAX_DEPTH = 2 * DER_BASIS_MAX_SUPPORT + 3
 
 # Largest `leibniz` work, shifts * (pairs + window): one residual per checked
 # pair and shift s of the map (D(e_k) = c e_{k+s}), plus the per-shift split
@@ -324,9 +323,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_der_basis(args) -> int:
     _refuse_above("support", args.support, DER_BASIS_MAX_SUPPORT)
-    if args.depth is not None:
-        _refuse_above("depth", args.depth, DER_BASIS_MAX_DEPTH)
-    space = derivations.derivation_space_basis(args.algebra, args.support, args.depth)
+    space = derivations.derivation_space_basis(args.algebra, args.support)
     basis = []
     for vec in space.space.basis:
         e1, e2 = space.generator_images(vec)
@@ -335,7 +332,6 @@ def _cmd_der_basis(args) -> int:
     payload = {
         "algebra": args.algebra.value,
         "support_bound": space.support_bound,
-        "depth": space.depth,
         "dim": space.dim,
         "coordinates": space.coordinates,
         "basis": basis,
@@ -508,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "der-basis", _cmd_der_basis, "basis of the derivation space")
     p.add_argument("--support", required=True, type=int)
-    p.add_argument("--depth", type=int, default=None)
 
     about = "inner element behind a derivation table"
     p = _subcommand(sub, "recover-inner", _cmd_recover_inner, about)

@@ -245,18 +245,24 @@ def _integer_parts(c: list[Rational]) -> tuple[int, list[int]]:
     return den, [x.numerator * den // x.denominator for x in c]
 
 
+def _residual(K, s: int, c: list[int], i: int, j: int) -> int:
+    """The residual of the shift-s part c at (i, j), the grade i+j+s coefficient
+    of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]:
+    K(i,j) c[i+j] - c[i] K(i+s,j) - c[j] K(i,j+s), with c[i+j] read only if
+    K(i,j) != 0."""
+    kij = K(i, j)
+    return (kij * c[i + j] if kij else 0) - c[i] * K(i + s, j) - c[j] * K(i, j + s)
+
+
 def _first_violation(
     algebra: Algebra, parts: dict[int, tuple[int, list[int]]], pairs: Iterable
 ) -> tuple | None:
-    """The first (i, j) of pairs with a nonzero residual at some shift, and that
-    residual summed over the shifts; None if there is none.
+    """The first (i, j) of pairs with a nonzero `_residual` at some shift, and
+    that residual summed over the shifts; None if there is none.
 
     parts maps each shift s to its part c scaled to integers, as (den, den c).
-    The residual of c at (i, j) is the grade i+j+s coefficient of
-    D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]:
-    K(i,j) c[i+j] - c[i] K(i+s,j) - c[j] K(i,j+s), with c[i+j] read only if
-    K(i,j) != 0.  Pairs run outer and shifts inner, and only the failing
-    residual is divided back."""
+    Pairs run outer and shifts inner, and only the failing residual is
+    divided back."""
     K = algebra.constant
     scaled = list(parts.items())
     for i, j in pairs:
@@ -264,11 +270,7 @@ def _first_violation(
         for s, (_, c) in scaled:
             if (kij * c[i + j] if kij else 0) != c[i] * K(i + s, j) + c[j] * K(i, j + s):
                 terms = {
-                    i + j + t: Fraction(
-                        (kij * d[i + j] if kij else 0) - d[i] * K(i + t, j) - d[j] * K(i, j + t),
-                        den,
-                    )
-                    for t, (den, d) in scaled
+                    i + j + t: Fraction(_residual(K, t, d, i, j), den) for t, (den, d) in scaled
                 }
                 return (i, j), Element(algebra, terms)
     return None
@@ -347,7 +349,6 @@ class DerivationSpace:
 
     algebra: Algebra
     support_bound: int
-    depth: int
     coordinates: list[str]
     space: Subspace
     _coords: list[tuple[int, int]]
@@ -365,9 +366,7 @@ class DerivationSpace:
         return Element(self.algebra, by_gen[1]), Element(self.algebra, by_gen[2])
 
 
-def derivation_space_basis(
-    algebra: Algebra, support_bound: int, consistency_depth: int | None = None
-) -> DerivationSpace:
+def derivation_space_basis(algebra: Algebra, support_bound: int) -> DerivationSpace:
     """Solve for all generator-image pairs that extend to a derivation.
 
     alpha_i is the e_i coefficient of the e_1 image (i = 1..n) and beta_i
@@ -390,25 +389,19 @@ def derivation_space_basis(
     d (k - s), the shift-s part of ad(d e_s), which passes every relation.
     On thin a part with s >= 0 has no live relation (K(x, y) != 0 needs x
     or y = 1), and the s = -1 part passes only as zero.  So [e_2, e_3]
-    decides every block, as one row (r_0, r_1): r_t is the residual of
-    unknown t's unit sequence, built to 5 and read by `_first_violation`.
-    Its kernel is every unit vector when r = 0, else (r_1, -r_0) with two
-    unknowns and nothing with one.  Thin's s = -1 block has the one unknown
-    beta_1 and r = -1, so its kernel is empty.  A thin block with s >= 0,
-    where the row is not live, keeps its unit vectors and builds no
-    sequence.  No linear system is assembled; the canonical basis is the
-    reduced echelon form of all block kernels.  consistency_depth (default
-    and minimum 2n+3) is validated and reported, but no longer changes the
-    answer.
+    decides every block, as one row (r_0, r_1): r_t is the `_residual` at
+    (2, 3) of unknown t's unit sequence, built to 5.  Its kernel is every
+    unit vector when r = 0, else (r_1, -r_0) with two unknowns and nothing
+    with one.  Thin's s = -1 block has the one unknown beta_1 and r = -1,
+    so its kernel is empty.  A thin block with s >= 0, where the row is not
+    live, keeps its unit vectors and builds no sequence.  No linear system
+    is assembled; the canonical basis is the reduced echelon form of all
+    block kernels.
     """
     require_generated(algebra)
     if support_bound < 1:
         raise ValueError("support bound must be at least 1")
     n = support_bound
-    min_depth = 2 * n + 3
-    depth = consistency_depth if consistency_depth is not None else min_depth
-    if depth < min_depth:
-        raise ValueError(f"consistency depth {depth} below required {min_depth}")
     top = {1: n, 2: n if algebra is Algebra.THIN else n + 1}
     beta_lo = 2 if algebra is Algebra.THIN else 1
     coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in range(beta_lo, top[2] + 1)]
@@ -422,16 +415,15 @@ def derivation_space_basis(
         r = []
         if K(2, 3) or K(2 + s, 3) or K(2, 3 + s):  # else [e_2, e_3] does not constrain the block
             for gen, _ in unknowns:
-                part = _shift_sequence(algebra, s, *unit[gen], 5)
-                failure = _first_violation(algebra, {s: part}, [(2, 3)])
-                r.append(failure[1].coefficient(5 + s) if failure else 0)
+                den, c = _shift_sequence(algebra, s, *unit[gen], 5)
+                r.append(Fraction(_residual(K, s, c, 2, 3), den))
         if not any(r):
             solutions.extend(SparseVector.unit(position[u]) for u in unknowns)
         elif len(r) == 2:  # the kernel of the one row r; with one unknown it is empty
             p0, p1 = (position[u] for u in unknowns)
             solutions.append(SparseVector({p0: r[1], p1: -r[0]}))
     space = Subspace(solutions)
-    return DerivationSpace(algebra, support_bound, depth, names, space, coords)
+    return DerivationSpace(algebra, support_bound, names, space, coords)
 
 
 def recover_inner_wplus(table: LinearMapTable) -> Element:

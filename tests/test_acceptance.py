@@ -124,8 +124,8 @@ def test_criterion_4_thin_family_equivalence():
             for vec in space.space.basis:
                 e1, e2 = space.generator_images(vec)
                 params = ThinDerivationParams.from_generator_images(e1, e2)
-                direct = thin_derivation(params, space.depth)
-                extended = extend_from_generators(Algebra.THIN, e1, e2, space.depth)
+                direct = thin_derivation(params, 2 * n + 3)
+                extended = extend_from_generators(Algebra.THIN, e1, e2, 2 * n + 3)
                 assert direct == extended
 
     _verdict(4, "thin derivation family (Leibniz at depth 30, read-off converse)", body)

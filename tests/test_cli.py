@@ -29,7 +29,6 @@ from wittlocal import (
 from wittlocal.cli import (
     BRACKET_MAX_PRODUCTS,
     CENTRALIZER_MAX_WINDOW,
-    DER_BASIS_MAX_DEPTH,
     DER_BASIS_MAX_SUPPORT,
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_TABLE,
@@ -308,7 +307,6 @@ _BYTE_GOLDENS = {
         {
             "algebra": "wplus",
             "support_bound": 2,
-            "depth": 7,
             "dim": 2,
             "coordinates": ["alpha_1", "alpha_2", "beta_1", "beta_2", "beta_3"],
             "basis": [
@@ -720,13 +718,9 @@ def test_der_basis_refuses_large_support():
 
 
 def test_der_basis_refuses_deep_depth():
-    for depth in (DER_BASIS_MAX_DEPTH + 1, 10**9):
-        argv = ["der-basis", "--algebra", "thin", "--support", "2", "--depth", str(depth)]
-        code, out, err = run(argv)
-        assert (code, out) == (3, "")
-        assert err.count("\n") == 1 and f"limit {DER_BASIS_MAX_DEPTH}" in err
-    code, out, _ = run(["der-basis", "--algebra", "thin", "--support", "2", "--depth", "7"])
-    assert code == 0 and out.startswith("dim=3\n")
+    # der-basis takes no consistency depth: the option is a usage error
+    argv = ["der-basis", "--algebra", "thin", "--support", "2", "--depth", "7"]
+    assert run(argv) == (1, "", "wittlocal: unrecognized arguments: --depth 7\n")
 
 
 def test_extend_refuses_long_truncation():

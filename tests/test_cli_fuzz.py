@@ -81,10 +81,7 @@ def command_argv(draw):
                 ("--truncation", draw(COUNT)), fmt]
         return ["extend", *_options(draw, opts)]
     if command == "der-basis":
-        opts = [alg, ("--support", draw(COUNT)), fmt]
-        if draw(st.integers(0, 2)) == 2:
-            opts.append(("--depth", draw(mostly(st.integers(3, 40).map(str), COUNT))))
-        return ["der-basis", *_options(draw, opts)]
+        return ["der-basis", *_options(draw, [alg, ("--support", draw(COUNT)), fmt])]
     if command in ("centralizer", "rigidity"):
         opts = [alg, ("--element", draw(ELEMENT)), ("--window", draw(WINDOW)), fmt]
         return [command, *_options(draw, opts)]

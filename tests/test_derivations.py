@@ -499,7 +499,7 @@ def test_thin_extend_matches_reference():
 
 def test_thin_solve_and_extend_work_is_linear(monkeypatch):
     """Thin structure constants vanish off i = 1 or j = 1, so the thin
-    solve and extension evaluate K O(depth) and O(shifts * truncation)
+    solve and extension evaluate K O(support) and O(shifts * truncation)
     times, not once per pair of the truncation."""
     calls = []
     counted = algebras._thin_constant
@@ -511,7 +511,7 @@ def test_thin_solve_and_extend_work_is_linear(monkeypatch):
     monkeypatch.setattr(algebras, "_thin_constant", counting)
     space = derivation_space_basis(Algebra.THIN, 64)
     assert space.dim == 127
-    assert 0 < len(calls) <= 20 * space.depth
+    assert 0 < len(calls) <= 20 * (2 * 64 + 3)
     calls.clear()
     img1, img2 = thin("e_1 + 2/7*e_3"), thin("e_2 - 1/5*e_4")
     out = extend_from_generators(Algebra.THIN, img1, img2, 1000)
@@ -544,7 +544,7 @@ def test_wplus_space_is_inner():
 
 def test_thin_space_solutions_match_parametrized_family():
     space = derivation_space_basis(Algebra.THIN, 4)
-    depth = space.depth
+    depth = 2 * 4 + 3
     for vec in space.space.basis:
         e1, e2 = space.generator_images(vec)
         params = ThinDerivationParams.from_generator_images(e1, e2)
@@ -556,19 +556,21 @@ def test_thin_space_solutions_match_parametrized_family():
 
 @pytest.mark.parametrize("algebra", [Algebra.WPLUS, Algebra.THIN])
 def test_space_invariant_under_deeper_consistency(algebra):
+    """The solve, which reads no depth, is the reference space both at the
+    minimal depth 2n + 3 and at the deeper 2n + 9."""
     for n in range(1, 7):
-        default = derivation_space_basis(algebra, n)
-        deeper = derivation_space_basis(algebra, n, 2 * n + 9)
-        assert default.depth == 2 * n + 3
-        assert deeper.coordinates == default.coordinates
-        assert deeper.space == default.space
+        space = derivation_space_basis(algebra, n)
+        for depth in (2 * n + 3, 2 * n + 9):
+            names, reference = reference_derivation_space(algebra, n, depth)
+            assert space.coordinates == names
+            assert space.space == reference
 
 
 @pytest.mark.parametrize("algebra", [Algebra.WPLUS, Algebra.THIN])
 def test_space_matches_fraction_reference(algebra):
     for n in range(1, 17):
-        for depth in (None, 2 * n + 4, 2 * n + 9):
-            space = derivation_space_basis(algebra, n, depth)
+        space = derivation_space_basis(algebra, n)
+        for depth in (2 * n + 3, 2 * n + 4, 2 * n + 9):
             names, reference = reference_derivation_space(algebra, n, depth)
             assert space.coordinates == names
             assert space.space.basis == reference.basis
@@ -589,7 +591,7 @@ def test_space_matches_sympy_nullspace_of_block_rows(algebra):
 
     for n in range(1, 7):
         space = derivation_space_basis(algebra, n)
-        depth, position = space.depth, {name: p for p, name in enumerate(space.coordinates)}
+        depth, position = 2 * n + 3, {name: p for p, name in enumerate(space.coordinates)}
         relations = [
             (i, j)
             for i in range(2, depth + 1)
@@ -645,8 +647,6 @@ def test_space_blocks_are_the_inner_lines():
 
 
 def test_space_depth_validation():
-    with pytest.raises(ValueError):
-        derivation_space_basis(Algebra.THIN, 4, consistency_depth=5)
     for algebra in (Algebra.WPLUS, Algebra.THIN):
         with pytest.raises(ValueError, match="^support bound must be at least 1$"):
             derivation_space_basis(algebra, 0)
@@ -817,9 +817,9 @@ def test_first_cross_relation_residual_of_shift_parts():
     the part with D(e_1) = a e_{1+s} and D(e_2) = b e_{2+s}, the identity
     `derivation_space_basis` rests on: on wplus
     (s^2 + s + 6) ((s - 1) b - (s - 2) a) / 6, expanded from the recursion
-    with s a symbol, and s^2 + s + 6 has no real root; through the unit
-    sequences of `_shift_sequence` at s = -1..40, that form on wplus, and
-    on thin -b at s = -1 and 0 for s >= 0."""
+    with s a symbol, and s^2 + s + 6 has no real root; `_residual` of the
+    unit sequences of `_shift_sequence` at s = -1..40 gives that form on
+    wplus, and on thin -b at s = -1 and 0 for s >= 0."""
     sympy = pytest.importorskip("sympy")
     s, a, b = sympy.symbols("s a b")
     c = [0, a, b]
@@ -834,7 +834,7 @@ def test_first_cross_relation_residual_of_shift_parts():
             residual = 0
             for coefficient, unit in ((a, (1, 0)), (b, (0, 1))):
                 den, u = derivations._shift_sequence(algebra, t, *unit, 5)
-                r = K(2, 3) * u[5] - u[2] * K(2 + t, 3) - u[3] * K(2, 3 + t)
+                r = derivations._residual(K, t, u, 2, 3)
                 residual += coefficient * sympy.Rational(r, den)
             form = wplus.subs(s, t) if algebra is Algebra.WPLUS else (-b if t == -1 else 0)
             assert sympy.expand(residual - form) == 0, (algebra, t)
@@ -888,24 +888,24 @@ def test_wplus_extend_certificate_matches_reference(monkeypatch):
 
 def test_wplus_space_certificate_matches_reference(monkeypatch):
     """The wplus solve equals `reference_derivation_space`, which imposes
-    every cross relation, for n = 1..12 at the default depth and at
-    2n + 10, and builds every block's sequences to index 5 only."""
+    every cross relation, for n = 1..12 at depths 2n + 3 and 2n + 10, and
+    builds every block's sequences to index 5 only."""
     built = _recorded(monkeypatch, "_shift_sequence")
     for n in range(1, 13):
+        built.clear()
+        space = derivation_space_basis(Algebra.WPLUS, n)
+        assert {args[-1] for args in built} == {5}
         for depth in (2 * n + 3, 2 * n + 10):
-            built.clear()
-            space = derivation_space_basis(Algebra.WPLUS, n, depth)
             names, reference = reference_derivation_space(Algebra.WPLUS, n, depth)
             assert space.coordinates == names
             assert space.space.basis == reference.basis
-            assert {args[-1] for args in built} == {5}
 
 
 def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
     """The wplus solve at n = 64 builds no sequence beyond index 5, and the
-    thin one only the shift -1 sequence; both read only (2, 3); an inner
-    `leibniz_check` at depth 200 is certified and scans no pair; an inner
-    wplus extension to 1000 reads one pair, (2, 3)."""
+    thin one only the shift -1 sequence; neither calls `_first_violation`;
+    an inner `leibniz_check` at depth 200 is certified and scans no pair; an
+    inner wplus extension to 1000 reads one pair, (2, 3)."""
     scans = _recorded(monkeypatch, "_first_violation")
     built = _recorded(monkeypatch, "_shift_sequence")
     space = derivation_space_basis(Algebra.WPLUS, 64)
@@ -913,8 +913,7 @@ def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
     built.clear()
     assert derivation_space_basis(Algebra.THIN, 64).dim == 127
     assert [(args[1], args[-1]) for args in built] == [(-1, 5)]
-    assert scans and all(list(args[2]) == [(2, 3)] for args in scans)
-    scans.clear()
+    assert scans == []
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
     table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
     assert leibniz_check(table, 200).passed
