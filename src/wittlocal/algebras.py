@@ -22,9 +22,8 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import IndexOutOfDomain, MixedAlgebras, ParseError
 from .linalg import Rational, SparseVector, Window
@@ -180,8 +179,7 @@ def bracket(x: Element, y: Element) -> Element:
     return Element(x.algebra, out)
 
 
-@dataclass(frozen=True)
-class JacobiResult:
+class JacobiResult(NamedTuple):
     passed: bool
     counterexample: tuple[int, int, int] | None = None
     residual: SparseVector | None = None

@@ -28,10 +28,10 @@ from .linalg import SparseVector, Subspace, Window, format_rational
 # Most `jacobi` table entries, W times the columns min(lo, 2 lo)..max(hi, 2 hi),
 # which grow with the window's distance from 0; the only `jacobi` cap, as every
 # built-in table is certified from its entries.  In a fresh process `--algebra
-# witt --window -353:353` (707 x 1413) takes 0.22-0.27 s and 50 MiB peak RSS,
-# `thin 1:707` (707 x 1414) 0.25-0.27 s and 25 MiB, `witt 4601:4800` (200 x
-# 5000) 0.21-0.24 s and 54 MiB; -354:354 (1004653) is refused, as is
-# 200000:200199 (built: 15 s, 1.87 GiB).
+# witt --window -353:353` (707 x 1413) takes 0.19 s and 49 MiB peak RSS,
+# `thin 1:707` (707 x 1414) 0.15 s and 24 MiB, `witt 4601:4800` (200 x 5000)
+# 0.20 s and 52 MiB (medians of 7 launches); -354:354 (1004653) is refused, as
+# is 200000:200199 (built: 15 s, 1.87 GiB).
 JACOBI_MAX_TABLE = 1000000
 
 # Widest window `centralizer` and `rigidity` accept.  `centralizer` reads its
@@ -45,9 +45,9 @@ CENTRALIZER_MAX_WINDOW = 6001
 # Largest `der-basis` support bound.  Each of the support + 1 blocks builds
 # sequences to index 5 and reads one relation, [e_2, e_3], so the cap bounds
 # linear solving and an output of support basis vectors (2 support - 1 on
-# thin).  Support 64 takes 0.13-0.19 s and 17 MiB peak RSS in a fresh process
-# on wplus and on thin, text or JSON, about the start-up of any command.
-# Larger values are refused.
+# thin).  Support 64 takes 0.09-0.13 s (medians of 7 launches) and 16 MiB peak
+# RSS in a fresh process on wplus and on thin, text or JSON, about the
+# start-up of any command.  Larger values are refused.
 DER_BASIS_MAX_SUPPORT = 64
 
 # Largest `leibniz` work, shifts * (pairs + window): one residual per checked
@@ -80,11 +80,12 @@ MAP_MAX_TERMS = 100000
 # Largest `extend` truncation.  Each shift s of the generator images
 # (D(e_k) = c e_{k+s}) builds one sequence to the truncation and is checked at
 # the one relation [e_2, e_3], so the work and the output are linear,
-# shifts * truncation terms.  `--e1 0 --e2 e_3` at 1000 takes 0.14-0.21 s and
-# 18 MiB peak RSS in a fresh process as JSON.  shifts * truncation^2 above
-# EXTEND_MAX_TRUNCATION^2 is refused too, which bounds the output by
-# 10^6 / truncation terms: 10000 thin shifts at truncation 10 (100000 terms)
-# take 0.75-0.92 s and 49 MiB as text, 1.0-1.2 s and 82 MiB as JSON.
+# shifts * truncation terms.  `--e1 0 --e2 e_3` at 1000 takes 0.10 s (median
+# of 7 launches) and 17 MiB peak RSS in a fresh process as JSON, mostly
+# start-up.  shifts * truncation^2 above EXTEND_MAX_TRUNCATION^2 is refused
+# too, which bounds the output by 10^6 / truncation terms: 10000 thin shifts
+# at truncation 10 (100000 terms) take 0.75-0.92 s and 49 MiB as text,
+# 1.0-1.2 s and 82 MiB as JSON.
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),
@@ -104,9 +105,9 @@ VERIFY_MAX_INDEX = 6001
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
 # witness is built.  At the limit, in a fresh process, 5 pairs near 6000
-# take 0.22-0.28 s (0.29-0.40 s as JSON) and 10000 pairs of two-term elements
-# 0.9-1.3 s (1.6-1.75 s as JSON): each pair has a fixed cost of about 0.1 ms,
-# shared by parsing its two elements, building its witness and checking it.
+# take 0.12 s (0.18 s as JSON) and 10000 pairs of two-term elements 0.64 s
+# (0.96 s as JSON; medians of 7 launches): each pair has a fixed cost of
+# about 0.05 ms, shared by parsing its elements and building and checking its witness.
 VERIFY_MAX_TOTAL = 30000
 
 # Bytes a JSON input file may hold per term of its bound: a map file

@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebras import Algebra, Element, bracket, format_element
 from .errors import (
@@ -40,6 +40,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     Window,
+    _read_only,
     parse_rational,
 )
 
@@ -114,8 +115,7 @@ def ad(a: Element, window: Window) -> LinearMapTable:
     return LinearMapTable(a.algebra, window, images)
 
 
-@dataclass(frozen=True)
-class LeibnizResult:
+class LeibnizResult(NamedTuple):
     passed: bool
     pairs_checked: int
     pair: tuple[int, int] | None = None
@@ -168,8 +168,7 @@ def leibniz_pairs(window: Window, degree_bound: int) -> list[tuple[int, range]]:
     ]
 
 
-@dataclass(frozen=True)
-class InconsistentExtension:
+class InconsistentExtension(NamedTuple):
     """Generator images that do not extend to a derivation: the first
     bracket relation whose re-derivation disagrees, with the residual."""
 
@@ -338,20 +337,19 @@ def extend_from_generators(
     return LinearMapTable(algebra, Window(1, truncation), images)
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     """Solved space of generator-image pairs that extend to derivations.
 
     `space` is a canonical subspace over the coordinates named in
-    `coordinates`; each basis vector converts back to generator images via
-    `generator_images`.
+    `coordinates`, whose (generator, index) pairs are `coords`; each basis
+    vector converts back to generator images via `generator_images`.
     """
 
     algebra: Algebra
     support_bound: int
     coordinates: list[str]
     space: Subspace
-    _coords: list[tuple[int, int]]
+    coords: list[tuple[int, int]]
 
     @property
     def dim(self) -> int:
@@ -361,7 +359,7 @@ class DerivationSpace:
         """Convert a coordinate vector of `space` into (e_1 image, e_2 image)."""
         by_gen: dict[int, dict[int, Fraction]] = {1: {}, 2: {}}
         for pos, value in vector.items():
-            gen, idx = self._coords[pos]
+            gen, idx = self.coords[pos]
             by_gen[gen][idx] = value
         return Element(self.algebra, by_gen[1]), Element(self.algebra, by_gen[2])
 
@@ -473,24 +471,37 @@ def recover_inner_witt(table: LinearMapTable) -> Element:
     return _verified_inner(table, Element(Algebra.WITT, entries))
 
 
-@dataclass(slots=True)
 class ThinDerivationParams:
     """Parameters of a thin-algebra derivation, as nonzero Fractions: the e_1
     image coefficients (alpha, indices >= 1) and the e_2 image coefficients
-    (beta, indices >= 2; an e_1 component is impossible and excluded)."""
+    (beta, indices >= 2; an e_1 component is impossible and excluded).
 
-    alpha: Mapping[int, Rational | int] = field(default_factory=dict)
-    beta: Mapping[int, Rational | int] = field(default_factory=dict)
+    Immutable, with read-only mappings as fields: `thin_derivation` trusts
+    them as validated here."""
 
-    def __post_init__(self):
-        self.alpha = {int(i): f for i, c in self.alpha.items() if (f := Fraction(c))}
-        self.beta = {int(i): f for i, c in self.beta.items() if (f := Fraction(c))}
-        for i in self.alpha:
+    __slots__ = ("alpha", "beta")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, alpha: Mapping[int, Rational | int] = MappingProxyType({}),
+                 beta: Mapping[int, Rational | int] = MappingProxyType({})):
+        alpha = {int(i): f for i, c in alpha.items() if (f := Fraction(c))}
+        beta = {int(i): f for i, c in beta.items() if (f := Fraction(c))}
+        for i in alpha:
             if i < 1:
                 raise ValueError(f"alpha index {i} below 1")
-        for i in self.beta:
+        for i in beta:
             if i < 2:
                 raise ValueError(f"beta index {i} below 2")
+        object.__setattr__(self, "alpha", MappingProxyType(alpha))
+        object.__setattr__(self, "beta", MappingProxyType(beta))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __repr__(self) -> str:
+        return f"ThinDerivationParams(alpha={dict(self.alpha)!r}, beta={dict(self.beta)!r})"
 
     @classmethod
     def from_generator_images(cls, img_e1: Element, img_e2: Element) -> ThinDerivationParams:
@@ -516,7 +527,7 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
     """
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
-    d1, d2 = (Element._trusted(Algebra.THIN, SparseVector._trusted(dict(coeffs)))
+    d1, d2 = (Element._trusted(Algebra.THIN, SparseVector._trusted(coeffs.copy()))
               for coeffs in (params.alpha, params.beta))
     alpha1, diagonal = d1.coefficient(1), d2.coefficient(2)
     tail = [(i - 2, c) for i, c in d2.coeffs.items() if i >= 3]

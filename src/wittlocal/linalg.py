@@ -13,7 +13,6 @@ function is pure, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -141,16 +140,35 @@ class SparseVector:
         return f"SparseVector({{{body}}})"
 
 
-@dataclass(frozen=True, order=True)
+def _read_only(self, name, *_):
+    """`__setattr__` and `__delattr__` of the immutable value classes, whose
+    `__init__` sets each slot once through `object.__setattr__`.  Plain
+    classes keep CLI start-up short (README, "Start-up")."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class Window:
     """Closed integer index range lo..hi (both inclusive)."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty window {self.lo}:{self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty window {lo}:{hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Window(lo={self.lo!r}, hi={self.hi!r})"
 
     @classmethod
     def parse(cls, text: str) -> Window:

@@ -24,8 +24,7 @@ Witnesses on wplus are drawn from wplus_ext.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebras import Algebra, Element, bracket
 from .derivations import LinearMapTable, ThinDerivationParams, thin_derivation
@@ -46,8 +45,7 @@ def thin_delta(x: Element) -> Element:
     return Element._trusted(Algebra.THIN, SparseVector._trusted(dict(terms[1:])))
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """A derivation table claimed to agree with a 2-local map at both
     members of a pair.  Never trusted: `verify_pair` recomputes both
     agreements."""
@@ -83,8 +81,7 @@ def thin_witness(x: Element, y: Element) -> WitnessCertificate:
     return WitnessCertificate(x, y, case, thin_derivation(params, depth))
 
 
-@dataclass(frozen=True)
-class PairVerification:
+class PairVerification(NamedTuple):
     passed: bool
     residual_x: Element
     residual_y: Element
@@ -110,8 +107,7 @@ def verify_pair(delta: DeltaMap, cert: WitnessCertificate) -> PairVerification:
     return PairVerification(all(r.is_zero() for r in residuals), *residuals)
 
 
-@dataclass(frozen=True)
-class AdditivityResult:
+class AdditivityResult(NamedTuple):
     violated: bool
     residual: Element
     delta_of_sum: Element
@@ -173,8 +169,7 @@ def forced_image_space(
     return Subspace([bracket(Element(walg, v), lifted).coeffs for v in cent])
 
 
-@dataclass(frozen=True)
-class RigidityTrace:
+class RigidityTrace(NamedTuple):
     """Record of one rigidity run: the two probe indices, the forced value
     space per probe, and their intersection.  Zero intersection certifies
     that a 2-local map killing both probes also kills the target."""

@@ -1119,6 +1119,24 @@ def test_broken_pipe_exits_1_without_traceback():
     assert (code, err.getvalue()) == (1, "")
 
 
+def test_cli_start_up_imports_no_dataclasses():
+    """Every command starts a fresh interpreter, so `import wittlocal.cli` and
+    `build_parser()` must not load `dataclasses` or the modules it pulls in.
+    Run in a child, since pytest has loaded them here; only the modules the
+    import adds count, so a site hook that loads one cannot fail this."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import wittlocal.cli; wittlocal.cli.build_parser(); "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.dirname(os.path.dirname(wittlocal.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert "wittlocal.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_missing_keys_message_is_bounded(tmp_path):
     """A huge truncation with one image is refused in one short line.  Run in
     a child with a 1 GiB address-space cap, so listing every missing key

@@ -8,17 +8,24 @@ from hypothesis import strategies as st
 
 from wittlocal import algebras, derivations
 from wittlocal import (
+    AdditivityResult,
     Algebra,
+    DerivationSpace,
     Element,
     InconsistentExtension,
+    JacobiResult,
+    LeibnizResult,
     LinearMapTable,
     MixedAlgebras,
     NotADerivation,
+    PairVerification,
     ParseError,
+    RigidityTrace,
     SparseVector,
     ThinDerivationParams,
     TruncationTooSmall,
     Window,
+    WitnessCertificate,
     ad,
     bracket,
     derivation_space_basis,
@@ -1130,6 +1137,21 @@ def test_thin_params_drop_zeros_and_repr():
     )
 
 
+def test_thin_params_cannot_change_after_validation():
+    """`thin_derivation` wraps the fields unchecked, so neither they nor the
+    mappings they hold may change once `__init__` has validated them."""
+    params = ThinDerivationParams({1: 1})
+    with pytest.raises(AttributeError):
+        params.alpha = {0: Fraction(1), 2: Fraction(0)}
+    with pytest.raises(AttributeError):
+        del params.beta
+    with pytest.raises(TypeError):
+        params.alpha[0] = 1
+    with pytest.raises(TypeError):
+        hash(params)
+    assert thin_derivation(params, 3).image(1) == thin("e_1")
+
+
 # -- inner image directly from structure constants ----------------------------
 
 
@@ -1298,3 +1320,43 @@ def test_thin_derivation_drops_a_vanishing_diagonal():
     assert table == reference_thin_derivation(params, 8)
     assert table.image(5) == thin("1/2*e_7")
     assert_normalised_element(table.image(5))
+
+
+# -- result records -----------------------------------------------------------
+
+
+_RECORDS = [
+    (JacobiResult, "passed counterexample residual"),
+    (LeibnizResult, "passed pairs_checked pair residual"),
+    (InconsistentExtension, "relation residual"),
+    (DerivationSpace, "algebra support_bound coordinates space coords"),
+    (WitnessCertificate, "x y case witness"),
+    (PairVerification, "passed residual_x residual_y"),
+    (AdditivityResult, "violated residual delta_of_sum sum_of_deltas"),
+    (RigidityTrace, "probes forced intersection"),
+]
+
+
+@pytest.mark.parametrize("record, fields", _RECORDS, ids=[r.__name__ for r, _ in _RECORDS])
+def test_result_records_are_immutable_values(record, fields):
+    """Every result record is built by position or keyword, prints as
+    `Name(field=value, ...)` and refuses assignment and deletion."""
+    fields = fields.split()
+    values = [f"v{n}" for n in range(len(fields))]
+    rec = record(*values)
+    assert rec == record(**dict(zip(fields, values)))
+    assert [getattr(rec, f) for f in fields] == values
+    body = ", ".join(f"{f}='{v}'" for f, v in zip(fields, values))
+    assert repr(rec) == f"{record.__name__}({body})"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, f, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+
+
+def test_result_record_defaults_and_repr():
+    assert JacobiResult(True) == JacobiResult(True, None, None)
+    assert repr(JacobiResult(True)) == "JacobiResult(passed=True, counterexample=None, residual=None)"
+    assert LeibnizResult(True, 3) == LeibnizResult(passed=True, pairs_checked=3, pair=None,
+                                                   residual=None)

@@ -119,6 +119,14 @@ def test_window():
         Window.parse("4:-3")
     with pytest.raises(ParseError):
         Window.parse("1..5")
+    assert w == Window(-3, 4) and hash(w) == hash(Window(-3, 4)) and w != Window(-3, 5)
+    assert repr(Window(1, 5)) == "Window(lo=1, hi=5)"
+    with pytest.raises(AttributeError):
+        w.lo = 0
+    with pytest.raises(AttributeError):
+        del w.hi
+    with pytest.raises(ValueError, match="^empty window 3:2$"):
+        Window(3, 2)
 
 
 def test_solve_single_equation_window_dependence():
