@@ -104,10 +104,10 @@ VERIFY_MAX_INDEX = 6001
 
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
-# witness is built.  At the limit, in a fresh process, 5 pairs near 6000
-# take 0.12 s (0.18 s as JSON) and 10000 pairs of two-term elements 0.64 s
-# (0.96 s as JSON; medians of 7 launches): each pair has a fixed cost of
-# about 0.05 ms, shared by parsing its elements and building and checking its witness.
+# witness is built.  At the limit, in a fresh process, 5 pairs near 6000 take
+# 0.23 s (0.32 s as JSON) and 10000 two-term pairs 1.04 s (1.42 s; medians of
+# 7 launches, start-up 0.15 s): each pair has a fixed cost, about 0.09 ms
+# (0.13 ms as JSON), of parsing, building and checking that the sum omits.
 VERIFY_MAX_TOTAL = 30000
 
 # Bytes a JSON input file may hold per term of its bound: a map file
@@ -125,6 +125,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands = None  # the action `add_subparsers` returned, on a parser with subcommands
+
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -483,9 +485,11 @@ def _subcommand(sub, name: str, handler, help: str, algebra: bool = True):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    `main` call in the process; callers must not mutate it."""
+    `main` call in the process; callers must not mutate it.  `main` parses a
+    request that names a subcommand with that subcommand's parser alone and
+    anything else with the whole tree: 27 us per cli-batch request, not 55."""
     parser = _Parser(prog="wittlocal", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub = parser.add_subparsers(dest="command", required=True)
 
     p = _subcommand(sub, "bracket", _cmd_bracket, "Lie bracket of two elements")
     p.add_argument("x")
@@ -519,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True)
 
     p = sub.add_parser("two-local", help="2-local derivation tools")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
+    p.commands = tsub = p.add_subparsers(dest="subcommand", required=True)
     about = "batch-verify witness certificates for a pairs file"
     v = _subcommand(tsub, "verify", _cmd_twolocal_verify, about, algebra=False)
     v.add_argument("--pairs", required=True, help="pairs JSON file")
@@ -537,17 +541,28 @@ _DASH_VALUE_OPTS = {"--window", "--element", "--e1", "--e2"}
 
 def _join_dash_values(argv: Sequence[str]) -> list[str]:
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _DASH_VALUE_OPTS and nxt is not None and nxt.startswith("-") and nxt != "--":
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:  # a joined `--opt=value` is no option name, so it takes no value
+        if out and out[-1] in _DASH_VALUE_OPTS and tok.startswith("-") and tok != "--":
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
+
+
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """`parser.parse_args(argv)`, with a request that names a leaf subcommand
+    parsed by that subcommand's parser alone, as argparse's subparsers action
+    hands it over; any other argv goes through the whole tree."""
+    args, leaf, rest = argparse.Namespace(), parser, argv
+    while leaf.commands and rest and rest[0] in leaf.commands.choices:
+        setattr(args, leaf.commands.dest, rest[0])
+        leaf, rest = leaf.commands.choices[rest[0]], rest[1:]
+    if leaf.commands:  # empty, `-h`, an unknown name, or `two-local` without a known one
+        return parser.parse_args(argv)
+    known, rest = leaf.parse_known_args(rest)
+    if rest:  # what the leaf leaves is reported by the root, as in the whole tree
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return argparse.Namespace(**vars(args), **vars(known))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -555,7 +570,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_dash_values(argv))
+        args = _parse_args(parser, _join_dash_values(argv))
         if "algebra" in args:
             args.algebra = Algebra.from_name(args.algebra)
         code = args.func(args)

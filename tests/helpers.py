@@ -518,3 +518,13 @@ def assert_normalised_element(x: Element) -> None:
     entries = dict(x.coeffs.items())
     assert all(type(k) is int and type(c) is Fraction and c != 0 for k, c in entries.items())
     assert x.coeffs == SparseVector(entries) and hash(x.coeffs) == hash(SparseVector(entries))
+
+
+# argv of every subcommand's `--help` (both levels of `two-local`) and of the
+# bare `wittlocal` call: argparse prints or refuses these by itself
+HELP_REQUESTS = [
+    *([*name.split(), "--help"] for name in (
+        "bracket", "jacobi", "leibniz", "extend", "der-basis", "recover-inner", "centralizer",
+        "rigidity", "two-local", "two-local verify", "two-local additivity")),
+    [],
+]

@@ -41,13 +41,16 @@ from wittlocal.cli import (
     main,
 )
 
-from helpers import reference_leibniz
+from helpers import HELP_REQUESTS, reference_leibniz
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help exits by itself
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1196,7 +1199,8 @@ def _mixed_requests(tmp_path):
     requests = []
     for n, argv in enumerate(commands):
         requests += [argv, argv + ["--format", "json"]] + failures[n : n + 1]
-    return requests
+        requests += HELP_REQUESTS[n : n + 1]
+    return requests + HELP_REQUESTS[len(commands):]
 
 
 def test_main_is_reentrant(tmp_path, monkeypatch):
@@ -1206,6 +1210,33 @@ def test_main_is_reentrant(tmp_path, monkeypatch):
     second = [run(argv) for argv in requests]
     assert first == second
     assert sorted({code for code, _, _ in first}) == [0, 1, 2, 3]
-    assert sum(code == 0 for code, _, _ in first) == 20
+    assert sum(code == 0 for code, _, _ in first) == 20 + len(HELP_REQUESTS) - 1
+    assert sum(out.startswith("usage: wittlocal") for _, out, _ in first) == len(HELP_REQUESTS) - 1
+    assert first[-1] == (1, "", "wittlocal: the following arguments are required: command\n")
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert [run(argv) for argv in requests] == first
+
+
+def test_main_parses_a_named_subcommand_with_its_own_parser(tmp_path, monkeypatch):
+    """A valid request never reaches the root parser, nor `two-local`'s."""
+    pairs_path = tmp_path / "pairs.json"
+    pairs_path.write_text(json.dumps({"algebra": "thin", "pairs": [["e_2", "e_1 + 3*e_2"]]}))
+    root = cli.build_parser()
+    calls = []
+    for parser in (root, root.commands.choices["two-local"]):
+        def spy(*args, parser=parser, parse=parser.parse_known_args):
+            calls.append(parser.prog)
+            return parse(*args)
+
+        monkeypatch.setattr(parser, "parse_known_args", spy)
+    requests = [
+        ["bracket", "--algebra", "witt", "e_2", "e_3"],
+        ["rigidity", "--algebra", "wplus", "--element", "e_2", "--window", "1:12"],
+        ["two-local", "verify", "--pairs", str(pairs_path), "--format", "json"],
+    ]
+    for argv in requests:
+        code, out, err = run(argv)
+        assert (code, err) == (0, ""), argv
+    assert calls == []
+    assert run(["two-local"])[0] == 1  # the whole tree reports a missing subcommand
+    assert calls == ["wittlocal", "wittlocal two-local"]

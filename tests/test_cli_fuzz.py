@@ -4,6 +4,8 @@ generated map and pairs JSON files, well-formed and malformed.
 Whatever the input, `main` must return an exit code in {0, 1, 2, 3} and
 leave no traceback, and a successful `--format json` run must print exactly
 what the stdlib's `json.dumps(..., indent=2)` prints for the same value.
+`main` must also answer every argv exactly as when the whole argparse tree
+parses it.
 Windows, supports, depths and truncations stay far below the `jacobi` and
 `der-basis` work bounds, so every example is fast.
 """
@@ -11,13 +13,16 @@ Windows, supports, depths and truncations stay far below the `jacobi` and
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlocal import Algebra, Element, Window, ad, table_to_json
+from wittlocal import Algebra, Element, Window, ad, cli, table_to_json
 from wittlocal.cli import main
+
+from helpers import HELP_REQUESTS
 
 JUNK = st.text(alphabet="e_0123456789+-*/: ,x", max_size=8)
 
@@ -153,6 +158,12 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_whole_tree(argv):
+    """`run(argv)` with the request parsed by `build_parser().parse_args`."""
+    with mock.patch.object(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv)):
+        return run(argv)
+
+
 def assert_clean(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
@@ -170,6 +181,34 @@ def workdir(tmp_path_factory):
 @given(command_argv())
 def test_fuzz_argv(argv):
     assert_clean(argv)
+
+
+@settings(max_examples=300)
+@given(command_argv())
+def test_main_parses_as_the_whole_tree(argv):
+    assert run(argv) == run_whole_tree(argv)
+
+
+@pytest.mark.parametrize("argv", HELP_REQUESTS + [
+    ["-h"],
+    ["two-local"],
+    ["two-local", "nosuch"],
+    ["two-local", "-h", "verify"],
+    ["nosuch"],
+    ["nosuch", "--help"],
+    ["--format", "json", "bracket"],
+    ["bracket", "--algebra", "witt", "e_1"],
+    ["two-local", "verify"],
+    ["two-local", "additivity", "--pairs", "x"],
+    ["der-basis", "--algebra", "thin", "--support", "2", "--depth", "7"],
+    ["der-basis", "--algebra", "thin", "--support", "2", "stray", "--depth", "7"],
+    ["bracket", "--alg", "witt", "e_1", "e_2"],
+    ["bracket", "--algebra", "witt", "--", "-e_1", "e_2"],
+    ["bracket", "--algebra", "witt", "--format", "json", "--", "e_1", "-1/2*e_3"],
+    ["bracket", "--", "--algebra", "witt", "e_1"],
+], ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_usage_and_help_match_the_whole_tree(argv):
+    assert run(argv) == run_whole_tree(argv)
 
 
 @settings(max_examples=150)
