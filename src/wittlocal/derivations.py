@@ -41,6 +41,7 @@ from .linalg import (
     Subspace,
     Window,
     _read_only,
+    kernel_basis,
     parse_rational,
 )
 
@@ -387,14 +388,13 @@ def derivation_space_basis(algebra: Algebra, support_bound: int) -> DerivationSp
     d (k - s), the shift-s part of ad(d e_s), which passes every relation.
     On thin a part with s >= 0 has no live relation (K(x, y) != 0 needs x
     or y = 1), and the s = -1 part passes only as zero.  So [e_2, e_3]
-    decides every block, as one row (r_0, r_1): r_t is the `_residual` at
-    (2, 3) of unknown t's unit sequence, built to 5.  Its kernel is every
-    unit vector when r = 0, else (r_1, -r_0) with two unknowns and nothing
-    with one.  Thin's s = -1 block has the one unknown beta_1 and r = -1,
-    so its kernel is empty.  A thin block with s >= 0, where the row is not
-    live, keeps its unit vectors and builds no sequence.  No linear system
-    is assembled; the canonical basis is the reduced echelon form of all
-    block kernels.
+    decides every block, as one row over its unknowns: the entry at unknown
+    t is the `_residual` at (2, 3) of t's unit sequence, built to 5.  Thin's
+    s = -1 row is -1 at beta_1, which only keeps beta_1 out of the
+    coordinates, so that block is skipped; a thin block with s >= 0 has no
+    live row and builds no sequence.  The rows have disjoint supports of at
+    most two entries, so `kernel_basis` over the coordinate positions reads
+    the canonical basis off them in closed form, with no elimination.
     """
     require_generated(algebra)
     if support_bound < 1:
@@ -406,21 +406,16 @@ def derivation_space_basis(algebra: Algebra, support_bound: int) -> DerivationSp
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     position = {coord: p for p, coord in enumerate(coords)}
     K = algebra.constant
-    unit = {1: (1, 0), 2: (0, 1)}
-    solutions: list[SparseVector] = []
-    for s in range(-1, n):
-        unknowns = [(gen, gen + s) for gen in (1, 2) if 1 <= gen + s <= top[gen]]
-        r = []
+    rows = []
+    for s in range(0 if algebra is Algebra.THIN else -1, n):
         if K(2, 3) or K(2 + s, 3) or K(2, 3 + s):  # else [e_2, e_3] does not constrain the block
-            for gen, _ in unknowns:
-                den, c = _shift_sequence(algebra, s, *unit[gen], 5)
-                r.append(Fraction(_residual(K, s, c, 2, 3), den))
-        if not any(r):
-            solutions.extend(SparseVector.unit(position[u]) for u in unknowns)
-        elif len(r) == 2:  # the kernel of the one row r; with one unknown it is empty
-            p0, p1 = (position[u] for u in unknowns)
-            solutions.append(SparseVector({p0: r[1], p1: -r[0]}))
-    space = Subspace(solutions)
+            row = {}
+            for gen, a, b in ((1, 1, 0), (2, 0, 1)):  # unknowns alpha_{s+1}, beta_{s+2}
+                if 1 <= gen + s <= top[gen]:
+                    den, c = _shift_sequence(algebra, s, a, b, 5)
+                    row[position[gen, gen + s]] = Fraction(_residual(K, s, c, 2, 3), den)
+            rows.append(SparseVector(row))
+    space = kernel_basis(rows, Window(0, len(coords) - 1))
     return DerivationSpace(algebra, support_bound, names, space, coords)
 
 

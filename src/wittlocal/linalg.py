@@ -2,9 +2,15 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest
 terms with positive denominator), re-exported here as `Rational`.  Vectors
-are finitely supported maps from integer index to nonzero scalar.  A span
-is its canonical reduced-echelon basis and carries no window; only
-`kernel_basis` takes one, to say which indices its unknowns range over.
+are finitely supported maps from integer index to nonzero scalar.
+
+Every span the library builds is Z-graded, so its vectors have pairwise
+disjoint supports and no general elimination is needed: `Subspace` takes
+such vectors, `kernel_basis` such rows of at most two entries, and
+`subspace_intersection` spans of dimension at most 1; other input raises
+ValueError.  A span is its canonical reduced-echelon basis and carries no
+window; only `kernel_basis` takes one, to name the indices its unknowns
+range over.
 
 Everything in this module is immutable after construction and every
 function is pure, so concurrent use needs no coordination.
@@ -19,7 +25,7 @@ from typing import Iterable, Mapping
 from .errors import ParseError
 
 Rational = Fraction
-_ZERO = Fraction(0)  # shared: Fractions are immutable
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -200,47 +206,30 @@ class Window:
         return f"{self.lo}:{self.hi}"
 
 
-def _reduce(vectors: Iterable[SparseVector]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of the span: pivot index -> row with a monic
-    entry there, every pivot index cleared from every other row.
-
-    A forward pass subtracts pivot rows from each vector only until its
-    leading index is new, then stores it monic.  A backward pass, pivots from
-    the highest down, clears each row's later pivot columns; those rows are
-    already reduced, so each row reads only its own entries."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for v in vectors:
-        row = dict(v._entries)
-        while row and (lead := min(row)) in pivots:
-            _add_multiple(row, -row[lead], pivots[lead])
-        if row:
-            inv = 1 / row[lead]
-            pivots[lead] = {i: inv * x for i, x in row.items()}
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for col in [c for c in row if c != lead and c in pivots]:
-            _add_multiple(row, -row[col], pivots[col])
-    return pivots
-
-
-def _add_multiple(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row += f * other in place, dropping entries that cancel."""
-    for i, x in other.items():
-        value = row.get(i, 0) + f * x
-        if value:
-            row[i] = value
-        else:
-            del row[i]
-
-
 class Subspace:
-    """Span of finitely many vectors, stored as its canonical reduced-echelon
-    basis.  Equal spans compare equal."""
+    """Span of vectors with pairwise disjoint supports, stored as its
+    reduced-echelon basis: each vector monic at its lead (no vector can
+    reduce another), leads ascending.  Equal spans compare equal."""
 
     __slots__ = ("basis",)
 
     def __init__(self, vectors: Iterable[SparseVector]):
-        self.basis = [SparseVector._trusted(row) for _, row in sorted(_reduce(vectors).items())]
+        by_lead: dict[int, SparseVector] = {}
+        seen: set[int] = set()
+        for v in filter(len, vectors):  # zero vectors span nothing
+            if not seen.isdisjoint(v._entries):
+                raise ValueError(f"support {v.support()} overlaps another vector's")
+            seen.update(v._entries)
+            lead = v.leading_index()
+            by_lead[lead] = v if v[lead] == 1 else v.scale(1 / v[lead])
+        self.basis = [by_lead[lead] for lead in sorted(by_lead)]
+
+    @classmethod
+    def _trusted(cls, basis: list[SparseVector]) -> Subspace:
+        """Wrap a basis that is already canonical, without checking it."""
+        space = cls.__new__(cls)
+        space.basis = basis
+        return space
 
     @property
     def dim(self) -> int:
@@ -256,31 +245,27 @@ class Subspace:
 
 
 def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
-    """Canonical basis of {v supported in window : <row, v> = 0 for all rows}."""
+    """Canonical basis of {v supported in window : <row, v> = 0 for all rows}
+    for rows with pairwise disjoint supports of at most two entries: a unit
+    vector per window index outside every row, (r_q, -r_p) (monic) per row
+    r_p e_p + r_q e_q, and nothing per one-entry row."""
+    vec: dict[int, SparseVector | None] = {}  # index in a row -> kernel vector it leads or None
     for r in rows:
         if not window.contains_vector(r):
             raise ValueError(f"row support {r.support()} escapes window {window}")
-    pivots = _reduce(rows)
-    free = {i: {i: Fraction(1)} for i in window.indices() if i not in pivots}
-    for col, row in pivots.items():
-        for i, x in row.items():
-            if i != col:
-                free[i][col] = -x
-    return Subspace(SparseVector._trusted(entries) for entries in free.values())
+        if len(r) > 2 or not vec.keys().isdisjoint(r._entries):
+            raise ValueError(f"row support {r.support()} has 3+ entries or meets another row")
+        vec.update(dict.fromkeys(r._entries))
+        if len(r) == 2:
+            (p, rp), (q, rq) = r.items()
+            vec[p] = SparseVector._trusted({p: _ONE, q: -rp / rq})
+    basis = [vec[i] if i in vec else SparseVector._trusted({i: _ONE}) for i in window.indices()]
+    return Subspace._trusted([v for v in basis if v is not None])
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two spans.
-
-    Computed as the orthogonal complement of the sum of the two orthogonal
-    complements, all over the index hull of both supports, which holds
-    every vector of either span.  Spans whose coordinate supports are
-    disjoint meet only in zero, which needs no elimination.
-    """
-    a_support = {i for v in a.basis for i in v._entries}
-    b_support = {i for v in b.basis for i in v._entries}
-    if a_support.isdisjoint(b_support):
-        return Subspace([])
-    hull = Window(min(a_support | b_support), max(a_support | b_support))
-    a_perp, b_perp = kernel_basis(a.basis, hull), kernel_basis(b.basis, hull)
-    return kernel_basis(a_perp.basis + b_perp.basis, hull)
+    """Intersection of two spans of dimension at most 1: canonical lines
+    meet in the line when they are equal, else in zero."""
+    if a.dim > 1 or b.dim > 1:
+        raise ValueError(f"spans of dimension {a.dim} and {b.dim}: only lines are intersected")
+    return a if a == b else Subspace([])

@@ -94,7 +94,8 @@ def reference_reduce(vectors) -> dict[int, dict[int, Fraction]]:
     """Reduced row echelon form of the span as first written: each new row
     is reduced by every pivot column it holds, stored monic, and its lead is
     then cleared from every earlier pivot row (a scan of all pivots per row).
-    Returns pivot index -> row, like `linalg._reduce`."""
+    Returns pivot index -> row.  The library has no general elimination, so
+    this is the tests' only one."""
     pivots: dict[int, dict[int, Fraction]] = {}
     for v in vectors:
         row = dict(v._entries)
@@ -130,9 +131,9 @@ def reference_basis(vectors) -> list[SparseVector]:
 
 
 def reference_span(vectors) -> Subspace:
-    """The span as a `Subspace` holding `reference_basis`, built without
-    `linalg._reduce`, so it compares equal to a library result only when the
-    two eliminations agree."""
+    """The span of any vectors as a `Subspace` holding `reference_basis`,
+    built without `Subspace.__init__`, so it compares equal to a library
+    result only when the library's canonical basis agrees with it."""
     space = object.__new__(Subspace)
     space.basis = reference_basis(vectors)
     return space

@@ -2,10 +2,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wittlocal import linalg
 from wittlocal import (
     ParseError,
     SparseVector,
@@ -25,9 +24,11 @@ from helpers import (
     rand_rational,
     reference_basis,
     reference_kernel,
+    reference_span,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+nonzero = rationals.filter(bool)
 
 
 @settings(derandomize=True, max_examples=200)
@@ -101,13 +102,26 @@ def test_arithmetic_results_are_normalised(pair, c):
     assert (a - a).is_zero() and a.scale(0).is_zero()
 
 
+@st.composite
+def disjoint_vectors(draw, max_entries=4):
+    """Vectors on _WIN with pairwise disjoint supports, in drawn order; a
+    vector drawn after the window's indices run out is zero."""
+    cols = draw(st.permutations(list(_WIN.indices())))
+    vecs = []
+    for size in draw(st.lists(st.integers(0, max_entries), max_size=8)):
+        chunk, cols = cols[:size], cols[size:]
+        vecs.append(SparseVector({i: draw(nonzero) for i in chunk}))
+    return vecs
+
+
 @settings(derandomize=True, max_examples=100)
-@given(st.lists(sparse_vectors, max_size=8), st.integers(0, 8))
-def test_echelon_results_are_normalised(rows, cut):
-    left, right = Subspace(rows[:cut]), Subspace(rows[cut:])
-    kernel = kernel_basis(rows, _WIN)
-    for v in left.basis + right.basis + kernel.basis + subspace_intersection(left, right).basis:
-        assert_normalised(v)
+@given(disjoint_vectors(), disjoint_vectors(max_entries=2), sparse_vectors, sparse_vectors)
+def test_echelon_results_are_normalised(vecs, rows, x, y):
+    lines = [Subspace([x]), Subspace([y]), Subspace([x.scale(3)])]
+    meets = [subspace_intersection(a, b) for a in lines for b in lines]
+    for space in [Subspace(vecs), kernel_basis(rows, _WIN), *lines, *meets]:
+        for v in space.basis:
+            assert_normalised(v)
 
 
 def test_window():
@@ -160,21 +174,30 @@ def test_kernel_of_grade_scaling_rows():
 
 
 def test_kernel_vectors_annihilate_rows():
+    """The reference kernel of dense rows, and the library kernel of rows in
+    its contract, annihilate every row."""
     rng = Random(7)
     win = Window(-4, 5)
     for _ in range(50):
-        rows = [
+        dense = [
             SparseVector(
                 {rng.randint(-4, 5): Fraction(rng.randint(-3, 3)) for _ in range(3)}
             )
             for _ in range(rng.randint(0, 6))
         ]
-        ker = kernel_basis(rows, win)
-        for v in ker.basis:
-            assert all(dot(r, v) == 0 for r in rows)
+        cols = list(win.indices())
+        rng.shuffle(cols)
+        pairs = [SparseVector({i: rng.randint(-3, 3) for i in cols[k:k + rng.randint(1, 2)]})
+                 for k in range(0, 8, 2)]
+        for rows, ker in ((dense, reference_kernel(dense, win)), (pairs, kernel_basis(pairs, win))):
+            for v in ker.basis:
+                assert all(dot(r, v) == 0 for r in rows)
 
 
 def test_rank_nullity():
+    """Rank plus nullity is the window size: for dense rows through the
+    reference span and kernel, and for rows in `kernel_basis`'s contract
+    through the library."""
     rng = Random(11)
     win = Window(0, 7)
     for _ in range(50):
@@ -184,25 +207,35 @@ def test_rank_nullity():
             )
             for _ in range(rng.randint(0, 10))
         ]
-        rank = Subspace(rows).dim
-        assert kernel_basis(rows, win).dim + rank == len(win)
+        assert reference_kernel(rows, win).dim + reference_span(rows).dim == len(win)
+        cols = list(win.indices())
+        rng.shuffle(cols)
+        pairs = [SparseVector({i: rng.randint(-3, 3) for i in cols[k:k + rng.randint(0, 2)]})
+                 for k in range(0, 8, 2)]
+        assert kernel_basis(pairs, win).dim + Subspace(pairs).dim == len(win)
 
 
 def test_subspace_canonical_form():
-    s = Subspace([SparseVector({0: 2, 1: 2}), SparseVector({0: 1, 1: 1, 2: 3})])
-    assert s.dim == 2
-    for v in s.basis:
-        assert v.get(v.leading_index()) == 1
-    leads = [v.leading_index() for v in s.basis]
-    assert leads == sorted(leads)
-    # pivot columns cleared in the other rows
-    assert s.basis[0].get(s.basis[1].leading_index()) == 0
-    assert in_span(s, SparseVector({0: 3, 1: 3, 2: 9}))
-    assert not in_span(s, SparseVector({3: 1}))
+    general = reference_span([SparseVector({0: 2, 1: 2}), SparseVector({0: 1, 1: 1, 2: 3})])
+    disjoint = Subspace([SparseVector({3: 4, 5: 2}), SparseVector({0: -2, 1: 2}), SparseVector({2: 3})])
+    for s in (general, disjoint):
+        for v in s.basis:
+            assert v.get(v.leading_index()) == 1
+        leads = [v.leading_index() for v in s.basis]
+        assert leads == sorted(leads)
+        # pivot columns cleared in the other rows
+        assert all(v.get(lead) == 0 for v in s.basis for lead in leads if lead != v.leading_index())
+    assert general.dim == 2 and in_span(general, SparseVector({0: 3, 1: 3, 2: 9}))
+    assert not in_span(general, SparseVector({3: 1}))
+    assert disjoint.basis == [
+        SparseVector({0: 1, 1: -1}), SparseVector({2: 1}), SparseVector({3: 1, 5: Fraction(1, 2)})
+    ]
+    with pytest.raises(ValueError, match=r"^support \[0, 1, 2\] overlaps another vector's$"):
+        Subspace([SparseVector({0: 2, 1: 2}), SparseVector({0: 1, 1: 1, 2: 3})])
 
 
 def _reduce_inputs(rng, n):
-    """The n-th seeded input family for the differential test of `_reduce`:
+    """The n-th seeded input family for the differential test of `Subspace`:
     shuffled unit vectors, duplicates and zeros, ascending or descending
     chains e_k + c e_{k+1}, planted dependent vectors, or dense rows."""
     lo = rng.randint(-5, 5)
@@ -231,33 +264,41 @@ def _reduce_inputs(rng, n):
 
 
 def test_subspace_matches_reference_reduce():
-    """`Subspace` gives the basis of the elimination as first written, which
-    scanned every pivot row for each new lead, on 20000 seeded inputs."""
+    """On 20000 seeded inputs, `Subspace` gives the basis of the general
+    elimination in `reference_basis` when the supports are pairwise
+    disjoint, and refuses the input otherwise."""
     rng = Random(97)
-    dims = set()
+    dims, refused = set(), 0
     for n in range(20000):
         vecs = _reduce_inputs(rng, n)
-        space = Subspace(vecs)
-        assert space.basis == reference_basis(vecs)
-        dims.add(space.dim)
-    assert dims == set(range(1, 9))
+        supports = [set(v.support()) for v in vecs]
+        if sum(map(len, supports)) == len(set().union(*supports)):
+            space = Subspace(vecs)
+            assert space.basis == reference_basis(vecs)
+            dims.add(space.dim)
+        else:
+            with pytest.raises(ValueError):
+                Subspace(vecs)
+            refused += 1
+    assert dims == set(range(1, 9)) and refused > 5000
 
 
 def test_subspace_work_follows_row_entries(monkeypatch):
-    """300 ascending chain vectors e_k + e_{k+1} are already echelon: each
-    row clears the one later pivot it holds, 299 row operations in all
-    (a scan of every earlier pivot per new lead would make 44850)."""
+    """300 disjoint chain vectors c e_{2k} + e_{2k+1}, half of them monic:
+    `Subspace` keeps each monic vector as it is and rescales only the other
+    150, once each."""
     calls = []
-    counted = linalg._add_multiple
+    counted = SparseVector.scale
 
-    def counting(row, f, other):
+    def counting(self, c):
         calls.append(1)
-        counted(row, f, other)
+        return counted(self, c)
 
-    monkeypatch.setattr(linalg, "_add_multiple", counting)
-    space = Subspace([SparseVector({k: 1, k + 1: 1}) for k in range(1, 301)])
-    assert space.dim == 300
-    assert 0 < len(calls) <= 300
+    vecs = [SparseVector({2 * k: 1 + k % 2, 2 * k + 1: 1}) for k in range(300)]
+    monkeypatch.setattr(SparseVector, "scale", counting)
+    space = Subspace(reversed(vecs))
+    assert space.dim == 300 and len(calls) == 150
+    assert all(space.basis[k] is vecs[k] for k in range(0, 300, 2))
 
 
 def test_intersection_examples():
@@ -268,33 +309,44 @@ def test_intersection_examples():
 
     e = {i: SparseVector({i: 1}) for i in win.indices()}
     assert subspace_intersection(span(e[2]), span(e[3])).dim == 0
-    a = span(SparseVector({1: 1, 2: 1}), e[3])
-    assert subspace_intersection(a, a) == a
-    b = span(SparseVector({1: 1, 2: 1}), e[4])
-    meet = subspace_intersection(a, b)
-    assert meet.basis == [SparseVector({1: 1, 2: 1})]
+    line = span(SparseVector({1: 2, 2: 2}))
+    assert subspace_intersection(line, span(SparseVector({1: -1, 2: -1}))) == line
+    assert subspace_intersection(line, span(SparseVector({1: 1, 2: 2}))).dim == 0
+    assert subspace_intersection(span(), line).dim == 0
+    # general spans meet through the reference complement route
+    a = reference_span([SparseVector({1: 1, 2: 1}), e[3]])
+    assert complement_intersection(a, a, win) == a
+    b = reference_span([SparseVector({1: 1, 2: 1}), e[4]])
+    assert complement_intersection(a, b, win).basis == [SparseVector({1: 1, 2: 1})]
+    with pytest.raises(ValueError, match="^spans of dimension 2 and 1: only lines are intersected$"):
+        subspace_intersection(span(e[1], e[3]), span(e[3]))
 
 
 def test_intersection_properties():
+    """The reference meet of general spans lies in both and has at least
+    the dimension count's lower bound; so does the library meet of lines."""
     rng = Random(13)
     win = Window(0, 5)
     for _ in range(40):
-        vecs = lambda: [
+        vecs = lambda k: [
             SparseVector(
                 {rng.randint(0, 5): Fraction(rng.randint(-2, 2)) for _ in range(3)}
             )
-            for _ in range(rng.randint(1, 4))
+            for _ in range(k)
         ]
-        a, b = Subspace(vecs()), Subspace(vecs())
-        meet = subspace_intersection(a, b)
-        for v in meet.basis:
-            assert in_span(a, v) and in_span(b, v)
-        assert meet.dim >= a.dim + b.dim - len(win)
+        a, b = reference_span(vecs(rng.randint(1, 4))), reference_span(vecs(rng.randint(1, 4)))
+        x = vecs(1)[0]
+        lines = (Subspace([x]), Subspace(vecs(1) if rng.random() < 0.5 else [x.scale(-2)]))
+        for (a, b), meet in (((a, b), complement_intersection(a, b, win)),
+                             (lines, subspace_intersection(*lines))):
+            for v in meet.basis:
+                assert in_span(a, v) and in_span(b, v)
+            assert meet.dim >= a.dim + b.dim - len(win)
 
 
 def test_intersection_matches_complement_route():
-    # spans on disjoint coordinate sets take the zero shortcut; the others,
-    # half of them sharing a planted direction, run the complement route
+    # lines on disjoint coordinate sets, on shared ones, and planted equal
+    # ones meet as the complement route says
     rng = Random(71)
     win = Window(-4, 7)
     disjoint = shared = 0
@@ -303,25 +355,22 @@ def test_intersection_matches_complement_route():
         rng.shuffle(cols)
         cut = rng.randint(1, len(cols) - 1)
         pools = (cols[:cut], cols[cut:]) if n % 2 else (cols, cols)
-        a_vecs, b_vecs = (
-            [
-                SparseVector({rng.choice(pool): rng.randint(-3, 3) for _ in range(3)})
-                for _ in range(rng.randint(0, 4))
-            ]
-            for pool in pools
+        a_vec, b_vec = (
+            SparseVector({rng.choice(pool): rng.randint(-3, 3) for _ in range(3)}) for pool in pools
         )
-        if n % 2 == 0 and a_vecs:
-            b_vecs.append(a_vecs[0].scale(rng.randint(1, 3)) + a_vecs[-1])
-        a, b = Subspace(a_vecs), Subspace(b_vecs)
+        if n % 4 == 0:
+            b_vec = a_vec.scale(rng.randint(1, 3))
+        a, b = Subspace([a_vec]), Subspace([b_vec])
         meet = subspace_intersection(a, b)
         assert meet.basis == complement_intersection(a, b, win).basis
-        supports = [{i for v in s.basis for i in v.support()} for s in (a, b)]
-        disjoint += supports[0].isdisjoint(supports[1])
+        disjoint += set(a_vec.support()).isdisjoint(b_vec.support())
         shared += meet.dim > 0
     assert disjoint >= 25 and shared >= 15
 
 
 def test_solutions_satisfy_their_systems():
+    """Every reference kernel vector of dense rows, and every combination of
+    them, solves the system."""
     rng = Random(19)
     win = Window(-2, 5)
     for _ in range(60):
@@ -331,7 +380,7 @@ def test_solutions_satisfy_their_systems():
             )
             for _ in range(rng.randint(1, 8))
         ]
-        ker = kernel_basis(rows, win)
+        ker = reference_kernel(rows, win)
         combination = SparseVector()
         for n, v in enumerate(ker.basis, start=1):
             assert all(dot(r, v) == 0 for r in rows)
@@ -341,30 +390,37 @@ def test_solutions_satisfy_their_systems():
 
 def test_solve_thin_leibniz_system():
     # homogeneous Leibniz system for thin-algebra maps with generator
-    # images capped at grade 3: the solution space has dimension 5
+    # images capped at grade 3: the solution space has dimension 5; its rows
+    # overlap, so only the reference kernel solves it
     from helpers import raw_thin_leibniz_rows
 
     rows, unknowns = raw_thin_leibniz_rows(3, 9)
-    assert kernel_basis(rows, Window(0, unknowns - 1)).dim == 5
+    assert reference_kernel(rows, Window(0, unknowns - 1)).dim == 5
+    with pytest.raises(ValueError):
+        kernel_basis(rows, Window(0, unknowns - 1))
 
 
 def test_kernel_matches_sympy_nullspace():
+    """sympy's nullspace, in reduced echelon form, is the reference kernel of
+    random rows; of rows with disjoint supports of at most two entries (every
+    other case) it is also `kernel_basis`."""
     sympy = pytest.importorskip("sympy")
     rng = Random(53)
     for n in range(60):
         width, max_rows = (7, 9) if n < 40 else (29, 30)  # windows up to 8, then 30 indices
         lo = rng.randint(-3, 2)
         win = Window(lo, lo + rng.randint(0, width))
-        rows = [
-            SparseVector(
-                {
-                    rng.randint(win.lo, win.hi): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                    for _ in range(rng.randint(1, 3))
-                }
-            )
-            for _ in range(rng.randint(0, max_rows))
-        ]
         cols = list(win.indices())
+        coeff = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if n % 2:
+            shuffled = rng.sample(cols, len(cols))
+            rows = [SparseVector({i: coeff() for i in shuffled[k:k + 2]})
+                    for k in range(0, rng.randint(0, len(cols)), 2)]
+        else:
+            rows = [
+                SparseVector({rng.randint(win.lo, win.hi): coeff() for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(0, max_rows))
+            ]
         matrix = sympy.Matrix(len(rows), len(cols), lambda r, c: rows[r].get(cols[c]))
         null = matrix.nullspace()
         rref = sympy.Matrix.hstack(*null).T.rref()[0] if null else sympy.zeros(0, len(cols))
@@ -372,14 +428,17 @@ def test_kernel_matches_sympy_nullspace():
             SparseVector({col: Fraction(int(x.p), int(x.q)) for col, x in zip(cols, rref.row(r))})
             for r in range(rref.rows)
         ]
-        assert kernel_basis(rows, win).basis == expected
         assert reference_kernel(rows, win).basis == expected
+        if n % 2:
+            assert kernel_basis(rows, win).basis == expected
 
 
 def test_intersection_of_spans_built_on_different_windows():
     """A span carries no window: spans drawn from two different windows meet
-    as the complement route over the hull of both windows says, and in
-    dimension dim a + dim b - rank(a and b together), the rank from sympy."""
+    as the complement route over the hull of both windows says, in
+    dimension dim a + dim b - rank(a and b together), the rank from sympy.
+    General spans meet through the reference route, lines (every other
+    case) through `subspace_intersection`."""
     sympy = pytest.importorskip("sympy")
     rng = Random(89)
     shared = 0
@@ -388,25 +447,33 @@ def test_intersection_of_spans_built_on_different_windows():
         for _ in range(2):
             lo = rng.randint(-6, 4)
             wins.append(Window(lo, lo + rng.randint(0, 6)))
+        count = 1 if n % 2 else rng.randint(0, 4)
         a_vecs, b_vecs = (
             [
                 SparseVector(
                     {rng.randint(w.lo, w.hi): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                      for _ in range(3)}
                 )
-                for _ in range(rng.randint(0, 4))
+                for _ in range(count)
             ]
             for w in wins
         )
         overlap = range(max(w.lo for w in wins), min(w.hi for w in wins) + 1)
-        if n % 2 == 0 and overlap:  # plant a direction both windows hold
+        if n % 4 < 2 and overlap:  # plant a direction both windows hold
             planted = SparseVector({rng.choice(overlap): rng.randint(1, 3) for _ in range(2)})
-            a_vecs.append(planted)
-            b_vecs.append(planted.scale(rng.choice((-2, 1, 3))))
-        a, b = Subspace(a_vecs), Subspace(b_vecs)
-        meet = subspace_intersection(a, b)
+            if n % 2:
+                a_vecs, b_vecs = [planted], [planted.scale(rng.choice((-2, 1, 3)))]
+            else:
+                a_vecs.append(planted)
+                b_vecs.append(planted.scale(rng.choice((-2, 1, 3))))
         hull = Window(min(w.lo for w in wins), max(w.hi for w in wins))
-        assert meet.basis == complement_intersection(a, b, hull).basis
+        if n % 2:
+            a, b = Subspace(a_vecs), Subspace(b_vecs)
+            meet = subspace_intersection(a, b)
+            assert meet.basis == complement_intersection(a, b, hull).basis
+        else:
+            a, b = reference_span(a_vecs), reference_span(b_vecs)
+            meet = complement_intersection(a, b, hull)
         both, cols = a.basis + b.basis, list(hull.indices())
         matrix = sympy.Matrix(len(both), len(cols), lambda r, c: both[r].get(cols[c]))
         assert meet.dim == a.dim + b.dim - (matrix.rank() if both else 0)
@@ -414,3 +481,69 @@ def test_intersection_of_spans_built_on_different_windows():
             assert in_span(a, v) and in_span(b, v)
         shared += meet.dim > 0
     assert shared >= 15
+
+
+# -- the disjoint-support contracts -------------------------------------------
+
+
+@settings(derandomize=True, max_examples=150)
+@given(disjoint_vectors())
+def test_subspace_of_disjoint_vectors_matches_reference_span(vecs):
+    assert Subspace(vecs) == reference_span(vecs)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(disjoint_vectors(), st.integers(1, 3), st.data())
+def test_subspace_drops_zeros_and_refuses_overlap(vecs, zeros, data):
+    kept = [v for v in vecs if not v.is_zero()]
+    padded = Subspace(data.draw(st.permutations(vecs + [SparseVector()] * zeros)))
+    assert padded == Subspace(kept) and padded.dim == len(kept)
+    assume(kept)
+    shared = data.draw(st.sampled_from([i for v in kept for i in v.support()]))
+    clash = SparseVector({shared: data.draw(nonzero), _WIN.hi + 1: data.draw(coefficients)})
+    with pytest.raises(ValueError, match=r"overlaps another vector's$"):
+        Subspace(data.draw(st.permutations(vecs + [clash])))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(disjoint_vectors(max_entries=2))
+def test_kernel_of_disjoint_rows_matches_reference_kernel(rows):
+    assert kernel_basis(rows, _WIN) == reference_kernel(rows, _WIN)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(disjoint_vectors(max_entries=2), st.sampled_from(["escapes", "three", "overlaps"]),
+       st.data())
+def test_kernel_refuses_rows_outside_its_contract(rows, kind, data):
+    indices = st.integers(_WIN.lo, _WIN.hi)
+    if kind == "escapes":
+        outside = data.draw(st.sampled_from([_WIN.lo - 1, _WIN.hi + 1, _WIN.hi + 5]))
+        bad, message = SparseVector({outside: 1, data.draw(indices): 1}), r"escapes window -6:6$"
+    elif kind == "three":
+        bad = SparseVector(dict.fromkeys(data.draw(st.sets(indices, min_size=3, max_size=3)), 2))
+        message = r"has 3\+ entries or meets another row$"
+    else:
+        used = [i for r in rows for i in r.support()]
+        assume(used)
+        bad = SparseVector({data.draw(st.sampled_from(used)): data.draw(nonzero)})
+        message = r"has 3\+ entries or meets another row$"
+    at = data.draw(st.integers(0, len(rows)))
+    with pytest.raises(ValueError, match=message):
+        kernel_basis(rows[:at] + [bad] + rows[at:], _WIN)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(sparse_vectors, sparse_vectors, coefficients, st.booleans())
+def test_intersection_of_lines_matches_complement_route(x, y, c, planted):
+    a, b = Subspace([x]), Subspace([x.scale(c) if planted else y])
+    assert subspace_intersection(a, b) == complement_intersection(a, b, _WIN)
+
+
+@settings(derandomize=True, max_examples=50)
+@given(disjoint_vectors(), sparse_vectors)
+def test_intersection_refuses_spans_above_dimension_one(vecs, x):
+    space = Subspace(vecs)
+    assume(space.dim > 1)
+    for a, b in ((space, Subspace([x])), (Subspace([x]), space)):
+        with pytest.raises(ValueError, match="only lines are intersected$"):
+            subspace_intersection(a, b)
