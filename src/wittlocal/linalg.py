@@ -79,7 +79,7 @@ class SparseVector:
 
     @classmethod
     def unit(cls, index: int) -> SparseVector:
-        return cls({index: Fraction(1)})
+        return cls._trusted({int(index): _ONE})
 
     def get(self, index: int) -> Fraction:
         return self._entries.get(index, _ZERO)
@@ -224,13 +224,6 @@ class Subspace:
             by_lead[lead] = v if v[lead] == 1 else v.scale(1 / v[lead])
         self.basis = [by_lead[lead] for lead in sorted(by_lead)]
 
-    @classmethod
-    def _trusted(cls, basis: list[SparseVector]) -> Subspace:
-        """Wrap a basis that is already canonical, without checking it."""
-        space = cls.__new__(cls)
-        space.basis = basis
-        return space
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -249,18 +242,18 @@ def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
     for rows with pairwise disjoint supports of at most two entries: a unit
     vector per window index outside every row, (r_q, -r_p) (monic) per row
     r_p e_p + r_q e_q, and nothing per one-entry row."""
-    vec: dict[int, SparseVector | None] = {}  # index in a row -> kernel vector it leads or None
+    zero = SparseVector()  # marks an index that leads no kernel vector; Subspace drops it
+    vec: dict[int, SparseVector] = {}  # index in a row -> kernel vector it leads, or zero
     for r in rows:
         if not window.contains_vector(r):
             raise ValueError(f"row support {r.support()} escapes window {window}")
         if len(r) > 2 or not vec.keys().isdisjoint(r._entries):
             raise ValueError(f"row support {r.support()} has 3+ entries or meets another row")
-        vec.update(dict.fromkeys(r._entries))
+        vec.update(dict.fromkeys(r._entries, zero))
         if len(r) == 2:
             (p, rp), (q, rq) = r.items()
             vec[p] = SparseVector._trusted({p: _ONE, q: -rp / rq})
-    basis = [vec[i] if i in vec else SparseVector._trusted({i: _ONE}) for i in window.indices()]
-    return Subspace._trusted([v for v in basis if v is not None])
+    return Subspace(vec[i] if i in vec else SparseVector.unit(i) for i in window.indices())
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
