@@ -42,12 +42,12 @@ JACOBI_MAX_TABLE = 1000000
 # forced space) takes about 0.1 ms at -3000:3000; it keeps the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
-# Largest `der-basis` support bound.  Each of the support + 1 blocks builds
-# sequences to index 5 and reads one relation, [e_2, e_3], so the cap bounds
+# Largest `der-basis` support bound.  Each of the support + 1 wplus blocks
+# reads its row off the [e_2, e_3] form (thin has none), so the cap bounds
 # linear solving and an output of support basis vectors (2 support - 1 on
-# thin).  Support 64 takes 0.09-0.13 s (medians of 7 launches) and 16 MiB peak
-# RSS in a fresh process on wplus and on thin, text or JSON, about the
-# start-up of any command.  Larger values are refused.
+# thin).  Support 64 takes 0.08-0.10 s (medians of 7 launches) and 15 MiB peak
+# RSS in a fresh process on wplus and on thin, text or JSON, the start-up of
+# any command.  Larger values are refused.
 DER_BASIS_MAX_SUPPORT = 64
 
 # Largest `leibniz` work, shifts * (pairs + window): one residual per checked

@@ -204,9 +204,8 @@ def _live_pairs(algebra: Algebra, shifts: Iterable[int], rows: Iterable[tuple[in
 
 
 # A derivation splits into homogeneous parts e_k -> c_k e_{k+s}, one per
-# shift s, and no bracket relation mixes two shifts.  Each part is a scalar
-# sequence c_1..c_N, so extension, solving and the Leibniz check run one
-# shift at a time.
+# shift s (a sequence c_1..c_N), and no bracket relation mixes two shifts,
+# so extension, the Leibniz check and the solver run one shift at a time.
 
 
 def _shift_sequence(
@@ -245,19 +244,11 @@ def _integer_parts(c: list[Rational]) -> tuple[int, list[int]]:
     return den, [x.numerator * den // x.denominator for x in c]
 
 
-def _residual(K, s: int, c: list[int], i: int, j: int) -> int:
-    """The residual of the shift-s part c at (i, j), the grade i+j+s coefficient
-    of D([e_i,e_j]) - [D(e_i),e_j] - [e_i,D(e_j)]:
-    K(i,j) c[i+j] - c[i] K(i+s,j) - c[j] K(i,j+s), with c[i+j] read only if
-    K(i,j) != 0."""
-    kij = K(i, j)
-    return (kij * c[i + j] if kij else 0) - c[i] * K(i + s, j) - c[j] * K(i, j + s)
-
-
 def _first_violation(
     algebra: Algebra, parts: dict[int, tuple[int, list[int]]], pairs: Iterable
 ) -> tuple | None:
-    """The first (i, j) of pairs with a nonzero `_residual` at some shift, and
+    """The first (i, j) of pairs with a nonzero residual at some shift s,
+    K(i,j) c[i+j] - c[i] K(i+s,j) - c[j] K(i,j+s) for the shift-s part c, and
     that residual summed over the shifts; None if there is none.
 
     parts maps each shift s to its part c scaled to integers, as (den, den c).
@@ -270,7 +261,9 @@ def _first_violation(
         for s, (_, c) in scaled:
             if (kij * c[i + j] if kij else 0) != c[i] * K(i + s, j) + c[j] * K(i, j + s):
                 terms = {
-                    i + j + t: Fraction(_residual(K, t, d, i, j), den) for t, (den, d) in scaled
+                    i + j + t: Fraction((kij * d[i + j] if kij else 0)
+                                        - d[i] * K(i + t, j) - d[j] * K(i, j + t), den)
+                    for t, (den, d) in scaled
                 }
                 return (i, j), Element(algebra, terms)
     return None
@@ -388,33 +381,26 @@ def derivation_space_basis(algebra: Algebra, support_bound: int) -> DerivationSp
     d (k - s), the shift-s part of ad(d e_s), which passes every relation.
     On thin a part with s >= 0 has no live relation (K(x, y) != 0 needs x
     or y = 1), and the s = -1 part passes only as zero.  So [e_2, e_3]
-    decides every block, as one row over its unknowns: the entry at unknown
-    t is the `_residual` at (2, 3) of t's unit sequence, built to 5.  Thin's
-    s = -1 row is -1 at beta_1, which only keeps beta_1 out of the
-    coordinates, so that block is skipped; a thin block with s >= 0 has no
-    live row and builds no sequence.  The rows have disjoint supports of at
-    most two entries, so `kernel_basis` over the coordinate positions reads
-    the canonical basis off them in closed form, with no elimination.
+    decides every block, as one row: on wplus the residual over its positive
+    factor (s^2 + s + 6) / 6, 2 - s at alpha_{s+1} and s - 1 at beta_{s+2}
+    (no alpha_0 at s = -1).  Thin's s = -1 row only keeps beta_1 out of the
+    coordinates and no other thin block has a live row, so thin has none.
+    The rows have disjoint supports of at most two entries, so `kernel_basis`
+    over the coordinate positions reads the canonical basis off them in
+    closed form, with no elimination.
     """
     require_generated(algebra)
     if support_bound < 1:
         raise ValueError("support bound must be at least 1")
     n = support_bound
-    top = {1: n, 2: n if algebra is Algebra.THIN else n + 1}
-    beta_lo = 2 if algebra is Algebra.THIN else 1
-    coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in range(beta_lo, top[2] + 1)]
+    betas = range(2, n + 1) if algebra is Algebra.THIN else range(1, n + 2)
+    coords = [(1, i) for i in range(1, n + 1)] + [(2, i) for i in betas]
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     position = {coord: p for p, coord in enumerate(coords)}
-    K = algebra.constant
-    rows = []
-    for s in range(0 if algebra is Algebra.THIN else -1, n):
-        if K(2, 3) or K(2 + s, 3) or K(2, 3 + s):  # else [e_2, e_3] does not constrain the block
-            row = {}
-            for gen, a, b in ((1, 1, 0), (2, 0, 1)):  # unknowns alpha_{s+1}, beta_{s+2}
-                if 1 <= gen + s <= top[gen]:
-                    den, c = _shift_sequence(algebra, s, a, b, 5)
-                    row[position[gen, gen + s]] = Fraction(_residual(K, s, c, 2, 3), den)
-            rows.append(SparseVector(row))
+    rows = [] if algebra is Algebra.THIN else [  # block s, at alpha_{s+1} and beta_{s+2}
+        SparseVector({position[g, g + s]: r for g, r in ((1, 2 - s), (2, s - 1)) if g + s >= 1})
+        for s in range(-1, n)
+    ]
     space = kernel_basis(rows, Window(0, len(coords) - 1))
     return DerivationSpace(algebra, support_bound, names, space, coords)
 
@@ -514,11 +500,15 @@ def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapT
         D(e_2) = sum beta_i e_i
         D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}
 
-    for j >= 3.  Always a derivation (asserted in the test suite, not
-    re-verified per call).  The diagonal takes one addition per index (none
-    when alpha_1 = 0) and is dropped where it cancels; the tail terms are
-    the beta_i themselves, at distinct indices above j.  The params hold
-    nonzero Fractions at thin indices, so no image is re-checked.
+    for j >= 3.  Always a derivation: on thin K(1, k-1) = 1 for k >= 3, so
+    the recursion of `_shift_sequence` gives c_k = c_{k-1} + alpha_1 at
+    s = 0 and c_k = c_{k-1} at s >= 1, by induction the images above; the
+    params have no s = -1 part (no beta_1), and every other thin part
+    extends by the [e_2, e_3] proof of `derivation_space_basis`.  The
+    diagonal takes one addition per index (none when alpha_1 = 0) and is
+    dropped where it cancels; the tail terms are the beta_i themselves, at
+    distinct indices above j.  The params hold nonzero Fractions at thin
+    indices, so no image is re-checked.
     """
     if truncation < 3:
         raise ValueError("truncation must be at least 3")

@@ -39,6 +39,7 @@ from wittlocal import (
     table_to_json,
     thin_derivation,
 )
+from wittlocal.cli import DER_BASIS_MAX_SUPPORT
 
 from helpers import (
     assert_normalised_element,
@@ -506,20 +507,12 @@ def test_thin_extend_matches_reference():
 
 def test_thin_solve_and_extend_work_is_linear(monkeypatch):
     """Thin structure constants vanish off i = 1 or j = 1, so the thin
-    solve and extension evaluate K O(support) and O(shifts * truncation)
-    times, not once per pair of the truncation."""
-    calls = []
-    counted = algebras._thin_constant
-
-    def counting(i, j):
-        calls.append(1)
-        return counted(i, j)
-
-    monkeypatch.setattr(algebras, "_thin_constant", counting)
+    extension evaluates K O(shifts * truncation) times, not once per pair of
+    the truncation, and the thin solve, which has no live row, none."""
+    calls = _recorded(monkeypatch, "_thin_constant", algebras)
     space = derivation_space_basis(Algebra.THIN, 64)
     assert space.dim == 127
-    assert 0 < len(calls) <= 20 * (2 * 64 + 3)
-    calls.clear()
+    assert calls == []
     img1, img2 = thin("e_1 + 2/7*e_3"), thin("e_2 - 1/5*e_4")
     out = extend_from_generators(Algebra.THIN, img1, img2, 1000)
     assert isinstance(out, LinearMapTable)
@@ -662,16 +655,16 @@ def test_space_depth_validation():
 # -- index-polynomial certificate ---------------------------------------------
 
 
-def _recorded(monkeypatch, name):
-    """The argument tuples of every call of derivations.<name>."""
+def _recorded(monkeypatch, name, module=derivations):
+    """The argument tuples of every call of <module>.<name>."""
     calls = []
-    original = getattr(derivations, name)
+    original = getattr(module, name)
 
     def recording(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(derivations, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -824,9 +817,11 @@ def test_first_cross_relation_residual_of_shift_parts():
     the part with D(e_1) = a e_{1+s} and D(e_2) = b e_{2+s}, the identity
     `derivation_space_basis` rests on: on wplus
     (s^2 + s + 6) ((s - 1) b - (s - 2) a) / 6, expanded from the recursion
-    with s a symbol, and s^2 + s + 6 has no real root; `_residual` of the
-    unit sequences of `_shift_sequence` at s = -1..40 gives that form on
-    wplus, and on thin -b at s = -1 and 0 for s >= 0."""
+    with s a symbol, and s^2 + s + 6 has no real root.  The residual of the
+    unit sequences of `_shift_sequence` gives that form on wplus, and on thin
+    -b at s = -1 and 0 for s >= 0, at every block s = -1..64 that `der-basis`
+    reaches: this ties the solver's rows, the wplus form over its positive
+    factor (s^2 + s + 6) / 6, to the recursion."""
     sympy = pytest.importorskip("sympy")
     s, a, b = sympy.symbols("s a b")
     c = [0, a, b]
@@ -837,11 +832,11 @@ def test_first_cross_relation_residual_of_shift_parts():
     assert sympy.discriminant(s**2 + s + 6, s) < 0
     for algebra in (Algebra.WPLUS, Algebra.THIN):
         K = algebra.constant
-        for t in range(-1, 41):
+        for t in range(-1, DER_BASIS_MAX_SUPPORT + 1):
             residual = 0
             for coefficient, unit in ((a, (1, 0)), (b, (0, 1))):
                 den, u = derivations._shift_sequence(algebra, t, *unit, 5)
-                r = derivations._residual(K, t, u, 2, 3)
+                r = K(2, 3) * u[5] - u[2] * K(2 + t, 3) - u[3] * K(2, 3 + t)
                 residual += coefficient * sympy.Rational(r, den)
             form = wplus.subs(s, t) if algebra is Algebra.WPLUS else (-b if t == -1 else 0)
             assert sympy.expand(residual - form) == 0, (algebra, t)
@@ -896,12 +891,11 @@ def test_wplus_extend_certificate_matches_reference(monkeypatch):
 def test_wplus_space_certificate_matches_reference(monkeypatch):
     """The wplus solve equals `reference_derivation_space`, which imposes
     every cross relation, for n = 1..12 at depths 2n + 3 and 2n + 10, and
-    builds every block's sequences to index 5 only."""
+    builds no sequence."""
     built = _recorded(monkeypatch, "_shift_sequence")
     for n in range(1, 13):
-        built.clear()
         space = derivation_space_basis(Algebra.WPLUS, n)
-        assert {args[-1] for args in built} == {5}
+        assert built == []
         for depth in (2 * n + 3, 2 * n + 10):
             names, reference = reference_derivation_space(Algebra.WPLUS, n, depth)
             assert space.coordinates == names
@@ -909,18 +903,18 @@ def test_wplus_space_certificate_matches_reference(monkeypatch):
 
 
 def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
-    """The wplus solve at n = 64 builds no sequence beyond index 5, and the
-    thin one builds none (its shift -1 block is skipped, and no other thin
-    block has a live row); neither calls `_first_violation`;
-    an inner `leibniz_check` at depth 200 is certified and scans no pair; an
-    inner wplus extension to 1000 reads one pair, (2, 3)."""
+    """The wplus and thin solves at n = 64 build no sequence, evaluate no
+    structure constant and call no `_first_violation`: each block's row is
+    read off the [e_2, e_3] form; an inner `leibniz_check` at depth 200 is
+    certified and scans no pair; an inner wplus extension to 1000 reads one
+    pair, (2, 3)."""
     scans = _recorded(monkeypatch, "_first_violation")
     built = _recorded(monkeypatch, "_shift_sequence")
-    space = derivation_space_basis(Algebra.WPLUS, 64)
-    assert space.dim == 64 and max(args[-1] for args in built) == 5
-    built.clear()
+    constants = [_recorded(monkeypatch, name, algebras)
+                 for name in ("_witt_constant", "_thin_constant")]
+    assert derivation_space_basis(Algebra.WPLUS, 64).dim == 64
     assert derivation_space_basis(Algebra.THIN, 64).dim == 127
-    assert built == []
+    assert built == [] and constants == [[], []]
     assert scans == []
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
     table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
@@ -1309,6 +1303,8 @@ def test_thin_derivation_matches_reference(alpha, beta, truncation):
     params = ThinDerivationParams(alpha, beta)
     table = thin_derivation(params, truncation)
     assert table == reference_thin_derivation(params, truncation)
+    images = (Element(Algebra.THIN, dict(gen)) for gen in (params.alpha, params.beta))
+    assert extend_from_generators(Algebra.THIN, *images, truncation) == table
     assert table_to_json(table) == table_to_json(reference_thin_derivation(params, truncation))
     for k in table.window.indices():
         assert_normalised_element(table.image(k))
