@@ -97,17 +97,22 @@ EXTEND_MAX_TRUNCATION = 1000
 # products each (2999 terms on -3000:3000 take about 0.04 s in-process).
 BRACKET_MAX_PRODUCTS = 100000
 
-# Largest basis index in a `two-local verify` pair.  The witness tabulates
-# every index up to it: 6001 takes about 15 ms in-process (22 ms as JSON,
-# which prints 131 KB).
+# Largest basis index in a `two-local verify` pair.  A witness is its
+# parameters, read at the members' own indices, so text output does not grow
+# with the index: `["e_1", "e_6001"]` takes about 0.2 ms in-process.  Only JSON
+# tabulates the witness, on 1..max(3, largest index): 9 ms in-process at 6001,
+# which prints 131 KB.  The CI pins three pairs at this cap, which take 0.07 s
+# as text and 0.12 s as JSON (855 KB) in a fresh process (medians of 7 launches).
 VERIFY_MAX_INDEX = 6001
 
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
-# witness is built.  At the limit, in a fresh process, 5 pairs near 6000 take
-# 0.23 s (0.32 s as JSON) and 10000 two-term pairs 1.04 s (1.42 s; medians of
-# 7 launches, start-up 0.15 s): each pair has a fixed cost, about 0.09 ms
-# (0.13 ms as JSON), of parsing, building and checking that the sum omits.
+# witness is built.  It bounds the tables JSON output writes; text output
+# tabulates nothing.  At the limit, in a fresh process (medians of 7 launches,
+# start-up about 0.07 s), 5 pairs near 6000 take 0.08 s (0.13 s as JSON) and
+# 10000 two-term pairs 0.47 s (0.72 s): each pair has a fixed cost, about
+# 0.04 ms (0.065 ms as JSON), of parsing, building and checking that the sum
+# omits.
 VERIFY_MAX_TOTAL = 30000
 
 # Bytes a JSON input file may hold per term of its bound: a map file
@@ -413,17 +418,18 @@ def _cmd_twolocal_verify(args) -> int:
         y = parse_element(entry[1], Algebra.THIN)
         top = max(x.support_bound(), y.support_bound())
         _refuse_above(f"pair {n} index", top, VERIFY_MAX_INDEX)
-        pairs.append((x, y))
-        total += max(3, top)  # the witness tabulates 1..max(3, top)
+        size = max(3, top)  # JSON tabulates the witness on 1..size
+        pairs.append((x, y, size))
+        total += size
     _refuse_above("total witness size", total, VERIFY_MAX_TOTAL)
     as_json = args.format == "json"
     rows = []
     all_pass = True
-    for n, (x, y) in enumerate(pairs, start=1):
+    for n, (x, y, size) in enumerate(pairs, start=1):
         cert = twolocal.thin_witness(x, y)
         passed = twolocal.verify_pair(twolocal.thin_delta, cert).passed
         all_pass = all_pass and passed
-        rows.append(_verify_json(cert, passed) if as_json else _verify_line(n, cert, passed))
+        rows.append(_verify_json(cert, passed, size) if as_json else _verify_line(n, cert, passed))
     if as_json:
         return _emit(args, "", {"algebra": "thin", "results": rows, "all_pass": all_pass})
     rows.append(f"all pass: {str(all_pass).lower()}")
@@ -431,20 +437,20 @@ def _cmd_twolocal_verify(args) -> int:
 
 
 def _verify_line(n: int, cert: twolocal.WitnessCertificate, passed: bool) -> str:
-    """The text line of one verified pair; only `--format text` builds it."""
-    d1, d2 = cert.witness.image(1), cert.witness.image(2)
-    return (
-        f"[{n}] case={cert.case} | D(e_1) = {format_element(d1)} | "
-        f"D(e_2) = {format_element(d2)} | pass={str(passed).lower()}"
-    )
+    """The text line of one verified pair, with D(e_1) and D(e_2) read off
+    the witness parameters; only `--format text` builds it."""
+    d1, d2 = (format_element(Element(Algebra.THIN, terms))
+              for terms in (cert.witness.alpha, cert.witness.beta))
+    return f"[{n}] case={cert.case} | D(e_1) = {d1} | D(e_2) = {d2} | pass={str(passed).lower()}"
 
 
-def _verify_json(cert: twolocal.WitnessCertificate, passed: bool) -> dict:
-    """The JSON result of one verified pair; only `--format json` builds it."""
+def _verify_json(cert: twolocal.WitnessCertificate, passed: bool, size: int) -> dict:
+    """The JSON result of one verified pair, with the witness tabulated on
+    1..size; only `--format json` builds it."""
     return {
         "pair": [format_element(cert.x), format_element(cert.y)],
         "case": cert.case,
-        "witness": derivations.table_to_json(cert.witness),
+        "witness": derivations.thin_derivation_json(cert.witness, size),
         "pass": passed,
     }
 

@@ -13,7 +13,8 @@ provides
   * closed-form recovery of the inner element behind a derivation (wplus
     derivations are inner with witness in wplus_ext; witt derivations are
     inner in witt),
-  * the explicit two-parameter family of thin-algebra derivations.
+  * the explicit two-parameter family of thin-algebra derivations, read
+    in closed form per index, tabulated or written as table JSON.
 
 Tables are immutable; every function is pure.
 """
@@ -452,29 +453,32 @@ def recover_inner_witt(table: LinearMapTable) -> Element:
     return _verified_inner(table, Element(Algebra.WITT, entries))
 
 
+def _sorted_terms(terms: Mapping[int, Rational | int], name: str, low: int) -> Mapping:
+    """The nonzero terms as Fractions, index ascending, in a read-only
+    mapping; ValueError when an index is below low."""
+    out = {int(i): f for i, c in terms.items()
+           if (f := c if type(c) is Fraction else Fraction(c))}
+    out = dict(sorted(out.items()))
+    if out and (first := next(iter(out))) < low:
+        raise ValueError(f"{name} index {first} below {low}")
+    return MappingProxyType(out)
+
+
 class ThinDerivationParams:
     """Parameters of a thin-algebra derivation, as nonzero Fractions: the e_1
     image coefficients (alpha, indices >= 1) and the e_2 image coefficients
     (beta, indices >= 2; an e_1 component is impossible and excluded).
 
-    Immutable, with read-only mappings as fields: `thin_derivation` trusts
-    them as validated here."""
+    Immutable, with read-only mappings as fields, index ascending:
+    `image_terms` trusts them as validated and sorted here."""
 
     __slots__ = ("alpha", "beta")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, alpha: Mapping[int, Rational | int] = MappingProxyType({}),
                  beta: Mapping[int, Rational | int] = MappingProxyType({})):
-        alpha = {int(i): f for i, c in alpha.items() if (f := Fraction(c))}
-        beta = {int(i): f for i, c in beta.items() if (f := Fraction(c))}
-        for i in alpha:
-            if i < 1:
-                raise ValueError(f"alpha index {i} below 1")
-        for i in beta:
-            if i < 2:
-                raise ValueError(f"beta index {i} below 2")
-        object.__setattr__(self, "alpha", MappingProxyType(alpha))
-        object.__setattr__(self, "beta", MappingProxyType(beta))
+        object.__setattr__(self, "alpha", _sorted_terms(alpha, "alpha", 1))
+        object.__setattr__(self, "beta", _sorted_terms(beta, "beta", 2))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -492,38 +496,46 @@ class ThinDerivationParams:
             raise NotADerivation("the e_2 image of a thin derivation has no e_1 component")
         return cls(dict(img_e1.coeffs.items()), dict(img_e2.coeffs.items()))
 
+    def image_terms(self, j: int) -> dict[int, Fraction]:
+        """D(e_j) as a new dict of nonzero Fractions, index ascending:
+
+            D(e_1) = sum alpha_i e_i
+            D(e_2) = sum beta_i e_i
+            D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}
+
+        for j >= 3.  Always a derivation: on thin K(1, k-1) = 1 for k >= 3,
+        so the recursion of `_shift_sequence` gives c_k = c_{k-1} + alpha_1
+        at s = 0 and c_k = c_{k-1} at s >= 1, by induction the images above;
+        the params have no s = -1 part (no beta_1), and every other thin part
+        extends by the [e_2, e_3] proof of `derivation_space_basis`.  The
+        diagonal is dropped where it cancels; the tail terms are the beta_i
+        themselves, at distinct indices above j.  The work follows the terms
+        of the params, not j.
+        """
+        if j <= 2:
+            if j < 1:
+                raise IndexOutOfDomain(f"index {j} not in the thin index domain")
+            return dict(self.alpha if j == 1 else self.beta)
+        beta = self.beta
+        diagonal = beta.get(2, 0)
+        if alpha1 := self.alpha.get(1):
+            diagonal += (j - 2) * alpha1
+        terms = {j: diagonal} if diagonal else {}
+        for i, c in beta.items():
+            if i >= 3:
+                terms[i + j - 2] = c
+        return terms
+
 
 def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapTable:
-    """The thin derivation with the given parameters, tabulated on 1..N:
-
-        D(e_1) = sum alpha_i e_i
-        D(e_2) = sum beta_i e_i
-        D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}
-
-    for j >= 3.  Always a derivation: on thin K(1, k-1) = 1 for k >= 3, so
-    the recursion of `_shift_sequence` gives c_k = c_{k-1} + alpha_1 at
-    s = 0 and c_k = c_{k-1} at s >= 1, by induction the images above; the
-    params have no s = -1 part (no beta_1), and every other thin part
-    extends by the [e_2, e_3] proof of `derivation_space_basis`.  The
-    diagonal takes one addition per index (none when alpha_1 = 0) and is
-    dropped where it cancels; the tail terms are the beta_i themselves, at
-    distinct indices above j.  The params hold nonzero Fractions at thin
-    indices, so no image is re-checked.
-    """
+    """The thin derivation with the given parameters, tabulated on 1..N
+    through `ThinDerivationParams.image_terms`, which proves it a derivation.
+    The params hold nonzero Fractions at thin indices, so no image is
+    re-checked."""
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
-    d1, d2 = (Element._trusted(Algebra.THIN, SparseVector._trusted(coeffs.copy()))
-              for coeffs in (params.alpha, params.beta))
-    alpha1, diagonal = d1.coefficient(1), d2.coefficient(2)
-    tail = [(i - 2, c) for i, c in d2.coeffs.items() if i >= 3]
-    images: dict[int, Element] = {1: d1, 2: d2}
-    for j in range(3, truncation + 1):
-        if alpha1:
-            diagonal += alpha1
-        entries = {j: diagonal} if diagonal else {}
-        for shift, c in tail:
-            entries[j + shift] = c
-        images[j] = Element._trusted(Algebra.THIN, SparseVector._trusted(entries))
+    images = {j: Element._trusted(Algebra.THIN, SparseVector._trusted(params.image_terms(j)))
+              for j in range(1, truncation + 1)}
     return LinearMapTable(Algebra.THIN, Window(1, truncation), images)
 
 
@@ -533,14 +545,31 @@ def table_to_json(table: LinearMapTable) -> dict:
     """Schema: {"algebra": name, "truncation": {"min": lo, "max": hi},
     "images": {"k": [[index, "p/q"], ...], ...}} with every index in the
     truncation present explicitly."""
+    return _map_json(table.algebra, table.window,
+                     (image.coeffs.items() for image in table.images.values()))
+
+
+def _map_json(algebra: Algebra, window: Window,
+              images: Iterable[Iterable[tuple[int, Fraction]]]) -> dict:
+    """The `table_to_json` schema, from each window index's image terms in
+    window order, index ascending."""
     return {
-        "algebra": table.algebra.value,
-        "truncation": {"min": table.window.lo, "max": table.window.hi},
-        "images": {  # keyed in window order; each value is a Fraction, which prints as p/q
-            str(k): [[i, str(c)] for i, c in image.coeffs.items()]
-            for k, image in table.images.items()
+        "algebra": algebra.value,
+        "truncation": {"min": window.lo, "max": window.hi},
+        "images": {  # each value is a Fraction, which prints as p/q
+            str(k): [[i, str(c)] for i, c in terms]
+            for k, terms in zip(window.indices(), images)
         },
     }
+
+
+def thin_derivation_json(params: ThinDerivationParams, truncation: int) -> dict:
+    """`table_to_json(thin_derivation(params, truncation))`, written from
+    `ThinDerivationParams.image_terms` with no table built."""
+    if truncation < 3:
+        raise ValueError("truncation must be at least 3")
+    images = (params.image_terms(j).items() for j in range(1, truncation + 1))
+    return _map_json(Algebra.THIN, Window(1, truncation), images)
 
 
 def _is_integer(value: object) -> bool:

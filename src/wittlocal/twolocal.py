@@ -6,8 +6,10 @@ to depend on the pair.  This module provides
 
   * the thin-algebra map `thin_delta` (strip the e_1 component when one is
     present, zero otherwise), a 2-local derivation that is not additive,
-  * per-pair witness construction for it, and verification of any
-    witness certificate against any candidate map,
+  * per-pair witnesses for it, each the parameters of a thin derivation
+    (`ThinDerivationParams`), and verification of any witness certificate
+    against any candidate map, which reads the witness's closed form at the
+    members' own indices: no table is built,
   * centralizers in closed form from the grading (`centralizer`): the
     whole window, thin's indices >= 2, span(t) or zero,
   * the rigidity computation for witt and wplus: the witness for a pair
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .algebras import Algebra, Element, bracket
-from .derivations import LinearMapTable, ThinDerivationParams, thin_derivation
+from .derivations import ThinDerivationParams
 from .errors import IndexOutOfDomain, MixedAlgebras, WindowTooSmall
 from .linalg import SparseVector, Subspace, Window, subspace_intersection
 
@@ -46,18 +48,24 @@ def thin_delta(x: Element) -> Element:
 
 
 class WitnessCertificate(NamedTuple):
-    """A derivation table claimed to agree with a 2-local map at both
-    members of a pair.  Never trusted: `verify_pair` recomputes both
-    agreements."""
+    """The parameters of a thin derivation claimed to agree with a 2-local
+    map at both members of a pair.  The parameters are a derivation by
+    `ThinDerivationParams.image_terms`; the agreement is never trusted:
+    `verify_pair` recomputes it at both members."""
 
     x: Element
     y: Element
     case: str
-    witness: LinearMapTable
+    witness: ThinDerivationParams
+
+
+# immutable, so every certificate of the case shares them
+_ZERO_PARAMS, _TAIL_IDENTITY_PARAMS = ThinDerivationParams(), ThinDerivationParams(beta={2: 1})
 
 
 def thin_witness(x: Element, y: Element) -> WitnessCertificate:
-    """Witness derivation for a thin pair under `thin_delta`.
+    """Witness derivation for a thin pair under `thin_delta`, as its
+    parameters: no image is tabulated.
 
     Case split on which of the two e_1 coefficients vanish: both (zero
     derivation), exactly one (send e_1 to the tail of whichever member has
@@ -67,9 +75,8 @@ def thin_witness(x: Element, y: Element) -> WitnessCertificate:
     if x.algebra is not Algebra.THIN or y.algebra is not Algebra.THIN:
         raise MixedAlgebras("thin_witness needs two thin elements")
     x1, y1 = x.coefficient(1), y.coefficient(1)
-    depth = max(3, x.support_bound(), y.support_bound())
     if x1 == 0 and y1 == 0:
-        case, params = "zero", ThinDerivationParams()
+        case, params = "zero", _ZERO_PARAMS
     elif x1 == 0 or y1 == 0:
         case = "e1-scaled"
         driver, d1 = (x, x1) if y1 == 0 else (y, y1)
@@ -77,8 +84,8 @@ def thin_witness(x: Element, y: Element) -> WitnessCertificate:
             alpha={k: c / d1 for k, c in driver.coeffs.items() if k >= 2}
         )
     else:
-        case, params = "tail-identity", ThinDerivationParams(beta={2: 1})
-    return WitnessCertificate(x, y, case, thin_derivation(params, depth))
+        case, params = "tail-identity", _TAIL_IDENTITY_PARAMS
+    return WitnessCertificate(x, y, case, params)
 
 
 class PairVerification(NamedTuple):
@@ -90,20 +97,23 @@ class PairVerification(NamedTuple):
 def verify_pair(delta: DeltaMap, cert: WitnessCertificate) -> PairVerification:
     """Check that the certificate's witness reproduces delta at both pair
     members, exactly.  Each residual delta(m) - witness(m) is built in one
-    pass: c times the image of e_k is taken off delta(m) for each term c e_k."""
-    table, residuals = cert.witness, []
+    pass: c times D(e_k), read off the witness's closed form
+    (`ThinDerivationParams.image_terms`), is taken off delta(m) for each term
+    c e_k.  Only the members' own indices are read, so the work follows
+    their term counts, not their top index."""
+    params, residuals = cert.witness, []
     for m in (cert.x, cert.y):
         d = delta(m)
-        if not m.algebra is d.algebra is table.algebra:
-            raise MixedAlgebras(f"{m.algebra} member, {d.algebra} image, {table.algebra} witness")
+        if not m.algebra is d.algebra is Algebra.THIN:
+            raise MixedAlgebras(f"{m.algebra} member, {d.algebra} image, thin witness")
         out = dict(d.coeffs.items())
         for k, c in m.coeffs.items():
-            for i, v in table.image(k).coeffs.items():
+            for i, v in params.image_terms(k).items():
                 if value := out.get(i, 0) - c * v:
                     out[i] = value
                 else:
                     del out[i]
-        residuals.append(Element._trusted(table.algebra, SparseVector._trusted(out)))
+        residuals.append(Element._trusted(Algebra.THIN, SparseVector._trusted(out)))
     return PairVerification(all(r.is_zero() for r in residuals), *residuals)
 
 

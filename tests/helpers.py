@@ -14,6 +14,7 @@ from wittlocal import (
     Subspace,
     ThinDerivationParams,
     Window,
+    extend_from_generators,
 )
 
 
@@ -505,11 +506,26 @@ def reference_thin_delta(x: Element) -> Element:
     return x - Element.basis(Algebra.THIN, 1).scale(x.coefficient(1))
 
 
+def reference_witness_table(cert) -> LinearMapTable:
+    """The certificate's witness params tabulated on 1..max(3, top index of
+    the pair) by `extend_from_generators`, whose per-shift recursion does
+    not use the closed form of `ThinDerivationParams.image_terms`."""
+    params = cert.witness
+    top = max(3, cert.x.support_bound(), cert.y.support_bound())
+    table = extend_from_generators(
+        Algebra.THIN, Element(Algebra.THIN, params.alpha), Element(Algebra.THIN, params.beta), top
+    )
+    assert isinstance(table, LinearMapTable), table
+    return table
+
+
 def reference_verify_pair(delta, cert) -> tuple[bool, Element, Element]:
     """(passed, residual_x, residual_y) of `verify_pair` by element
-    arithmetic: delta(m) - witness.apply(m) for each pair member m."""
-    rx = delta(cert.x) - cert.witness.apply(cert.x)
-    ry = delta(cert.y) - cert.witness.apply(cert.y)
+    arithmetic: delta(m) - extension.apply(m) for each pair member m, the
+    extension being `reference_witness_table`."""
+    table = reference_witness_table(cert)
+    rx = delta(cert.x) - table.apply(cert.x)
+    ry = delta(cert.y) - table.apply(cert.y)
     return rx.is_zero() and ry.is_zero(), rx, ry
 
 

@@ -1049,6 +1049,42 @@ def test_twolocal_verify_bounds_total_witness_size(tmp_path):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_twolocal_verify_builds_no_table(tmp_path, monkeypatch, fmt):
+    """A pair at the index cap is verified from the witness params alone: no
+    `LinearMapTable` is built and `thin_derivation` is never called, in text
+    or JSON mode (JSON writes the witness table from the closed form)."""
+    calls = []
+    table_init = derivations.LinearMapTable.__init__
+    tabulate = derivations.thin_derivation
+
+    def spy_init(self, *args):
+        calls.append("LinearMapTable")
+        table_init(self, *args)
+
+    def spy_tabulate(*args):
+        calls.append("thin_derivation")
+        return tabulate(*args)
+
+    monkeypatch.setattr(derivations.LinearMapTable, "__init__", spy_init)
+    for module in (derivations, wittlocal):
+        monkeypatch.setattr(module, "thin_derivation", spy_tabulate)
+    path = tmp_path / "pairs.json"
+    top = VERIFY_MAX_INDEX
+    path.write_text(json.dumps({"algebra": "thin", "pairs": [[f"e_1 + e_{top}", f"e_{top - 1}"]]}))
+    code, out, err = run(["two-local", "verify", "--pairs", str(path), "--format", fmt])
+    assert (code, err, calls) == (0, "", [])
+    if fmt == "json":
+        witness = json.loads(out)["results"][0]["witness"]
+        assert witness["truncation"] == {"min": 1, "max": top}
+        assert witness["images"]["1"] == [[top, "1"]] and witness["images"][str(top)] == []
+    else:
+        assert out == f"[1] case=e1-scaled | D(e_1) = e_{top} | D(e_2) = 0 | pass=true\n" \
+                      "all pass: true\n"
+    table_to_json(derivations.thin_derivation(derivations.ThinDerivationParams(), 3))
+    assert calls == ["thin_derivation", "LinearMapTable"]  # the spies do see a tabulation
+
+
 _BROKEN_JSON = {"invalid-json": b"{not json", "too-deep": b"[" * 10**5, "not-utf8": b"\xff{}"}
 
 

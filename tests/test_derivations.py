@@ -12,6 +12,7 @@ from wittlocal import (
     Algebra,
     DerivationSpace,
     Element,
+    IndexOutOfDomain,
     InconsistentExtension,
     JacobiResult,
     LeibnizResult,
@@ -1308,6 +1309,36 @@ def test_thin_derivation_matches_reference(alpha, beta, truncation):
     assert table_to_json(table) == table_to_json(reference_thin_derivation(params, truncation))
     for k in table.window.indices():
         assert_normalised_element(table.image(k))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(st.integers(1, 9), _PARAM_COEFFS, max_size=5),
+    st.dictionaries(st.integers(2, 9), _PARAM_COEFFS, max_size=5),
+    st.integers(3, 20),
+)
+def test_thin_derivation_json_matches_extension(alpha, beta, truncation):
+    """The closed-form JSON equals the JSON of the generator extension, whose
+    per-shift recursion does not use `image_terms`; the params and every
+    image are stored index ascending."""
+    params = ThinDerivationParams(alpha, beta)
+    images = (Element(Algebra.THIN, dict(gen)) for gen in (params.alpha, params.beta))
+    extension = extend_from_generators(Algebra.THIN, *images, truncation)
+    assert derivations.thin_derivation_json(params, truncation) == table_to_json(extension)
+    for terms in (params.alpha, params.beta,
+                  *(params.image_terms(j) for j in range(1, truncation + 1))):
+        assert list(terms) == sorted(terms)
+
+
+def test_thin_image_terms_guards():
+    params = ThinDerivationParams({1: 1}, {2: 1})
+    with pytest.raises(IndexOutOfDomain, match="^index 0 not in the thin index domain$"):
+        params.image_terms(0)
+    with pytest.raises(ValueError, match="^truncation must be at least 3$"):
+        derivations.thin_derivation_json(params, 2)
+    terms = params.image_terms(1)
+    terms[5] = Fraction(1)  # a new dict each call: the params are unchanged
+    assert params.image_terms(1) == {1: Fraction(1)}
 
 
 def test_thin_derivation_drops_a_vanishing_diagonal():

@@ -9,7 +9,6 @@ from wittlocal import (
     Algebra,
     Element,
     IndexOutOfDomain,
-    LinearMapTable,
     MixedAlgebras,
     SparseVector,
     Window,
@@ -38,7 +37,7 @@ from helpers import (
     reference_forced_image_space,
     reference_thin_delta,
     reference_verify_pair,
-    zero_table,
+    reference_witness_table,
 )
 
 
@@ -109,34 +108,37 @@ def test_linear_maps_never_violate_additivity():
 def test_witness_case_zero():
     cert = thin_witness(thin("2*e_2"), thin("e_3"))
     assert cert.case == "zero"
-    assert cert.witness.image(1).is_zero()
+    assert cert.witness == ThinDerivationParams()
+    assert reference_witness_table(cert).image(1).is_zero()
     assert verify_pair(thin_delta, cert).passed
 
 
 def test_witness_case_scaled():
     cert = thin_witness(thin("e_2"), thin("e_1 + 3*e_2"))
     assert cert.case == "e1-scaled"
-    assert cert.witness.image(1) == thin("3*e_2")
-    assert cert.witness.image(2).is_zero()
+    table = reference_witness_table(cert)
+    assert table.image(1) == thin("3*e_2")
+    assert table.image(2).is_zero()
     assert verify_pair(thin_delta, cert).passed
 
 
 def test_witness_case_scaled_swapped_roles():
     cert = thin_witness(thin("2*e_1 + e_3"), thin("5*e_4"))
     assert cert.case == "e1-scaled"
-    assert cert.witness.image(1) == thin("1/2*e_3")
+    assert reference_witness_table(cert).image(1) == thin("1/2*e_3")
     assert verify_pair(thin_delta, cert).passed
 
 
 def test_witness_case_identity():
     cert = thin_witness(thin("e_1 + e_2"), thin("-e_1 + e_2"))
     assert cert.case == "tail-identity"
-    assert cert.witness.image(1).is_zero()
-    assert cert.witness.image(2) == thin("e_2")
-    assert cert.witness.image(3) == thin("e_3")
+    table = reference_witness_table(cert)
+    assert table.image(1).is_zero()
+    assert table.image(2) == thin("e_2")
+    assert table.image(3) == thin("e_3")
     v = verify_pair(thin_delta, cert)
     assert v.passed
-    assert cert.witness.apply(thin("e_1 + e_2")) == thin("e_2")
+    assert table.apply(thin("e_1 + e_2")) == thin("e_2")
 
 
 def test_witness_randomized():
@@ -149,18 +151,21 @@ def test_witness_randomized():
 
 
 def test_witnesses_are_derivations():
+    """Each witness, tabulated through the closed form on 1..max(3, top
+    index), passes the Leibniz check and equals its generator extension."""
     rng = Random(67)
     for _ in range(40):
         x = rand_element(rng, Algebra.THIN, range(1, 13))
         y = rand_element(rng, Algebra.THIN, range(1, 13))
         cert = thin_witness(x, y)
-        table = cert.witness
+        table = thin_derivation(cert.witness, max(3, x.support_bound(), y.support_bound()))
+        assert table == reference_witness_table(cert)
         assert leibniz_check(table, table.window.hi).passed
 
 
 def test_verify_pair_rejects_wrong_witness():
     x, y = thin("e_1 + e_2"), thin("e_3")
-    cert = WitnessCertificate(x, y, "zero", zero_table(Algebra.THIN, Window(1, 5)))
+    cert = WitnessCertificate(x, y, "zero", ThinDerivationParams())
     v = verify_pair(thin_delta, cert)
     assert not v.passed
     assert v.residual_x == thin("e_2")
@@ -168,27 +173,33 @@ def test_verify_pair_rejects_wrong_witness():
 
 
 def test_verify_pair_matches_reference_residuals():
-    """The one-pass residuals equal delta(m) - witness.apply(m) on 300 seeded
-    thin pairs and on wrong witnesses: the zero map, and a true witness with
-    one image perturbed (at an index of x, of y, or of neither)."""
+    """The one-pass residuals equal delta(m) - extension.apply(m) on 300
+    seeded thin pairs and on wrong witnesses: the zero params, and a true
+    witness with one term added to alpha or to beta."""
     rng = Random(71)
     certs = []
     for _ in range(300):
         x = rand_element(rng, Algebra.THIN, range(1, 13))
         y = rand_element(rng, Algebra.THIN, range(1, 13))
         certs.append(thin_witness(x, y))
-    # (x, y, perturbed indices): in x, in y, and (second pair) in neither
-    wrong = [("e_1 + e_2 - 1/2*e_4", "3*e_3", (2, 3)), ("e_1 + e_5", "-e_1 + e_2", (5, 2, 4))]
-    for x, y, perturbed in wrong:
+    # (x, y, zero params too, terms added to (alpha, beta)); the last pair
+    # has no e_1 term, so its added alpha term is read at neither member
+    wrong = [
+        ("e_1 + e_2 - 1/2*e_4", "3*e_3", True,
+         [({5: Fraction(2, 3)}, {}), ({}, {2: Fraction(2, 3)}), ({}, {6: -1})]),
+        ("e_1 + e_5", "-e_1 + e_2", True, [({1: Fraction(2, 3)}, {}), ({}, {4: 1})]),
+        ("2*e_2", "e_3", False, [({4: 1}, {})]),
+    ]
+    for x, y, zero, added in wrong:
         x, y = thin(x), thin(y)
         good = thin_witness(x, y)
-        window = good.witness.window
-        certs.append(WitnessCertificate(x, y, good.case, zero_table(Algebra.THIN, window)))
-        for k in perturbed:
-            images = dict(good.witness.images)
-            images[k] = images[k] + thin("2/3*e_5 - e_6")
-            table = LinearMapTable(Algebra.THIN, window, images)
-            certs.append(WitnessCertificate(x, y, good.case, table))
+        if zero:
+            certs.append(WitnessCertificate(x, y, good.case, ThinDerivationParams()))
+        for alpha, beta in added:
+            params = ThinDerivationParams({**good.witness.alpha, **alpha},
+                                          {**good.witness.beta, **beta})
+            assert params != good.witness
+            certs.append(WitnessCertificate(x, y, good.case, params))
     failed = 0
     for cert in certs:
         v = verify_pair(thin_delta, cert)
@@ -196,25 +207,70 @@ def test_verify_pair_matches_reference_residuals():
         assert_normalised_element(v.residual_x)
         assert_normalised_element(v.residual_y)
         failed += not v.passed
-    assert failed == 6  # every wrong witness but the perturbation at e_4, in neither member
+    assert failed == 7  # every wrong witness but the alpha term that neither member reads
 
 
 def test_verify_pair_refuses_mixed_algebras():
     x, y = thin("e_1 + e_2"), thin("e_3")
-    wplus_table = zero_table(Algebra.WPLUS, Window(1, 5))
-    with pytest.raises(MixedAlgebras):
-        verify_pair(thin_delta, WitnessCertificate(x, y, "zero", wplus_table))
-    thin_cert = WitnessCertificate(x, y, "zero", zero_table(Algebra.THIN, Window(1, 5)))
+    thin_cert = WitnessCertificate(x, y, "zero", ThinDerivationParams())
     with pytest.raises(MixedAlgebras):
         verify_pair(lambda m: m.in_algebra(Algebra.WPLUS), thin_cert)
-    with pytest.raises(MixedAlgebras):
-        reference_verify_pair(thin_delta, WitnessCertificate(x, y, "zero", wplus_table))
+    wplus_cert = WitnessCertificate(x.in_algebra(Algebra.WPLUS), y, "zero", ThinDerivationParams())
+    with pytest.raises(MixedAlgebras, match="^wplus member, wplus image, thin witness$"):
+        verify_pair(lambda m: m, wplus_cert)
 
 
 def test_verify_pair_zero_pair():
     z = Element.zero(Algebra.THIN)
-    cert = WitnessCertificate(z, z, "zero", zero_table(Algebra.THIN, Window(1, 3)))
+    cert = WitnessCertificate(z, z, "zero", ThinDerivationParams())
     assert verify_pair(thin_delta, cert).passed
+
+
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_THIN_TERMS = st.dictionaries(st.integers(1, 12), _COEFFS, max_size=5)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(st.integers(1, 9), _COEFFS, max_size=4),
+    st.dictionaries(st.integers(2, 9), _COEFFS, max_size=4),
+    _THIN_TERMS,
+    _THIN_TERMS,
+)
+def test_verify_pair_residuals_match_the_extension(alpha, beta, x, y):
+    """For any params and thin members supported in 1..N, the residuals are
+    delta(m) - extension.apply(m), the extension tabulated on 1..N by
+    `extend_from_generators`: no table is read, yet every residual agrees."""
+    params = ThinDerivationParams(alpha, beta)
+    x, y = Element(Algebra.THIN, x), Element(Algebra.THIN, y)
+    cert = WitnessCertificate(x, y, "any", params)
+    v = verify_pair(thin_delta, cert)
+    assert (v.passed, v.residual_x, v.residual_y) == reference_verify_pair(thin_delta, cert)
+    assert_normalised_element(v.residual_x)
+    assert_normalised_element(v.residual_y)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(st.integers(1, 12), _COEFFS.filter(bool), min_size=1, max_size=5),
+    _THIN_TERMS,
+    st.integers(3, 12),
+    _COEFFS.filter(bool),
+)
+def test_verify_pair_rejects_every_visible_wrong_witness(x, y, i, c):
+    """A true witness with c e_i (i >= 3) added where x reads it fails, with a
+    nonzero residual at x: to beta, which moves D(e_j) for every j >= 2 by
+    c e_{i+j-2} (distinct indices, so x's terms cannot cancel), when x has a
+    term above e_1; else to alpha, which moves D(e_1) by c e_i."""
+    x, y = Element(Algebra.THIN, x), Element(Algebra.THIN, y)
+    good = thin_witness(x, y)
+    alpha, beta = dict(good.witness.alpha), dict(good.witness.beta)
+    added = beta if x.support_bound() >= 2 else alpha
+    added[i] = added.get(i, 0) + c
+    cert = WitnessCertificate(x, y, good.case, ThinDerivationParams(alpha, beta))
+    v = verify_pair(thin_delta, cert)
+    assert not v.passed and not v.residual_x.is_zero()
+    assert (v.passed, v.residual_x, v.residual_y) == reference_verify_pair(thin_delta, cert)
 
 
 # -- centralizers ---------------------------------------------------------------
