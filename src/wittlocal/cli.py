@@ -80,12 +80,12 @@ MAP_MAX_TERMS = 100000
 # Largest `extend` truncation.  Each shift s of the generator images
 # (D(e_k) = c e_{k+s}) builds one sequence to the truncation and is checked at
 # the one relation [e_2, e_3], so the work and the output are linear,
-# shifts * truncation terms.  `--e1 0 --e2 e_3` at 1000 takes 0.10 s (median
-# of 7 launches) and 17 MiB peak RSS in a fresh process as JSON, mostly
-# start-up.  shifts * truncation^2 above EXTEND_MAX_TRUNCATION^2 is refused
-# too, which bounds the output by 10^6 / truncation terms: 10000 thin shifts
-# at truncation 10 (100000 terms) take 0.75-0.92 s and 49 MiB as text,
-# 1.0-1.2 s and 82 MiB as JSON.
+# shifts * truncation terms.  `--e1 0 --e2 e_3` at 1000 takes 0.10-0.12 s
+# (medians of 7 launches) and 17 MiB peak RSS in a fresh process as JSON,
+# mostly start-up (5 ms in-process).  shifts * truncation^2 above
+# EXTEND_MAX_TRUNCATION^2 is refused too, which bounds the output by
+# 10^6 / truncation terms: 10000 thin shifts at truncation 10 (100000 terms)
+# take 0.36 s and 33 MiB as text, 0.36 s and 46 MiB as JSON.
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),
@@ -100,19 +100,19 @@ BRACKET_MAX_PRODUCTS = 100000
 # Largest basis index in a `two-local verify` pair.  A witness is its
 # parameters, read at the members' own indices, so text output does not grow
 # with the index: `["e_1", "e_6001"]` takes about 0.2 ms in-process.  Only JSON
-# tabulates the witness, on 1..max(3, largest index): 9 ms in-process at 6001,
-# which prints 131 KB.  The CI pins three pairs at this cap, which take 0.07 s
-# as text and 0.12 s as JSON (855 KB) in a fresh process (medians of 7 launches).
+# writes the witness table, on 1..max(3, largest index): 4 ms in-process at
+# 6001 (131 KB).  In a fresh process (medians of 7 launches) the CI's three
+# pairs at this cap take 0.08-0.10 s as text, 0.10-0.12 s as JSON (855 KB).
 VERIFY_MAX_INDEX = 6001
 
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
 # witness is built.  It bounds the tables JSON output writes; text output
-# tabulates nothing.  At the limit, in a fresh process (medians of 7 launches,
-# start-up about 0.07 s), 5 pairs near 6000 take 0.08 s (0.13 s as JSON) and
-# 10000 two-term pairs 0.47 s (0.72 s): each pair has a fixed cost, about
-# 0.04 ms (0.065 ms as JSON), of parsing, building and checking that the sum
-# omits.
+# writes none.  At the limit, in a fresh process (medians of 7 launches,
+# start-up about 0.08 s), 5 pairs near 6000 take 0.08 s (0.10 s as JSON) and
+# 10000 two-term pairs 0.50 s (0.65 s): each pair has a fixed cost, about
+# 0.036 ms (0.048 ms as JSON; in-process, best of 7), of parsing, building
+# and checking that the sum omits.
 VERIFY_MAX_TOTAL = 30000
 
 # Bytes a JSON input file may hold per term of its bound: a map file
@@ -154,6 +154,10 @@ def _window_json(window: Window) -> dict:
     return {"min": window.lo, "max": window.hi}
 
 
+class _JsonText(str):
+    """Indent-2 JSON text at depth 0, which `_write_json` re-indents, not escapes."""
+
+
 # the JSON text of each scalar type, as `json.dumps` writes it
 _JSON_SCALARS = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                  type(None): {None: "null"}.get}
@@ -163,11 +167,12 @@ def _write_json(obj, out: list[str], newline: str = "\n") -> list[str]:
     """Append the pieces of `json.dumps(obj, indent=2)`, nested at the depth
     `newline` indents, to out and return out.  Indented `json.dumps` runs a
     pure-Python encoder (the C one takes no indent); this one is about twice
-    as fast.  Values other than dicts with str keys, lists and `_JSON_SCALARS`
-    go to `json.dumps`, which escapes every newline inside a string."""
+    as fast.  Values other than dicts with str keys, lists, `_JSON_SCALARS` and
+    `_JsonText` go to `json.dumps`, which escapes every newline inside a string."""
     is_dict = type(obj) is dict and {*map(type, obj)} <= {str}
     if not is_dict and type(obj) is not list:
-        out.append(json.dumps(obj, indent=2).replace("\n", newline))
+        text = obj if type(obj) is _JsonText else json.dumps(obj, indent=2)
+        out.append(text.replace("\n", newline))
         return out
     inner = sep = newline + "  "
     out.append("{" if is_dict else "[")
@@ -183,7 +188,7 @@ def _write_json(obj, out: list[str], newline: str = "\n") -> list[str]:
     return out
 
 
-def _emit(args, text: str, payload: dict) -> int:
+def _emit(args, text: str, payload: dict | _JsonText) -> int:
     """Print the JSON payload, or the text made from the payload's strings."""
     if args.format == "json":
         text = "".join(_write_json(payload, []))  # the pieces are freed before printing
@@ -323,10 +328,14 @@ def _cmd_extend(args) -> int:
                 "residual": format_element(outcome.residual),
             },
         )
+    if args.format == "json":
+        images = (image.coeffs.items() for image in outcome.images.values())
+        table = derivations.table_json_text(outcome.algebra, outcome.window, images)
+        return _emit(args, "", _JsonText(table))
     lines = [
         f"D(e_{k}) = {format_element(outcome.image(k))}" for k in outcome.window.indices()
     ]
-    return _emit(args, "\n".join(lines), derivations.table_to_json(outcome))
+    return _emit(args, "\n".join(lines), {})
 
 
 def _cmd_der_basis(args) -> int:
@@ -418,7 +427,7 @@ def _cmd_twolocal_verify(args) -> int:
         y = parse_element(entry[1], Algebra.THIN)
         top = max(x.support_bound(), y.support_bound())
         _refuse_above(f"pair {n} index", top, VERIFY_MAX_INDEX)
-        size = max(3, top)  # JSON tabulates the witness on 1..size
+        size = max(3, top)  # JSON writes the witness table on 1..size
         pairs.append((x, y, size))
         total += size
     _refuse_above("total witness size", total, VERIFY_MAX_TOTAL)
@@ -445,12 +454,14 @@ def _verify_line(n: int, cert: twolocal.WitnessCertificate, passed: bool) -> str
 
 
 def _verify_json(cert: twolocal.WitnessCertificate, passed: bool, size: int) -> dict:
-    """The JSON result of one verified pair, with the witness tabulated on
-    1..size; only `--format json` builds it."""
+    """The JSON result of one verified pair, with the witness written on
+    1..size from its image terms; only `--format json` builds it."""
+    images = (cert.witness.image_terms(j).items() for j in range(1, size + 1))
+    witness = derivations.table_json_text(Algebra.THIN, Window(1, size), images)
     return {
         "pair": [format_element(cert.x), format_element(cert.y)],
         "case": cert.case,
-        "witness": derivations.thin_derivation_json(cert.witness, size),
+        "witness": _JsonText(witness),
         "pass": passed,
     }
 

@@ -26,7 +26,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .algebras import Algebra, Element, bracket, format_element
 from .errors import (
@@ -545,31 +545,35 @@ def table_to_json(table: LinearMapTable) -> dict:
     """Schema: {"algebra": name, "truncation": {"min": lo, "max": hi},
     "images": {"k": [[index, "p/q"], ...], ...}} with every index in the
     truncation present explicitly."""
-    return _map_json(table.algebra, table.window,
-                     (image.coeffs.items() for image in table.images.values()))
-
-
-def _map_json(algebra: Algebra, window: Window,
-              images: Iterable[Iterable[tuple[int, Fraction]]]) -> dict:
-    """The `table_to_json` schema, from each window index's image terms in
-    window order, index ascending."""
     return {
-        "algebra": algebra.value,
-        "truncation": {"min": window.lo, "max": window.hi},
-        "images": {  # each value is a Fraction, which prints as p/q
-            str(k): [[i, str(c)] for i, c in terms]
-            for k, terms in zip(window.indices(), images)
+        "algebra": table.algebra.value,
+        "truncation": {"min": table.window.lo, "max": table.window.hi},
+        "images": {  # keyed in window order; each value is a Fraction, which prints as p/q
+            str(k): [[i, str(c)] for i, c in image.coeffs.items()]
+            for k, image in table.images.items()
         },
     }
 
 
-def thin_derivation_json(params: ThinDerivationParams, truncation: int) -> dict:
-    """`table_to_json(thin_derivation(params, truncation))`, written from
-    `ThinDerivationParams.image_terms` with no table built."""
-    if truncation < 3:
-        raise ValueError("truncation must be at least 3")
-    images = (params.image_terms(j).items() for j in range(1, truncation + 1))
-    return _map_json(Algebra.THIN, Window(1, truncation), images)
+def table_json_text(algebra: Algebra, window: Window,
+                    images: Iterable[Collection[tuple[int, Fraction]]]) -> str:
+    """`json.dumps(table_to_json(table), indent=2)` of the table on window
+    whose images give each index's (index, Fraction) terms in window order,
+    index ascending; ValueError for more or fewer images.  One f-string per
+    term: p/q always, then `/1"` goes at the end, as no other text has a "/"."""
+    out = [f'{{\n  "algebra": "{algebra.value}",\n  "truncation": {{\n    "min": {window.lo},'
+           f'\n    "max": {window.hi}\n  }},\n  "images": {{']
+    sep = "\n    "
+    for k, terms in zip(window.indices(), images, strict=True):
+        if terms:
+            body = ",".join([f'\n      [\n        {i},\n        "{c.numerator}/{c.denominator}"'
+                             '\n      ]' for i, c in terms])
+            out.append(f'{sep}"{k}": [{body}\n    ]')
+        else:
+            out.append(f'{sep}"{k}": []')
+        sep = ",\n    "
+    out.append("\n  }\n}")
+    return "".join(out).replace('/1"', '"')
 
 
 def _is_integer(value: object) -> bool:

@@ -504,10 +504,40 @@ JSON_PAYLOADS = st.recursive(
 )
 
 
+def _nested(draw, value, depth: int):
+    """value at the given depth of lists and str-keyed dicts with siblings."""
+    for _ in range(depth):
+        siblings = draw(st.lists(JSON_PAYLOADS, max_size=2))
+        if draw(st.booleans()):
+            value = [*siblings, value]
+        else:
+            value = {**{f"s{n}": sibling for n, sibling in enumerate(siblings)}, "v": value}
+    return value
+
+
+def _unmarked(obj):
+    """obj with every `cli._JsonText` replaced by the value it is the JSON of."""
+    if type(obj) is cli._JsonText:
+        return json.loads(obj)
+    if type(obj) is list:
+        return [_unmarked(value) for value in obj]
+    if type(obj) is dict:
+        return {key: _unmarked(value) for key, value in obj.items()}
+    return obj
+
+
 @settings(max_examples=400)
-@given(JSON_PAYLOADS)
-def test_json_writer_matches_json_dumps(obj):
+@given(JSON_PAYLOADS, JSON_PAYLOADS, st.integers(0, 3), st.data())
+def test_json_writer_matches_json_dumps(obj, inner, depth, data):
+    """Also with JSON text marked `cli._JsonText` at depth 0 to 3, which is
+    written as the value it holds, while the same text as a plain str is
+    escaped as a string."""
     assert written_json(obj) == json.dumps(obj, indent=2)
+    text = json.dumps(inner, indent=2)
+    marked = _nested(data.draw, cli._JsonText(text), depth)
+    assert written_json(marked) == json.dumps(_unmarked(marked), indent=2)
+    plain = _nested(data.draw, text, depth)
+    assert written_json(plain) == json.dumps(plain, indent=2)
 
 
 @pytest.mark.parametrize("obj", [

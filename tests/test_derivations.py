@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -1191,6 +1192,41 @@ def test_table_json_round_trip():
     assert again == table
 
 
+_BIG = [2**64, 2**64 + 1, -(2**64) - 3, 10**30, Fraction(2**70 + 1, 3), Fraction(-7, 2**65)]
+_JSON_COEFFS = st.one_of(st.fractions(max_denominator=10**4), st.integers(-10, 10),
+                         st.sampled_from(_BIG))
+_JSON_WINDOWS = {  # witt windows cross 0; images reach indices outside the window
+    Algebra.WITT: (st.integers(-6, 0), st.integers(-30, 30)),
+    Algebra.WPLUS: (st.integers(1, 5), st.integers(1, 30)),
+    Algebra.WPLUS_EXT: (st.integers(0, 5), st.integers(0, 30)),
+    Algebra.THIN: (st.integers(1, 5), st.integers(1, 30)),
+}
+
+
+@st.composite
+def _json_tables(draw):
+    algebra = draw(st.sampled_from(list(_JSON_WINDOWS)))
+    lows, indices = _JSON_WINDOWS[algebra]
+    lo = draw(lows)
+    window = Window(lo, lo + draw(st.integers(0, 8)))
+    terms = st.dictionaries(indices, _JSON_COEFFS, max_size=4)  # often empty
+    images = {k: Element(algebra, draw(terms)) for k in window.indices()}
+    return LinearMapTable(algebra, window, images)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_json_tables())
+def test_table_json_text_matches_json_dumps(table):
+    """The JSON text writer has the bytes of indented `json.dumps` on the
+    `table_to_json` dict, for images given as `coeffs.items()` lists or as
+    index-ascending dict items."""
+    expected = json.dumps(table_to_json(table), indent=2)
+    images = [image.coeffs.items() for image in table.images.values()]
+    assert derivations.table_json_text(table.algebra, table.window, images) == expected
+    images = (dict(terms).items() for terms in images)
+    assert derivations.table_json_text(table.algebra, table.window, images) == expected
+
+
 def test_table_json_matches_sparse_vector_construction():
     """`table_from_json` wraps each image's summed terms unchecked; the
     result must equal the public `SparseVector(...)` of the same terms:
@@ -1318,13 +1354,15 @@ def test_thin_derivation_matches_reference(alpha, beta, truncation):
     st.integers(3, 20),
 )
 def test_thin_derivation_json_matches_extension(alpha, beta, truncation):
-    """The closed-form JSON equals the JSON of the generator extension, whose
-    per-shift recursion does not use `image_terms`; the params and every
-    image are stored index ascending."""
+    """The JSON text written from the closed form equals the JSON of the
+    generator extension, whose per-shift recursion does not use
+    `image_terms`; the params and every image are stored index ascending."""
     params = ThinDerivationParams(alpha, beta)
     images = (Element(Algebra.THIN, dict(gen)) for gen in (params.alpha, params.beta))
     extension = extend_from_generators(Algebra.THIN, *images, truncation)
-    assert derivations.thin_derivation_json(params, truncation) == table_to_json(extension)
+    terms = (params.image_terms(j).items() for j in range(1, truncation + 1))
+    text = derivations.table_json_text(Algebra.THIN, Window(1, truncation), terms)
+    assert text == json.dumps(table_to_json(extension), indent=2)
     for terms in (params.alpha, params.beta,
                   *(params.image_terms(j) for j in range(1, truncation + 1))):
         assert list(terms) == sorted(terms)
@@ -1334,8 +1372,11 @@ def test_thin_image_terms_guards():
     params = ThinDerivationParams({1: 1}, {2: 1})
     with pytest.raises(IndexOutOfDomain, match="^index 0 not in the thin index domain$"):
         params.image_terms(0)
-    with pytest.raises(ValueError, match="^truncation must be at least 3$"):
-        derivations.thin_derivation_json(params, 2)
+    two = [params.image_terms(j).items() for j in (1, 2)]
+    with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is shorter than argument 1$"):
+        derivations.table_json_text(Algebra.THIN, Window(1, 3), two)
+    with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is longer than argument 1$"):
+        derivations.table_json_text(Algebra.THIN, Window(1, 1), two)
     terms = params.image_terms(1)
     terms[5] = Fraction(1)  # a new dict each call: the params are unchanged
     assert params.image_terms(1) == {1: Fraction(1)}
