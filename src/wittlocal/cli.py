@@ -78,14 +78,14 @@ RECOVER_INNER_MAX_WORK = 3000000
 MAP_MAX_TERMS = 100000
 
 # Largest `extend` truncation.  Each shift s of the generator images
-# (D(e_k) = c e_{k+s}) builds one sequence to the truncation and is checked at
-# the one relation [e_2, e_3], so the work and the output are linear,
-# shifts * truncation terms.  `--e1 0 --e2 e_3` at 1000 takes 0.10-0.12 s
-# (medians of 7 launches) and 17 MiB peak RSS in a fresh process as JSON,
-# mostly start-up (5 ms in-process).  shifts * truncation^2 above
-# EXTEND_MAX_TRUNCATION^2 is refused too, which bounds the output by
-# 10^6 / truncation terms: 10000 thin shifts at truncation 10 (100000 terms)
-# take 0.36 s and 33 MiB as text, 0.36 s and 46 MiB as JSON.
+# (D(e_k) = c e_{k+s}) is read in closed form, one [e_2, e_3] residual and one
+# term per index, so the work and the output are linear, shifts * truncation
+# terms.  `--e1 0 --e2 e_3` at 1000 takes 0.11-0.13 s (medians of 7 and 10
+# launches) and 16 MiB peak RSS in a fresh process as JSON, mostly start-up
+# (3.5 ms in-process).  shifts * truncation^2 above EXTEND_MAX_TRUNCATION^2 is
+# refused too, which bounds the output by 10^6 / truncation terms: 10000 thin
+# shifts at truncation 10 (100000 terms) take 0.21 s and 29 MiB as text,
+# 0.25 s and 44 MiB as JSON.
 EXTEND_MAX_TRUNCATION = 1000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),

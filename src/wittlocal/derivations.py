@@ -207,36 +207,10 @@ def _live_pairs(algebra: Algebra, shifts: Iterable[int], rows: Iterable[tuple[in
 # A derivation splits into homogeneous parts e_k -> c_k e_{k+s}, one per
 # shift s (a sequence c_1..c_N), and no bracket relation mixes two shifts,
 # so extension, the Leibniz check and the solver run one shift at a time.
-
-
-def _shift_sequence(
-    algebra: Algebra, s: int, a: int, b: int, truncation: int
-) -> tuple[int, list[int]]:
-    """(L, L c_0..L c_N) for the shift-s part with D(e_1) = a e_{1+s} and
-    D(e_2) = b e_{2+s} (a, b integers, c_0 unused); D(e_k) is forced by
-    e_k = [e_1, e_{k-1}] / K(1, k-1):
-
-        c_k = (a K(1+s, k-1) + c_{k-1} K(1, k-1+s)) / K(1, k-1).
-
-    All in integers: c_k = n_k / L_k, where L_k = L_{k-1} K(1, k-1) / g
-    grows only by the part of K(1, k-1) that the gcd g with the numerator
-    does not cancel.  Each n_k is then scaled by L_N / L_k.  L = L_N divides
-    K(1, 2) ... K(1, N-1) but is usually far smaller, so the integers stay
-    short.
-    """
-    K = algebra.constant
-    c, steps, den = [0, a, b], [1, 1, 1], 1
-    for k in range(3, truncation + 1):
-        num = a * den * K(1 + s, k - 1) + c[k - 1] * K(1, k - 1 + s)
-        g = math.gcd(num, K(1, k - 1))
-        steps.append(K(1, k - 1) // g)
-        den *= steps[-1]
-        c.append(num // g)
-    later = 1  # L_N / L_k
-    for k in range(truncation, 0, -1):
-        c[k] *= later
-        later *= steps[k]
-    return den, c
+# Generator images D(e_1) = a e_{1+s}, D(e_2) = b e_{2+s} force the rest of
+# the part through e_k = [e_1, e_{k-1}] / K(1, k-1), the relation at i = 1:
+#
+#     c_k = (a K(1+s, k-1) + c_{k-1} K(1, k-1+s)) / K(1, k-1),   k >= 3.
 
 
 def _integer_parts(c: list[Rational]) -> tuple[int, list[int]]:
@@ -305,30 +279,38 @@ def extend_from_generators(
 ) -> LinearMapTable | InconsistentExtension:
     """Extend candidate generator images to a full derivation table.
 
-    Images of e_3..e_N are forced by the bracket recursion from e_1.  The
-    images extend exactly when every part passes [e_2, e_3], when that is a
-    cross relation of the truncation (always on thin, from N = 5 on wplus);
-    `derivation_space_basis` proves it.  A disagreement is a semantic
-    outcome, not an error: (2, 3), the first cross relation, is reported
-    with its residual summed over all shifts.
+    Images of e_3..e_N are forced by the generator recursion, read in the
+    closed forms that `derivation_space_basis` (wplus) and
+    `ThinDerivationParams.image_terms` (thin) prove.  They extend exactly
+    when every part passes [e_2, e_3], a cross relation always on thin and
+    from N = 5 on wplus; otherwise (2, 3) is reported, a semantic outcome
+    rather than an error, with its residual summed over the shifts.  Below
+    N = 5 the wplus images are the recursion's first two steps.
     """
     require_generated(algebra)
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
     if img_e1.algebra is not algebra or img_e2.algebra is not algebra:
         raise MixedAlgebras("generator images must live in the target algebra")
-    parts = {}
-    for s in sorted({g - 1 for g in img_e1.support()} | {g - 2 for g in img_e2.support()}):
-        den, (a, b) = _integer_parts([img_e1.coefficient(1 + s), img_e2.coefficient(2 + s)])
-        q, c = _shift_sequence(algebra, s, a, b, truncation)
-        parts[s] = den * q, c
-    pairs = [(2, 3)] if algebra is Algebra.THIN or truncation >= 5 else []
-    if failure := _first_violation(algebra, parts, pairs):
-        return InconsistentExtension(*failure)
-    images = {
-        k: Element(algebra, {k + s: Fraction(c[k], den) for s, (den, c) in parts.items()})
-        for k in range(1, truncation + 1)
-    }
+    if algebra is Algebra.THIN:
+        if b := img_e2.coefficient(1):
+            return InconsistentExtension((2, 3), Element(algebra, {4: -b}))
+        params = ThinDerivationParams.from_generator_images(img_e1, img_e2)
+        return thin_derivation(params, truncation)
+    parts = [(s, img_e1.coefficient(1 + s), img_e2.coefficient(2 + s))
+             for s in {g - 1 for g in img_e1.support()} | {g - 2 for g in img_e2.support()}]
+    if truncation >= 5:
+        residual = {5 + s: (s * s + s + 6) * ((s - 1) * b - (s - 2) * a) / 6 for s, a, b in parts}
+        if any(residual.values()):
+            return InconsistentExtension((2, 3), Element(algebra, residual))
+    columns = []
+    for s, a, b in parts:  # c_3, c_4 by the recursion; a part that passed is d (k - s)
+        c3, d = a * (1 - s) + b * (1 + s), b - a
+        columns.append((s, [0, a, b, c3, (a * (2 - s) + c3 * (2 + s)) / 2] + [
+            Fraction(d.numerator * (k - s), d.denominator) for k in range(5, truncation + 1)]))
+    # s >= -1, and c[1] = a is 0 at s = -1, so every nonzero c[k] is at k + s >= 1
+    images = {k: Element._trusted(algebra, SparseVector._trusted(
+        {k + s: c[k] for s, c in columns if c[k]})) for k in range(1, truncation + 1)}
     return LinearMapTable(algebra, Window(1, truncation), images)
 
 
@@ -377,9 +359,10 @@ def derivation_space_basis(algebra: Algebra, support_bound: int) -> DerivationSp
         thin:  -b at s = -1, and 0 for every s >= 0.
 
     As s^2 + s + 6 > 0, a wplus part passes exactly when (a, b) is on the
-    inner line d (1 - s, 2 - s); the recursion of `_shift_sequence` is the
-    relation at i = 1 and K(1, k-1) = k - 2 != 0, so the part is then
-    d (k - s), the shift-s part of ad(d e_s), which passes every relation.
+    inner line d (1 - s, 2 - s); the generator recursion
+    e_k = [e_1, e_{k-1}] / K(1, k-1) is the relation at i = 1 and
+    K(1, k-1) = k - 2 != 0, so the part is then d (k - s) with d = b - a,
+    the shift-s part of ad(d e_s), which passes every relation.
     On thin a part with s >= 0 has no live relation (K(x, y) != 0 needs x
     or y = 1), and the s = -1 part passes only as zero.  So [e_2, e_3]
     decides every block, as one row: on wplus the residual over its positive
@@ -504,8 +487,9 @@ class ThinDerivationParams:
             D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}
 
         for j >= 3.  Always a derivation: on thin K(1, k-1) = 1 for k >= 3,
-        so the recursion of `_shift_sequence` gives c_k = c_{k-1} + alpha_1
-        at s = 0 and c_k = c_{k-1} at s >= 1, by induction the images above;
+        so the generator recursion e_k = [e_1, e_{k-1}] / K(1, k-1) gives
+        c_k = c_{k-1} + alpha_1 at s = 0 and c_k = c_{k-1} at s >= 1, by
+        induction the images above;
         the params have no s = -1 part (no beta_1), and every other thin part
         extends by the [e_2, e_3] proof of `derivation_space_basis`.  The
         diagonal is dropped where it cancels; the tail terms are the beta_i

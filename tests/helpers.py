@@ -14,7 +14,6 @@ from wittlocal import (
     Subspace,
     ThinDerivationParams,
     Window,
-    extend_from_generators,
 )
 
 
@@ -283,6 +282,14 @@ def reference_extension(algebra: Algebra, img_e1: Element, img_e2: Element, trun
     return images, None
 
 
+def reference_extension_table(algebra: Algebra, img_e1: Element, img_e2: Element,
+                              truncation: int) -> LinearMapTable:
+    """The table of `reference_extension`, which must pass every relation."""
+    images, failure = reference_extension(algebra, img_e1, img_e2, truncation)
+    assert failure is None, failure
+    return LinearMapTable(algebra, Window(1, truncation), images)
+
+
 def complement_intersection(a: Subspace, b: Subspace, window: Window) -> Subspace:
     """Intersection of two spans supported in the window as the complement
     of the sum of their complements there, with no shortcut for disjoint
@@ -508,15 +515,13 @@ def reference_thin_delta(x: Element) -> Element:
 
 def reference_witness_table(cert) -> LinearMapTable:
     """The certificate's witness params tabulated on 1..max(3, top index of
-    the pair) by `extend_from_generators`, whose per-shift recursion does
-    not use the closed form of `ThinDerivationParams.image_terms`."""
+    the pair) by `reference_extension`, which brackets whole elements and
+    does not use the closed form of `ThinDerivationParams.image_terms`."""
     params = cert.witness
     top = max(3, cert.x.support_bound(), cert.y.support_bound())
-    table = extend_from_generators(
+    return reference_extension_table(
         Algebra.THIN, Element(Algebra.THIN, params.alpha), Element(Algebra.THIN, params.beta), top
     )
-    assert isinstance(table, LinearMapTable), table
-    return table
 
 
 def reference_verify_pair(delta, cert) -> tuple[bool, Element, Element]:

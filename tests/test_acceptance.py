@@ -37,7 +37,12 @@ from wittlocal import (
 from wittlocal.cli import main as cli_main
 from wittlocal.derivations import ThinDerivationParams
 
-from helpers import rand_element, raw_thin_leibniz_rows, reference_kernel
+from helpers import (
+    rand_element,
+    raw_thin_leibniz_rows,
+    reference_extension_table,
+    reference_kernel,
+)
 
 
 def _verdict(number, label, body):
@@ -126,7 +131,8 @@ def test_criterion_4_thin_family_equivalence():
                 params = ThinDerivationParams.from_generator_images(e1, e2)
                 direct = thin_derivation(params, 2 * n + 3)
                 extended = extend_from_generators(Algebra.THIN, e1, e2, 2 * n + 3)
-                assert direct == extended
+                assert direct == extended == reference_extension_table(
+                    Algebra.THIN, e1, e2, 2 * n + 3)
 
     _verdict(4, "thin derivation family (Leibniz at depth 30, read-off converse)", body)
 

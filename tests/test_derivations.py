@@ -50,6 +50,7 @@ from helpers import (
     rand_rational,
     reference_derivation_space,
     reference_extension,
+    reference_extension_table,
     reference_leibniz,
     reference_apply,
     reference_recover_inner,
@@ -508,9 +509,9 @@ def test_thin_extend_matches_reference():
 
 
 def test_thin_solve_and_extend_work_is_linear(monkeypatch):
-    """Thin structure constants vanish off i = 1 or j = 1, so the thin
-    extension evaluates K O(shifts * truncation) times, not once per pair of
-    the truncation, and the thin solve, which has no live row, none."""
+    """The thin solve, which has no live row, and the thin extension, which
+    tabulates the closed form of `ThinDerivationParams.image_terms`,
+    evaluate no structure constant."""
     calls = _recorded(monkeypatch, "_thin_constant", algebras)
     space = derivation_space_basis(Algebra.THIN, 64)
     assert space.dim == 127
@@ -518,7 +519,7 @@ def test_thin_solve_and_extend_work_is_linear(monkeypatch):
     img1, img2 = thin("e_1 + 2/7*e_3"), thin("e_2 - 1/5*e_4")
     out = extend_from_generators(Algebra.THIN, img1, img2, 1000)
     assert isinstance(out, LinearMapTable)
-    assert 0 < len(calls) <= 20 * 2 * 1000
+    assert calls == []
 
 
 # -- derivation space ---------------------------------------------------------
@@ -553,7 +554,7 @@ def test_thin_space_solutions_match_parametrized_family():
         direct = thin_derivation(params, depth)
         extended = extend_from_generators(Algebra.THIN, e1, e2, depth)
         assert isinstance(extended, LinearMapTable)
-        assert direct == extended
+        assert direct == extended == reference_extension_table(Algebra.THIN, e1, e2, depth)
 
 
 @pytest.mark.parametrize("algebra", [Algebra.WPLUS, Algebra.THIN])
@@ -815,33 +816,49 @@ def test_parts_certificate_on_affine_constants():
 
 
 def test_first_cross_relation_residual_of_shift_parts():
-    """The [e_2, e_3] residual K(2,3) c[5] - c[2] K(2+s,3) - c[3] K(2,3+s) of
-    the part with D(e_1) = a e_{1+s} and D(e_2) = b e_{2+s}, the identity
-    `derivation_space_basis` rests on: on wplus
-    (s^2 + s + 6) ((s - 1) b - (s - 2) a) / 6, expanded from the recursion
-    with s a symbol, and s^2 + s + 6 has no real root.  The residual of the
-    unit sequences of `_shift_sequence` gives that form on wplus, and on thin
-    -b at s = -1 and 0 for s >= 0, at every block s = -1..64 that `der-basis`
-    reaches: this ties the solver's rows, the wplus form over its positive
-    factor (s^2 + s + 6) / 6, to the recursion."""
+    """The generator recursion c_k = (a K(1+s, k-1) + c_{k-1} K(1, k-1+s)) /
+    K(1, k-1) of the part with D(e_1) = a e_{1+s} and D(e_2) = b e_{2+s},
+    expanded here with s a symbol, gives every closed form that
+    `derivation_space_basis` and `extend_from_generators` read: the
+    [e_2, e_3] residual K(2,3) c[5] - c[2] K(2+s,3) - c[3] K(2,3+s) is
+    (s^2 + s + 6) ((s - 1) b - (s - 2) a) / 6 on wplus, and s^2 + s + 6 has
+    no real root; c_3 and c_4, the images below truncation 5; and
+    c_k = (b - a)(k - s) for k <= 8 on the inner line (s - 1) b = (s - 2) a.
+    The same recursion under each algebra's own K gives that residual on
+    wplus, and on thin -b at s = -1 and 0 for s >= 0, at every block
+    s = -1..64 that `der-basis` reaches: this ties the solver's rows, the
+    wplus form over its positive factor (s^2 + s + 6) / 6, to the recursion."""
     sympy = pytest.importorskip("sympy")
-    s, a, b = sympy.symbols("s a b")
-    c = [0, a, b]
-    for k in range(3, 6):
-        c.append((a * (k - 2 - s) + c[k - 1] * (k - 2 + s)) / (k - 2))
+    s, a, b, d = sympy.symbols("s a b d")
+
+    def part(K, s, top):
+        c = [0, a, b]
+        for k in range(3, top + 1):
+            c.append((a * K(1 + s, k - 1) + c[k - 1] * K(1, k - 1 + s)) / K(1, k - 1))
+        return c
+
+    def residual(K, s, c):
+        return K(2, 3) * c[5] - c[2] * K(2 + s, 3) - c[3] * K(2, 3 + s)
+
+    def witt(x, y):
+        return y - x
+
+    c = part(witt, s, 8)
     wplus = (s**2 + s + 6) * ((s - 1) * b - (s - 2) * a) / 6
-    assert sympy.expand(c[5] - c[2] * (1 - s) - c[3] * (1 + s) - wplus) == 0
+    assert sympy.expand(residual(witt, s, c) - wplus) == 0
     assert sympy.discriminant(s**2 + s + 6, s) < 0
+    c3 = a * (1 - s) + b * (1 + s)
+    assert sympy.expand(c[3] - c3) == 0
+    assert sympy.expand(c[4] - (a * (2 - s) + c3 * (2 + s)) / 2) == 0
+    line = {a: d * (1 - s), b: d * (2 - s)}  # every (a, b) on the line, with b - a = d
+    assert sympy.expand(((s - 1) * b - (s - 2) * a).subs(line)) == 0
+    for k in range(1, 9):
+        assert sympy.expand(c[k].subs(line) - d * (k - s)) == 0, k
     for algebra in (Algebra.WPLUS, Algebra.THIN):
         K = algebra.constant
         for t in range(-1, DER_BASIS_MAX_SUPPORT + 1):
-            residual = 0
-            for coefficient, unit in ((a, (1, 0)), (b, (0, 1))):
-                den, u = derivations._shift_sequence(algebra, t, *unit, 5)
-                r = K(2, 3) * u[5] - u[2] * K(2 + t, 3) - u[3] * K(2, 3 + t)
-                residual += coefficient * sympy.Rational(r, den)
             form = wplus.subs(s, t) if algebra is Algebra.WPLUS else (-b if t == -1 else 0)
-            assert sympy.expand(residual - form) == 0, (algebra, t)
+            assert sympy.expand(residual(K, t, part(K, t, 5)) - form) == 0, (algebra, t)
 
 
 def test_reference_extension_fails_first_at_2_3():
@@ -867,8 +884,9 @@ def test_reference_extension_fails_first_at_2_3():
 def test_wplus_extend_certificate_matches_reference(monkeypatch):
     """Inner generator images, some with extra terms, extend or fail exactly
     as `reference_extension` says, which scans every cross relation.  The
-    extension reads only (2, 3), and none below truncation 5, where wplus
-    has no cross relation."""
+    extension scans no pair: it reads the [e_2, e_3] residual and the
+    images in closed form, and below truncation 5, where wplus has no cross
+    relation, the images alone."""
     scans = _recorded(monkeypatch, "_first_violation")
     rng = Random(157)
     consistent = inconsistent = 0
@@ -878,11 +896,12 @@ def test_wplus_extend_certificate_matches_reference(monkeypatch):
             img1 = img1 + rand_element(rng, Algebra.WPLUS, range(1, 7), max_terms=2)
         truncation = rng.randint(3, 24)
         images, failure = reference_extension(Algebra.WPLUS, img1, img2, truncation)
-        scans.clear()
         out = extend_from_generators(Algebra.WPLUS, img1, img2, truncation)
-        assert [list(args[2]) for args in scans] == [[(2, 3)] if truncation >= 5 else []]
+        assert scans == []
         if failure is None:
             assert isinstance(out, LinearMapTable) and out.images == images
+            for image in out.images.values():
+                assert_normalised_element(image)
             consistent += 1
         else:
             assert (out.relation, out.residual) == failure
@@ -890,14 +909,11 @@ def test_wplus_extend_certificate_matches_reference(monkeypatch):
     assert consistent > 20 and inconsistent > 20
 
 
-def test_wplus_space_certificate_matches_reference(monkeypatch):
+def test_wplus_space_certificate_matches_reference():
     """The wplus solve equals `reference_derivation_space`, which imposes
-    every cross relation, for n = 1..12 at depths 2n + 3 and 2n + 10, and
-    builds no sequence."""
-    built = _recorded(monkeypatch, "_shift_sequence")
+    every cross relation, for n = 1..12 at depths 2n + 3 and 2n + 10."""
     for n in range(1, 13):
         space = derivation_space_basis(Algebra.WPLUS, n)
-        assert built == []
         for depth in (2 * n + 3, 2 * n + 10):
             names, reference = reference_derivation_space(Algebra.WPLUS, n, depth)
             assert space.coordinates == names
@@ -905,18 +921,17 @@ def test_wplus_space_certificate_matches_reference(monkeypatch):
 
 
 def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
-    """The wplus and thin solves at n = 64 build no sequence, evaluate no
-    structure constant and call no `_first_violation`: each block's row is
-    read off the [e_2, e_3] form; an inner `leibniz_check` at depth 200 is
-    certified and scans no pair; an inner wplus extension to 1000 reads one
-    pair, (2, 3)."""
+    """The wplus and thin solves at n = 64 evaluate no structure constant
+    and call no `_first_violation`: each block's row is read off the
+    [e_2, e_3] form; an inner `leibniz_check` at depth 200 is certified and
+    scans no pair; an inner wplus extension to 1000 reads the [e_2, e_3]
+    residual in closed form and scans no pair either."""
     scans = _recorded(monkeypatch, "_first_violation")
-    built = _recorded(monkeypatch, "_shift_sequence")
     constants = [_recorded(monkeypatch, name, algebras)
                  for name in ("_witt_constant", "_thin_constant")]
     assert derivation_space_basis(Algebra.WPLUS, 64).dim == 64
     assert derivation_space_basis(Algebra.THIN, 64).dim == 127
-    assert built == [] and constants == [[], []]
+    assert constants == [[], []]
     assert scans == []
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
     table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
@@ -926,7 +941,7 @@ def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
               for k in (1, 2)]
     out = extend_from_generators(Algebra.WPLUS, *images, 1000)
     assert out == ad(a, Window(1, 1000)).in_algebra(Algebra.WPLUS)
-    assert [list(args[2]) for args in scans] == [[(2, 3)]]
+    assert scans == []
 
 
 # -- inner recovery -----------------------------------------------------------
@@ -1354,12 +1369,12 @@ def test_thin_derivation_matches_reference(alpha, beta, truncation):
     st.integers(3, 20),
 )
 def test_thin_derivation_json_matches_extension(alpha, beta, truncation):
-    """The JSON text written from the closed form equals the JSON of the
-    generator extension, whose per-shift recursion does not use
+    """The JSON text written from the closed form equals the JSON of
+    `reference_extension`, which brackets whole elements and does not use
     `image_terms`; the params and every image are stored index ascending."""
     params = ThinDerivationParams(alpha, beta)
     images = (Element(Algebra.THIN, dict(gen)) for gen in (params.alpha, params.beta))
-    extension = extend_from_generators(Algebra.THIN, *images, truncation)
+    extension = reference_extension_table(Algebra.THIN, *images, truncation)
     terms = (params.image_terms(j).items() for j in range(1, truncation + 1))
     text = derivations.table_json_text(Algebra.THIN, Window(1, truncation), terms)
     assert text == json.dumps(table_to_json(extension), indent=2)

@@ -240,7 +240,7 @@ _THIN_TERMS = st.dictionaries(st.integers(1, 12), _COEFFS, max_size=5)
 def test_verify_pair_residuals_match_the_extension(alpha, beta, x, y):
     """For any params and thin members supported in 1..N, the residuals are
     delta(m) - extension.apply(m), the extension tabulated on 1..N by
-    `extend_from_generators`: no table is read, yet every residual agrees."""
+    `reference_extension`: no table is read, yet every residual agrees."""
     params = ThinDerivationParams(alpha, beta)
     x, y = Element(Algebra.THIN, x), Element(Algebra.THIN, y)
     cert = WitnessCertificate(x, y, "any", params)
