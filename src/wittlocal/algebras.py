@@ -118,8 +118,8 @@ class Element:
 
     def support_bound(self) -> int:
         """max |i| over the support; 0 for the zero element."""
-        sup = self.support()
-        return max(-sup[0], sup[-1]) if sup else 0
+        keys = self.coeffs._entries  # only the two ends: no sort
+        return max(-min(keys), max(keys)) if keys else 0
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()
@@ -253,23 +253,24 @@ _UNIT = {"-": Fraction(-1), "+": Fraction(1), "": Fraction(1)}
 def parse_element(text: str, algebra: Algebra) -> Element:
     """Parse the element grammar: a signed sum of `c*e_k` terms ("0" for zero).
 
-    Whitespace is ignored; a missing coefficient means 1; indices must lie
-    in the algebra's domain.  Each coefficient is built once, signed, as a
-    Fraction; only a repeated index adds.
+    Whitespace (what `str.split` splits on, which is re's `\\s`) is ignored;
+    a missing coefficient means 1; indices must lie in the algebra's domain.
+    One scan reads the terms in order: a gap, or a later term with no sign,
+    is bad text at the end of the last good term.  Each coefficient is built
+    once, signed, as a Fraction; only a repeated index adds.
     """
-    compact = re.sub(r"\s+", "", text)
+    compact = "".join(text.split())
     if compact in ("0", "+0", "-0"):
         return Element.zero(algebra)
     if not compact:
         raise ParseError("empty element text")
+    lo = _MIN_INDEX[algebra]
     out: dict[int, Fraction] = {}
     pos = 0
-    first = True
-    while pos < len(compact):
-        m = _TERM_RE.match(compact, pos)
-        if not m or (not first and m.group(1) == ""):
-            raise ParseError(f"bad element text {text!r} at position {pos}")
+    for m in _TERM_RE.finditer(compact):
         sign, magnitude, index = m.groups()
+        if m.start() != pos or (pos and not sign):
+            break
         num, _, den = (magnitude or "1").partition("/")
         try:
             p, q, k = int(num), int(den or 1), int(index)
@@ -282,11 +283,12 @@ def parse_element(text: str, algebra: Algebra) -> Element:
             coeff = Fraction(p) if q == 1 else Fraction(p, q)
         else:
             coeff = _UNIT[sign]
-        if not algebra.contains_index(k):
+        if lo is not None and k < lo:
             raise ParseError(f"index {k} not allowed in {algebra}: {text!r}")
         out[k] = out[k] + coeff if k in out else coeff
         pos = m.end()
-        first = False
+    if pos != len(compact):
+        raise ParseError(f"bad element text {text!r} at position {pos}")
     if not all(out.values()):
         out = {k: c for k, c in out.items() if c}
     return Element._trusted(algebra, SparseVector._trusted(out))

@@ -99,19 +99,19 @@ BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  A witness is its
 # parameters, read at the members' own indices, so text output does not grow
-# with the index: `["e_1", "e_6001"]` takes about 0.2 ms in-process.  Only JSON
-# writes the witness table, on 1..max(3, largest index): 4 ms in-process at
-# 6001 (131 KB).  In a fresh process (medians of 7 launches) the CI's three
-# pairs at this cap take 0.08-0.10 s as text, 0.10-0.12 s as JSON (855 KB).
+# with the index: `["e_1", "e_6001"]` takes about 0.1 ms in-process.  Only JSON
+# writes the witness table, on 1..max(3, largest index): 4.3 ms in-process at
+# 6001 (131 KB).  In a fresh process (medians of 7-11 launches) the CI's three
+# pairs at this cap take 0.08 s as text, 0.12-0.17 s as JSON (855 KB).
 VERIFY_MAX_INDEX = 6001
 
 # Largest sum over a `two-local verify` file of the witness sizes
 # max(3, largest index), checked once every pair is parsed and before any
 # witness is built.  It bounds the tables JSON output writes; text output
 # writes none.  At the limit, in a fresh process (medians of 7 launches,
-# start-up about 0.08 s), 5 pairs near 6000 take 0.08 s (0.10 s as JSON) and
-# 10000 two-term pairs 0.50 s (0.65 s): each pair has a fixed cost, about
-# 0.036 ms (0.048 ms as JSON; in-process, best of 7), of parsing, building
+# start-up about 0.08 s), 5 pairs near 6000 take 0.08 s (0.11 s as JSON) and
+# 10000 two-term pairs 0.41 s (0.56 s): each pair has a fixed cost, about
+# 0.032 ms (0.045 ms as JSON; in-process, best of 7), of parsing, building
 # and checking that the sum omits.
 VERIFY_MAX_TOTAL = 30000
 
@@ -447,8 +447,8 @@ def _cmd_twolocal_verify(args) -> int:
 
 def _verify_line(n: int, cert: twolocal.WitnessCertificate, passed: bool) -> str:
     """The text line of one verified pair, with D(e_1) and D(e_2) read off
-    the witness parameters; only `--format text` builds it."""
-    d1, d2 = (format_element(Element(Algebra.THIN, terms))
+    the (already validated) witness parameters; only `--format text` builds it."""
+    d1, d2 = (format_element(Element._trusted(Algebra.THIN, SparseVector._trusted(terms)))
               for terms in (cert.witness.alpha, cert.witness.beta))
     return f"[{n}] case={cert.case} | D(e_1) = {d1} | D(e_2) = {d2} | pass={str(passed).lower()}"
 

@@ -46,6 +46,8 @@ from .linalg import (
     parse_rational,
 )
 
+_NO_TERMS: Mapping = MappingProxyType({})  # the one empty side of every ThinDerivationParams
+
 
 class LinearMapTable:
     """A linear map given by the images of every basis index in a window.
@@ -438,13 +440,14 @@ def recover_inner_witt(table: LinearMapTable) -> Element:
 
 def _sorted_terms(terms: Mapping[int, Rational | int], name: str, low: int) -> Mapping:
     """The nonzero terms as Fractions, index ascending, in a read-only
-    mapping; ValueError when an index is below low."""
+    mapping (`_NO_TERMS` when there are none); ValueError when an index is
+    below low."""
     out = {int(i): f for i, c in terms.items()
            if (f := c if type(c) is Fraction else Fraction(c))}
     out = dict(sorted(out.items()))
     if out and (first := next(iter(out))) < low:
         raise ValueError(f"{name} index {first} below {low}")
-    return MappingProxyType(out)
+    return MappingProxyType(out) if out else _NO_TERMS
 
 
 class ThinDerivationParams:
@@ -458,8 +461,8 @@ class ThinDerivationParams:
     __slots__ = ("alpha", "beta")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, alpha: Mapping[int, Rational | int] = MappingProxyType({}),
-                 beta: Mapping[int, Rational | int] = MappingProxyType({})):
+    def __init__(self, alpha: Mapping[int, Rational | int] = _NO_TERMS,
+                 beta: Mapping[int, Rational | int] = _NO_TERMS):
         object.__setattr__(self, "alpha", _sorted_terms(alpha, "alpha", 1))
         object.__setattr__(self, "beta", _sorted_terms(beta, "beta", 2))
 

@@ -26,6 +26,7 @@ Witnesses on wplus are drawn from wplus_ext.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebras import Algebra, Element, bracket
@@ -41,10 +42,10 @@ def thin_delta(x: Element) -> Element:
     component, otherwise x with the e_1 component removed."""
     if x.algebra is not Algebra.THIN:
         raise MixedAlgebras(f"thin_delta on a {x.algebra} element")
-    terms = x.coeffs.items()  # index ascending, and thin indices start at 1
-    if not terms or terms[0][0] != 1:
+    if 1 not in (terms := x.coeffs._entries):  # a membership test: no sort
         return Element.zero(Algebra.THIN)
-    return Element._trusted(Algebra.THIN, SparseVector._trusted(dict(terms[1:])))
+    return Element._trusted(Algebra.THIN, SparseVector._trusted(
+        {k: c for k, c in terms.items() if k != 1}))
 
 
 class WitnessCertificate(NamedTuple):
@@ -99,20 +100,23 @@ def verify_pair(delta: DeltaMap, cert: WitnessCertificate) -> PairVerification:
     members, exactly.  Each residual delta(m) - witness(m) is built in one
     pass: c times D(e_k), read off the witness's closed form
     (`ThinDerivationParams.image_terms`), is taken off delta(m) for each term
-    c e_k.  Only the members' own indices are read, so the work follows
-    their term counts, not their top index."""
+    c e_k, as unreduced integer (numerator, denominator) sums; a Fraction is
+    built only for a nonzero entry, so a passing pair builds none.  Only the
+    members' own indices are read, so the work follows their term counts,
+    not their top index."""
     params, residuals = cert.witness, []
     for m in (cert.x, cert.y):
         d = delta(m)
         if not m.algebra is d.algebra is Algebra.THIN:
             raise MixedAlgebras(f"{m.algebra} member, {d.algebra} image, thin witness")
-        out = dict(d.coeffs.items())
-        for k, c in m.coeffs.items():
+        sums = {i: (v.numerator, v.denominator) for i, v in d.coeffs._entries.items()}
+        for k, c in m.coeffs._entries.items():
+            p, q = c.numerator, c.denominator
             for i, v in params.image_terms(k).items():
-                if value := out.get(i, 0) - c * v:
-                    out[i] = value
-                else:
-                    del out[i]
+                a, b = sums.get(i, (0, 1))
+                r = q * v.denominator
+                sums[i] = a * r - b * p * v.numerator, b * r
+        out = {i: Fraction(n, r) for i, (n, r) in sorted(sums.items()) if n}
         residuals.append(Element._trusted(Algebra.THIN, SparseVector._trusted(out)))
     return PairVerification(all(r.is_zero() for r in residuals), *residuals)
 

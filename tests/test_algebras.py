@@ -635,8 +635,11 @@ def test_parse_element_matches_reference(text, algebra):
 
 
 @settings(derandomize=True, max_examples=300)
-@given(st.text(alphabet="e_0123456789+-*/ \t x.", max_size=24), _ALGEBRAS)
+@given(st.text(alphabet="e_0123456789+-*/ \t\u00a0\u2003\x1c x.", max_size=24), _ALGEBRAS)
 def test_parse_element_malformed_matches_reference(text, algebra):
+    """Malformed text, with Unicode whitespace (no-break space, em space and
+    the file separator, which `str.split` and re's `\\s` both drop), parses or
+    fails as the reference does."""
     assert _outcome(parse_element, text, algebra) == _outcome(
         reference_parse_element, text, algebra
     )

@@ -250,6 +250,45 @@ def test_verify_pair_residuals_match_the_extension(alpha, beta, x, y):
     assert_normalised_element(v.residual_y)
 
 
+# numerators and denominators drawn from 10**20..10**30, so that the unreduced
+# integer sums of `verify_pair` multiply large denominators together
+_BIG = st.builds(lambda s, p, q: Fraction(s * p, q), st.sampled_from((1, -1)),
+                 st.integers(10**20, 10**30), st.integers(10**20, 10**30))
+_WIDE = st.one_of(_COEFFS, _BIG)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(st.integers(1, 9), _WIDE, max_size=4),
+    st.dictionaries(st.integers(2, 9), _WIDE, max_size=4),
+    st.dictionaries(st.integers(2, 12), _WIDE, max_size=4),
+    st.dictionaries(st.integers(1, 12), _WIDE, max_size=4),
+    _BIG,
+    st.integers(3, 12),
+    st.booleans(),
+)
+def test_verify_pair_residuals_with_large_and_cancelling_terms(alpha, beta, x, y, c1, i, exact):
+    """Large coefficients, and a witness whose terms cancel at index i of x:
+    alpha_i is chosen so that c1 alpha_i plus the other terms' contributions
+    at i is either delta(x)_i (the residual vanishes there) or 0 (the
+    residual there is delta(x)_i).  Every residual agrees with the extension."""
+    x = Element(Algebra.THIN, {**x, 1: c1})
+    y = Element(Algebra.THIN, y)
+    alpha.pop(i, None)
+    # D(e_j) for j >= 2 does not read alpha_i, so this residual is
+    # delta(x)_i minus the other terms' contributions at i
+    others = reference_verify_pair(
+        thin_delta, WitnessCertificate(x, y, "any", ThinDerivationParams(alpha, beta)))[1]
+    delta_i = reference_thin_delta(x).coefficient(i)
+    alpha[i] = (others.coefficient(i) - (0 if exact else delta_i)) / c1
+    cert = WitnessCertificate(x, y, "any", ThinDerivationParams(alpha, beta))
+    v = verify_pair(thin_delta, cert)
+    assert (v.passed, v.residual_x, v.residual_y) == reference_verify_pair(thin_delta, cert)
+    assert v.residual_x.coefficient(i) == (0 if exact else delta_i)
+    assert_normalised_element(v.residual_x)
+    assert_normalised_element(v.residual_y)
+
+
 @settings(derandomize=True, max_examples=200)
 @given(
     st.dictionaries(st.integers(1, 12), _COEFFS.filter(bool), min_size=1, max_size=5),
