@@ -22,7 +22,6 @@ from .derivations import (
     LeibnizResult,
     LinearMapTable,
     ThinDerivationParams,
-    ad,
     derivation_space_basis,
     extend_from_generators,
     leibniz_check,
@@ -57,7 +56,6 @@ from .twolocal import (
     RigidityTrace,
     WitnessCertificate,
     additivity_violation,
-    basis_rigidity_check,
     centralizer,
     forced_image_space,
     rigidity_check,

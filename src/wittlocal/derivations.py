@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .algebras import Algebra, Element, bracket, format_element
+from .algebras import Algebra, Element, format_element
 from .errors import (
     IndexOutOfDomain,
     MixedAlgebras,
@@ -81,24 +81,6 @@ class LinearMapTable:
             raise TruncationTooSmall(f"basis index {k} outside truncation {self.window}")
         return self.images[k]
 
-    def apply(self, x: Element) -> Element:
-        """Extend the table by linearity to x."""
-        if x.algebra is not self.algebra:
-            raise MixedAlgebras(f"applying a {self.algebra} table to a {x.algebra} element")
-        out: dict[int, Fraction] = {}
-        for k, c in x.coeffs.items():
-            for i, v in self.image(k).coeffs.items():
-                if i in out:
-                    out[i] += c * v
-                else:
-                    out[i] = c * v
-        return Element(self.algebra, SparseVector._trusted({i: v for i, v in out.items() if v}))
-
-    def in_algebra(self, target: Algebra) -> LinearMapTable:
-        return LinearMapTable(
-            target, self.window, {k: v.in_algebra(target) for k, v in self.images.items()}
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearMapTable):
             return NotImplemented
@@ -110,13 +92,6 @@ class LinearMapTable:
 
     def __repr__(self) -> str:
         return f"LinearMapTable({self.algebra}, {self.window}, {len(self.images)} images)"
-
-
-def ad(a: Element, window: Window) -> LinearMapTable:
-    """The inner map x -> [a, x], tabulated on the window's basis indices."""
-    a.algebra.require_window(window)
-    images = {k: bracket(a, Element.basis(a.algebra, k)) for k in window.indices()}
-    return LinearMapTable(a.algebra, window, images)
 
 
 class LeibnizResult(NamedTuple):

@@ -197,21 +197,6 @@ class RigidityTrace(NamedTuple):
         return self.intersection.dim == 0
 
 
-def _require_probes(algebra: Algebra, probes: list[int], window: Window) -> list[int]:
-    for p in probes:
-        if p not in window:
-            raise WindowTooSmall(f"witness window {window} misses probe index {p}")
-    _witness_algebra(algebra).require_window(window)  # as `forced_image_space` does, up front
-    return probes
-
-
-def _rigidity_from_probes(
-    algebra: Algebra, x: Element, probes: list[int], window: Window
-) -> RigidityTrace:
-    spaces = [forced_image_space(algebra, p, x, window) for p in probes]
-    return RigidityTrace(probes, spaces, subspace_intersection(*spaces))
-
-
 def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrace:
     """Rigidity for an arbitrary nonzero target.
 
@@ -226,22 +211,10 @@ def rigidity_check(algebra: Algebra, x: Element, window: Window) -> RigidityTrac
     if x.is_zero():
         raise ValueError("rigidity target must be nonzero")
     far = 2 * x.support_bound() + 1
-    probes = _require_probes(algebra, [0, far] if algebra is Algebra.WITT else [1, far], window)
-    return _rigidity_from_probes(algebra, x, probes, window)
-
-
-def basis_rigidity_check(algebra: Algebra, i: int, window: Window) -> RigidityTrace:
-    """Rigidity for a single basis vector, probed at the two generators
-    (e_0, e_1 for witt, excluding targets 0 and 1; e_1, e_2 for wplus,
-    targets from 3 up)."""
-    if algebra is Algebra.WITT:
-        if i in (0, 1):
-            raise ValueError("witt basis rigidity applies to indices other than 0 and 1")
-        probes = _require_probes(algebra, [0, 1], window)
-    elif algebra is Algebra.WPLUS:
-        if i < 3:
-            raise ValueError("wplus basis rigidity applies to indices 3 and up")
-        probes = _require_probes(algebra, [1, 2], window)
-    else:
-        raise ValueError(f"rigidity is implemented for witt and wplus, not {algebra}")
-    return _rigidity_from_probes(algebra, Element.basis(algebra, i), probes, window)
+    probes = [0, far] if algebra is Algebra.WITT else [1, far]
+    for p in probes:
+        if p not in window:
+            raise WindowTooSmall(f"witness window {window} misses probe index {p}")
+    _witness_algebra(algebra).require_window(window)  # as `forced_image_space` does, up front
+    spaces = [forced_image_space(algebra, p, x, window) for p in probes]
+    return RigidityTrace(probes, spaces, subspace_intersection(*spaces))

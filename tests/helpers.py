@@ -10,10 +10,13 @@ from wittlocal import (
     LinearMapTable,
     NotADerivation,
     ParseError,
+    RigidityTrace,
     SparseVector,
     Subspace,
     ThinDerivationParams,
     Window,
+    forced_image_space,
+    subspace_intersection,
 )
 
 
@@ -66,6 +69,16 @@ def reference_bracket(x: Element, y: Element) -> Element:
             for k, c in rule(i, j):
                 out[k] = out.get(k, Fraction(0)) + ci * cj * c
     return Element(x.algebra, out)
+
+
+def ad(a: Element, window: Window, algebra: Algebra | None = None) -> LinearMapTable:
+    """The inner map x -> [a, x] through `reference_bracket`, tabulated on
+    the window's basis indices, each image moved into `algebra` (a's own by
+    default): `ad(a, window, Algebra.WPLUS)` for a wplus_ext witness."""
+    target = algebra or a.algebra
+    images = {k: reference_bracket(a, Element.basis(a.algebra, k)).in_algebra(target)
+              for k in window.indices()}
+    return LinearMapTable(target, window, images)
 
 
 def reference_centralizer(algebra: Algebra, t: Element, window: Window) -> Subspace:
@@ -290,6 +303,15 @@ def reference_extension_table(algebra: Algebra, img_e1: Element, img_e2: Element
     return LinearMapTable(algebra, Window(1, truncation), images)
 
 
+def generator_rigidity(algebra: Algebra, i: int, window: Window) -> RigidityTrace:
+    """The rigidity statement for e_i probed at the two generators (e_0, e_1
+    on witt, e_1, e_2 on wplus): their forced spaces through the public
+    `forced_image_space`, met by `subspace_intersection`."""
+    probes = [0, 1] if algebra is Algebra.WITT else [1, 2]
+    forced = [forced_image_space(algebra, p, Element.basis(algebra, i), window) for p in probes]
+    return RigidityTrace(probes, forced, subspace_intersection(*forced))
+
+
 def complement_intersection(a: Subspace, b: Subspace, window: Window) -> Subspace:
     """Intersection of two spans supported in the window as the complement
     of the sum of their complements there, with no shortcut for disjoint
@@ -421,8 +443,8 @@ def reference_derivation_space(algebra: Algebra, n: int, depth: int | None = Non
 
 
 def reference_apply(table, x: Element) -> Element:
-    """`LinearMapTable.apply` as a fold over whole elements: one scaled
-    image added at a time."""
+    """The table extended by linearity to x, as a fold over whole elements:
+    one scaled image added at a time."""
     out = Element.zero(table.algebra)
     for k, c in x.coeffs.items():
         out = out + table.image(k).scale(c)
@@ -526,11 +548,11 @@ def reference_witness_table(cert) -> LinearMapTable:
 
 def reference_verify_pair(delta, cert) -> tuple[bool, Element, Element]:
     """(passed, residual_x, residual_y) of `verify_pair` by element
-    arithmetic: delta(m) - extension.apply(m) for each pair member m, the
-    extension being `reference_witness_table`."""
+    arithmetic: delta(m) - `reference_apply`(extension, m) for each pair
+    member m, the extension being `reference_witness_table`."""
     table = reference_witness_table(cert)
-    rx = delta(cert.x) - table.apply(cert.x)
-    ry = delta(cert.y) - table.apply(cert.y)
+    rx = delta(cert.x) - reference_apply(table, cert.x)
+    ry = delta(cert.y) - reference_apply(table, cert.y)
     return rx.is_zero() and ry.is_zero(), rx, ry
 
 

@@ -19,9 +19,7 @@ from wittlocal import (
     LinearMapTable,
     SparseVector,
     Window,
-    ad,
     bracket,
-    basis_rigidity_check,
     centralizer,
     derivation_space_basis,
     extend_from_generators,
@@ -38,6 +36,8 @@ from wittlocal.cli import main as cli_main
 from wittlocal.derivations import ThinDerivationParams
 
 from helpers import (
+    ad,
+    generator_rigidity,
     rand_element,
     raw_thin_leibniz_rows,
     reference_extension_table,
@@ -79,7 +79,7 @@ def test_criterion_2_inner_round_trip():
         rng = Random(20240202)
         for _ in range(200):
             a = rand_element(rng, Algebra.WPLUS_EXT, range(0, 11), max_num=9, max_den=9)
-            table = ad(a, Window(1, 27)).in_algebra(Algebra.WPLUS)
+            table = ad(a, Window(1, 27), Algebra.WPLUS)
             assert recover_inner_wplus(table) == a
         assert time.perf_counter() - start < 5.0
 
@@ -143,9 +143,9 @@ def test_criterion_5_rigidity():
         for i in range(-20, 21):
             if i in (0, 1):
                 continue
-            assert basis_rigidity_check(Algebra.WITT, i, Window(-25, 25)).rigid, i
+            assert generator_rigidity(Algebra.WITT, i, Window(-25, 25)).rigid, i
         for i in range(3, 41):
-            assert basis_rigidity_check(Algebra.WPLUS, i, Window(0, 45)).rigid, i
+            assert generator_rigidity(Algebra.WPLUS, i, Window(0, 45)).rigid, i
         rng = Random(20240205)
         for _ in range(100):
             x = rand_element(rng, Algebra.WITT, range(-5, 6), nonzero=True)

@@ -14,7 +14,6 @@ from wittlocal import (
     MixedAlgebras,
     ParseError,
     Window,
-    ad,
     algebras,
     bracket,
     format_element,
@@ -23,6 +22,7 @@ from wittlocal import (
 )
 
 from helpers import (
+    ad,
     assert_normalised_element,
     basis_rule,
     rand_element,

@@ -21,7 +21,6 @@ from wittlocal import (
     JacobiResult,
     SparseVector,
     Window,
-    ad,
     cli,
     derivations,
     table_to_json,
@@ -41,7 +40,7 @@ from wittlocal.cli import (
     main,
 )
 
-from helpers import HELP_REQUESTS, reference_leibniz
+from helpers import HELP_REQUESTS, ad, reference_leibniz
 
 
 def run(argv):
@@ -244,7 +243,7 @@ def test_der_basis_text_golden():
 
 
 def test_recover_inner_cli(tmp_path):
-    table = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12)).in_algebra(Algebra.WPLUS)
+    table = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12), Algebra.WPLUS)
     path = tmp_path / "d.json"
     path.write_text(json.dumps(table_to_json(table)))
     code, out, _ = run(["recover-inner", "--algebra", "wplus", "--map", str(path)])
@@ -320,7 +319,7 @@ _BYTE_GOLDENS = {
     ),
     "recover-inner": (
         ["recover-inner", "--algebra", "wplus", "--map", "MAP"],
-        table_to_json(ad(_INNER, Window(1, 11)).in_algebra(Algebra.WPLUS)),
+        table_to_json(ad(_INNER, Window(1, 11), Algebra.WPLUS)),
         "a = e_0 + 1/2*e_2\n",
         {"algebra": "wplus_ext", "element": "e_0 + 1/2*e_2"},
     ),
@@ -1234,7 +1233,7 @@ def test_missing_keys_message_is_bounded(tmp_path):
 def _mixed_requests(tmp_path):
     """Every subcommand in text and JSON, interleaved with a usage error
     (exit 1), a parse error (exit 2) and refusals (exit 3)."""
-    table = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12)).in_algebra(Algebra.WPLUS)
+    table = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12), Algebra.WPLUS)
     map_path = tmp_path / "d.json"
     map_path.write_text(json.dumps(table_to_json(table)))
     pairs_path = tmp_path / "pairs.json"

@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlocal import Algebra, Element, Window, ad, cli, table_to_json
+from wittlocal import Algebra, Element, Window, cli, table_to_json
 from wittlocal.cli import main
 
-from helpers import HELP_REQUESTS
+from helpers import HELP_REQUESTS, ad
 
 JUNK = st.text(alphabet="e_0123456789+-*/: ,x", max_size=8)
 
@@ -113,7 +113,7 @@ def map_text(draw):
             algebra, home, window = Algebra.WPLUS, Algebra.WPLUS_EXT, Window(1, hi)
             support = (0, 3)
         terms = draw(st.dictionaries(st.integers(*support), st.integers(-3, 3), max_size=3))
-        table = ad(Element(home, terms), window).in_algebra(algebra)
+        table = ad(Element(home, terms), window, algebra)
         return algebra.value, json.dumps(table_to_json(table))
     lo = draw(st.integers(-4, 4))
     hi = lo + draw(st.integers(0, 8))

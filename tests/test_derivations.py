@@ -28,7 +28,6 @@ from wittlocal import (
     TruncationTooSmall,
     Window,
     WitnessCertificate,
-    ad,
     bracket,
     derivation_space_basis,
     extend_from_generators,
@@ -44,6 +43,7 @@ from wittlocal import (
 from wittlocal.cli import DER_BASIS_MAX_SUPPORT
 
 from helpers import (
+    ad,
     assert_normalised_element,
     basis_rule,
     rand_element,
@@ -52,7 +52,6 @@ from helpers import (
     reference_extension,
     reference_extension_table,
     reference_leibniz,
-    reference_apply,
     reference_recover_inner,
     reference_span,
     reference_thin_derivation,
@@ -79,53 +78,6 @@ def test_table_requires_every_image():
         LinearMapTable(Algebra.WPLUS, Window(1, 2), {1: z, 2: z, 5: z})
     with pytest.raises(MixedAlgebras):
         LinearMapTable(Algebra.WPLUS, Window(1, 1), {1: Element.zero(Algebra.THIN)})
-
-
-def test_table_apply_is_linear():
-    rng = Random(23)
-    win = Window(1, 12)
-    a = rand_element(rng, Algebra.WPLUS_EXT, range(0, 5))
-    table = ad(a, Window(0, 12))
-    for _ in range(30):
-        x = rand_element(rng, Algebra.WPLUS_EXT, range(1, 12))
-        y = rand_element(rng, Algebra.WPLUS_EXT, range(1, 12))
-        c, d = Fraction(3, 4), Fraction(-2)
-        assert table.apply(x.scale(c) + y.scale(d)) == table.apply(x).scale(c) + table.apply(
-            y
-        ).scale(d)
-    with pytest.raises(TruncationTooSmall):
-        table.apply(Element.basis(Algebra.WPLUS_EXT, 13))
-
-
-def _apply_cases(rng):
-    """ad tables on every algebra (images of neighbouring indices overlap, so
-    sums cancel) and thin derivations with random parameters."""
-    inner = [
-        (Algebra.WITT, Window(-8, 8), range(-3, 4)),
-        (Algebra.WPLUS, Window(1, 12), range(1, 5)),
-        (Algebra.WPLUS_EXT, Window(0, 12), range(0, 5)),
-        (Algebra.THIN, Window(1, 12), range(1, 5)),
-    ]
-    for algebra, win, support in inner:
-        for _ in range(6):
-            yield ad(rand_element(rng, algebra, support, max_den=5), win)
-    for _ in range(12):
-        alpha = {i: rand_rational(rng, 4, 5) for i in range(1, 5)}
-        beta = {i: rand_rational(rng, 4, 5) for i in range(2, 6)}
-        yield thin_derivation(ThinDerivationParams(alpha, beta), rng.randint(3, 12))
-
-
-def test_apply_matches_fold_reference():
-    rng = Random(71)
-    zero_results = 0
-    for table in _apply_cases(rng):
-        for _ in range(12):
-            x = rand_element(rng, table.algebra, table.window.indices(), max_terms=6)
-            got = table.apply(x)
-            assert got == reference_apply(table, x)
-            assert all(type(c) is Fraction and c != 0 for _, c in got.coeffs.items())
-            zero_results += got.is_zero() and not x.is_zero()
-    assert zero_results > 5
 
 
 # -- Leibniz law --------------------------------------------------------------
@@ -155,7 +107,7 @@ def test_identity_map_fails_leibniz():
 
 
 def test_leibniz_depth_beyond_truncation():
-    table = ad(Element.basis(Algebra.WPLUS, 1), Window(1, 5)).in_algebra(Algebra.WPLUS)
+    table = ad(Element.basis(Algebra.WPLUS, 1), Window(1, 5), Algebra.WPLUS)
     with pytest.raises(TruncationTooSmall):
         leibniz_check(table, 0)
 
@@ -227,8 +179,7 @@ def test_leibniz_reports_earliest_pair_across_shifts():
     # defect at shift 0 first fails at (1, 8); defects at the later shifts 2
     # and 3 fail at the earlier pair (1, 4), which must be the one reported,
     # with its residual summed over the shifts.
-    inner = ad(parse_element("e_0 + e_2 + e_3", Algebra.WPLUS_EXT), Window(1, 12))
-    inner = inner.in_algebra(Algebra.WPLUS)
+    inner = ad(parse_element("e_0 + e_2 + e_3", Algebra.WPLUS_EXT), Window(1, 12), Algebra.WPLUS)
     assert leibniz_check(_planted(inner, [(9, 9)]), 12).pair == (1, 8)
     table = _planted(inner, [(9, 9), (5, 7), (5, 8)])
     result = leibniz_check(table, 12)
@@ -273,8 +224,8 @@ def test_leibniz_scales_only_the_images_it_reads(monkeypatch):
     monkeypatch.setattr(derivations, "_integer_parts", spy)
     rng = Random(109)
     inner = [
-        (ad(parse_element("e_0 + 2*e_1 - 1/3*e_4", Algebra.WPLUS_EXT), Window(1, 60))
-         .in_algebra(Algebra.WPLUS), 10),
+        (ad(parse_element("e_0 + 2*e_1 - 1/3*e_4", Algebra.WPLUS_EXT), Window(1, 60),
+            Algebra.WPLUS), 10),
         (ad(parse_element("e_-2 + 1/2*e_0 + e_3", Algebra.WITT), Window(-40, 40)), 6),
         (thin_derivation(ThinDerivationParams({1: 1, 3: 2}, {2: -1, 4: Fraction(1, 2)}), 50), 8),
     ]
@@ -298,7 +249,7 @@ def test_leibniz_streams_its_pairs():
     """The pairs are generated, not listed: 10000 pairs at depth 200 peak
     far below the roughly 650 KiB a list of them takes."""
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5 + 3*e_8", Algebra.WPLUS_EXT)
-    table = ad(a, Window(1, 200)).in_algebra(Algebra.WPLUS)
+    table = ad(a, Window(1, 200), Algebra.WPLUS)
     tracemalloc.start()
     try:
         result = leibniz_check(table, 200)
@@ -388,9 +339,9 @@ def test_extend_reproduces_scaling_derivation():
         Algebra.WPLUS, wplus("e_1"), wplus("2*e_2"), 10
     )
     assert isinstance(out, LinearMapTable)
-    expected = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 10))
+    expected = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 10), Algebra.WPLUS)
     for k in range(1, 11):
-        assert out.image(k) == expected.image(k).in_algebra(Algebra.WPLUS)
+        assert out.image(k) == expected.image(k)
 
 
 def test_extend_thin_tail_identity():
@@ -426,9 +377,9 @@ def test_extend_reproduces_inner_maps():
         img2 = bracket(a, Element.basis(Algebra.WPLUS_EXT, 2)).in_algebra(Algebra.WPLUS)
         out = extend_from_generators(Algebra.WPLUS, img1, img2, 15)
         assert isinstance(out, LinearMapTable)
-        reference = ad(a, Window(1, 15))
+        reference = ad(a, Window(1, 15), Algebra.WPLUS)
         for k in range(1, 16):
-            assert out.image(k) == reference.image(k).in_algebra(Algebra.WPLUS)
+            assert out.image(k) == reference.image(k)
 
 
 def test_extend_sums_residual_over_failing_shifts():
@@ -753,7 +704,7 @@ def test_leibniz_certificate_fit_rejects_defect_off_the_grid(monkeypatch):
     ]
     for algebra, text, window, p, depth in cases:
         a = parse_element(text, Algebra.WITT if algebra is Algebra.WITT else Algebra.WPLUS_EXT)
-        table = _planted(ad(a, window).in_algebra(algebra), [(p, p + max(a.support()))])
+        table = _planted(ad(a, window, algebra), [(p, p + max(a.support()))])
         expected = reference_leibniz(table, depth)
         assert not expected[0]
         before = len(scans)
@@ -934,13 +885,13 @@ def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
     assert constants == [[], []]
     assert scans == []
     a = parse_element("e_0 + 2*e_3 - 1/2*e_5", Algebra.WPLUS_EXT)
-    table = ad(a, Window(1, 400)).in_algebra(Algebra.WPLUS)
+    table = ad(a, Window(1, 400), Algebra.WPLUS)
     assert leibniz_check(table, 200).passed
     assert scans == []
     images = [bracket(a, Element.basis(Algebra.WPLUS_EXT, k)).in_algebra(Algebra.WPLUS)
               for k in (1, 2)]
     out = extend_from_generators(Algebra.WPLUS, *images, 1000)
-    assert out == ad(a, Window(1, 1000)).in_algebra(Algebra.WPLUS)
+    assert out == ad(a, Window(1, 1000), Algebra.WPLUS)
     assert scans == []
 
 
@@ -948,12 +899,12 @@ def test_certificate_keeps_the_scans_off_the_hot_path(monkeypatch):
 
 
 def test_recover_wplus_examples():
-    d = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 20)).in_algebra(Algebra.WPLUS)
+    d = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 20), Algebra.WPLUS)
     assert recover_inner_wplus(d) == Element.basis(Algebra.WPLUS_EXT, 0)
     zero = zero_table(Algebra.WPLUS, Window(1, 10))
     assert recover_inner_wplus(zero).is_zero()
     a = Element(Algebra.WPLUS_EXT, {2: -1})
-    d = ad(a, Window(1, 11)).in_algebra(Algebra.WPLUS)
+    d = ad(a, Window(1, 11), Algebra.WPLUS)
     assert d.image(1) == wplus("e_3")
     assert d.image(2).is_zero()
     assert recover_inner_wplus(d) == a
@@ -964,12 +915,12 @@ def test_recover_wplus_round_trip():
     for _ in range(60):
         a = rand_element(rng, Algebra.WPLUS_EXT, range(0, 11), max_num=9, max_den=9)
         hi = 2 * (a.support_bound() + 2) + 3
-        d = ad(a, Window(1, hi)).in_algebra(Algebra.WPLUS)
+        d = ad(a, Window(1, hi), Algebra.WPLUS)
         assert recover_inner_wplus(d) == a
 
 
 def test_recover_wplus_rejects_non_derivations():
-    base = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12)).in_algebra(Algebra.WPLUS)
+    base = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12), Algebra.WPLUS)
     images = dict(base.images)
     images[1] = images[1] + wplus("e_2")  # no derivation sends e_1 there
     bad = LinearMapTable(Algebra.WPLUS, base.window, images)
@@ -979,7 +930,7 @@ def test_recover_wplus_rejects_non_derivations():
 
 def test_recover_wplus_truncation_guard():
     a = Element(Algebra.WPLUS_EXT, {5: 1})
-    d = ad(a, Window(1, 10)).in_algebra(Algebra.WPLUS)  # images reach grade 7
+    d = ad(a, Window(1, 10), Algebra.WPLUS)  # images reach grade 7
     with pytest.raises(TruncationTooSmall):
         recover_inner_wplus(d)
 
@@ -1055,7 +1006,7 @@ def test_recover_inner_matches_bracket_reference():
         home = Algebra.WPLUS_EXT if algebra is Algebra.WPLUS else algebra
         for n in range(80):
             a = rand_element(rng, home, support, max_num=9, max_den=9)
-            table = ad(a, win).in_algebra(algebra)
+            table = ad(a, win, algebra)
             if n >= 40:
                 table = _one_term_off(rng, table, a, domain)
             elif rng.random() < 0.7:

@@ -10,12 +10,12 @@ from wittlocal import (
     Element,
     IndexOutOfDomain,
     MixedAlgebras,
+    RigidityTrace,
     SparseVector,
     Window,
     WindowTooSmall,
     WitnessCertificate,
     additivity_violation,
-    basis_rigidity_check,
     centralizer,
     forced_image_space,
     leibniz_check,
@@ -31,8 +31,11 @@ from wittlocal.derivations import ThinDerivationParams
 
 from helpers import (
     assert_normalised_element,
+    complement_intersection,
+    generator_rigidity,
     in_span,
     rand_element,
+    reference_apply,
     reference_centralizer,
     reference_forced_image_space,
     reference_thin_delta,
@@ -99,7 +102,7 @@ def test_linear_maps_never_violate_additivity():
     for _ in range(40):
         x = rand_element(rng, Algebra.THIN, range(1, 12))
         y = rand_element(rng, Algebra.THIN, range(1, 12))
-        assert not additivity_violation(table.apply, x, y).violated
+        assert not additivity_violation(lambda m: reference_apply(table, m), x, y).violated
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -138,7 +141,7 @@ def test_witness_case_identity():
     assert table.image(3) == thin("e_3")
     v = verify_pair(thin_delta, cert)
     assert v.passed
-    assert table.apply(thin("e_1 + e_2")) == thin("e_2")
+    assert reference_apply(table, thin("e_1 + e_2")) == thin("e_2")
 
 
 def test_witness_randomized():
@@ -173,7 +176,7 @@ def test_verify_pair_rejects_wrong_witness():
 
 
 def test_verify_pair_matches_reference_residuals():
-    """The one-pass residuals equal delta(m) - extension.apply(m) on 300
+    """The one-pass residuals equal delta(m) - extension(m) on 300
     seeded thin pairs and on wrong witnesses: the zero params, and a true
     witness with one term added to alpha or to beta."""
     rng = Random(71)
@@ -239,7 +242,7 @@ _THIN_TERMS = st.dictionaries(st.integers(1, 12), _COEFFS, max_size=5)
 )
 def test_verify_pair_residuals_match_the_extension(alpha, beta, x, y):
     """For any params and thin members supported in 1..N, the residuals are
-    delta(m) - extension.apply(m), the extension tabulated on 1..N by
+    delta(m) - extension(m), the extension tabulated on 1..N by
     `reference_extension`: no table is read, yet every residual agrees."""
     params = ThinDerivationParams(alpha, beta)
     x, y = Element(Algebra.THIN, x), Element(Algebra.THIN, y)
@@ -448,29 +451,20 @@ def test_forced_image_matches_centralizer_reference():
 
 
 def test_basis_rigidity_witt():
-    tr = basis_rigidity_check(Algebra.WITT, 5, Window(-10, 10))
+    tr = generator_rigidity(Algebra.WITT, 5, Window(-10, 10))
     assert tr.probes == [0, 1]
     assert [s.basis for s in tr.forced] == [[unit(5)], [unit(6)]]
     assert tr.rigid
-    tr_neg = basis_rigidity_check(Algebra.WITT, -3, Window(-10, 10))
+    tr_neg = generator_rigidity(Algebra.WITT, -3, Window(-10, 10))
     assert [s.basis for s in tr_neg.forced] == [[unit(-3)], [unit(-2)]]
     assert tr_neg.rigid
 
 
 def test_basis_rigidity_wplus():
-    tr = basis_rigidity_check(Algebra.WPLUS, 7, Window(0, 15))
+    tr = generator_rigidity(Algebra.WPLUS, 7, Window(0, 15))
     assert tr.probes == [1, 2]
     assert [s.basis for s in tr.forced] == [[unit(8)], [unit(9)]]
     assert tr.rigid
-
-
-def test_basis_rigidity_guards():
-    with pytest.raises(ValueError):
-        basis_rigidity_check(Algebra.WITT, 0, Window(-5, 5))
-    with pytest.raises(ValueError):
-        basis_rigidity_check(Algebra.WPLUS, 2, Window(0, 5))
-    with pytest.raises(ValueError):
-        basis_rigidity_check(Algebra.THIN, 5, Window(1, 5))
 
 
 def test_rigidity_probe_choice_and_traces():
@@ -534,8 +528,8 @@ def test_rigidity_does_no_elimination(monkeypatch):
     ]
     assert rigidity_check(Algebra.WPLUS, parse_element("e_1 + e_2", Algebra.WPLUS),
                           Window(0, 12)).rigid
-    assert basis_rigidity_check(Algebra.WITT, 5, Window(-10, 10)).rigid
-    assert basis_rigidity_check(Algebra.WPLUS, 7, Window(0, 15)).rigid
+    assert generator_rigidity(Algebra.WITT, 5, Window(-10, 10)).rigid
+    assert generator_rigidity(Algebra.WPLUS, 7, Window(0, 15)).rigid
     rng = Random(107)
     for algebra, indices, window in ((Algebra.WITT, range(-6, 7), Window(-20, 20)),
                                      (Algebra.WPLUS, range(1, 8), Window(0, 20))):
@@ -545,11 +539,31 @@ def test_rigidity_does_no_elimination(monkeypatch):
 
 
 def test_rigidity_window_guard():
-    x = parse_element("e_4", Algebra.WITT)  # needs probe index 9
-    with pytest.raises(WindowTooSmall):
-        rigidity_check(Algebra.WITT, x, Window(-5, 5))
-    with pytest.raises(ValueError):
-        rigidity_check(Algebra.WITT, Element.zero(Algebra.WITT), Window(-5, 5))
+    """Each guard fires on inputs that every later guard would refuse too:
+    the algebra, then the target's algebra, then a zero target, then each
+    probe in turn, then the witness domain of the window."""
+    witt, wplus = Algebra.WITT, Algebra.WPLUS
+    tiny = Window(5, 6)  # misses every probe
+    for algebra in (Algebra.THIN, Algebra.WPLUS_EXT):
+        with pytest.raises(ValueError, match=f"^rigidity is implemented for witt and wplus, "
+                                             f"not {algebra}$"):
+            rigidity_check(algebra, Element.zero(witt), tiny)
+    with pytest.raises(MixedAlgebras, match="^target lives in wplus, expected witt$"):
+        rigidity_check(witt, Element.zero(wplus), tiny)
+    with pytest.raises(ValueError, match="^rigidity target must be nonzero$"):
+        rigidity_check(witt, Element.zero(witt), tiny)
+    x = parse_element("e_4", witt)  # probes 0 and 9
+    with pytest.raises(WindowTooSmall, match="^witness window 5:6 misses probe index 0$"):
+        rigidity_check(witt, x, tiny)
+    with pytest.raises(WindowTooSmall, match="^witness window -5:5 misses probe index 9$"):
+        rigidity_check(witt, x, Window(-5, 5))
+    y = parse_element("e_3", wplus)  # probes 1 and 7
+    with pytest.raises(WindowTooSmall, match="^witness window 2:9 misses probe index 1$"):
+        rigidity_check(wplus, y, Window(2, 9))
+    with pytest.raises(WindowTooSmall, match="^witness window -3:5 misses probe index 7$"):
+        rigidity_check(wplus, y, Window(-3, 5))
+    with pytest.raises(IndexOutOfDomain, match="^window -3:10 leaves the wplus_ext index domain$"):
+        rigidity_check(wplus, y, Window(-3, 10))
 
 
 # -- window enlargement -------------------------------------------------------------
@@ -614,6 +628,23 @@ def test_rigidity_invariant_under_window_enlargement(algebra, m1, m2, data):
     assert before.rigid == after.rigid
     assert (before.probes, before.forced) == (after.probes, after.forced)
     assert before.intersection == after.intersection
+
+
+@settings(derandomize=True, max_examples=120)
+@given(st.sampled_from([Algebra.WITT, Algebra.WPLUS]), MARGINS, st.data())
+def test_rigidity_matches_reference(algebra, margins, data):
+    """The trace equals the one built from `reference_forced_image_space` at
+    the probes (0 or 1, and one past twice the support bound), met by
+    `complement_intersection` on a window holding both forced spans."""
+    lo = -6 if algebra is Algebra.WITT else 1
+    x = data.draw(elements(algebra, lo, lo + 10))
+    probes = [0 if algebra is Algebra.WITT else 1, 2 * x.support_bound() + 1]
+    window = enlarged(witness_algebra(algebra), Window(probes[0], probes[1]), margins)
+    forced = [reference_forced_image_space(algebra, p, x, window) for p in probes]
+    support = [i for space in forced for v in space.basis for i in v.support()]
+    hull = Window(min([window.lo, *support]), max([window.hi, *support]))
+    expected = RigidityTrace(probes, forced, complement_intersection(*forced, hull))
+    assert rigidity_check(algebra, x, window) == expected
 
 
 @settings(derandomize=True, max_examples=200)
