@@ -77,16 +77,17 @@ RECOVER_INNER_MAX_WORK = 3000000
 # (JSON_BYTES_PER_TERM).
 MAP_MAX_TERMS = 100000
 
-# Largest `extend` truncation.  Each shift s of the generator images
-# (D(e_k) = c e_{k+s}) is read in closed form, one [e_2, e_3] residual and one
-# term per index, so the work and the output are linear, shifts * truncation
-# terms.  `--e1 0 --e2 e_3` at 1000 takes 0.11-0.13 s (medians of 7 and 10
-# launches) and 16 MiB peak RSS in a fresh process as JSON, mostly start-up
-# (3.5 ms in-process).  shifts * truncation^2 above EXTEND_MAX_TRUNCATION^2 is
-# refused too, which bounds the output by 10^6 / truncation terms: 10000 thin
-# shifts at truncation 10 (100000 terms) take 0.21 s and 29 MiB as text,
-# 0.25 s and 44 MiB as JSON.
+# Largest `extend` truncation, and most output terms, shifts * truncation.  Each
+# shift s of the generator images (D(e_k) = c e_{k+s}) is read in closed form,
+# one [e_2, e_3] residual and one term per index, so the work and the output
+# are linear in shifts * truncation.  In a fresh process (medians of 7 launches)
+# `--e1 0 --e2 e_3` at 1000 takes 0.11-0.13 s / 16 MiB peak RSS as JSON; at the
+# term cap, the 100-shift inner wplus map of e_0 + ... + e_99 at 1000 takes
+# 0.26 s / 32 MiB as text, 0.27 s / 47 MiB as JSON, and 10000 thin shifts at
+# 10 0.15 s / 27 MiB and 0.17 s / 40 MiB; thin `--e1 e_1 --e2 'e_2 + ... +
+# e_102'` at 1000 (101000) is refused.
 EXTEND_MAX_TRUNCATION = 1000
+EXTEND_MAX_TERMS = 100000
 
 # Most term products one `bracket` multiplies (terms of x times terms of y),
 # about 9 us each.  `centralizer` brackets nothing, yet keeps a bound on
@@ -315,7 +316,7 @@ def _cmd_extend(args) -> int:
     img_e2 = parse_element(args.e2, args.algebra)
     derivations.require_generated(args.algebra)
     shifts = _shifts({1: img_e1, 2: img_e2})
-    _refuse_above("shifts * truncation^2", shifts * args.truncation**2, EXTEND_MAX_TRUNCATION**2)
+    _refuse_above("shifts * truncation", shifts * args.truncation, EXTEND_MAX_TERMS)
     outcome = derivations.extend_from_generators(args.algebra, img_e1, img_e2, args.truncation)
     if isinstance(outcome, derivations.InconsistentExtension):
         i, j = outcome.relation
@@ -502,9 +503,9 @@ def _subcommand(sub, name: str, handler, help: str, algebra: bool = True):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    `main` call in the process; callers must not mutate it.  `main` parses a
-    request that names a subcommand with that subcommand's parser alone and
-    anything else with the whole tree: 27 us per cli-batch request, not 55."""
+    `main` call in the process; callers must not mutate it.  `main` reads each
+    cli-batch request off its leaf's actions (`_read_leaf`), in 7 us warm and
+    35 us after `gc.collect()`, against 45 and 105 us through the whole tree."""
     parser = _Parser(prog="wittlocal", description=__doc__)
     parser.commands = sub = parser.add_subparsers(dest="command", required=True)
 
@@ -566,19 +567,58 @@ def _join_dash_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _read_leaf(leaf: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """`leaf.parse_known_args(argv)[0]` read off the leaf's actions, or None
+    for argparse to answer: each option must be single-value, given once by
+    exact name as `--opt=value` or `--opt value` (value not starting with
+    "-"), and each operand before a first `--` must not start with "-"."""
+    given, operands, tokens = {}, [], iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            operands += tokens
+            break
+        if not tok.startswith("-"):
+            operands.append(tok)
+            continue
+        name, eq, value = tok.partition("=")
+        action = leaf._option_string_actions.get(name)
+        value = value if eq else next(tokens, "-")  # a missing value is declined
+        if action is None or action in given or not eq and value.startswith("-"):
+            return None
+        given[action] = value
+    positionals = [action for action in leaf._actions if not action.option_strings]
+    if "--" in operands or len(operands) != len(positionals):
+        return None
+    given.update(zip(positionals, operands))
+    known = argparse.Namespace(**leaf._defaults)
+    for action in leaf._actions:
+        if action not in given:
+            if action.required:
+                return None
+            if action.default is not argparse.SUPPRESS:  # `-h` sets nothing
+                setattr(known, action.dest, action.default)
+        elif type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None  # `-h`, or a flag or append action
+        else:
+            try:
+                value = leaf._get_value(action, given[action])
+                leaf._check_value(action, value)
+            except argparse.ArgumentError:
+                return None
+            setattr(known, action.dest, value)
+    return known
+
+
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """`parser.parse_args(argv)`, with a request that names a leaf subcommand
-    parsed by that subcommand's parser alone, as argparse's subparsers action
-    hands it over; any other argv goes through the whole tree."""
+    """`parser.parse_args(argv)`, with a request naming a leaf subcommand read
+    by `_read_leaf` when it can; any other argv goes through the whole tree."""
     args, leaf, rest = argparse.Namespace(), parser, argv
     while leaf.commands and rest and rest[0] in leaf.commands.choices:
         setattr(args, leaf.commands.dest, rest[0])
         leaf, rest = leaf.commands.choices[rest[0]], rest[1:]
-    if leaf.commands:  # empty, `-h`, an unknown name, or `two-local` without a known one
+    known = None if leaf.commands else _read_leaf(leaf, rest)
+    if known is None:  # empty, `-h`, an unknown name, or argv the reader declines
         return parser.parse_args(argv)
-    known, rest = leaf.parse_known_args(rest)
-    if rest:  # what the leaf leaves is reported by the root, as in the whole tree
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return argparse.Namespace(**vars(args), **vars(known))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from wittlocal.cli import (
     BRACKET_MAX_PRODUCTS,
     CENTRALIZER_MAX_WINDOW,
     DER_BASIS_MAX_SUPPORT,
+    EXTEND_MAX_TERMS,
     EXTEND_MAX_TRUNCATION,
     JACOBI_MAX_TABLE,
     JSON_BYTES_PER_TERM,
@@ -766,22 +768,30 @@ def test_extend_refuses_long_truncation():
 
 
 def test_extend_refuses_many_shifts_at_long_truncation():
-    """Each shift s of the generator images (D(e_k) = c e_{k+s}) repeats the
-    quadratic cross-relation check, so shifts * truncation^2 is bounded."""
-    limit = EXTEND_MAX_TRUNCATION**2
-    forty = " + ".join(f"e_{k}" for k in range(1, 41))  # shifts 0..39
+    """Each shift s of the generator images (D(e_k) = c e_{k+s}) adds one
+    output term per index, so shifts * truncation is bounded."""
+    def terms(lo, hi):
+        return " + ".join(f"e_{k}" for k in range(lo, hi + 1))
+
     start = time.perf_counter()
     for algebra, e1, e2, truncation, shifts in [
-        ("wplus", "e_1 + e_2", "2*e_2", EXTEND_MAX_TRUNCATION, 2),
-        ("thin", "e_1", "e_2 + e_3", EXTEND_MAX_TRUNCATION, 2),
-        ("wplus", forty, "0", 159, 40),  # 158 would be 998560, inside the limit
+        ("thin", "e_1", terms(2, 102), EXTEND_MAX_TRUNCATION, 101),  # shifts 0..100
+        ("wplus", terms(1, 101), "0", EXTEND_MAX_TRUNCATION, 101),
+        ("thin", "e_1", terms(2, 33335), 3, 33334),  # 33333 would be 99999, inside the limit
     ]:
         argv = ["extend", "--algebra", algebra, "--e1", e1, "--e2", e2, "--truncation"]
         assert run(argv + [str(truncation)]) == (
             3,
             "",
-            f"error: shifts * truncation^2 {shifts * truncation**2} is above the limit {limit}\n",
+            f"error: shifts * truncation {shifts * truncation} is above the limit "
+            f"{EXTEND_MAX_TERMS}\n",
         )
+    # two shifts at the longest truncation are answered, not refused
+    for algebra, e1, e2, residual in [("thin", "e_1", "e_1", "-e_4"),
+                                      ("wplus", "e_1 + e_2", "2*e_2", "4/3*e_6")]:
+        argv = ["extend", "--algebra", algebra, "--e1", e1, "--e2", e2, "--truncation"]
+        assert run(argv + [str(EXTEND_MAX_TRUNCATION)]) == (
+            0, f"inconsistent at (2, 3): residual = {residual}\n", "")
     # an algebra generator extension does not handle keeps its message
     argv = ["extend", "--algebra", "witt", "--e1", "e_1 + e_2", "--e2", "e_2", "--truncation"]
     assert run(argv + [str(EXTEND_MAX_TRUNCATION)]) == (
@@ -1230,17 +1240,14 @@ def test_missing_keys_message_is_bounded(tmp_path):
     )
 
 
-def _mixed_requests(tmp_path):
-    """Every subcommand in text and JSON, interleaved with a usage error
-    (exit 1), a parse error (exit 2) and refusals (exit 3)."""
+def _valid_requests(tmp_path):
+    """One valid request per leaf subcommand, in text form."""
     table = ad(Element.basis(Algebra.WPLUS_EXT, 0), Window(1, 12), Algebra.WPLUS)
     map_path = tmp_path / "d.json"
     map_path.write_text(json.dumps(table_to_json(table)))
     pairs_path = tmp_path / "pairs.json"
     pairs_path.write_text(json.dumps({"algebra": "thin", "pairs": [["e_2", "e_1 + 3*e_2"]]}))
-    wide_path = tmp_path / "wide.json"
-    wide_path.write_text(json.dumps(_doubling_map("wplus", Window(1, 2000))))
-    commands = [
+    return [
         ["bracket", "--algebra", "witt", "e_2", "e_3"],
         ["jacobi", "--algebra", "thin", "--window", "1:12"],
         ["leibniz", "--algebra", "wplus", "--map", str(map_path), "--depth", "5"],
@@ -1252,6 +1259,14 @@ def _mixed_requests(tmp_path):
         ["two-local", "verify", "--pairs", str(pairs_path)],
         ["two-local", "additivity"],
     ]
+
+
+def _mixed_requests(tmp_path):
+    """Every subcommand in text and JSON, interleaved with a usage error
+    (exit 1), a parse error (exit 2) and refusals (exit 3)."""
+    commands = _valid_requests(tmp_path)
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(_doubling_map("wplus", Window(1, 2000))))
     failures = [
         ["bracket", "--algebra", "witt", "e_1"],  # missing operand: exit 1
         ["bracket", "--algebra", "witt", "e_x", "e_1"],  # exit 2
@@ -1282,22 +1297,49 @@ def test_main_is_reentrant(tmp_path, monkeypatch):
     assert [run(argv) for argv in requests] == first
 
 
+def _parsers(parser):
+    """parser and every parser below it in the subcommand tree."""
+    subs = parser.commands.choices.values() if parser.commands else ()
+    return [parser, *(p for sub in subs for p in _parsers(sub))]
+
+
+def test_read_leaf_matches_argparse_on_every_leaf():
+    """On each leaf parser, `_read_leaf` gives the namespace argparse gives,
+    with every option set and with only the required ones."""
+    leaves = [p for p in _parsers(cli.build_parser()) if p.commands is None]
+    assert len(leaves) == 10
+    for leaf in leaves:
+        every, required = [], []
+        for action in leaf._actions:
+            if action.default is argparse.SUPPRESS:  # -h
+                continue
+            value = action.choices[-1] if action.choices else "7" if action.type is int else "e_2"
+            tokens = [*action.option_strings[:1], value]
+            every += tokens
+            required += tokens if action.required else []
+        for argv in (every, required):
+            assert leaf.parse_known_args(argv) == (cli._read_leaf(leaf, argv), []), argv
+
+
 def test_main_parses_a_named_subcommand_with_its_own_parser(tmp_path, monkeypatch):
-    """A valid request never reaches the root parser, nor `two-local`'s."""
-    pairs_path = tmp_path / "pairs.json"
-    pairs_path.write_text(json.dumps({"algebra": "thin", "pairs": [["e_2", "e_1 + 3*e_2"]]}))
+    """A valid request is read off its leaf parser's actions: it reaches no
+    argparse parse, at the root, at `two-local` or at the leaf.  A request
+    the reader declines goes through the whole tree."""
     root = cli.build_parser()
     calls = []
-    for parser in (root, root.commands.choices["two-local"]):
+    for parser in _parsers(root):
         def spy(*args, parser=parser, parse=parser.parse_known_args):
             calls.append(parser.prog)
             return parse(*args)
 
         monkeypatch.setattr(parser, "parse_known_args", spy)
-    requests = [
-        ["bracket", "--algebra", "witt", "e_2", "e_3"],
-        ["rigidity", "--algebra", "wplus", "--element", "e_2", "--window", "1:12"],
-        ["two-local", "verify", "--pairs", str(pairs_path), "--format", "json"],
+    requests = [form for argv in _valid_requests(tmp_path)
+                for form in (argv, argv + ["--format", "json"])]
+    requests += [
+        ["bracket", "--algebra=witt", "--format=json", "--", "-e_1", "e_2"],
+        ["bracket", "e_1", "--algebra", "witt", "--", "-1/2*e_3"],
+        ["extend", "--algebra=thin", "--e1=e_1", "--e2", "e_2", "--truncation=3"],
+        ["centralizer", "--window=-8:8", "--algebra", "witt", "--element", "-e_1 + e_2"],
     ]
     for argv in requests:
         code, out, err = run(argv)
@@ -1305,3 +1347,6 @@ def test_main_parses_a_named_subcommand_with_its_own_parser(tmp_path, monkeypatc
     assert calls == []
     assert run(["two-local"])[0] == 1  # the whole tree reports a missing subcommand
     assert calls == ["wittlocal", "wittlocal two-local"]
+    calls.clear()
+    assert run(["bracket", "--alg", "witt", "e_1", "e_2"]) == (0, "e_3\n", "")  # an abbreviation
+    assert calls == ["wittlocal", "wittlocal bracket"]

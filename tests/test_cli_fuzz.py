@@ -61,12 +61,35 @@ COUNT = mostly(st.integers(1, 14).map(str), st.sampled_from(["0", "-2", "", "x",
 
 def _options(draw, options):
     """argv for (name, value) options: each one usually kept, the kept ones in
-    any order, sometimes followed by a stray token."""
+    any order, some written `--opt=value`, abbreviated, or after the same
+    option with another kept value (a repeat), and sometimes followed by a
+    stray token."""
     kept = [opt for opt in options if draw(st.integers(0, 19)) < 19]
-    argv = [tok for opt in draw(st.permutations(kept)) for tok in opt]
+    argv = []
+    for name, value in draw(st.permutations(kept)):
+        form = draw(st.integers(0, 19))
+        if form == 19:  # a repeat, which argparse resolves last-wins
+            argv += [name, draw(st.sampled_from(kept))[1]]
+        if form in (16, 17):
+            argv.append(f"{name}={value}")
+        elif form == 18:
+            argv += [name[:draw(st.integers(3, len(name) - 1))], value]
+        else:
+            argv += [name, value]
     if draw(st.integers(0, 7)) == 7:
         argv.append(draw(st.one_of(JUNK, st.sampled_from(["--format", "--bogus", "-"]))))
     return argv
+
+
+def _with_operands(draw, argv, operands):
+    """argv with the operands at its end, after `--`, or each at any
+    position among its tokens."""
+    where = draw(st.integers(0, 3))
+    if where == 3:
+        for operand in operands:
+            argv.insert(draw(st.integers(0, len(argv))), operand)
+        return argv
+    return argv + ["--"] * (where == 2) + operands
 
 
 @st.composite
@@ -78,7 +101,8 @@ def command_argv(draw):
         "two-local additivity", "two-local", "bogus",
     ]))
     if command == "bracket":
-        return ["bracket", *_options(draw, [alg, fmt]), draw(ELEMENT), draw(ELEMENT)]
+        operands = [draw(ELEMENT), draw(ELEMENT)]
+        return ["bracket", *_with_operands(draw, _options(draw, [alg, fmt]), operands)]
     if command == "jacobi":
         return ["jacobi", *_options(draw, [alg, ("--window", draw(WINDOW)), fmt])]
     if command == "extend":
@@ -206,6 +230,17 @@ def test_main_parses_as_the_whole_tree(argv):
     ["bracket", "--algebra", "witt", "--", "-e_1", "e_2"],
     ["bracket", "--algebra", "witt", "--format", "json", "--", "e_1", "-1/2*e_3"],
     ["bracket", "--", "--algebra", "witt", "e_1"],
+    ["bracket", "--algebra=", "e_1", "e_2"],
+    ["bracket", "--algebra", "witt", "--format=yaml", "e_1", "e_2"],
+    ["extend", "--algebra", "thin", "--e1", "e_1", "--e2", "e_2", "--truncation", "-2"],
+    ["extend", "--algebra", "thin", "--e1", "e_1", "--e2", "e_2", "--truncation=-2"],
+    ["der-basis", "--algebra", "thin", "--support", "1_0"],
+    ["leibniz", "--algebra", "wplus", "--map", "-x", "--depth", "3"],
+    ["bracket", "e_1", "--algebra", "witt", "e_2"],
+    ["bracket", "--algebra", "witt", "e_1", "--", "e_2"],
+    ["bracket", "--algebra", "witt", "--format", "json", "-h"],
+    ["bracket", "--algebra", "thin", "--algebra", "witt", "e_1", "e_2"],
+    ["bracket", "--algebra", "witt", "--algebra", "wplus", "e_0", "e_1"],  # e_0 is not in wplus
 ], ids=lambda argv: " ".join(argv) or "(no arguments)")
 def test_usage_and_help_match_the_whole_tree(argv):
     assert run(argv) == run_whole_tree(argv)
