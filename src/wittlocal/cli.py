@@ -38,8 +38,9 @@ JACOBI_MAX_TABLE = 1000000
 # answer off the grading (`witt e_1` on -3000:3000: 0.02 ms in-process); t = 0
 # and a thin target with no e_1 term are centralized by every window index,
 # whose W unit vectors `Subspace` canonicalises in one pass: thin `e_3` on
-# 1:6001 takes about 16 ms in-process.  `rigidity` (one bracket per
-# forced space) takes about 0.1 ms at -3000:3000; it keeps the same cap.
+# 1:6001 takes about 16 ms in-process.  `rigidity` (one line per forced
+# space, from the target's terms) takes about 0.03 ms at -3000:3000; it keeps
+# the same cap.
 CENTRALIZER_MAX_WINDOW = 6001
 
 # Largest `der-basis` support bound.  Each of the support + 1 wplus blocks
@@ -94,8 +95,8 @@ EXTEND_MAX_TERMS = 100000
 # terms * window as an input bound: at 16 terms on -3000:3000 (96016) it
 # takes about 0.04 ms in-process.  `rigidity` needs no bound of its own: its
 # far probe 2 * support_bound + 1 must lie in the window, so a target has at
-# most 2999 terms, and its two forced spaces are one bracket of `terms`
-# products each (2999 terms on -3000:3000 take about 0.04 s in-process).
+# most 2999 terms, and its two forced spaces are one line of at most `terms`
+# entries each (2999 terms on -3000:3000 take about 8 ms in-process).
 BRACKET_MAX_PRODUCTS = 100000
 
 # Largest basis index in a `two-local verify` pair.  A witness is its
@@ -139,7 +140,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _format_terms(vector: SparseVector) -> str:
     """Render a grade-indexed vector in the element grammar."""
-    return format_element(Element(Algebra.WITT, vector))
+    return format_element(Element._trusted(Algebra.WITT, vector))  # witt holds every index
 
 
 def _subspace_json(space: Subspace) -> dict:

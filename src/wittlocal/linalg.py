@@ -28,6 +28,7 @@ Rational = Fraction
 _ZERO, _ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_WINDOW_RE = re.compile(r"^(-?\d+):(-?\d+)$")
 
 
 def parse_rational(text: str) -> Rational:
@@ -179,7 +180,7 @@ class Window:
     @classmethod
     def parse(cls, text: str) -> Window:
         """Parse "a:b" (inclusive; either bound may be negative)."""
-        m = re.match(r"^(-?\d+):(-?\d+)$", text.strip())
+        m = _WINDOW_RE.match(text.strip())
         if not m:
             raise ParseError(f"not a window: {text!r} (expected a:b)")
         try:

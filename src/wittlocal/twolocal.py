@@ -17,7 +17,8 @@ to depend on the pair.  This module provides
     so the possible values at x form a forced subspace; intersecting the
     forced subspaces of two well-chosen probes leaves only zero.  In witt
     and wplus_ext (the witness algebra of wplus) that centralizer is
-    span(e_k), so the forced subspace is span([e_k, x]): one bracket.
+    span(e_k), so the forced subspace is span([e_k, x]), written monic
+    straight from x's terms, K(k, j) x_j at k + j: no bracket.
 
 The rigidity operations never quantify over all 2-local maps; they verify
 the finite forced-space instances that the general statement reduces to.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebras import Algebra, Element, bracket
+from .algebras import Algebra, Element
 from .derivations import ThinDerivationParams
 from .errors import IndexOutOfDomain, MixedAlgebras, WindowTooSmall
 from .linalg import SparseVector, Subspace, Window, subspace_intersection
@@ -172,15 +173,24 @@ def forced_image_space(
     """Every value a 2-local map can take at x once it kills e_probe.
 
     A witness for the pair (e_probe, x) must centralize e_probe, so the
-    candidate values are spanned by [a, x] for a in that centralizer on the
-    window (witnesses for wplus live in wplus_ext).
+    candidate values are spanned by [e_g, x] for the unit vectors e_g of that
+    centralizer on the window (witnesses for wplus live in wplus_ext).  Each
+    [e_g, x] is written from x's terms, K(g, k) x_k at g + k wherever
+    K(g, k) != 0, and divided by its lowest entry K(g, k0) x_k0 as one
+    Fraction of integers per entry, so it reaches `Subspace` monic.
     """
     walg = _witness_algebra(algebra)
     if not algebra.contains_index(probe):
         raise IndexOutOfDomain(f"probe index {probe} outside the {algebra} domain")
     cent = centralizer(walg, Element.basis(walg, probe), window).basis
-    lifted = x.in_algebra(walg)
-    return Subspace([bracket(Element(walg, v), lifted).coeffs for v in cent])
+    K, terms = walg.constant, x.in_algebra(walg).coeffs.items()
+    lines = []
+    for (g,) in (v._entries for v in cent):  # monic unit vectors e_g
+        row = [(g + k, a * c.numerator, c.denominator) for k, c in terms if (a := K(g, k))]
+        if row:
+            _, p0, q0 = row[0]
+            lines.append(SparseVector._trusted({i: Fraction(p * q0, q * p0) for i, p, q in row}))
+    return Subspace(lines)
 
 
 class RigidityTrace(NamedTuple):

@@ -12,6 +12,7 @@ from wittlocal import (
     MixedAlgebras,
     RigidityTrace,
     SparseVector,
+    Subspace,
     Window,
     WindowTooSmall,
     WitnessCertificate,
@@ -26,7 +27,7 @@ from wittlocal import (
     thin_witness,
     verify_pair,
 )
-from wittlocal import linalg
+from wittlocal import algebras, linalg, twolocal
 from wittlocal.derivations import ThinDerivationParams
 
 from helpers import (
@@ -419,8 +420,10 @@ def test_forced_image_probe_outside_domain():
 
 def test_forced_image_matches_centralizer_reference():
     """Seeded targets against the brute-force centralizer route, on windows
-    that cross 0 (or start at it), with probes inside and outside the window
-    and targets that are multiples of e_probe (whose forced span is zero)."""
+    that cross 0 (or start at it), with probes inside and outside the window,
+    targets that are multiples of e_probe (whose forced span is zero),
+    targets with a term at the probe beside other terms, and coefficients
+    with 30-digit numerators and denominators."""
     rng = Random(103)
     cases = [
         (Algebra.WITT, (-8, 0), (0, 8), range(-10, 11)),
@@ -445,6 +448,24 @@ def test_forced_image_matches_centralizer_reference():
             outside += probe not in window
             zero_spans += got.dim == 0 and probe in window
     assert outside > 10 and zero_spans >= 40
+    big = [Fraction(rng.randrange(10**29, 10**30) * rng.choice((1, -1)),
+                    rng.randrange(10**29, 10**30)) for _ in range(40)]
+    assert all(len(str(abs(c.numerator))) >= 25 and c.denominator >= 10**24 for c in big)
+    huge = with_probe = 0
+    for algebra, lows, highs, indices in cases:
+        for n in range(30):
+            window = Window(rng.randint(*lows), rng.randint(*highs))
+            probe = rng.choice([i for i in window.indices() if i in indices])
+            x = rand_element(rng, algebra, indices, max_terms=4, nonzero=True)
+            if n % 2:
+                x = Element(algebra, {k: rng.choice(big) for k in x.support()})
+            x = x + Element.basis(algebra, probe).scale(rng.choice((1, -3, *big[:3])))
+            got = forced_image_space(algebra, probe, x, window)
+            expected = reference_forced_image_space(algebra, probe, x, window)
+            assert got.basis == expected.basis, (algebra, probe, str(x), window)
+            huge += n % 2 and got.dim > 0
+            with_probe += len(x.support()) > 1 and x.coefficient(probe) != 0
+    assert huge >= 20 and with_probe >= 60
 
 
 # -- rigidity ---------------------------------------------------------------------
@@ -501,9 +522,9 @@ def test_rigidity_intersection_inside_forced_spaces():
 
 def test_rigidity_does_no_elimination(monkeypatch):
     """Centralizers are read off the grading, and on witt and wplus the
-    forced spaces come from one bracket each and meet on disjoint supports,
-    so neither centralizer nor rigidity solves a kernel, even at
-    -3000:3000."""
+    forced spaces are lines written from the target's terms and meet on
+    disjoint supports, so neither centralizer nor rigidity solves a kernel,
+    even at -3000:3000."""
 
     def refuse(*args):
         raise AssertionError("solved a linear system")
@@ -536,6 +557,40 @@ def test_rigidity_does_no_elimination(monkeypatch):
         for _ in range(20):
             x = rand_element(rng, algebra, indices, nonzero=True)
             assert rigidity_check(algebra, x, window).rigid
+
+
+def test_forced_lines_call_no_bracket(monkeypatch):
+    """Each forced line is written from the target's terms, so forced spaces
+    on all four algebras, and rigidity on witt and wplus, answer with the
+    library's `bracket` refused."""
+
+    def refuse(*args):
+        raise AssertionError("called bracket")
+
+    monkeypatch.setattr(twolocal, "bracket", refuse, raising=False)
+    monkeypatch.setattr(algebras, "bracket", refuse)
+    tr = rigidity_check(Algebra.WITT, parse_element("3*e_-2 + e_1", Algebra.WITT),
+                        Window(-3000, 3000))
+    assert tr.rigid and [s.basis for s in tr.forced] == [
+        [SparseVector({-2: 1, 1: Fraction(-1, 6)})],
+        [SparseVector({3: 1, 6: Fraction(4, 21)})],
+    ]
+    tr = rigidity_check(Algebra.WPLUS, parse_element("2*e_3 - 1/2*e_5", Algebra.WPLUS),
+                        Window(1, 40))
+    assert tr.rigid and [s.basis for s in tr.forced] == [
+        [SparseVector({4: 1, 6: Fraction(-1, 2)})],
+        [SparseVector({14: 1, 16: Fraction(-3, 16)})],
+    ]
+    rng = Random(109)
+    for algebra, indices, window in ((Algebra.WITT, range(-6, 7), Window(-8, 8)),
+                                     (Algebra.WPLUS, range(1, 8), Window(0, 10)),
+                                     (Algebra.WPLUS_EXT, range(0, 8), Window(0, 10)),
+                                     (Algebra.THIN, range(1, 8), Window(1, 10))):
+        for _ in range(10):
+            x = rand_element(rng, algebra, indices, nonzero=True)
+            probe = rng.choice([i for i in window.indices() if algebra.contains_index(i)])
+            assert forced_image_space(algebra, probe, x, window) == (
+                reference_forced_image_space(algebra, probe, x, window)), (algebra, probe, str(x))
 
 
 def test_rigidity_window_guard():
@@ -645,6 +700,82 @@ def test_rigidity_matches_reference(algebra, margins, data):
     hull = Window(min([window.lo, *support]), max([window.hi, *support]))
     expected = RigidityTrace(probes, forced, complement_intersection(*forced, hull))
     assert rigidity_check(algebra, x, window) == expected
+
+
+# -- metamorphic relations -------------------------------------------------------------
+# sigma_lam(e_i) = lam^i e_i is an automorphism of every algebra, since each
+# bracket is K(i, j) e_{i+j}, and theta(e_i) = -e_{-i} is one of witt.  The
+# centralizer of e_p is spanned by unit vectors, which sigma keeps and theta
+# sends to those of e_{-p}, so each forced line moves with its target.  sigma
+# holds for any K, so it sees a misplaced grade but no wrong constant; theta
+# sees a wrong constant.
+
+LAMBDAS = (2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2))
+
+
+def sigma(lam):
+    return lambda v: SparseVector({i: c * Fraction(lam) ** i for i, c in v.items()})
+
+
+def theta(v):
+    return SparseVector({-i: -c for i, c in v.items()})
+
+
+def mapped(f, space):
+    return Subspace([f(v) for v in space.basis])
+
+
+def test_forced_lines_commute_with_sigma():
+    rng = Random(113)
+    lines = 0
+    for algebra, indices, window in ((Algebra.WITT, range(-6, 7), Window(-9, 9)),
+                                     (Algebra.WPLUS, range(1, 9), Window(0, 12)),
+                                     (Algebra.THIN, range(1, 9), Window(1, 12))):
+        probes = [i for i in window.indices() if algebra.contains_index(i)]
+        for lam in LAMBDAS:
+            s = sigma(lam)
+            for _ in range(15):
+                x = rand_element(rng, algebra, indices, max_terms=5, nonzero=True)
+                probe = rng.choice(probes)
+                forced = forced_image_space(algebra, probe, x, window)
+                assert forced_image_space(algebra, probe, Element(algebra, s(x.coeffs)), window) == (
+                    mapped(s, forced)), (algebra, lam, probe, str(x))
+                lines += sum(len(v) > 1 for v in forced.basis)
+    assert lines >= 100
+
+
+def test_rigidity_commutes_with_sigma():
+    rng = Random(127)
+    for algebra, indices, window in ((Algebra.WITT, range(-6, 7), Window(-14, 14)),
+                                     (Algebra.WPLUS, range(1, 10), Window(0, 20))):
+        for lam in LAMBDAS:
+            s = sigma(lam)
+            for _ in range(10):
+                x = rand_element(rng, algebra, indices, max_terms=5, nonzero=True)
+                tr = rigidity_check(algebra, x, window)
+                got = rigidity_check(algebra, Element(algebra, s(x.coeffs)), window)
+                assert (got.probes, got.rigid) == (tr.probes, tr.rigid)
+                assert got.forced == [mapped(s, f) for f in tr.forced], (algebra, lam, str(x))
+                assert got.intersection == mapped(s, tr.intersection)
+
+
+def test_forced_lines_commute_with_theta():
+    """theta sends the centralizer of e_p to that of e_{-p}, so on a window
+    symmetric about 0 it maps the probe-p line of x to the probe-(-p) line
+    of theta(x); p = 0 is its own image."""
+    rng = Random(131)
+    witt, lines = Algebra.WITT, 0
+    for m in (6, 9, 12):
+        window = Window(-m, m)
+        for _ in range(40):
+            x = rand_element(rng, witt, range(-6, 7), max_terms=5, nonzero=True)
+            tx = Element(witt, theta(x.coeffs))
+            for probe in (0, rng.randint(-m, m)):
+                forced = forced_image_space(witt, probe, x, window)
+                assert forced_image_space(witt, -probe, tx, window) == mapped(theta, forced), (
+                    probe, str(x), window)
+                lines += sum(len(v) > 1 for v in forced.basis)
+    assert lines >= 100
 
 
 @settings(derandomize=True, max_examples=200)
