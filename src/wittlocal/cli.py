@@ -99,8 +99,8 @@ EXTEND_MAX_TERMS = 100000
 # entries each (2999 terms on -3000:3000 take about 8 ms in-process).
 BRACKET_MAX_PRODUCTS = 100000
 
-# Largest basis index in a `two-local verify` pair.  A witness is its
-# parameters, read at the members' own indices, so text output does not grow
+# Largest basis index in a `two-local verify` pair.  A witness is its two
+# generator images, read at the members' own indices, so text output does not grow
 # with the index: `["e_1", "e_6001"]` takes about 0.1 ms in-process.  Only JSON
 # writes the witness table, on 1..max(3, largest index): 4.3 ms in-process at
 # 6001 (131 KB).  In a fresh process (medians of 7-11 launches) the CI's three
@@ -448,10 +448,9 @@ def _cmd_twolocal_verify(args) -> int:
 
 
 def _verify_line(n: int, cert: twolocal.WitnessCertificate, passed: bool) -> str:
-    """The text line of one verified pair, with D(e_1) and D(e_2) read off
-    the (already validated) witness parameters; only `--format text` builds it."""
-    d1, d2 = (format_element(Element._trusted(Algebra.THIN, SparseVector._trusted(terms)))
-              for terms in (cert.witness.alpha, cert.witness.beta))
+    """The text line of one verified pair, with the witness's D(e_1) and
+    D(e_2); only `--format text` builds it."""
+    d1, d2 = format_element(cert.witness.alpha), format_element(cert.witness.beta)
     return f"[{n}] case={cert.case} | D(e_1) = {d1} | D(e_2) = {d2} | pass={str(passed).lower()}"
 
 

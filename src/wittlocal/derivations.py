@@ -13,8 +13,9 @@ provides
   * closed-form recovery of the inner element behind a derivation (wplus
     derivations are inner with witness in wplus_ext; witt derivations are
     inner in witt),
-  * the explicit two-parameter family of thin-algebra derivations, read
-    in closed form per index, tabulated or written as table JSON.
+  * the explicit two-parameter family of thin-algebra derivations, each
+    held as its generator images D(e_1), D(e_2) (`ThinDerivationParams`)
+    and read in closed form per index, tabulated or written as table JSON.
 
 Tables are immutable; every function is pure.
 """
@@ -25,7 +26,6 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .algebras import Algebra, Element, format_element
@@ -45,8 +45,6 @@ from .linalg import (
     kernel_basis,
     parse_rational,
 )
-
-_NO_TERMS: Mapping = MappingProxyType({})  # the one empty side of every ThinDerivationParams
 
 
 class LinearMapTable:
@@ -272,8 +270,7 @@ def extend_from_generators(
     if algebra is Algebra.THIN:
         if b := img_e2.coefficient(1):
             return InconsistentExtension((2, 3), Element(algebra, {4: -b}))
-        params = ThinDerivationParams.from_generator_images(img_e1, img_e2)
-        return thin_derivation(params, truncation)
+        return thin_derivation(ThinDerivationParams(img_e1, img_e2), truncation)
     parts = [(s, img_e1.coefficient(1 + s), img_e2.coefficient(2 + s))
              for s in {g - 1 for g in img_e1.support()} | {g - 2 for g in img_e2.support()}]
     if truncation >= 5:
@@ -413,33 +410,26 @@ def recover_inner_witt(table: LinearMapTable) -> Element:
     return _verified_inner(table, Element(Algebra.WITT, entries))
 
 
-def _sorted_terms(terms: Mapping[int, Rational | int], name: str, low: int) -> Mapping:
-    """The nonzero terms as Fractions, index ascending, in a read-only
-    mapping (`_NO_TERMS` when there are none); ValueError when an index is
-    below low."""
-    out = {int(i): f for i, c in terms.items()
-           if (f := c if type(c) is Fraction else Fraction(c))}
-    out = dict(sorted(out.items()))
-    if out and (first := next(iter(out))) < low:
-        raise ValueError(f"{name} index {first} below {low}")
-    return MappingProxyType(out) if out else _NO_TERMS
-
-
 class ThinDerivationParams:
-    """Parameters of a thin-algebra derivation, as nonzero Fractions: the e_1
-    image coefficients (alpha, indices >= 1) and the e_2 image coefficients
-    (beta, indices >= 2; an e_1 component is impossible and excluded).
+    """A thin-algebra derivation, as its two generator images: alpha = D(e_1)
+    and beta = D(e_2), thin elements with no e_1 term in beta.
 
-    Immutable, with read-only mappings as fields, index ascending:
-    `image_terms` trusts them as validated and sorted here."""
+    Immutable, with each image stored index ascending: `image_terms` reads
+    them in that order, as validated here."""
 
     __slots__ = ("alpha", "beta")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, alpha: Mapping[int, Rational | int] = _NO_TERMS,
-                 beta: Mapping[int, Rational | int] = _NO_TERMS):
-        object.__setattr__(self, "alpha", _sorted_terms(alpha, "alpha", 1))
-        object.__setattr__(self, "beta", _sorted_terms(beta, "beta", 2))
+    def __init__(self, alpha: Element, beta: Element):
+        if alpha.algebra is not Algebra.THIN or beta.algebra is not Algebra.THIN:
+            raise MixedAlgebras("the generator images of a thin derivation must be thin")
+        if beta.coefficient(1):
+            raise NotADerivation("the e_2 image of a thin derivation has no e_1 component")
+        for name, image in (("alpha", alpha), ("beta", beta)):
+            object.__setattr__(self, name, Element._trusted(
+                Algebra.THIN, SparseVector._trusted(dict(image.coeffs.items()))))
+
+    from_generator_images = classmethod(type.__call__)  # the constructor, by its older name
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -447,40 +437,33 @@ class ThinDerivationParams:
         return self.alpha == other.alpha and self.beta == other.beta
 
     def __repr__(self) -> str:
-        return f"ThinDerivationParams(alpha={dict(self.alpha)!r}, beta={dict(self.beta)!r})"
-
-    @classmethod
-    def from_generator_images(cls, img_e1: Element, img_e2: Element) -> ThinDerivationParams:
-        """Read parameters off candidate generator images (the e_2 image
-        must have no e_1 component)."""
-        if img_e2.coefficient(1) != 0:
-            raise NotADerivation("the e_2 image of a thin derivation has no e_1 component")
-        return cls(dict(img_e1.coeffs.items()), dict(img_e2.coeffs.items()))
+        return f"ThinDerivationParams(alpha={self.alpha!r}, beta={self.beta!r})"
 
     def image_terms(self, j: int) -> dict[int, Fraction]:
-        """D(e_j) as a new dict of nonzero Fractions, index ascending:
+        """D(e_j) as a new dict of nonzero Fractions, index ascending, with
+        alpha_i and beta_i the e_i coefficients of the images alpha and beta:
 
-            D(e_1) = sum alpha_i e_i
-            D(e_2) = sum beta_i e_i
+            D(e_1) = alpha = sum alpha_i e_i
+            D(e_2) = beta = sum beta_i e_i
             D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}
 
         for j >= 3.  Always a derivation: on thin K(1, k-1) = 1 for k >= 3,
         so the generator recursion e_k = [e_1, e_{k-1}] / K(1, k-1) gives
         c_k = c_{k-1} + alpha_1 at s = 0 and c_k = c_{k-1} at s >= 1, by
         induction the images above;
-        the params have no s = -1 part (no beta_1), and every other thin part
+        beta has no s = -1 part (no beta_1), and every other thin part
         extends by the [e_2, e_3] proof of `derivation_space_basis`.  The
         diagonal is dropped where it cancels; the tail terms are the beta_i
         themselves, at distinct indices above j.  The work follows the terms
-        of the params, not j.
+        of the two images, not j.
         """
         if j <= 2:
             if j < 1:
                 raise IndexOutOfDomain(f"index {j} not in the thin index domain")
-            return dict(self.alpha if j == 1 else self.beta)
-        beta = self.beta
+            return dict((self.alpha if j == 1 else self.beta).coeffs._entries)
+        beta = self.beta.coeffs._entries
         diagonal = beta.get(2, 0)
-        if alpha1 := self.alpha.get(1):
+        if alpha1 := self.alpha.coeffs.get(1):
             diagonal += (j - 2) * alpha1
         terms = {j: diagonal} if diagonal else {}
         for i, c in beta.items():
@@ -492,8 +475,7 @@ class ThinDerivationParams:
 def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapTable:
     """The thin derivation with the given parameters, tabulated on 1..N
     through `ThinDerivationParams.image_terms`, which proves it a derivation.
-    The params hold nonzero Fractions at thin indices, so no image is
-    re-checked."""
+    Both generator images are thin elements, so no image is re-checked."""
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
     images = {j: Element._trusted(Algebra.THIN, SparseVector._trusted(params.image_terms(j)))

@@ -6,10 +6,10 @@ to depend on the pair.  This module provides
 
   * the thin-algebra map `thin_delta` (strip the e_1 component when one is
     present, zero otherwise), a 2-local derivation that is not additive,
-  * per-pair witnesses for it, each the parameters of a thin derivation
-    (`ThinDerivationParams`), and verification of any witness certificate
-    against any candidate map, which reads the witness's closed form at the
-    members' own indices: no table is built,
+  * per-pair witnesses for it, each a thin derivation given by its two
+    generator images (`ThinDerivationParams`), and verification of any
+    witness certificate against any candidate map, which reads the
+    witness's closed form at the members' own indices: no table is built,
   * centralizers in closed form from the grading (`centralizer`): the
     whole window, thin's indices >= 2, span(t) or zero,
   * the rigidity computation for witt and wplus: the witness for a pair
@@ -50,8 +50,8 @@ def thin_delta(x: Element) -> Element:
 
 
 class WitnessCertificate(NamedTuple):
-    """The parameters of a thin derivation claimed to agree with a 2-local
-    map at both members of a pair.  The parameters are a derivation by
+    """A thin derivation, as its generator images, claimed to agree with a
+    2-local map at both members of a pair.  The images give a derivation by
     `ThinDerivationParams.image_terms`; the agreement is never trusted:
     `verify_pair` recomputes it at both members."""
 
@@ -62,12 +62,14 @@ class WitnessCertificate(NamedTuple):
 
 
 # immutable, so every certificate of the case shares them
-_ZERO_PARAMS, _TAIL_IDENTITY_PARAMS = ThinDerivationParams(), ThinDerivationParams(beta={2: 1})
+_ZERO = Element.zero(Algebra.THIN)
+_ZERO_PARAMS = ThinDerivationParams(_ZERO, _ZERO)
+_TAIL_IDENTITY_PARAMS = ThinDerivationParams(_ZERO, Element.basis(Algebra.THIN, 2))
 
 
 def thin_witness(x: Element, y: Element) -> WitnessCertificate:
     """Witness derivation for a thin pair under `thin_delta`, as its
-    parameters: no image is tabulated.
+    generator images: no other image is tabulated.
 
     Case split on which of the two e_1 coefficients vanish: both (zero
     derivation), exactly one (send e_1 to the tail of whichever member has
@@ -81,10 +83,10 @@ def thin_witness(x: Element, y: Element) -> WitnessCertificate:
         case, params = "zero", _ZERO_PARAMS
     elif x1 == 0 or y1 == 0:
         case = "e1-scaled"
-        driver, d1 = (x, x1) if y1 == 0 else (y, y1)
-        params = ThinDerivationParams(
-            alpha={k: c / d1 for k, c in driver.coeffs.items() if k >= 2}
-        )
+        member, d1 = (x, x1) if y1 == 0 else (y, y1)
+        alpha = Element._trusted(Algebra.THIN, SparseVector._trusted(
+            {k: c / d1 for k, c in member.coeffs.items() if k >= 2}))
+        params = ThinDerivationParams(alpha, _ZERO)
     else:
         case, params = "tail-identity", _TAIL_IDENTITY_PARAMS
     return WitnessCertificate(x, y, case, params)

@@ -511,15 +511,12 @@ def reference_thin_derivation(params: ThinDerivationParams, truncation: int) -> 
     D(e_j) = ((j-2) alpha_1 + beta_2) e_j + sum_{i>=3} beta_i e_{i+j-2}, j >= 3."""
     if truncation < 3:
         raise ValueError("truncation must be at least 3")
-    alpha1 = params.alpha.get(1, Fraction(0))
-    beta2 = params.beta.get(2, Fraction(0))
-    images: dict[int, Element] = {
-        1: Element(Algebra.THIN, params.alpha),
-        2: Element(Algebra.THIN, params.beta),
-    }
+    alpha1 = params.alpha.coefficient(1)
+    beta2 = params.beta.coefficient(2)
+    images: dict[int, Element] = {1: params.alpha, 2: params.beta}
     for j in range(3, truncation + 1):
         entries = {j: (j - 2) * alpha1 + beta2}
-        for i, c in params.beta.items():
+        for i, c in params.beta.coeffs.items():
             if i >= 3:
                 entries[i + j - 2] = entries.get(i + j - 2, Fraction(0)) + c
         images[j] = Element(Algebra.THIN, entries)
@@ -539,11 +536,8 @@ def reference_witness_table(cert) -> LinearMapTable:
     """The certificate's witness params tabulated on 1..max(3, top index of
     the pair) by `reference_extension`, which brackets whole elements and
     does not use the closed form of `ThinDerivationParams.image_terms`."""
-    params = cert.witness
     top = max(3, cert.x.support_bound(), cert.y.support_bound())
-    return reference_extension_table(
-        Algebra.THIN, Element(Algebra.THIN, params.alpha), Element(Algebra.THIN, params.beta), top
-    )
+    return reference_extension_table(Algebra.THIN, cert.witness.alpha, cert.witness.beta, top)
 
 
 def reference_verify_pair(delta, cert) -> tuple[bool, Element, Element]:

@@ -122,7 +122,9 @@ def test_criterion_4_thin_family_equivalence():
                 rng.randint(2, 8): Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                 for _ in range(rng.randint(0, 4))
             }
-            table = thin_derivation(ThinDerivationParams(alpha, beta), 30)
+            params = ThinDerivationParams(Element(Algebra.THIN, alpha),
+                                          Element(Algebra.THIN, beta))
+            table = thin_derivation(params, 30)
             assert leibniz_check(table, 30).passed
         for n in range(2, 9):
             space = derivation_space_basis(Algebra.THIN, n)

@@ -1120,7 +1120,8 @@ def test_twolocal_verify_builds_no_table(tmp_path, monkeypatch, fmt):
     else:
         assert out == f"[1] case=e1-scaled | D(e_1) = e_{top} | D(e_2) = 0 | pass=true\n" \
                       "all pass: true\n"
-    table_to_json(derivations.thin_derivation(derivations.ThinDerivationParams(), 3))
+    zero = Element.zero(Algebra.THIN)
+    table_to_json(derivations.thin_derivation(derivations.ThinDerivationParams(zero, zero), 3))
     assert calls == ["thin_derivation", "LinearMapTable"]  # the spies do see a tabulation
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wittlocal import algebras, derivations
@@ -138,8 +138,8 @@ def _leibniz_cases(rng):
             yield table
             yield _perturbed(rng, table, domain)
     for _ in range(6):
-        alpha = {i: rand_rational(rng, 4, 5) for i in range(1, 5)}
-        beta = {i: rand_rational(rng, 4, 5) for i in range(2, 6)}
+        alpha = Element(Algebra.THIN, {i: rand_rational(rng, 4, 5) for i in range(1, 5)})
+        beta = Element(Algebra.THIN, {i: rand_rational(rng, 4, 5) for i in range(2, 6)})
         table = thin_derivation(ThinDerivationParams(alpha, beta), 12)
         yield table
         yield _perturbed(rng, table, range(1, 40))
@@ -227,7 +227,8 @@ def test_leibniz_scales_only_the_images_it_reads(monkeypatch):
         (ad(parse_element("e_0 + 2*e_1 - 1/3*e_4", Algebra.WPLUS_EXT), Window(1, 60),
             Algebra.WPLUS), 10),
         (ad(parse_element("e_-2 + 1/2*e_0 + e_3", Algebra.WITT), Window(-40, 40)), 6),
-        (thin_derivation(ThinDerivationParams({1: 1, 3: 2}, {2: -1, 4: Fraction(1, 2)}), 50), 8),
+        (thin_derivation(ThinDerivationParams(thin("e_1 + 2*e_3"), thin("-e_2 + 1/2*e_4")), 50),
+         8),
     ]
     failures = 0
     for table, depth in inner:
@@ -304,8 +305,8 @@ def test_live_pairs_keep_every_live_pair_in_order():
 def _thin_with_defects(rng, n):
     """A thin derivation on 1:n with terms planted below the diagonal
     (D(e_k) = ... + c e_g, g < k: negative shifts, e_1 the most common)."""
-    alpha = {i: rand_rational(rng, 4, 5) for i in range(1, 5)}
-    beta = {i: rand_rational(rng, 4, 5) for i in range(2, 6)}
+    alpha = Element(Algebra.THIN, {i: rand_rational(rng, 4, 5) for i in range(1, 5)})
+    beta = Element(Algebra.THIN, {i: rand_rational(rng, 4, 5) for i in range(2, 6)})
     table = thin_derivation(ThinDerivationParams(alpha, beta), n)
     images = dict(table.images)
     for k in rng.sample(range(2, n + 1), rng.randint(0, 4)):
@@ -406,7 +407,8 @@ def derivation_generator_images(rng, algebra):
         )
     alpha = {rng.randint(1, 6): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
     beta = {rng.randint(2, 7): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
-    d = thin_derivation(ThinDerivationParams(alpha, beta), 3)
+    d = thin_derivation(ThinDerivationParams(Element(Algebra.THIN, alpha),
+                                             Element(Algebra.THIN, beta)), 3)
     return d.image(1), d.image(2)
 
 
@@ -1049,7 +1051,7 @@ def test_recover_inner_memory_is_linear_in_the_map():
 
 
 def test_thin_derivation_scaling_params():
-    d = thin_derivation(ThinDerivationParams(alpha={1: 1}), 10)
+    d = thin_derivation(ThinDerivationParams(thin("e_1"), thin("0")), 10)
     assert d.image(1) == thin("e_1")
     assert d.image(2).is_zero()
     assert d.image(3) == thin("e_3")
@@ -1058,7 +1060,7 @@ def test_thin_derivation_scaling_params():
 
 
 def test_thin_derivation_shift_params():
-    d = thin_derivation(ThinDerivationParams(beta={3: 1}), 10)
+    d = thin_derivation(ThinDerivationParams(thin("0"), thin("e_3")), 10)
     assert d.image(1).is_zero()
     assert d.image(2) == thin("e_3")
     for j in range(3, 11):
@@ -1066,7 +1068,7 @@ def test_thin_derivation_shift_params():
 
 
 def test_thin_derivation_zero_params():
-    d = thin_derivation(ThinDerivationParams(), 5)
+    d = thin_derivation(ThinDerivationParams(thin("0"), thin("0")), 5)
     assert all(d.image(j).is_zero() for j in range(1, 6))
 
 
@@ -1075,37 +1077,47 @@ def test_thin_derivation_random_params_pass_leibniz():
     for _ in range(30):
         alpha = {rng.randint(1, 6): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
         beta = {rng.randint(2, 6): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
-        d = thin_derivation(ThinDerivationParams(alpha, beta), 15)
+        d = thin_derivation(ThinDerivationParams(Element(Algebra.THIN, alpha),
+                                                 Element(Algebra.THIN, beta)), 15)
         assert leibniz_check(d, 15).passed
 
 
 def test_thin_params_validation():
-    with pytest.raises(ValueError):
-        ThinDerivationParams(alpha={0: 1})
-    with pytest.raises(ValueError):
-        ThinDerivationParams(beta={1: 1})
-    with pytest.raises(NotADerivation):
-        ThinDerivationParams.from_generator_images(thin("e_1"), thin("e_1"))
+    """An image is an `Element`, so an index-0 term is refused as it is
+    built; the params refuse an e_1 term in D(e_2) and a non-thin image."""
+    with pytest.raises(IndexOutOfDomain, match="^index 0 not in the thin index domain$"):
+        ThinDerivationParams(Element(Algebra.THIN, {0: 1}), thin("0"))
+    for make in (ThinDerivationParams, ThinDerivationParams.from_generator_images):
+        with pytest.raises(NotADerivation,
+                           match="^the e_2 image of a thin derivation has no e_1 component$"):
+            make(thin("e_1"), thin("e_1 + e_2"))
+        for alpha, beta in [(wplus("e_1"), thin("0")), (thin("e_1"), wplus("e_2"))]:
+            with pytest.raises(MixedAlgebras):
+                make(alpha, beta)
     with pytest.raises(ValueError, match="^truncation must be at least 3$"):
-        thin_derivation(ThinDerivationParams(), 2)
+        thin_derivation(ThinDerivationParams(thin("0"), thin("0")), 2)
 
 
 def test_thin_params_drop_zeros_and_repr():
-    params = ThinDerivationParams({1: 2, 3: 0}, {2: Fraction(1, 2), 4: 0})
-    assert params == ThinDerivationParams({1: Fraction(2)}, {2: Fraction(1, 2)})
-    assert params != ThinDerivationParams({1: 2})
-    assert ThinDerivationParams({5: 0}, {6: 0}) == ThinDerivationParams()
+    params = ThinDerivationParams(Element(Algebra.THIN, {1: 2, 3: 0}),
+                                  Element(Algebra.THIN, {2: Fraction(1, 2), 4: 0}))
+    assert params == ThinDerivationParams(thin("2*e_1"), thin("1/2*e_2"))
+    assert params == ThinDerivationParams.from_generator_images(thin("2*e_1"), thin("1/2*e_2"))
+    assert params != ThinDerivationParams(thin("2*e_1"), thin("0"))
+    zero = ThinDerivationParams(thin("0"), thin("0"))
+    assert ThinDerivationParams(thin("0*e_5"), thin("0*e_6")) == zero
     assert repr(params) == (
-        "ThinDerivationParams(alpha={1: Fraction(2, 1)}, beta={2: Fraction(1, 2)})"
+        "ThinDerivationParams(alpha=Element(thin, '2*e_1'), beta=Element(thin, '1/2*e_2'))"
     )
 
 
 def test_thin_params_cannot_change_after_validation():
-    """`thin_derivation` wraps the fields unchecked, so neither they nor the
-    mappings they hold may change once `__init__` has validated them."""
-    params = ThinDerivationParams({1: 1})
+    """`thin_derivation` wraps the images' terms unchecked, so neither the
+    fields nor the images they hold may change once `__init__` has
+    validated them."""
+    params = ThinDerivationParams(thin("e_1"), thin("0"))
     with pytest.raises(AttributeError):
-        params.alpha = {0: Fraction(1), 2: Fraction(0)}
+        params.alpha = Element(Algebra.WITT, {0: 1})
     with pytest.raises(AttributeError):
         del params.beta
     with pytest.raises(TypeError):
@@ -1288,8 +1300,8 @@ def test_table_json_rejects_non_integer_bounds():
         table_from_json({**doc, "truncation": {"min": 4, "max": 1}})
 
 
-# strings too: `Fraction` reads them, and "0" must be dropped like 0, since
-# `thin_derivation` wraps the params' values unchecked
+# strings too: `Element` reads them through `Fraction`, and "0" must be
+# dropped like 0, since `thin_derivation` wraps the images' terms unchecked
 _PARAM_COEFFS = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=5), st.integers(-3, 3),
     st.sampled_from(["0", "-0", "2/4", "-3"]),
@@ -1303,39 +1315,46 @@ _PARAM_COEFFS = st.one_of(
     st.integers(3, 14),
 )
 def test_thin_derivation_matches_reference(alpha, beta, truncation):
-    params = ThinDerivationParams(alpha, beta)
+    params = ThinDerivationParams(Element(Algebra.THIN, alpha), Element(Algebra.THIN, beta))
     table = thin_derivation(params, truncation)
     assert table == reference_thin_derivation(params, truncation)
-    images = (Element(Algebra.THIN, dict(gen)) for gen in (params.alpha, params.beta))
-    assert extend_from_generators(Algebra.THIN, *images, truncation) == table
+    assert extend_from_generators(Algebra.THIN, params.alpha, params.beta, truncation) == table
     assert table_to_json(table) == table_to_json(reference_thin_derivation(params, truncation))
     for k in table.window.indices():
         assert_normalised_element(table.image(k))
 
 
+def _element_text(terms):
+    """Element text with the terms in the order given, such as
+    "+ 1*e_5 - 1/2*e_1": the parser keeps that order, and repeats add."""
+    return "".join(f" {'-' if c < 0 else '+'} {abs(c)}*e_{i}" for i, c in terms) or "0"
+
+
+def _thin_text(lo):
+    terms = st.tuples(st.integers(lo, 9), st.fractions(-4, 4, max_denominator=5))
+    return st.lists(terms, max_size=5).map(_element_text)
+
+
 @settings(derandomize=True, max_examples=200)
-@given(
-    st.dictionaries(st.integers(1, 9), _PARAM_COEFFS, max_size=5),
-    st.dictionaries(st.integers(2, 9), _PARAM_COEFFS, max_size=5),
-    st.integers(3, 20),
-)
+@given(_thin_text(1), _thin_text(2), st.integers(3, 20))
+@example("e_5 + e_1 + e_3", "e_4 - e_3 + e_2", 8)
 def test_thin_derivation_json_matches_extension(alpha, beta, truncation):
     """The JSON text written from the closed form equals the JSON of
     `reference_extension`, which brackets whole elements and does not use
-    `image_terms`; the params and every image are stored index ascending."""
-    params = ThinDerivationParams(alpha, beta)
-    images = (Element(Algebra.THIN, dict(gen)) for gen in (params.alpha, params.beta))
-    extension = reference_extension_table(Algebra.THIN, *images, truncation)
+    `image_terms`.  The generator images are parsed from text in any term
+    order, and every image, D(e_1) and D(e_2) too, comes out index
+    ascending, as `table_json_text` writes the terms in the order given."""
+    params = ThinDerivationParams(thin(alpha), thin(beta))
+    extension = reference_extension_table(Algebra.THIN, thin(alpha), thin(beta), truncation)
     terms = (params.image_terms(j).items() for j in range(1, truncation + 1))
     text = derivations.table_json_text(Algebra.THIN, Window(1, truncation), terms)
     assert text == json.dumps(table_to_json(extension), indent=2)
-    for terms in (params.alpha, params.beta,
-                  *(params.image_terms(j) for j in range(1, truncation + 1))):
+    for terms in (params.image_terms(j) for j in range(1, truncation + 1)):
         assert list(terms) == sorted(terms)
 
 
 def test_thin_image_terms_guards():
-    params = ThinDerivationParams({1: 1}, {2: 1})
+    params = ThinDerivationParams(thin("e_1"), thin("e_2"))
     with pytest.raises(IndexOutOfDomain, match="^index 0 not in the thin index domain$"):
         params.image_terms(0)
     two = [params.image_terms(j).items() for j in (1, 2)]
@@ -1350,7 +1369,7 @@ def test_thin_image_terms_guards():
 
 def test_thin_derivation_drops_a_vanishing_diagonal():
     """alpha_1 = 1, beta_2 = -3: the e_5 coefficient of D(e_5) is 3 - 3 = 0."""
-    params = ThinDerivationParams({1: 1}, {2: -3, 4: Fraction(1, 2)})
+    params = ThinDerivationParams(thin("e_1"), thin("-3*e_2 + 1/2*e_4"))
     table = thin_derivation(params, 8)
     assert table == reference_thin_derivation(params, 8)
     assert table.image(5) == thin("1/2*e_7")

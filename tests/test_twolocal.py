@@ -53,6 +53,14 @@ def unit(i):
     return SparseVector({i: 1})
 
 
+def thin_params(alpha, beta):
+    """Witness params from the coefficient dicts of D(e_1) and D(e_2)."""
+    return ThinDerivationParams(Element(Algebra.THIN, alpha), Element(Algebra.THIN, beta))
+
+
+ZERO_PARAMS = ThinDerivationParams(thin("0"), thin("0"))
+
+
 # -- the non-additive map ------------------------------------------------------
 
 
@@ -99,7 +107,7 @@ def test_additivity_holds_on_tail_pairs():
 
 def test_linear_maps_never_violate_additivity():
     rng = Random(59)
-    table = thin_derivation(ThinDerivationParams(alpha={2: 1}, beta={2: -3}), 14)
+    table = thin_derivation(ThinDerivationParams(thin("e_2"), thin("-3*e_2")), 14)
     for _ in range(40):
         x = rand_element(rng, Algebra.THIN, range(1, 12))
         y = rand_element(rng, Algebra.THIN, range(1, 12))
@@ -112,7 +120,7 @@ def test_linear_maps_never_violate_additivity():
 def test_witness_case_zero():
     cert = thin_witness(thin("2*e_2"), thin("e_3"))
     assert cert.case == "zero"
-    assert cert.witness == ThinDerivationParams()
+    assert cert.witness == ZERO_PARAMS
     assert reference_witness_table(cert).image(1).is_zero()
     assert verify_pair(thin_delta, cert).passed
 
@@ -169,7 +177,7 @@ def test_witnesses_are_derivations():
 
 def test_verify_pair_rejects_wrong_witness():
     x, y = thin("e_1 + e_2"), thin("e_3")
-    cert = WitnessCertificate(x, y, "zero", ThinDerivationParams())
+    cert = WitnessCertificate(x, y, "zero", ZERO_PARAMS)
     v = verify_pair(thin_delta, cert)
     assert not v.passed
     assert v.residual_x == thin("e_2")
@@ -186,22 +194,22 @@ def test_verify_pair_matches_reference_residuals():
         x = rand_element(rng, Algebra.THIN, range(1, 13))
         y = rand_element(rng, Algebra.THIN, range(1, 13))
         certs.append(thin_witness(x, y))
-    # (x, y, zero params too, terms added to (alpha, beta)); the last pair
-    # has no e_1 term, so its added alpha term is read at neither member
+    # (x, y, zero params too, terms added to (D(e_1), D(e_2))); the last pair
+    # has no e_1 term, so its added D(e_1) term is read at neither member
     wrong = [
         ("e_1 + e_2 - 1/2*e_4", "3*e_3", True,
-         [({5: Fraction(2, 3)}, {}), ({}, {2: Fraction(2, 3)}), ({}, {6: -1})]),
-        ("e_1 + e_5", "-e_1 + e_2", True, [({1: Fraction(2, 3)}, {}), ({}, {4: 1})]),
-        ("2*e_2", "e_3", False, [({4: 1}, {})]),
+         [("2/3*e_5", "0"), ("0", "2/3*e_2"), ("0", "-e_6")]),
+        ("e_1 + e_5", "-e_1 + e_2", True, [("2/3*e_1", "0"), ("0", "e_4")]),
+        ("2*e_2", "e_3", False, [("e_4", "0")]),
     ]
     for x, y, zero, added in wrong:
         x, y = thin(x), thin(y)
         good = thin_witness(x, y)
         if zero:
-            certs.append(WitnessCertificate(x, y, good.case, ThinDerivationParams()))
+            certs.append(WitnessCertificate(x, y, good.case, ZERO_PARAMS))
         for alpha, beta in added:
-            params = ThinDerivationParams({**good.witness.alpha, **alpha},
-                                          {**good.witness.beta, **beta})
+            params = ThinDerivationParams(good.witness.alpha + thin(alpha),
+                                          good.witness.beta + thin(beta))
             assert params != good.witness
             certs.append(WitnessCertificate(x, y, good.case, params))
     failed = 0
@@ -216,17 +224,17 @@ def test_verify_pair_matches_reference_residuals():
 
 def test_verify_pair_refuses_mixed_algebras():
     x, y = thin("e_1 + e_2"), thin("e_3")
-    thin_cert = WitnessCertificate(x, y, "zero", ThinDerivationParams())
+    thin_cert = WitnessCertificate(x, y, "zero", ZERO_PARAMS)
     with pytest.raises(MixedAlgebras):
         verify_pair(lambda m: m.in_algebra(Algebra.WPLUS), thin_cert)
-    wplus_cert = WitnessCertificate(x.in_algebra(Algebra.WPLUS), y, "zero", ThinDerivationParams())
+    wplus_cert = WitnessCertificate(x.in_algebra(Algebra.WPLUS), y, "zero", ZERO_PARAMS)
     with pytest.raises(MixedAlgebras, match="^wplus member, wplus image, thin witness$"):
         verify_pair(lambda m: m, wplus_cert)
 
 
 def test_verify_pair_zero_pair():
     z = Element.zero(Algebra.THIN)
-    cert = WitnessCertificate(z, z, "zero", ThinDerivationParams())
+    cert = WitnessCertificate(z, z, "zero", ZERO_PARAMS)
     assert verify_pair(thin_delta, cert).passed
 
 
@@ -245,9 +253,8 @@ def test_verify_pair_residuals_match_the_extension(alpha, beta, x, y):
     """For any params and thin members supported in 1..N, the residuals are
     delta(m) - extension(m), the extension tabulated on 1..N by
     `reference_extension`: no table is read, yet every residual agrees."""
-    params = ThinDerivationParams(alpha, beta)
     x, y = Element(Algebra.THIN, x), Element(Algebra.THIN, y)
-    cert = WitnessCertificate(x, y, "any", params)
+    cert = WitnessCertificate(x, y, "any", thin_params(alpha, beta))
     v = verify_pair(thin_delta, cert)
     assert (v.passed, v.residual_x, v.residual_y) == reference_verify_pair(thin_delta, cert)
     assert_normalised_element(v.residual_x)
@@ -282,10 +289,10 @@ def test_verify_pair_residuals_with_large_and_cancelling_terms(alpha, beta, x, y
     # D(e_j) for j >= 2 does not read alpha_i, so this residual is
     # delta(x)_i minus the other terms' contributions at i
     others = reference_verify_pair(
-        thin_delta, WitnessCertificate(x, y, "any", ThinDerivationParams(alpha, beta)))[1]
+        thin_delta, WitnessCertificate(x, y, "any", thin_params(alpha, beta)))[1]
     delta_i = reference_thin_delta(x).coefficient(i)
     alpha[i] = (others.coefficient(i) - (0 if exact else delta_i)) / c1
-    cert = WitnessCertificate(x, y, "any", ThinDerivationParams(alpha, beta))
+    cert = WitnessCertificate(x, y, "any", thin_params(alpha, beta))
     v = verify_pair(thin_delta, cert)
     assert (v.passed, v.residual_x, v.residual_y) == reference_verify_pair(thin_delta, cert)
     assert v.residual_x.coefficient(i) == (0 if exact else delta_i)
@@ -307,9 +314,11 @@ def test_verify_pair_rejects_every_visible_wrong_witness(x, y, i, c):
     term above e_1; else to alpha, which moves D(e_1) by c e_i."""
     x, y = Element(Algebra.THIN, x), Element(Algebra.THIN, y)
     good = thin_witness(x, y)
-    alpha, beta = dict(good.witness.alpha), dict(good.witness.beta)
-    added = beta if x.support_bound() >= 2 else alpha
-    added[i] = added.get(i, 0) + c
+    alpha, beta, term = good.witness.alpha, good.witness.beta, Element(Algebra.THIN, {i: c})
+    if x.support_bound() >= 2:
+        beta += term
+    else:
+        alpha += term
     cert = WitnessCertificate(x, y, good.case, ThinDerivationParams(alpha, beta))
     v = verify_pair(thin_delta, cert)
     assert not v.passed and not v.residual_x.is_zero()
@@ -776,6 +785,50 @@ def test_forced_lines_commute_with_theta():
                     probe, str(x), window)
                 lines += sum(len(v) > 1 for v in forced.basis)
     assert lines >= 100
+
+
+# On thin, sigma D sigma^-1 is again a derivation, with generator images
+# lam^-1 sigma D(e_1) and lam^-2 sigma D(e_2), and it sends e_j to
+# lam^-j sigma D(e_j); thin_delta commutes with sigma, as sigma keeps the
+# e_1 component apart.
+
+
+def thin_sigma(lam, x, power=0):
+    """lam^power sigma_lam(x), for a thin element x."""
+    return Element(Algebra.THIN, sigma(lam)(x.coeffs)).scale(Fraction(lam) ** power)
+
+
+def conjugated(lam, params):
+    """The generator images of sigma D sigma^-1, D given by params."""
+    return ThinDerivationParams(thin_sigma(lam, params.alpha, -1), thin_sigma(lam, params.beta, -2))
+
+
+def test_thin_derivations_commute_with_sigma():
+    rng = Random(137)
+    for lam in LAMBDAS:
+        for _ in range(10):
+            alpha = rand_element(rng, Algebra.THIN, range(1, 8), max_terms=4)
+            beta = rand_element(rng, Algebra.THIN, range(2, 8), max_terms=4)
+            params = ThinDerivationParams(alpha, beta)
+            table, got = (thin_derivation(p, 16) for p in (params, conjugated(lam, params)))
+            for j in table.window.indices():
+                assert got.image(j) == thin_sigma(lam, table.image(j), -j), (lam, params, j)
+
+
+def test_thin_witnesses_commute_with_sigma():
+    """Every (sigma x, sigma y) passes `verify_pair`, with the case of (x, y)
+    and its witness conjugated by sigma."""
+    rng, cases = Random(139), set()
+    for lam in LAMBDAS:
+        for _ in range(30):
+            x, y = (rand_element(rng, Algebra.THIN, range(1, 10)) for _ in range(2))
+            cert = thin_witness(x, y)
+            moved = thin_witness(thin_sigma(lam, x), thin_sigma(lam, y))
+            assert verify_pair(thin_delta, moved).passed, (lam, str(x), str(y))
+            assert thin_delta(moved.x) == thin_sigma(lam, thin_delta(x))
+            assert (moved.case, moved.witness) == (cert.case, conjugated(lam, cert.witness))
+            cases.add(cert.case)
+    assert cases == {"zero", "e1-scaled", "tail-identity"}
 
 
 @settings(derandomize=True, max_examples=200)
