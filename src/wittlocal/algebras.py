@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import IndexOutOfDomain, MixedAlgebras, ParseError
-from .linalg import Rational, SparseVector, Window
+from .linalg import Rational, SparseVector, Window, _read_only
 
 # structure constant: (i, j) -> K(i, j), with [e_i, e_j] = K(i, j) e_{i+j}
 Constant = Callable[[int, int], int]
@@ -85,6 +85,7 @@ class Element:
     """Finitely-supported member of one algebra."""
 
     __slots__ = ("algebra", "coeffs")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, algebra: Algebra, coeffs: SparseVector | Mapping[int, Rational | int]):
         if not isinstance(coeffs, SparseVector):
@@ -92,14 +93,15 @@ class Element:
         # the domains are bounded below only, so the smallest index decides
         if coeffs and not algebra.contains_index(i := coeffs.leading_index()):
             raise IndexOutOfDomain(f"index {i} not in the {algebra} index domain")
-        self.algebra = algebra
-        self.coeffs = coeffs
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def _trusted(cls, algebra: Algebra, coeffs: SparseVector) -> Element:
         """Wrap a vector already known to lie in the algebra's index domain."""
         x = cls.__new__(cls)
-        x.algebra, x.coeffs = algebra, coeffs
+        object.__setattr__(x, "algebra", algebra)
+        object.__setattr__(x, "coeffs", coeffs)
         return x
 
     @classmethod

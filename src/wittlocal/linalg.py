@@ -50,6 +50,13 @@ def format_rational(value: Rational) -> str:
     return str(value if type(value) is Fraction else Fraction(value))
 
 
+def _read_only(self, name, *_):
+    """`__setattr__` and `__delattr__` of the immutable value classes, whose
+    `__init__` sets each slot once through `object.__setattr__`.  Plain
+    classes keep CLI start-up short (README, "Start-up")."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class SparseVector:
     """Immutable finitely-supported vector: integer index -> nonzero Rational.
 
@@ -58,6 +65,7 @@ class SparseVector:
     """
 
     __slots__ = ("_entries",)
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, entries: Mapping[int, Rational | int] | None = None):
         cleaned: dict[int, Fraction] = {}
@@ -67,7 +75,7 @@ class SparseVector:
                     val = Fraction(val)
                 if val != 0:
                     cleaned[int(idx)] = val
-        self._entries = cleaned
+        object.__setattr__(self, "_entries", cleaned)
 
     @classmethod
     def _trusted(cls, entries: dict[int, Fraction]) -> SparseVector:
@@ -75,7 +83,7 @@ class SparseVector:
         nonzero Fractions, without copying or re-normalising it.  The dict
         must not be mutated afterwards."""
         vec = cls.__new__(cls)
-        vec._entries = entries
+        object.__setattr__(vec, "_entries", entries)
         return vec
 
     @classmethod
@@ -145,13 +153,6 @@ class SparseVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {format_rational(v)}" for i, v in self.items())
         return f"SparseVector({{{body}}})"
-
-
-def _read_only(self, name, *_):
-    """`__setattr__` and `__delattr__` of the immutable value classes, whose
-    `__init__` sets each slot once through `object.__setattr__`.  Plain
-    classes keep CLI start-up short (README, "Start-up")."""
-    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
 
 
 class Window:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -1300,26 +1301,24 @@ def test_main_is_reentrant(tmp_path, monkeypatch):
 
 def _parsers(parser):
     """parser and every parser below it in the subcommand tree."""
-    subs = parser.commands.choices.values() if parser.commands else ()
+    subs = [sub for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+            for sub in action.choices.values()]
     return [parser, *(p for sub in subs for p in _parsers(sub))]
 
 
-def test_read_leaf_matches_argparse_on_every_leaf():
-    """On each leaf parser, `_read_leaf` gives the namespace argparse gives,
-    with every option set and with only the required ones."""
-    leaves = [p for p in _parsers(cli.build_parser()) if p.commands is None]
-    assert len(leaves) == 10
-    for leaf in leaves:
+def test_read_request_matches_argparse_on_every_command():
+    """For each `_COMMANDS` entry, `_read_request` gives the namespace
+    argparse gives, with every option set and with only the required ones."""
+    assert len(cli._COMMANDS) == 10
+    for names, (_, _, options, operands) in cli._COMMANDS.items():
         every, required = [], []
-        for action in leaf._actions:
-            if action.default is argparse.SUPPRESS:  # -h
-                continue
-            value = action.choices[-1] if action.choices else "7" if action.type is int else "e_2"
-            tokens = [*action.option_strings[:1], value]
-            every += tokens
-            required += tokens if action.required else []
+        for name, kind, _ in options:
+            value = kind[-1] if type(kind) is tuple else "7" if kind is int else "e_2"
+            every += [name, value]
+            required += [] if type(kind) is tuple else [name, value]
         for argv in (every, required):
-            assert leaf.parse_known_args(argv) == (cli._read_leaf(leaf, argv), []), argv
+            argv = [*names, *argv, *["e_2"] * len(operands)]
+            assert cli._read_request(argv) == cli.build_parser().parse_args(argv), argv
 
 
 def test_main_parses_a_named_subcommand_with_its_own_parser(tmp_path, monkeypatch):
@@ -1351,3 +1350,59 @@ def test_main_parses_a_named_subcommand_with_its_own_parser(tmp_path, monkeypatc
     calls.clear()
     assert run(["bracket", "--alg", "witt", "e_1", "e_2"]) == (0, "e_3\n", "")  # an abbreviation
     assert calls == ["wittlocal", "wittlocal bracket"]
+
+
+# Each parser path: the sha256 of its `-h` stdout at 80 columns, and the exit
+# code and stderr of the bare path (`two-local additivity` takes no input).
+HELP_GOLDEN = {
+    "": ("e1ef53ea00b3f6c531daeb437c551ad3d5fc83733d486a9dcf25f95d69f2ff11", 1,
+         "wittlocal: the following arguments are required: command\n"),
+    "bracket": ("1bdaf1178e7986ec037f7ffc3e7376345429be1cadec9f46fda6290d7b63b482", 1,
+                "wittlocal bracket: the following arguments are required: --algebra, x, y\n"),
+    "jacobi": ("f823679189ff2b1b9d28d5ce7d2f18e80ee545ef3ed34e589ea41ee309d6056e", 1,
+               "wittlocal jacobi: the following arguments are required: --algebra, --window\n"),
+    "leibniz": ("20e707dec7de5c699694afec912ac6326f69b1973d2aac2f00fa69d340a50f16", 1,
+                "wittlocal leibniz: the following arguments are required: --algebra, --map, "
+                "--depth\n"),
+    "extend": ("960f2d104cdbcfbcf0f6c0ab86fdb014d1658fc8eeaf581b44551aacf66a69d8", 1,
+               "wittlocal extend: the following arguments are required: --algebra, --e1, --e2, "
+               "--truncation\n"),
+    "der-basis": ("b160add4fb1b29831e7b4b469c967937345b0e84f8e1d1661e1fce2a15d1e079", 1,
+                  "wittlocal der-basis: the following arguments are required: --algebra, "
+                  "--support\n"),
+    "recover-inner": ("17b26ab55f73505f7bcd28292cf83c7df52c7ab4f7f34c21e4499d59be3e3876", 1,
+                      "wittlocal recover-inner: the following arguments are required: --algebra, "
+                      "--map\n"),
+    "centralizer": ("a48e0ab1df7631d9a3eaf5235e4f7a45b4c00ad5c19aafa04f91c8996d01833b", 1,
+                    "wittlocal centralizer: the following arguments are required: --algebra, "
+                    "--element, --window\n"),
+    "rigidity": ("4607850ce089cfa0a13cd83ae0fe70891109ec2fb349d5594b9277c7896f2155", 1,
+                 "wittlocal rigidity: the following arguments are required: --algebra, "
+                 "--element, --window\n"),
+    "two-local": ("23b2f7eee46a502cb4eb5d882c1994394a110567f9d9082d6e912de663bbb391", 1,
+                  "wittlocal two-local: the following arguments are required: subcommand\n"),
+    "two-local verify": ("f0b6d265327e8b862e6991947a779bff8f2d3c52b7cc661e5a38e16985b7539b", 1,
+                         "wittlocal two-local verify: the following arguments are required: "
+                         "--pairs\n"),
+    "two-local additivity": ("d371deafb3d4b5fb6166c83394503d662618b49b6f09306ad158e41660df85dc",
+                             0, ""),
+}
+# argparse wraps three of the help texts differently from Python 3.13 on
+HELP_DIGESTS_SINCE_3_13 = {
+    "": "1811ec7aa315ab20949f382b9b085a2fb9ac92493a42b7b8deb84a54b122259d",
+    "jacobi": "1ad0895a13fda8abd7b783f59641b196bcdd6edff9ac8344dfe7ba4ca8733a71",
+    "leibniz": "e1ee6f6cf9487978d5107e5cf4c3de6e44454c53aa442b7aaef808faf3d223ed",
+}
+
+
+def test_help_and_bare_invocation_golden(monkeypatch):
+    """`-h` on every parser path prints the pinned help, and the bare path
+    exits with the pinned code and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    for path, (digest, code, err) in HELP_GOLDEN.items():
+        if sys.version_info >= (3, 13):
+            digest = HELP_DIGESTS_SINCE_3_13.get(path, digest)
+        help_code, out, help_err = run([*path.split(), "-h"])
+        assert (help_code, help_err) == (0, ""), path
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+        assert run(path.split())[::2] == (code, err), path

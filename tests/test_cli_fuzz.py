@@ -184,7 +184,7 @@ def run(argv):
 
 def run_whole_tree(argv):
     """`run(argv)` with the request parsed by `build_parser().parse_args`."""
-    with mock.patch.object(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv)):
+    with mock.patch.object(cli, "_read_request", lambda argv: None):
         return run(argv)
 
 

@@ -1127,6 +1127,24 @@ def test_thin_params_cannot_change_after_validation():
     assert thin_derivation(params, 3).image(1) == thin("e_1")
 
 
+def test_elements_and_vectors_cannot_change():
+    """`Element` and `SparseVector` slots are read-only as well, so the images
+    a `ThinDerivationParams` holds cannot take terms outside thin either."""
+    params = ThinDerivationParams(thin("0"), thin("0"))
+    with pytest.raises(AttributeError):
+        params.alpha.coeffs = SparseVector({0: 1})
+    with pytest.raises(AttributeError):
+        Element.basis(Algebra.THIN, 1).algebra = Algebra.WITT
+    with pytest.raises(AttributeError):
+        del params.beta.algebra
+    vec = SparseVector({1: 2})
+    with pytest.raises(AttributeError):
+        vec._entries = {0: Fraction(1)}
+    with pytest.raises(AttributeError):
+        del vec._entries
+    assert thin_derivation(params, 3).image(1) == thin("0") and vec == SparseVector({1: 2})
+
+
 # -- inner image directly from structure constants ----------------------------
 
 
