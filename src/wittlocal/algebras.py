@@ -93,15 +93,15 @@ class Element:
         # the domains are bounded below only, so the smallest index decides
         if coeffs and not algebra.contains_index(i := coeffs.leading_index()):
             raise IndexOutOfDomain(f"index {i} not in the {algebra} index domain")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_algebra(self, algebra)
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def _trusted(cls, algebra: Algebra, coeffs: SparseVector) -> Element:
         """Wrap a vector already known to lie in the algebra's index domain."""
         x = cls.__new__(cls)
-        object.__setattr__(x, "algebra", algebra)
-        object.__setattr__(x, "coeffs", coeffs)
+        _set_algebra(x, algebra)
+        _set_coeffs(x, coeffs)
         return x
 
     @classmethod
@@ -250,6 +250,7 @@ def _scan(table, window: Window, off: int) -> JacobiResult:
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?e_(-?\d+)")
 _UNIT = {"-": Fraction(-1), "+": Fraction(1), "": Fraction(1)}
+_set_algebra, _set_coeffs = Element.algebra.__set__, Element.coeffs.__set__  # see `_read_only`
 
 
 def parse_element(text: str, algebra: Algebra) -> Element:

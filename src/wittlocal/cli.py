@@ -210,10 +210,10 @@ def _emit_verdict(args, payload: dict, noun: str, count: int, where_key: str, wh
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """json object hook: a repeated key is an error, not a silent last-wins."""
-    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
-    if repeated:
+    if len(obj := dict(pairs)) < len(pairs):
+        repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
         raise ParseError(f"duplicate JSON keys {repeated}")
-    return dict(pairs)
+    return obj
 
 
 def _load_json(path: str, kind: str, max_bytes: int) -> object:

@@ -56,6 +56,7 @@ class LinearMapTable:
     """
 
     __slots__ = ("algebra", "window", "images")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, algebra: Algebra, window: Window, images: Mapping[int, Element]):
         algebra.require_window(window)
@@ -70,9 +71,8 @@ class LinearMapTable:
         if len(images) != len(table):  # then some image index lies outside the window
             k = next(k for k in images if k not in window)
             raise TruncationTooSmall(f"image index {k} outside declared window {window}")
-        self.algebra = algebra
-        self.window = window
-        self.images = table
+        for set_slot, value in zip(_SET_TABLE_SLOTS, (algebra, window, table)):
+            set_slot(self, value)
 
     def image(self, k: int) -> Element:
         if k not in self.window:
@@ -356,7 +356,8 @@ def derivation_space_basis(algebra: Algebra, support_bound: int) -> DerivationSp
     names = [f"{'alpha' if gen == 1 else 'beta'}_{i}" for gen, i in coords]
     position = {coord: p for p, coord in enumerate(coords)}
     rows = [] if algebra is Algebra.THIN else [  # block s, at alpha_{s+1} and beta_{s+2}
-        SparseVector({position[g, g + s]: r for g, r in ((1, 2 - s), (2, s - 1)) if g + s >= 1})
+        SparseVector._trusted({position[g, g + s]: Fraction(r)
+                               for g, r in ((1, 2 - s), (2, s - 1)) if r and g + s >= 1})
         for s in range(-1, n)
     ]
     space = kernel_basis(rows, Window(0, len(coords) - 1))
@@ -425,8 +426,8 @@ class ThinDerivationParams:
             raise MixedAlgebras("the generator images of a thin derivation must be thin")
         if beta.coefficient(1):
             raise NotADerivation("the e_2 image of a thin derivation has no e_1 component")
-        for name, image in (("alpha", alpha), ("beta", beta)):
-            object.__setattr__(self, name, Element._trusted(
+        for set_image, image in ((_set_alpha, alpha), (_set_beta, beta)):
+            set_image(self, Element._trusted(
                 Algebra.THIN, SparseVector._trusted(dict(image.coeffs.items()))))
 
     from_generator_images = classmethod(type.__call__)  # the constructor, by its older name
@@ -470,6 +471,10 @@ class ThinDerivationParams:
             if i >= 3:
                 terms[i + j - 2] = c
         return terms
+
+
+_SET_TABLE_SLOTS = tuple(getattr(LinearMapTable, name).__set__ for name in LinearMapTable.__slots__)
+_set_alpha, _set_beta = ThinDerivationParams.alpha.__set__, ThinDerivationParams.beta.__set__
 
 
 def thin_derivation(params: ThinDerivationParams, truncation: int) -> LinearMapTable:

@@ -52,8 +52,9 @@ def format_rational(value: Rational) -> str:
 
 def _read_only(self, name, *_):
     """`__setattr__` and `__delattr__` of the immutable value classes, whose
-    `__init__` sets each slot once through `object.__setattr__`.  Plain
-    classes keep CLI start-up short (README, "Start-up")."""
+    `__init__` sets each slot once through the slot's own member descriptor,
+    its `__set__` bound at module level (`_set_entries`): one C-level write.
+    Plain classes keep CLI start-up short (README, "Start-up")."""
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
 
 
@@ -75,7 +76,7 @@ class SparseVector:
                     val = Fraction(val)
                 if val != 0:
                     cleaned[int(idx)] = val
-        object.__setattr__(self, "_entries", cleaned)
+        _set_entries(self, cleaned)
 
     @classmethod
     def _trusted(cls, entries: dict[int, Fraction]) -> SparseVector:
@@ -83,7 +84,7 @@ class SparseVector:
         nonzero Fractions, without copying or re-normalising it.  The dict
         must not be mutated afterwards."""
         vec = cls.__new__(cls)
-        object.__setattr__(vec, "_entries", entries)
+        _set_entries(vec, entries)
         return vec
 
     @classmethod
@@ -164,8 +165,8 @@ class Window:
     def __init__(self, lo: int, hi: int):
         if lo > hi:
             raise ValueError(f"empty window {lo}:{hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -214,17 +215,20 @@ class Subspace:
     reduce another), leads ascending.  Equal spans compare equal."""
 
     __slots__ = ("basis",)
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, vectors: Iterable[SparseVector]):
         by_lead: dict[int, SparseVector] = {}
         seen: set[int] = set()
-        for v in filter(len, vectors):  # zero vectors span nothing
-            if not seen.isdisjoint(v._entries):
+        for v in vectors:
+            if not (entries := v._entries):  # zero vectors span nothing
+                continue
+            if not seen.isdisjoint(entries):
                 raise ValueError(f"support {v.support()} overlaps another vector's")
-            seen.update(v._entries)
-            lead = v.leading_index()
-            by_lead[lead] = v if v[lead] == 1 else v.scale(1 / v[lead])
-        self.basis = [by_lead[lead] for lead in sorted(by_lead)]
+            seen.update(entries)
+            lead = min(entries)
+            by_lead[lead] = v if (c := entries[lead]) == 1 else v.scale(1 / c)
+        _set_basis(self, [by_lead[lead] for lead in sorted(by_lead)])
 
     @property
     def dim(self) -> int:
@@ -239,6 +243,10 @@ class Subspace:
         return f"Subspace(dim={self.dim})"
 
 
+_set_entries, _set_lo, _set_hi, _set_basis = (
+    SparseVector._entries.__set__, Window.lo.__set__, Window.hi.__set__, Subspace.basis.__set__)
+
+
 def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
     """Canonical basis of {v supported in window : <row, v> = 0 for all rows}
     for rows with pairwise disjoint supports of at most two entries: a unit
@@ -247,14 +255,15 @@ def kernel_basis(rows: list[SparseVector], window: Window) -> Subspace:
     zero = SparseVector()  # marks an index that leads no kernel vector; Subspace drops it
     vec: dict[int, SparseVector] = {}  # index in a row -> kernel vector it leads, or zero
     for r in rows:
-        if not window.contains_vector(r):
+        if (entries := r._entries) and (min(entries) < window.lo or max(entries) > window.hi):
             raise ValueError(f"row support {r.support()} escapes window {window}")
-        if len(r) > 2 or not vec.keys().isdisjoint(r._entries):
+        if len(entries) > 2 or not vec.keys().isdisjoint(entries):
             raise ValueError(f"row support {r.support()} has 3+ entries or meets another row")
-        vec.update(dict.fromkeys(r._entries, zero))
-        if len(r) == 2:
-            (p, rp), (q, rq) = r.items()
-            vec[p] = SparseVector._trusted({p: _ONE, q: -rp / rq})
+        vec.update(dict.fromkeys(entries, zero))
+        if len(entries) == 2:
+            (p, rp), (q, rq) = sorted(entries.items())
+            ratio = Fraction(-rp.numerator * rq.denominator, rp.denominator * rq.numerator)  # -rp/rq
+            vec[p] = SparseVector._trusted({p: _ONE, q: ratio})
     return Subspace(vec[i] if i in vec else SparseVector.unit(i) for i in window.indices())
 
 

@@ -148,7 +148,7 @@ def reference_span(vectors) -> Subspace:
     built without `Subspace.__init__`, so it compares equal to a library
     result only when the library's canonical basis agrees with it."""
     space = object.__new__(Subspace)
-    space.basis = reference_basis(vectors)
+    Subspace.basis.__set__(space, reference_basis(vectors))  # the slot's own setter: no guard
     return space
 
 

@@ -668,6 +668,10 @@ _MAP = '{"algebra": "wplus", "truncation": {"min": 1, "max": 2}, "images": {%s}}
             _MAP % '"1": [[2, "1"]], "2": [], "2": [[3, "1"]]',
             "duplicate JSON keys ['2']",
         ),
+        (  # two keys repeated, named in order of first appearance
+            '{"a": 1, "b": 2, "b": 3, "a": 4}',
+            "duplicate JSON keys ['a', 'b']",
+        ),
         (
             _MAP.replace('"min": 1', '"min": true') % '"1": [], "2": []',
             "truncation bounds [True, 2] are not integers",
@@ -687,8 +691,8 @@ _MAP = '{"algebra": "wplus", "truncation": {"min": 1, "max": 2}, "images": {%s}}
         ),
     ],
     ids=[
-        "aliased-key", "duplicate-key", "bool-bound", "bool-index", "float-bound",
-        "no-images", "images-list", "short-term", "letter-key", "image-object",
+        "aliased-key", "duplicate-key", "two-duplicate-keys", "bool-bound", "bool-index",
+        "float-bound", "no-images", "images-list", "short-term", "letter-key", "image-object",
     ],
 )
 def test_malformed_map_exits_2(tmp_path, text, line):

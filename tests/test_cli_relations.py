@@ -4,7 +4,9 @@
 sigma_lam(e_i) = lam^i e_i is an automorphism of every algebra, since each
 bracket is K(i, j) e_{i+j}, and theta(e_i) = -e_{-i} is one of witt.  sigma
 holds for any K, so it sees a misplaced grade but no wrong constant; theta
-and linearity see a wrong constant.  The module runs in well under 5 s.
+and linearity see a wrong constant.  A larger `der-basis` support or
+`extend` truncation must restrict back to the smaller result.  The module
+runs in well under 5 s.
 """
 
 import io
@@ -17,7 +19,7 @@ from wittlocal import Algebra, Element, SparseVector, Subspace, Window
 from wittlocal.algebras import format_element, parse_element
 from wittlocal.cli import main
 
-from helpers import ad, rand_element
+from helpers import ad, in_span, rand_element, reference_reduce, reference_span
 
 LAMBDAS = (2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2))
 
@@ -153,3 +155,61 @@ def test_wplus_extend_is_linear():
         tf, tg = cli_extend(wplus, *f, truncation), cli_extend(wplus, *g, truncation)
         mixed = cli_extend(wplus, f[0] + c * g[0], f[1] + c * g[1], truncation)
         assert mixed == {k: tf[k] + c * tg[k] for k in range(1, truncation + 1)}, (f, g, c)
+
+
+def test_thin_extend_is_linear():
+    """extend of f + c g is extend f + c extend g on thin, where every pair
+    of generator images with no e_1 term in D(e_2) extends."""
+    rng = Random(239)
+    thin, truncation = Algebra.THIN, 12
+    for _ in range(40):
+        f, g = ((rand_element(rng, thin, range(1, 7)), rand_element(rng, thin, range(2, 7)))
+                for _ in range(2))
+        c = rng.choice(LAMBDAS)
+        tf, tg = cli_extend(thin, *f, truncation), cli_extend(thin, *g, truncation)
+        mixed = cli_extend(thin, f[0] + c * g[0], f[1] + c * g[1], truncation)
+        assert mixed == {k: tf[k] + c * tg[k] for k in range(1, truncation + 1)}, (f, g, c)
+
+
+def test_thin_extend_truncation_is_a_prefix():
+    """The table at truncation N is the table at N + 1 without its last
+    image: D(e_k) does not depend on how far the table runs."""
+    rng = Random(241)
+    thin = Algebra.THIN
+    for truncation in range(3, 15):
+        for _ in range(3):
+            e1, e2 = rand_element(rng, thin, range(1, 7)), rand_element(rng, thin, range(2, 7))
+            longer = cli_extend(thin, e1, e2, truncation + 1)
+            assert cli_extend(thin, e1, e2, truncation) == {
+                k: longer[k] for k in range(1, truncation + 1)}, (e1, e2, truncation)
+
+
+def cli_der_basis(algebra, n):
+    """The der-basis space at support n: its coordinates and its basis, with
+    alpha_i at index 2i and beta_i at index 2i + 1."""
+    reply = cli_json("der-basis", "--algebra", algebra.value, "--support", str(n))
+
+    def index(name):
+        gen, i = name.split("_")
+        return 2 * int(i) + (gen == "beta")
+
+    return ({index(name) for name in reply["coordinates"]},
+            [SparseVector({index(name): Fraction(c) for name, c in v["coords"]})
+             for v in reply["basis"]])
+
+
+def test_der_basis_support_enlargement_restricts():
+    """The space at support n is the part of the space at n + 1 that lies
+    in n's coordinates C: each basis vector at n lies in the span at n + 1,
+    and the dims agree, where the part of span B in C has dimension dim B
+    minus the rank of B's entries off C."""
+    for algebra in (Algebra.WPLUS, Algebra.THIN):
+        coords, basis = cli_der_basis(algebra, 1)
+        for n in range(1, 17):
+            wider_coords, wider = cli_der_basis(algebra, n + 1)
+            assert coords < wider_coords, (algebra, n)
+            wider_span = reference_span(wider)
+            assert all(in_span(wider_span, v) for v in basis), (algebra, n)
+            off = [SparseVector({i: c for i, c in v.items() if i not in coords}) for v in wider]
+            assert len(basis) == len(wider) - len(reference_reduce(off)), (algebra, n)
+            coords, basis = wider_coords, wider

@@ -24,6 +24,7 @@ from wittlocal import (
     ParseError,
     RigidityTrace,
     SparseVector,
+    Subspace,
     ThinDerivationParams,
     TruncationTooSmall,
     Window,
@@ -1143,6 +1144,35 @@ def test_elements_and_vectors_cannot_change():
     with pytest.raises(AttributeError):
         del vec._entries
     assert thin_derivation(params, 3).image(1) == thin("0") and vec == SparseVector({1: 2})
+    # every construction route writes its slots past the guard, and only once
+    trusted = SparseVector._trusted({2: Fraction(3)})
+    unit = SparseVector.unit(4)
+    wrapped = Element._trusted(Algebra.THIN, unit)
+    window = Window(2, 5)
+    for obj, name in ((trusted, "_entries"), (unit, "_entries"), (wrapped, "coeffs"),
+                      (wrapped, "algebra"), (window, "lo"), (window, "hi")):
+        with pytest.raises(AttributeError, match=f"cannot set or delete '{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"cannot set or delete '{name}'"):
+            delattr(obj, name)
+    assert (trusted.items(), unit.items()) == ([(2, 3)], [(4, 1)])
+    assert (wrapped, (window.lo, window.hi)) == (thin("e_4"), (2, 5))
+
+
+def test_spans_and_tables_cannot_change():
+    """`Subspace` and `LinearMapTable` carry the same read-only guard, so a
+    canonical basis or a table's window cannot be swapped after `__init__`
+    has checked them."""
+    space = Subspace([SparseVector({1: 2, 3: 4})])
+    table = zero_table(Algebra.WPLUS, Window(1, 3))
+    for obj, name, value in ((space, "basis", []), (table, "window", Window(5, 9)),
+                             (table, "images", {}), (table, "algebra", Algebra.WITT)):
+        with pytest.raises(AttributeError, match=f"cannot set or delete '{name}'"):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError, match=f"cannot set or delete '{name}'"):
+            delattr(obj, name)
+    assert space.basis == [SparseVector({1: 1, 3: 2})]
+    assert table == zero_table(Algebra.WPLUS, Window(1, 3)) and table.window == Window(1, 3)
 
 
 # -- inner image directly from structure constants ----------------------------
